@@ -8,7 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use udb_bench::Scale;
-use udb_core::{Engine, IdcaConfig, ObjRef, Predicate, QueryEngine, Refiner};
+use udb_core::{scan, Engine, IdcaConfig, ObjRef, Predicate, Refiner};
 
 fn bench_idca(c: &mut Criterion) {
     let scale = match std::env::var("UDB_BENCH_SCALE").as_deref() {
@@ -134,10 +134,10 @@ fn bench_idca(c: &mut Criterion) {
     }
     g.finish();
 
-    // index-integrated early-exit query processing vs PR 1's
-    // full-refinement scan path: same query, same results (the
-    // equivalence is property-tested), different work. The scan engine
-    // filters candidates with an O(n) pass and builds every refiner with
+    // index-integrated early-exit query processing vs the
+    // full-refinement scan oracle (`udb_core::scan`): same query, same
+    // results (the equivalence is property-tested), different work. The
+    // scan oracle filters candidates with an O(n) pass and builds every refiner with
     // a second O(n) scan; the indexed engine streams candidates from the
     // R-tree, filters each refiner through subtree classification and
     // retires candidates mid-loop.
@@ -151,8 +151,7 @@ fn bench_idca(c: &mut Criterion) {
         decomp_cache_entries: 0,
         ..Default::default()
     };
-    let scan_engine = QueryEngine::with_config(&db, knn_cfg.clone());
-    let indexed_engine = Engine::with_config(db.clone(), knn_cfg);
+    let indexed_engine = Engine::with_config(db.clone(), knn_cfg.clone());
     let (k, tau) = (5usize, 0.3f64);
     // the "bitter end" baseline: every candidate refined to convergence
     // (no threshold to decide against mid-loop), classified vs tau only
@@ -161,10 +160,12 @@ fn bench_idca(c: &mut Criterion) {
     g.bench_function("knn_threshold_full_refinement", |bench| {
         bench.iter(|| {
             let mut out = Vec::new();
-            for id in scan_engine.knn_candidates(r.mbr(), k) {
-                let mut refiner = scan_engine.refiner(
+            for id in scan::knn_candidates(&db, &knn_cfg, r.mbr(), k) {
+                let mut refiner = Refiner::new(
+                    &db,
                     ObjRef::Db(id),
                     ObjRef::External(&r),
+                    knn_cfg.clone(),
                     Predicate::CountBelow { k },
                 );
                 let snap = refiner.run();
@@ -177,19 +178,19 @@ fn bench_idca(c: &mut Criterion) {
         })
     });
     g.bench_function("knn_threshold_scan", |bench| {
-        bench.iter(|| black_box(scan_engine.knn_threshold(&r, k, tau)))
+        bench.iter(|| black_box(scan::knn_threshold(&db, &knn_cfg, &r, k, tau)))
     });
     g.bench_function("knn_threshold_indexed", |bench| {
         bench.iter(|| black_box(indexed_engine.knn_threshold(&r, k, tau)))
     });
     g.bench_function("rknn_threshold_scan", |bench| {
-        bench.iter(|| black_box(scan_engine.rknn_threshold(&r, 2, tau)))
+        bench.iter(|| black_box(scan::rknn_threshold(&db, &knn_cfg, &r, 2, tau)))
     });
     g.bench_function("rknn_threshold_indexed", |bench| {
         bench.iter(|| black_box(indexed_engine.rknn_threshold(&r, 2, tau)))
     });
     g.bench_function("top_probable_nn_scan", |bench| {
-        bench.iter(|| black_box(scan_engine.top_probable_nn(&r, 3)))
+        bench.iter(|| black_box(scan::top_probable_nn(&db, &knn_cfg, &r, 3)))
     });
     g.bench_function("top_probable_nn_indexed", |bench| {
         bench.iter(|| black_box(indexed_engine.top_probable_nn(&r, 3)))

@@ -5,7 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use udb_bench::Scale;
-use udb_core::{IdcaConfig, ObjRef, Predicate, QueryEngine, Refiner};
+use udb_core::{Engine, IdcaConfig, ObjRef, Predicate, Refiner};
 use udb_mc::MonteCarlo;
 
 fn bench_predicates(c: &mut Criterion) {
@@ -59,7 +59,7 @@ fn bench_predicates(c: &mut Criterion) {
     let mut g = c.benchmark_group("whole_query");
     g.sample_size(10);
     g.bench_function("knn_threshold_k3", |bench| {
-        let engine = QueryEngine::new(&db);
+        let engine = Engine::new(db.clone());
         bench.iter(|| black_box(engine.knn_threshold(&r, 3, 0.5)))
     });
     g.finish();

@@ -22,8 +22,8 @@
 //! half-applied mutation.
 //!
 //! All sharing is work-only: query results are bit-identical to the
-//! scan-based [`crate::QueryEngine`] reference paths at every thread
-//! count and every cache capacity (property-tested in
+//! [`crate::scan`] reference oracle at every thread count and every
+//! cache capacity (property-tested in
 //! `tests/owned_engine.rs`, `tests/batch_equivalence.rs` and
 //! `tests/early_exit_equivalence.rs`).
 //!
@@ -209,7 +209,7 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
     /// MinDist/MaxDist filter. Sound superset of every object with
     /// non-zero kNN probability. Only certainly existing objects tighten
     /// the pruning bound `d_k` (an object that may be absent guarantees
-    /// no domination), matching [`crate::QueryEngine::knn_candidates`].
+    /// no domination), matching [`crate::scan::knn_candidates`].
     fn knn_candidates(&self, q: &Rect, k: usize) -> Vec<ObjectId> {
         assert!(k >= 1);
         let norm = self.cfg.norm;
@@ -962,8 +962,7 @@ impl Engine {
     /// Probabilistic threshold kNN (Corollary 4), fully index-integrated
     /// and warm-cache-served: a batch-of-one through the same internal
     /// pipeline as [`Engine::run_batch`]. Results are identical to
-    /// [`crate::QueryEngine::knn_threshold`] (sorted by id) at every
-    /// cache capacity.
+    /// [`crate::scan::knn_threshold`] at every cache capacity.
     pub fn knn_threshold(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
         assert!(k >= 1, "k must be positive");
         assert!((0.0..1.0).contains(&tau), "tau must be in [0, 1)");
@@ -971,15 +970,17 @@ impl Engine {
     }
 
     /// Probabilistic threshold reverse kNN (Corollary 5), semantics of
-    /// [`crate::QueryEngine::rknn_threshold`] (sorted by id).
+    /// [`crate::scan::rknn_threshold`] (sorted by id).
     pub fn rknn_threshold(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
         assert!(k >= 1, "k must be positive");
         assert!((0.0..1.0).contains(&tau), "tau must be in [0, 1)");
         self.run_single(QueryView::Rknn { q, k, tau })
     }
 
-    /// Top-`m` probable nearest neighbours, semantics of
-    /// [`crate::QueryEngine::top_probable_nn`].
+    /// Top-`m` probable nearest neighbours (the query style of Beskales
+    /// et al. ref.\[6\]): the `m` objects with the highest probability
+    /// of being the 1NN of `q`, semantics of
+    /// [`crate::scan::top_probable_nn`].
     pub fn top_probable_nn(&self, q: &UncertainObject, m: usize) -> Vec<ThresholdResult> {
         assert!(m >= 1, "m must be positive");
         self.run_single(QueryView::TopM { q, m })
@@ -1011,7 +1012,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queries::QueryEngine;
+    use crate::scan;
     use udb_geometry::{LpNorm, Point};
     use udb_pdf::Pdf;
     use udb_workload::{QuerySet, SyntheticConfig};
@@ -1040,10 +1041,11 @@ mod tests {
         let (db, cfg) = synthetic(600);
         let qs = QuerySet::generate(&db, &cfg, 5, 10, LpNorm::L2, 79);
         let engine = Engine::new(db.clone());
-        let scan = QueryEngine::new(&db);
+        let cfg = IdcaConfig::default();
         for (r, b) in qs.iter() {
-            let via_index = engine.refiner(ObjRef::Db(b), ObjRef::External(r), Predicate::FullPdf);
-            let via_scan = scan.refiner(ObjRef::Db(b), ObjRef::External(r), Predicate::FullPdf);
+            let (target, reference) = (ObjRef::Db(b), ObjRef::External(r));
+            let via_index = engine.refiner(target, reference, Predicate::FullPdf);
+            let via_scan = Refiner::new(&db, target, reference, cfg.clone(), Predicate::FullPdf);
             assert_eq!(via_index.complete_count(), via_scan.complete_count());
             let mut a: Vec<_> = via_index.influence_ids().collect();
             let mut s: Vec<_> = via_scan.influence_ids().collect();
@@ -1063,14 +1065,11 @@ mod tests {
             ..Default::default()
         };
         let engine = Engine::with_config(db.clone(), idca.clone());
-        let scan = QueryEngine::with_config(&db, idca);
         for (r, b) in qs.iter() {
-            let snap_a = engine
-                .refiner(ObjRef::Db(b), ObjRef::External(r), Predicate::FullPdf)
-                .run();
-            let snap_b = scan
-                .refiner(ObjRef::Db(b), ObjRef::External(r), Predicate::FullPdf)
-                .run();
+            let (target, reference) = (ObjRef::Db(b), ObjRef::External(r));
+            let snap_a = engine.refiner(target, reference, Predicate::FullPdf).run();
+            let snap_b =
+                Refiner::new(&db, target, reference, idca.clone(), Predicate::FullPdf).run();
             assert_eq!(snap_a.bounds.len(), snap_b.bounds.len());
             for k in 0..snap_a.bounds.len() {
                 assert!((snap_a.bounds.lower(k) - snap_b.bounds.lower(k)).abs() < 1e-12);
@@ -1108,13 +1107,12 @@ mod tests {
         let (db, cfg) = synthetic(500);
         let qs = QuerySet::generate(&db, &cfg, 4, 10, LpNorm::L2, 77);
         let engine = Engine::new(db.clone());
-        let scan = QueryEngine::new(&db);
+        let cfg = IdcaConfig::default();
         for (r, _) in qs.iter() {
             for k in [1usize, 5, 10] {
                 let mut a = engine.knn_candidates(r.mbr(), k);
                 // scan-based candidates via the threshold query at tau = 0
-                let mut b: Vec<ObjectId> = scan
-                    .knn_threshold(r, k, 0.0)
+                let mut b: Vec<ObjectId> = scan::knn_threshold(&db, &cfg, r, k, 0.0)
                     .into_iter()
                     .map(|res| res.id)
                     .collect();
@@ -1138,11 +1136,10 @@ mod tests {
         let (db, cfg) = synthetic(400);
         let qs = QuerySet::generate(&db, &cfg, 3, 10, LpNorm::L2, 78);
         let engine = Engine::new(db.clone());
-        let scan = QueryEngine::new(&db);
+        let cfg = IdcaConfig::default();
         for (r, _) in qs.iter() {
             let a = engine.knn_threshold(r, 3, 0.5);
-            let mut b = scan.knn_threshold(r, 3, 0.5);
-            b.sort_by_key(|x| x.id);
+            let b = scan::knn_threshold(&db, &cfg, r, 3, 0.5);
             // the early-exit path replicates run()'s per-candidate
             // operation sequence: same result set, bit-identical bounds
             assert_eq!(a.len(), b.len());
@@ -1160,11 +1157,10 @@ mod tests {
         let (db, cfg) = synthetic(250);
         let qs = QuerySet::generate(&db, &cfg, 3, 10, LpNorm::L2, 81);
         let engine = Engine::new(db.clone());
-        let scan = QueryEngine::new(&db);
+        let cfg = IdcaConfig::default();
         for (r, _) in qs.iter() {
             let a = engine.rknn_threshold(r, 2, 0.5);
-            let mut b = scan.rknn_threshold(r, 2, 0.5);
-            b.sort_by_key(|x| x.id);
+            let b = scan::rknn_threshold(&db, &cfg, r, 2, 0.5);
             assert_eq!(a.len(), b.len());
             for (x, y) in a.iter().zip(b.iter()) {
                 assert_eq!(x.id, y.id);
@@ -1184,11 +1180,10 @@ mod tests {
             ..Default::default()
         };
         let engine = Engine::with_config(db.clone(), idca.clone());
-        let scan = QueryEngine::with_config(&db, idca);
         for (r, _) in qs.iter() {
             for m in [1usize, 3] {
                 let a = engine.top_probable_nn(r, m);
-                let b = scan.top_probable_nn(r, m);
+                let b = scan::top_probable_nn(&db, &idca, r, m);
                 let mut a_ids: Vec<ObjectId> = a.iter().map(|x| x.id).collect();
                 let mut b_ids: Vec<ObjectId> = b.iter().map(|x| x.id).collect();
                 a_ids.sort_unstable();
@@ -1215,19 +1210,17 @@ mod tests {
         let (db, cfg) = synthetic(200);
         let qs = QuerySet::generate(&db, &cfg, 2, 10, LpNorm::L2, 83);
         let engine = Engine::new(db.clone());
-        let scan = QueryEngine::new(&db);
+        let cfg = IdcaConfig::default();
         for (r, _) in qs.iter() {
             let a: Vec<ObjectId> = engine
                 .rknn_threshold(r, 1, 0.0)
                 .iter()
                 .map(|x| x.id)
                 .collect();
-            let mut b: Vec<ObjectId> = scan
-                .rknn_threshold(r, 1, 0.0)
+            let b: Vec<ObjectId> = scan::rknn_threshold(&db, &cfg, r, 1, 0.0)
                 .iter()
                 .map(|x| x.id)
                 .collect();
-            b.sort_unstable();
             assert_eq!(a, b);
         }
     }

@@ -18,10 +18,13 @@
 //! 3. **Stop criterion** — iteration/uncertainty limits or, for threshold
 //!    predicates, the moment the probability bounds decide the predicate.
 //!
-//! The [`queries`] module maps the domination-count machinery onto the
-//! query types of §VI: probabilistic inverse ranking (Corollary 3),
-//! probabilistic threshold kNN (Corollary 4), threshold RkNN (Corollary 5)
-//! and expected-rank ranking (Corollary 6).
+//! [`Engine`] is the one query surface. It maps the domination-count
+//! machinery onto the query types of §VI: probabilistic inverse ranking
+//! (Corollary 3), probabilistic threshold kNN (Corollary 4), threshold
+//! RkNN (Corollary 5) and expected-rank ranking (Corollary 6).
+//! [`ShardedEngine`] serves the threshold queries across shards. The
+//! [`scan`] module holds linear-scan reference versions of the threshold
+//! queries, used only as the oracle of tests and benches.
 
 pub mod batch;
 pub mod config;
@@ -31,6 +34,7 @@ pub mod parallel;
 pub mod queries;
 pub mod refiner;
 pub(crate) mod router;
+pub mod scan;
 pub mod shard;
 pub mod standing;
 pub mod wal;
@@ -39,8 +43,8 @@ pub use batch::{DecompCache, QueryBatch, QuerySpec, SharedDecomp, SharedRefineCt
 pub use config::{IdcaConfig, ObjRef, Predicate, RefineGoal};
 pub use durable::{DurableError, RecoveryReport};
 pub use engine::Engine;
-pub use parallel::{par_knn_threshold, PoolHandle, WorkerPool};
-pub use queries::{ExpectedRankEntry, QueryEngine, RankDistribution, ThresholdResult};
+pub use parallel::{PoolHandle, WorkerPool};
+pub use queries::{ExpectedRankEntry, RankDistribution, ThresholdResult};
 pub use refiner::{
     refine_lockstep, refine_top_m, DbView, DomCountSnapshot, RefineStats, Refiner, ScratchPool,
 };

@@ -32,26 +32,13 @@
 //! pool provides. Because the calling thread always participates, a pool
 //! serving `parallelism` lanes needs only `parallelism − 1` workers.
 //!
-//! # Threshold-query fan-out
-//!
-//! Threshold queries refine every candidate independently (one
-//! [`crate::Refiner`] each), which makes them embarrassingly parallel.
-//! [`par_knn_threshold`] fans candidates out over the engine's pool;
-//! results are identical to the sequential [`QueryEngine::knn_threshold`]
-//! (the refinement is deterministic), only the completion order differs —
-//! the output is therefore sorted by object id. Workers share nothing but
-//! the read-only engine and an atomic work cursor; each lane accumulates
-//! hits in its own buffer, merged after the scope ends, so the hot loop
-//! takes no locks at all.
+//! Threshold queries reach the pool through [`PoolHandle::fan_each`]:
+//! the lock-step candidate drivers of [`crate::refiner`] fan each
+//! refinement round over [`crate::IdcaConfig::candidate_threads`] lanes.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
-
-use udb_object::UncertainObject;
-
-use crate::config::{ObjRef, Predicate};
-use crate::queries::{QueryEngine, ThresholdResult};
 
 /// A type-erased, lifetime-erased unit of work (see the safety notes in
 /// [`WorkerPool::scope`]).
@@ -325,123 +312,9 @@ impl PoolHandle {
     }
 }
 
-/// Parallel probabilistic threshold kNN: semantics of
-/// [`QueryEngine::knn_threshold`], executed on `threads` lanes of the
-/// engine's persistent worker pool.
-///
-/// # Panics
-/// Panics if `threads == 0`, `k == 0` or `tau ∉ [0, 1)`.
-pub fn par_knn_threshold(
-    engine: &QueryEngine<'_>,
-    q: &UncertainObject,
-    k: usize,
-    tau: f64,
-    threads: usize,
-) -> Vec<ThresholdResult> {
-    assert!(threads >= 1, "need at least one worker thread");
-    assert!(k >= 1, "k must be positive");
-    assert!((0.0..1.0).contains(&tau), "tau must be in [0, 1)");
-
-    let candidates = engine.knn_candidates(q.mbr(), k);
-    let lanes = threads.min(candidates.len().max(1));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-
-    let refine_from_cursor = |local: &mut Vec<ThresholdResult>| loop {
-        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let Some(&id) = candidates.get(i) else {
-            break;
-        };
-        let mut refiner = engine.refiner(
-            ObjRef::Db(id),
-            ObjRef::External(q),
-            Predicate::Threshold { k, tau },
-        );
-        let snap = refiner.run();
-        let (lo, hi) = snap
-            .predicate_cdf
-            .expect("threshold predicate produces CDF");
-        if hi <= 0.0 {
-            continue;
-        }
-        local.push(ThresholdResult {
-            id,
-            prob_lower: lo,
-            prob_upper: hi,
-            iterations: snap.iteration,
-        });
-    };
-
-    let mut buffers: Vec<Vec<ThresholdResult>> = (0..lanes).map(|_| Vec::new()).collect();
-    match engine.pool_handle().get(lanes) {
-        Some(pool) => {
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = buffers
-                .iter_mut()
-                .map(|buf| Box::new(|| refine_from_cursor(buf)) as Box<dyn FnOnce() + Send + '_>)
-                .collect();
-            pool.scope(jobs);
-        }
-        None => refine_from_cursor(&mut buffers[0]),
-    }
-
-    let mut out: Vec<ThresholdResult> = buffers.into_iter().flatten().collect();
-    out.sort_by_key(|r| r.id);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use udb_geometry::LpNorm;
-    use udb_object::Database;
-    use udb_workload::{QuerySet, SyntheticConfig};
-
-    fn db() -> (Database, SyntheticConfig) {
-        let cfg = SyntheticConfig {
-            n: 400,
-            max_extent: 0.01,
-            ..Default::default()
-        };
-        (cfg.generate(), cfg)
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let (db, cfg) = db();
-        let qs = QuerySet::generate(&db, &cfg, 3, 10, LpNorm::L2, 5);
-        let engine = QueryEngine::new(&db);
-        for (r, _) in qs.iter() {
-            let mut seq = engine.knn_threshold(r, 3, 0.5);
-            seq.sort_by_key(|x| x.id);
-            for threads in [1usize, 2, 4] {
-                let par = par_knn_threshold(&engine, r, 3, 0.5, threads);
-                assert_eq!(par.len(), seq.len(), "threads={threads}");
-                for (a, b) in par.iter().zip(seq.iter()) {
-                    assert_eq!(a.id, b.id);
-                    assert!((a.prob_lower - b.prob_lower).abs() < 1e-12);
-                    assert!((a.prob_upper - b.prob_upper).abs() < 1e-12);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn more_threads_than_candidates_is_fine() {
-        let (db, cfg) = db();
-        let qs = QuerySet::generate(&db, &cfg, 1, 1, LpNorm::L2, 6);
-        let engine = QueryEngine::new(&db);
-        let (r, _) = qs.iter().next().unwrap();
-        let res = par_knn_threshold(&engine, r, 1, 0.25, 64);
-        assert!(!res.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "worker thread")]
-    fn zero_threads_rejected() {
-        let (db, _) = db();
-        let engine = QueryEngine::new(&db);
-        let q = udb_object::UncertainObject::certain(udb_geometry::Point::from([0.5, 0.5]));
-        let _ = par_knn_threshold(&engine, &q, 1, 0.5, 0);
-    }
 
     #[test]
     fn pool_runs_all_jobs_and_is_reusable() {

@@ -1,27 +1,14 @@
-//! Probabilistic similarity queries on top of the domination count (§VI).
-
-use std::sync::Arc;
+//! Probabilistic similarity queries on top of the domination count
+//! (§VI): the query result types and the ranking queries of
+//! [`Engine`]. The threshold queries live with the batch pipeline in
+//! [`crate::engine`].
 
 use udb_genfunc::CountDistributionBounds;
-use udb_geometry::Rect;
-use udb_object::{Database, ObjectId, UncertainObject};
+use udb_object::{ObjectId, UncertainObject};
 
-use crate::config::{IdcaConfig, ObjRef, Predicate};
-use crate::parallel::PoolHandle;
-use crate::refiner::{DomCountSnapshot, RefineStats, Refiner};
-
-/// High-level query interface over an uncertain database.
-#[derive(Debug, Clone)]
-pub struct QueryEngine<'a> {
-    db: &'a Database,
-    cfg: IdcaConfig,
-    /// The engine's persistent worker pool (created lazily, shared by
-    /// every refiner this engine builds and by the parallel executor).
-    pool: PoolHandle,
-    /// Two-tier refinement counters, shared by every refiner this engine
-    /// builds (clones of the engine keep sharing them).
-    stats: Arc<RefineStats>,
-}
+use crate::config::{ObjRef, Predicate};
+use crate::engine::Engine;
+use crate::refiner::DomCountSnapshot;
 
 /// Per-object outcome of a threshold query.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,67 +81,18 @@ pub struct ExpectedRankEntry {
     pub upper: f64,
 }
 
-impl<'a> QueryEngine<'a> {
-    /// Creates an engine over `db` with the default configuration.
-    pub fn new(db: &'a Database) -> Self {
-        QueryEngine::with_config(db, IdcaConfig::default())
-    }
-
-    /// Creates an engine with an explicit configuration.
-    pub fn with_config(db: &'a Database, cfg: IdcaConfig) -> Self {
-        QueryEngine {
-            db,
-            cfg,
-            pool: PoolHandle::default(),
-            stats: Arc::new(RefineStats::default()),
-        }
-    }
-
-    /// The underlying database.
-    pub fn db(&self) -> &Database {
-        self.db
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &IdcaConfig {
-        &self.cfg
-    }
-
-    /// The engine's shared worker-pool handle (refiners built through
-    /// [`QueryEngine::refiner`] and the parallel executor all draw from
-    /// this pool).
-    pub fn pool_handle(&self) -> &PoolHandle {
-        &self.pool
-    }
-
-    /// The engine's two-tier refinement counters: how many rounds across
-    /// all refiners were decided by the tier-1 prefilter vs. computed by
-    /// the exact tier-2 UGF snapshot (see [`IdcaConfig::prefilter`]).
-    pub fn refine_stats(&self) -> &Arc<RefineStats> {
-        &self.stats
-    }
-
-    /// Builds a refiner for an ad-hoc domination-count computation.
-    pub fn refiner(
-        &self,
-        target: ObjRef<'a>,
-        reference: ObjRef<'a>,
-        predicate: Predicate,
-    ) -> Refiner<'a> {
-        Refiner::new(self.db, target, reference, self.cfg.clone(), predicate)
-            .with_pool(self.pool.clone())
-            .with_stats(Arc::clone(&self.stats))
-    }
-
+/// The ranking queries of §VI, each built on the domination count of
+/// [`Engine::refiner`] (index-backed filter, full-PDF refinement).
+impl Engine {
     /// Fully refines the domination count of `target` w.r.t. `reference`.
-    pub fn domination_count(&self, target: ObjRef<'a>, reference: ObjRef<'a>) -> DomCountSnapshot {
+    pub fn domination_count(&self, target: ObjRef<'_>, reference: ObjRef<'_>) -> DomCountSnapshot {
         self.refiner(target, reference, Predicate::FullPdf).run()
     }
 
     /// Probabilistic inverse ranking (Corollary 3, ref.\[21\]): the rank
     /// distribution of `target` among the database objects w.r.t.
     /// similarity to `reference`.
-    pub fn inverse_ranking(&self, target: ObjRef<'a>, reference: ObjRef<'a>) -> RankDistribution {
+    pub fn inverse_ranking(&self, target: ObjRef<'_>, reference: ObjRef<'_>) -> RankDistribution {
         let snapshot = self.domination_count(target, reference);
         RankDistribution {
             counts: snapshot.bounds.clone(),
@@ -162,92 +100,11 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Probabilistic threshold kNN query (Corollary 4): all database
-    /// objects whose probability of being among the `k` nearest neighbours
-    /// of `q` is related to `τ`. Every candidate surviving the spatial
-    /// filter is returned with its final probability bounds; use
-    /// [`ThresholdResult::is_hit`] / [`ThresholdResult::is_drop`] /
-    /// [`ThresholdResult::is_undecided`] to interpret them. Objects pruned
-    /// by the filter (probability certainly 0) are omitted.
-    pub fn knn_threshold(
-        &self,
-        q: &'a UncertainObject,
-        k: usize,
-        tau: f64,
-    ) -> Vec<ThresholdResult> {
-        assert!(k >= 1, "k must be positive");
-        assert!((0.0..1.0).contains(&tau), "tau must be in [0, 1)");
-        let candidates = self.knn_candidates(q.mbr(), k);
-        let mut out = Vec::with_capacity(candidates.len());
-        for id in candidates {
-            let mut refiner = self.refiner(
-                ObjRef::Db(id),
-                ObjRef::External(q),
-                Predicate::Threshold { k, tau },
-            );
-            let snap = refiner.run();
-            let (lo, hi) = snap
-                .predicate_cdf
-                .expect("threshold predicate produces CDF");
-            if hi <= 0.0 {
-                continue; // certainly not a kNN
-            }
-            out.push(ThresholdResult {
-                id,
-                prob_lower: lo,
-                prob_upper: hi,
-                iterations: snap.iteration,
-            });
-        }
-        out
-    }
-
-    /// Probabilistic threshold reverse kNN query (Corollary 5): objects
-    /// `B` for which `q` is among `B`'s `k` nearest neighbours with
-    /// probability related to `τ` — i.e. `P(DomCount(q, B) < k)` with `B`
-    /// as the reference object.
-    pub fn rknn_threshold(
-        &self,
-        q: &'a UncertainObject,
-        k: usize,
-        tau: f64,
-    ) -> Vec<ThresholdResult> {
-        assert!(k >= 1, "k must be positive");
-        assert!((0.0..1.0).contains(&tau), "tau must be in [0, 1)");
-        let mut out = Vec::new();
-        for (b_id, b_obj) in self.db.iter() {
-            // cheap sound prefilter: if at least k objects certainly
-            // dominate q w.r.t. B, the probability is zero
-            if self.certain_dominators_of(q, b_obj, b_id, k) >= k {
-                continue;
-            }
-            let mut refiner = self.refiner(
-                ObjRef::External(q),
-                ObjRef::Db(b_id),
-                Predicate::Threshold { k, tau },
-            );
-            let snap = refiner.run();
-            let (lo, hi) = snap
-                .predicate_cdf
-                .expect("threshold predicate produces CDF");
-            if hi <= 0.0 {
-                continue;
-            }
-            out.push(ThresholdResult {
-                id: b_id,
-                prob_lower: lo,
-                prob_upper: hi,
-                iterations: snap.iteration,
-            });
-        }
-        out
-    }
-
     /// Ranks all database objects by their expected rank w.r.t. `q`
     /// (Corollary 6), ascending by the bound midpoint.
-    pub fn expected_rank_ranking(&self, q: &'a UncertainObject) -> Vec<ExpectedRankEntry> {
+    pub fn expected_rank_ranking(&self, q: &UncertainObject) -> Vec<ExpectedRankEntry> {
         let mut out: Vec<ExpectedRankEntry> = self
-            .db
+            .db()
             .ids()
             .map(|id| {
                 let snap = self.domination_count(ObjRef::Db(id), ObjRef::External(q));
@@ -263,58 +120,19 @@ impl<'a> QueryEngine<'a> {
         out
     }
 
-    /// Top-`m` probable nearest neighbours (the query style of Beskales et
-    /// al. ref.\[6\]): the `m` objects with the highest probability of being the
-    /// 1NN of `q`, with their probability bounds. Candidates are refined
-    /// until the top-`m` set is separated from the rest or the iteration
-    /// budget is exhausted; undecided overlaps are resolved by the bound
-    /// midpoint (and visible in the returned bounds).
-    pub fn top_probable_nn(&self, q: &'a UncertainObject, m: usize) -> Vec<ThresholdResult> {
-        assert!(m >= 1, "m must be positive");
-        let candidates = self.knn_candidates(q.mbr(), 1);
-        // refine every candidate's P(DomCount = 0) = P(count < 1)
-        let mut results: Vec<ThresholdResult> = candidates
-            .into_iter()
-            .map(|id| {
-                let mut refiner = self.refiner(
-                    ObjRef::Db(id),
-                    ObjRef::External(q),
-                    Predicate::CountBelow { k: 1 },
-                );
-                let snap = refiner.run();
-                let (lo, hi) = snap.predicate_cdf.expect("predicate produces CDF");
-                ThresholdResult {
-                    id,
-                    prob_lower: lo,
-                    prob_upper: hi,
-                    iterations: snap.iteration,
-                }
-            })
-            .filter(|r| r.prob_upper > 0.0)
-            .collect();
-        results.sort_by(|a, b| {
-            (b.prob_lower + b.prob_upper)
-                .partial_cmp(&(a.prob_lower + a.prob_upper))
-                .expect("NaN probability")
-                // deterministic tie-break, matching `refine_top_m`
-                .then_with(|| a.id.cmp(&b.id))
-        });
-        results.truncate(m);
-        results
-    }
-
     /// The *expected-distance* ranking baseline (Ljosa & Singh, ref.\[22\]):
     /// objects ordered by `E[dist(o, q)]` between expected positions. The
     /// paper cites refs.\[19\]/\[25\] to argue this "does not adhere to the
     /// possible world semantics and may produce very inaccurate results";
     /// it is provided so the inaccuracy can be demonstrated against
-    /// [`QueryEngine::expected_rank_ranking`].
+    /// [`Engine::expected_rank_ranking`].
     pub fn expected_distance_ranking(&self, q: &UncertainObject) -> Vec<(ObjectId, f64)> {
         let q_mean = q.mean();
+        let norm = self.config().norm;
         let mut out: Vec<(ObjectId, f64)> = self
-            .db
+            .db()
             .iter()
-            .map(|(id, o)| (id, self.cfg.norm.dist(&o.mean(), &q_mean)))
+            .map(|(id, o)| (id, norm.dist(&o.mean(), &q_mean)))
             .collect();
         out.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("NaN distance"));
         out
@@ -325,81 +143,20 @@ impl<'a> QueryEngine<'a> {
     /// `q`, in id order. The full answer to a probabilistic ranking query;
     /// `O(N)` refinements, so prefer the threshold queries when a
     /// predicate is available.
-    pub fn ranking_distributions(&self, q: &'a UncertainObject) -> Vec<RankDistribution> {
-        self.db
+    pub fn ranking_distributions(&self, q: &UncertainObject) -> Vec<RankDistribution> {
+        self.db()
             .ids()
             .map(|id| self.inverse_ranking(ObjRef::Db(id), ObjRef::External(q)))
             .collect()
-    }
-
-    /// Spatial kNN candidate filter (scan-based): let `d_k` be the `k`-th
-    /// smallest MaxDist of any *certainly existing* object to `q`; every
-    /// object whose MinDist exceeds `d_k` is dominated by at least `k`
-    /// objects in every world and can be pruned (probability exactly 0).
-    /// Existentially uncertain objects must not contribute to `d_k` —
-    /// they are absent in some worlds and therefore guarantee nothing.
-    /// The reference implementation the index-driven
-    /// [`crate::Engine::knn_candidates`] is checked against.
-    pub fn knn_candidates(&self, q: &Rect, k: usize) -> Vec<ObjectId> {
-        let n = self.db.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut max_dists: Vec<f64> = self
-            .db
-            .iter()
-            .filter(|(_, o)| o.existence() >= 1.0)
-            .map(|(_, o)| o.mbr().max_dist_rect(q, self.cfg.norm))
-            .collect();
-        max_dists.sort_by(|a, b| a.partial_cmp(b).expect("NaN distance"));
-        // fewer than k certain objects: nothing can be pruned
-        let dk = if max_dists.len() >= k {
-            max_dists[k - 1]
-        } else {
-            f64::INFINITY
-        };
-        self.db
-            .iter()
-            .filter(|(_, o)| o.mbr().min_dist_rect(q, self.cfg.norm) <= dk)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// Counts objects (other than `b`) that certainly dominate `q` w.r.t.
-    /// reference `b`, stopping at `cap`. Only certainly existing objects
-    /// qualify: an object that may be absent dominates in no world where
-    /// it is missing.
-    fn certain_dominators_of(
-        &self,
-        q: &UncertainObject,
-        b_obj: &UncertainObject,
-        b_id: ObjectId,
-        cap: usize,
-    ) -> usize {
-        let mut count = 0;
-        for (id, a) in self.db.iter() {
-            if id == b_id || a.existence() < 1.0 {
-                continue;
-            }
-            if self
-                .cfg
-                .criterion
-                .dominates(a.mbr(), q.mbr(), b_obj.mbr(), self.cfg.norm)
-            {
-                count += 1;
-                if count >= cap {
-                    break;
-                }
-            }
-        }
-        count
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use udb_geometry::{Interval, LpNorm, Point};
+    use crate::config::IdcaConfig;
+    use udb_geometry::{Interval, LpNorm, Point, Rect};
+    use udb_object::Database;
     use udb_pdf::{MixturePdf, Pdf};
 
     fn certain(x: f64, y: f64) -> UncertainObject {
@@ -429,8 +186,7 @@ mod tests {
 
     #[test]
     fn knn_threshold_on_certain_data_is_exact_knn() {
-        let db = line_db();
-        let engine = QueryEngine::new(&db);
+        let engine = Engine::new(line_db());
         let q = certain(0.0, 0.0);
         let res = engine.knn_threshold(&q, 2, 0.5);
         let hits: Vec<ObjectId> = res.iter().filter(|r| r.is_hit(0.5)).map(|r| r.id).collect();
@@ -453,7 +209,7 @@ mod tests {
             uniform_box(2.5, 0.0, 1.0),
             certain(2.5, 0.0),
         ]);
-        let engine = QueryEngine::new(&db);
+        let engine = Engine::new(db);
         let q = certain(0.0, 0.0);
         let res = engine.knn_threshold(&q, 1, 0.5);
         // only the x=1 object is certainly the 1NN
@@ -471,8 +227,8 @@ mod tests {
             uniform_box(2.0, 0.0, 0.4),
             uniform_box(3.0, 0.0, 0.4),
         ]);
-        let engine = QueryEngine::with_config(
-            &db,
+        let engine = Engine::with_config(
+            db,
             IdcaConfig {
                 max_iterations: 6,
                 uncertainty_target: 0.0,
@@ -494,8 +250,7 @@ mod tests {
         // object is closer to B than q: true only for B at x=1 (dist 1;
         // the nearest other object is at dist 1 — tie, not strictly
         // closer... with x=2: q at dist 2 vs object at dist 1 -> no).
-        let db = line_db();
-        let engine = QueryEngine::new(&db);
+        let engine = Engine::new(line_db());
         let q = certain(0.0, 0.0);
         let res = engine.rknn_threshold(&q, 1, 0.5);
         let hits: Vec<ObjectId> = res.iter().filter(|r| r.is_hit(0.5)).map(|r| r.id).collect();
@@ -506,8 +261,7 @@ mod tests {
 
     #[test]
     fn inverse_ranking_certain_case() {
-        let db = line_db();
-        let engine = QueryEngine::new(&db);
+        let engine = Engine::new(line_db());
         let q = certain(0.0, 0.0);
         // target x=3 is dominated by exactly 2 objects: rank 3
         let rd = engine.inverse_ranking(ObjRef::Db(ObjectId(2)), ObjRef::External(&q));
@@ -530,8 +284,8 @@ mod tests {
             certain(3.0, 0.0),
             uniform_seg(2.5, 1.0),
         ]);
-        let engine = QueryEngine::with_config(
-            &db,
+        let engine = Engine::with_config(
+            db,
             IdcaConfig {
                 max_iterations: 8,
                 uncertainty_target: 0.01,
@@ -554,8 +308,7 @@ mod tests {
 
     #[test]
     fn expected_rank_ranking_orders_certain_points() {
-        let db = line_db();
-        let engine = QueryEngine::new(&db);
+        let engine = Engine::new(line_db());
         let q = certain(0.0, 0.0);
         let ranking = engine.expected_rank_ranking(&q);
         let ids: Vec<ObjectId> = ranking.iter().map(|e| e.id).collect();
@@ -585,7 +338,7 @@ mod tests {
             0.5,
         );
         let db = Database::from_objects(vec![maybe, certain(10.0, 0.0)]);
-        let engine = QueryEngine::new(&db);
+        let engine = Engine::new(db);
         let q = certain(0.0, 0.0);
         let res = engine.knn_threshold(&q, 1, 0.0);
         let far = res
@@ -605,7 +358,7 @@ mod tests {
             0.5,
         );
         let db = Database::from_objects(vec![maybe, certain(0.0, 0.0)]);
-        let engine = QueryEngine::new(&db);
+        let engine = Engine::new(db);
         let q = certain(5.0, 0.0);
         // in the worlds where the existential object is absent (p = 0.5),
         // q is B's nearest neighbour
@@ -620,8 +373,7 @@ mod tests {
 
     #[test]
     fn knn_candidates_prune_far_objects() {
-        let db = line_db();
-        let engine = QueryEngine::new(&db);
+        let engine = Engine::new(line_db());
         let q = certain(0.0, 0.0);
         // k = 1: d1 = MaxDist to nearest object = 1; only x=1 qualifies
         let res = engine.knn_threshold(&q, 1, 0.1);
@@ -637,8 +389,8 @@ mod tests {
             uniform_seg(1.6, 0.4),
             certain(5.0, 0.0),
         ]);
-        let engine = QueryEngine::with_config(
-            &db,
+        let engine = Engine::with_config(
+            db,
             IdcaConfig {
                 max_iterations: 7,
                 uncertainty_target: 0.0,
@@ -686,8 +438,8 @@ mod tests {
         let steady = certain(3.0, 0.0);
         let db = Database::from_objects(vec![bimodal, steady]);
         let q = certain(0.0, 0.0);
-        let engine = QueryEngine::with_config(
-            &db,
+        let engine = Engine::with_config(
+            db,
             IdcaConfig {
                 max_iterations: 8,
                 uncertainty_target: 0.0,
@@ -706,11 +458,10 @@ mod tests {
 
     #[test]
     fn ranking_distributions_covers_all_objects() {
-        let db = line_db();
-        let engine = QueryEngine::new(&db);
+        let engine = Engine::new(line_db());
         let q = certain(0.0, 0.0);
         let all = engine.ranking_distributions(&q);
-        assert_eq!(all.len(), db.len());
+        assert_eq!(all.len(), engine.db().len());
         // certain points: object i has rank i+1 with certainty
         for (i, rd) in all.iter().enumerate() {
             let (lo, hi) = rd.rank_bounds(i + 1);
@@ -736,8 +487,7 @@ mod tests {
 
     #[test]
     fn engine_accessors() {
-        let db = line_db();
-        let engine = QueryEngine::new(&db);
+        let engine = Engine::new(line_db());
         assert_eq!(engine.db().len(), 5);
         assert_eq!(engine.config().norm, LpNorm::L2);
     }

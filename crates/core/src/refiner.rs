@@ -337,8 +337,7 @@ impl Influence {
 /// O(n) min/max prefilter decided on its own (`tier1_skipped`) versus how
 /// many fell through to an exact UGF snapshot (`tier2_exact`). Engines
 /// attach one sink ([`Refiner::with_stats`]) to every refiner they build,
-/// so the tier-1 hit rate of a whole query (or workload) is observable —
-/// `profile_knn` prints it per query type.
+/// so the tier-1 hit rate of a whole query (or workload) is observable.
 #[derive(Debug, Default)]
 pub struct RefineStats {
     tier1_skipped: AtomicU64,
@@ -1620,7 +1619,7 @@ impl<'a> Refiner<'a> {
 
 /// Converts a final snapshot into a query result; `None` when the
 /// candidate's predicate probability is certainly zero.
-fn threshold_result(id: ObjectId, snap: &DomCountSnapshot) -> Option<ThresholdResult> {
+pub(crate) fn threshold_result(id: ObjectId, snap: &DomCountSnapshot) -> Option<ThresholdResult> {
     let (lo, hi) = snap.predicate_cdf.expect("count predicate produces CDF");
     (hi > 0.0).then_some(ThresholdResult {
         id,

@@ -36,7 +36,9 @@
 //! unregisters every subscription the connection owned.
 //!
 //! Anything unparsable replies `ERR <reason>` without touching the
-//! engine. Floats print with Rust's shortest-round-trip `Display`, so
+//! engine, and so does an object whose dimensionality differs from the
+//! database's (or, while the database is empty, the standing
+//! queries'). Floats print with Rust's shortest-round-trip `Display`, so
 //! two engines returning bit-identical results produce byte-identical
 //! reply streams — the serve-smoke CI job diffs a sharded server's
 //! output against the one-shard oracle's, byte for byte (standing
@@ -131,6 +133,20 @@ impl Op {
     pub fn is_query(&self) -> bool {
         matches!(self, Op::Knn { .. } | Op::Rknn { .. } | Op::TopM { .. })
     }
+
+    /// The object the operation carries (inserted, probed or queried).
+    fn object(&self) -> Option<&UncertainObject> {
+        match self {
+            Op::Insert(q)
+            | Op::DeleteNearest(q)
+            | Op::Update(_, q)
+            | Op::Knn { q, .. }
+            | Op::Rknn { q, .. }
+            | Op::TopM { q, .. }
+            | Op::Sub { q, .. } => Some(q),
+            Op::Delete(_) | Op::Unsub(_) | Op::Flush | Op::Stats | Op::Quit => None,
+        }
+    }
 }
 
 fn parse_object(s: &str) -> Result<UncertainObject, String> {
@@ -142,6 +158,47 @@ fn parse_id(s: &str) -> Result<ObjectId, String> {
         .parse::<u32>()
         .map(ObjectId)
         .map_err(|_| format!("bad object id {:?}", s.trim()))
+}
+
+/// Parses the arguments of a query verb (`KNN`, `RKNN` or `TOPM`);
+/// argument errors start with `label` (the verb, or `SUB <verb>`).
+fn parse_query(verb: &str, label: &str, rest: &str) -> Result<Op, String> {
+    if verb == "TOPM" {
+        let (m, json) = rest
+            .trim_start()
+            .split_once(' ')
+            .ok_or_else(|| format!("{label} needs <m> <json>"))?;
+        let m: usize = m
+            .parse()
+            .ok()
+            .filter(|&m| m >= 1)
+            .ok_or_else(|| format!("{label} needs a positive <m>"))?;
+        return Ok(Op::TopM {
+            q: parse_object(json)?,
+            m,
+        });
+    }
+    let mut parts = rest.trim_start().splitn(3, ' ');
+    let k: usize = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .filter(|&k| k >= 1)
+        .ok_or_else(|| format!("{label} needs a positive <k>"))?;
+    let tau: f64 = parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .filter(|t| (0.0..1.0).contains(t))
+        .ok_or_else(|| format!("{label} needs <tau> in [0, 1)"))?;
+    let q = parse_object(
+        parts
+            .next()
+            .ok_or_else(|| format!("{label} needs <json>"))?,
+    )?;
+    Ok(if verb == "KNN" {
+        Op::Knn { q, k, tau }
+    } else {
+        Op::Rknn { q, k, tau }
+    })
 }
 
 /// Parses one protocol line: `Ok(None)` for blanks and `#` comments,
@@ -167,87 +224,22 @@ pub fn parse_line(line: &str) -> Result<Option<Op>, String> {
                 .ok_or("UPDATE needs <gid> <json>")?;
             Op::Update(parse_id(id)?, parse_object(json)?)
         }
-        "KNN" | "RKNN" => {
-            let mut parts = rest.trim_start().splitn(3, ' ');
-            let k: usize = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .filter(|&k| k >= 1)
-                .ok_or_else(|| format!("{verb} needs a positive <k>"))?;
-            let tau: f64 = parts
-                .next()
-                .and_then(|s| s.parse().ok())
-                .filter(|t| (0.0..1.0).contains(t))
-                .ok_or_else(|| format!("{verb} needs <tau> in [0, 1)"))?;
-            let q = parse_object(parts.next().ok_or_else(|| format!("{verb} needs <json>"))?)?;
-            if verb == "KNN" {
-                Op::Knn { q, k, tau }
-            } else {
-                Op::Rknn { q, k, tau }
-            }
-        }
-        "TOPM" => {
-            let (m, json) = rest
-                .trim_start()
-                .split_once(' ')
-                .ok_or("TOPM needs <m> <json>")?;
-            let m: usize = m
-                .parse()
-                .ok()
-                .filter(|&m| m >= 1)
-                .ok_or("TOPM needs a positive <m>")?;
-            Op::TopM {
-                q: parse_object(json)?,
-                m,
-            }
-        }
+        "KNN" | "RKNN" | "TOPM" => parse_query(verb, verb, rest)?,
         "SUB" => {
             let (what, rest) = rest
                 .trim_start()
                 .split_once(' ')
                 .ok_or("SUB needs KNN|RKNN|TOPM ...")?;
-            match what {
-                "KNN" | "RKNN" => {
-                    let mut parts = rest.trim_start().splitn(3, ' ');
-                    let k: usize = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&k| k >= 1)
-                        .ok_or_else(|| format!("SUB {what} needs a positive <k>"))?;
-                    let tau: f64 = parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|t| (0.0..1.0).contains(t))
-                        .ok_or_else(|| format!("SUB {what} needs <tau> in [0, 1)"))?;
-                    let q = parse_object(
-                        parts
-                            .next()
-                            .ok_or_else(|| format!("SUB {what} needs <json>"))?,
-                    )?;
-                    let spec = if what == "KNN" {
-                        StandingSpec::Knn { k, tau }
-                    } else {
-                        StandingSpec::Rknn { k, tau }
-                    };
-                    Op::Sub { q, spec }
-                }
-                "TOPM" => {
-                    let (m, json) = rest
-                        .trim_start()
-                        .split_once(' ')
-                        .ok_or("SUB TOPM needs <m> <json>")?;
-                    let m: usize = m
-                        .parse()
-                        .ok()
-                        .filter(|&m| m >= 1)
-                        .ok_or("SUB TOPM needs a positive <m>")?;
-                    Op::Sub {
-                        q: parse_object(json)?,
-                        spec: StandingSpec::TopM { m },
-                    }
-                }
-                other => return Err(format!("SUB needs KNN|RKNN|TOPM, got {other:?}")),
+            if !matches!(what, "KNN" | "RKNN" | "TOPM") {
+                return Err(format!("SUB needs KNN|RKNN|TOPM, got {what:?}"));
             }
+            let (q, spec) = match parse_query(what, &format!("SUB {what}"), rest)? {
+                Op::Knn { q, k, tau } => (q, StandingSpec::Knn { k, tau }),
+                Op::Rknn { q, k, tau } => (q, StandingSpec::Rknn { k, tau }),
+                Op::TopM { q, m } => (q, StandingSpec::TopM { m }),
+                _ => unreachable!("parse_query returns a query"),
+            };
+            Op::Sub { q, spec }
         }
         "UNSUB" => Op::Unsub(
             rest.trim()
@@ -380,7 +372,7 @@ impl Server {
                     continue;
                 }
             };
-            match parse_line(line) {
+            match parse_line(line).and_then(|op| self.check_dims(op)) {
                 Ok(None) => {}
                 Err(e) => replies.push((*conn, format!("ERR {e}"))),
                 Ok(Some(op)) if op.is_query() => {
@@ -415,6 +407,31 @@ impl Server {
         }
         self.flush_queries(&mut replies, &mut pending);
         (replies, quits)
+    }
+
+    /// The dimensionality every object must have: the live database's,
+    /// or — while it is empty — that of the standing queries.
+    fn dims(&self) -> Option<usize> {
+        let live = self.engine.shards().iter().find_map(|e| e.db().dims());
+        live.or_else(|| {
+            let subs = self.engine.standing_queries();
+            subs.first().map(|s| s.query().dims())
+        })
+    }
+
+    /// Passes a parsed line through unless its object's dimensionality
+    /// differs from the served data's — such an object would panic deep
+    /// in the geometry, taking the whole server down.
+    fn check_dims(&self, op: Option<Op>) -> Result<Option<Op>, String> {
+        if let (Some(obj), Some(d)) = (op.as_ref().and_then(Op::object), self.dims()) {
+            if obj.dims() != d {
+                return Err(format!(
+                    "object has {} dimensions, the database has {d}",
+                    obj.dims()
+                ));
+            }
+        }
+        Ok(op)
     }
 
     /// Sweeps every subscription a closed connection owned (the fronts
@@ -626,6 +643,38 @@ mod tests {
             replies[4],
             "OK objects=0 mutations=0 subs=0 maintained=0 reanswered=0 notified=0"
         );
+    }
+
+    #[test]
+    fn sub_argument_errors_name_the_sub_verb() {
+        let cases = [
+            ("SUB", "SUB needs KNN|RKNN|TOPM ..."),
+            ("SUB KNN", "SUB needs KNN|RKNN|TOPM ..."),
+            ("SUB FOO 1", "SUB needs KNN|RKNN|TOPM, got \"FOO\""),
+            ("SUB DELETE 1", "SUB needs KNN|RKNN|TOPM, got \"DELETE\""),
+            ("SUB KNN 0 0.5 {}", "SUB KNN needs a positive <k>"),
+            ("SUB RKNN x 0.5 {}", "SUB RKNN needs a positive <k>"),
+            ("SUB KNN 2 1.5 {}", "SUB KNN needs <tau> in [0, 1)"),
+            ("SUB RKNN 2", "SUB RKNN needs <tau> in [0, 1)"),
+            ("SUB KNN 2 0.5", "SUB KNN needs <json>"),
+            ("SUB TOPM 3", "SUB TOPM needs <m> <json>"),
+            ("SUB TOPM 0 {}", "SUB TOPM needs a positive <m>"),
+        ];
+        for (line, expected) in cases {
+            match parse_line(line) {
+                Err(e) => assert_eq!(e, expected, "{line}"),
+                Ok(op) => panic!("{line} parsed as {op:?}"),
+            }
+        }
+        // object errors read the same as the one-shot verbs'
+        for (sub, one_shot) in [
+            ("SUB KNN 2 0.5 nope", "KNN 2 0.5 nope"),
+            ("SUB TOPM 2 nope", "TOPM 2 nope"),
+        ] {
+            let e = parse_line(sub).expect_err(sub);
+            assert!(e.starts_with("bad object JSON"), "{e}");
+            assert_eq!(Err(e), parse_line(one_shot).map(|_| ()));
+        }
     }
 
     #[test]

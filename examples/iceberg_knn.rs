@@ -32,8 +32,8 @@ fn main() {
     }
 
     // probabilistic threshold 3NN with tau = 0.5
-    let engine = QueryEngine::with_config(
-        &db,
+    let engine = Engine::with_config(
+        db,
         IdcaConfig {
             max_iterations: 8,
             ..Default::default()

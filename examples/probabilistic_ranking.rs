@@ -47,8 +47,8 @@ fn main() {
         UncertainObject::certain(Point::from([6.0, 0.0])),
     ]);
     let q = UncertainObject::certain(Point::from([0.0, 0.0]));
-    let engine = QueryEngine::with_config(
-        &db,
+    let engine = Engine::with_config(
+        db,
         IdcaConfig {
             max_iterations: 8,
             uncertainty_target: 1e-3,
@@ -70,7 +70,7 @@ fn main() {
     println!("\n== 3. full rank distributions ==");
     for (i, rd) in engine.ranking_distributions(&q).iter().enumerate() {
         print!("  o{i}:");
-        for rank in 1..=db.len() {
+        for rank in 1..=engine.db().len() {
             let (lo, hi) = rd.rank_bounds(rank);
             if hi > 1e-3 {
                 print!("  P(r={rank})∈[{lo:.2},{hi:.2}]");

@@ -39,8 +39,7 @@ fn main() {
     let q = UncertainObject::certain(Point::from([0.0, 0.0]));
 
     // The owned serving engine: takes the database, builds the R-tree,
-    // and keeps a persistent decomposition cache across queries. The
-    // scan-based QueryEngine remains available as the reference oracle.
+    // and keeps a persistent decomposition cache across queries.
     println!("== probabilistic threshold 2NN query (tau = 0.5) ==");
     let mut engine = Engine::new(db);
     for r in engine.knn_threshold(&q, 2, 0.5) {

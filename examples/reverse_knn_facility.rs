@@ -34,8 +34,8 @@ fn main() {
     // proposed facility between the clusters, slightly closer to one
     let facility = UncertainObject::certain(Point::from([0.45, 0.42]));
 
-    let engine = QueryEngine::with_config(
-        &db,
+    let engine = Engine::with_config(
+        db,
         IdcaConfig {
             max_iterations: 8,
             ..Default::default()
@@ -67,9 +67,8 @@ fn main() {
     // sanity view: expected ranks of the facility from each customer's
     // perspective would require per-customer reference queries; show the
     // plain distance ranking instead
-    let tree = RTree::bulk_load(db.mbrs().map(|(id, r)| (r.clone(), id)).collect(), 8);
     println!("closest customers by MinDist (spatial view):");
-    for n in tree.knn(facility.mbr(), 5, LpNorm::L2) {
+    for n in engine.tree().knn(facility.mbr(), 5, LpNorm::L2) {
         println!("  {}: {:.4}", n.payload, n.dist);
     }
 }

@@ -44,24 +44,22 @@ fn main() {
         .into(),
     );
     let target_id = {
-        let mut db = Database::from_objects(objects);
-        let id = db.insert(new_reading);
-        // reference profile the ranking is measured against
-        let reference = UncertainObject::certain(Point::from([0.45, 0.5]));
-
-        let engine = QueryEngine::with_config(
-            &db,
+        let mut engine = Engine::with_config(
+            Database::from_objects(objects),
             IdcaConfig {
                 max_iterations: 10,
                 uncertainty_target: 1e-3,
                 ..Default::default()
             },
         );
+        let id = engine.insert(new_reading);
+        // reference profile the ranking is measured against
+        let reference = UncertainObject::certain(Point::from([0.45, 0.5]));
         let rd = engine.inverse_ranking(ObjRef::Db(id), ObjRef::External(&reference));
 
         println!("== probabilistic inverse ranking of the new reading ==");
         println!("(rank r means: r−1 existing readings are closer to the profile)\n");
-        for rank in 1..=db.len() {
+        for rank in 1..=engine.db().len() {
             let (lo, hi) = rd.rank_bounds(rank);
             if hi > 1e-4 {
                 let bar = "#".repeat((hi * 40.0) as usize);

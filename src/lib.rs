@@ -66,11 +66,11 @@ pub use udb_workload as workload;
 /// The commonly used types in one import.
 pub mod prelude {
     pub use udb_core::{
-        env_shards, par_knn_threshold, refine_lockstep, refine_top_m, DomCountSnapshot,
-        DurableError, Engine, ExpectedRankEntry, IdcaConfig, ObjRef, PoolHandle, Predicate,
-        QueryBatch, QueryEngine, QuerySpec, RankDistribution, RecoveryReport, RefineGoal,
-        RefineStats, Refiner, ResultDelta, ShardedEngine, SharedRefineCtx, StandingQuery,
-        StandingSpec, StandingStats, ThresholdResult, WalRecord, WorkerPool,
+        env_shards, refine_lockstep, refine_top_m, DomCountSnapshot, DurableError, Engine,
+        ExpectedRankEntry, IdcaConfig, ObjRef, PoolHandle, Predicate, QueryBatch, QuerySpec,
+        RankDistribution, RecoveryReport, RefineGoal, RefineStats, Refiner, ResultDelta,
+        ShardedEngine, SharedRefineCtx, StandingQuery, StandingSpec, StandingStats,
+        ThresholdResult, WalRecord, WorkerPool,
     };
     pub use udb_domination::{DominationCriterion, PDomBounds};
     pub use udb_genfunc::{CountDistributionBounds, MinMaxCdf, ProbAlgebra, Ugf};

@@ -106,8 +106,8 @@ fn threshold_decisions_never_contradict_ground_truth() {
         let k = rng.gen_range(1..4);
         let tau = *[0.25, 0.5, 0.75].get(rng.gen_range(0..3)).unwrap();
 
-        let engine = QueryEngine::with_config(
-            &db,
+        let engine = Engine::with_config(
+            db.clone(),
             IdcaConfig {
                 max_iterations: 6,
                 uncertainty_target: 0.0,

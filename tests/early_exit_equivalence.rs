@@ -1,15 +1,18 @@
 //! Equivalence oracle for index-integrated early-exit refinement: on
 //! randomized workloads, the owned [`Engine`] paths (index-driven
 //! candidates, subtree filters, lock-step mid-loop retirement) must
-//! classify every object exactly like the scan-based full-refinement
-//! [`QueryEngine`] paths — identical hit/drop/undecided sets *and*
+//! classify every object exactly like the full-refinement scan oracle
+//! (`udb_core::scan`) — identical hit/drop/undecided sets *and*
 //! identical probability bounds — for both `knn_threshold` and
 //! `rknn_threshold`. The indexed engine under test honors the
-//! `UDB_SHARDS` matrix axis (see `tests/common`).
+//! `UDB_SHARDS` matrix axis (see `tests/common`). The ranking queries
+//! (domination count, inverse ranking) of the index-backed [`Engine`]
+//! must likewise match a scan-filter [`Refiner`] bit for bit.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use uncertain_db::core::scan;
 use uncertain_db::prelude::*;
 
 mod common;
@@ -119,10 +122,9 @@ proptest! {
             uncertainty_target: 0.0,
             ..Default::default()
         };
-        let scan = QueryEngine::with_config(&db, cfg.clone());
-        let indexed = TestEngine::with_config(db.clone(), cfg);
+        let indexed = TestEngine::with_config(db.clone(), cfg.clone());
         assert_equivalent(
-            scan.knn_threshold(&q, k, tau),
+            scan::knn_threshold(&db, &cfg, &q, k, tau),
             indexed.knn_threshold(&q, k, tau),
             tau,
         );
@@ -145,13 +147,45 @@ proptest! {
             uncertainty_target: 0.0,
             ..Default::default()
         };
-        let scan = QueryEngine::with_config(&db, cfg.clone());
-        let indexed = TestEngine::with_config(db.clone(), cfg);
+        let indexed = TestEngine::with_config(db.clone(), cfg.clone());
         assert_equivalent(
-            scan.rknn_threshold(&q, k, tau),
+            scan::rknn_threshold(&db, &cfg, &q, k, tau),
             indexed.rknn_threshold(&q, k, tau),
             tau,
         );
         indexed.assert_routing();
+    }
+
+    #[test]
+    fn indexed_ranking_equals_scan_refiner(
+        seed in 0u64..10_000,
+        target_pick in 0usize..64,
+    ) {
+        let mut rng = StdRng::seed_from_u64(0xD0 + seed);
+        let n = rng.gen_range(6..16);
+        let db = random_db(&mut rng, n);
+        let q = random_object(&mut rng);
+        let cfg = IdcaConfig {
+            max_iterations: 4,
+            uncertainty_target: 0.0,
+            ..Default::default()
+        };
+        let engine = Engine::with_config(db.clone(), cfg.clone());
+        let target = ObjRef::Db(ObjectId((target_pick % n) as u32));
+        let reference = ObjRef::External(&q);
+        let scan = Refiner::new(&db, target, reference, cfg, Predicate::FullPdf).run();
+        let bits = |b: &CountDistributionBounds| -> Vec<(u64, u64)> {
+            (0..b.len())
+                .map(|i| (b.lower(i).to_bits(), b.upper(i).to_bits()))
+                .collect()
+        };
+        let snap = engine.domination_count(target, reference);
+        assert_eq!(snap.iteration, scan.iteration);
+        assert_eq!(bits(&snap.bounds), bits(&scan.bounds), "domination count diverged");
+        let rd = engine.inverse_ranking(target, reference);
+        assert_eq!(bits(&rd.counts), bits(&scan.bounds), "inverse ranking diverged");
+        let (lo, hi) = rd.expected_rank_bounds();
+        let (scan_lo, scan_hi) = scan.bounds.expected_rank_bounds();
+        assert_eq!((lo.to_bits(), hi.to_bits()), (scan_lo.to_bits(), scan_hi.to_bits()));
     }
 }

@@ -20,8 +20,8 @@ fn small_synthetic() -> (Database, SyntheticConfig) {
 fn idca_bounds_bracket_world_sampler_on_synthetic_workload() {
     let (db, cfg) = small_synthetic();
     let qs = QuerySet::generate(&db, &cfg, 3, 10, LpNorm::L2, 7);
-    let engine = QueryEngine::with_config(
-        &db,
+    let engine = Engine::with_config(
+        db.clone(),
         IdcaConfig {
             max_iterations: 5,
             uncertainty_target: 0.0,
@@ -54,8 +54,8 @@ fn idca_bounds_bracket_world_sampler_on_synthetic_workload() {
 fn idca_and_mc_engine_agree_on_synthetic_workload() {
     let (db, cfg) = small_synthetic();
     let qs = QuerySet::generate(&db, &cfg, 2, 10, LpNorm::L2, 11);
-    let engine = QueryEngine::with_config(
-        &db,
+    let engine = Engine::with_config(
+        db.clone(),
         IdcaConfig {
             max_iterations: 6,
             uncertainty_target: 0.0,
@@ -93,8 +93,8 @@ fn knn_threshold_pipeline_on_iceberg_workload() {
         ..Default::default()
     }
     .generate();
-    let engine = QueryEngine::with_config(
-        &db,
+    let engine = Engine::with_config(
+        db,
         IdcaConfig {
             max_iterations: 6,
             ..Default::default()
@@ -127,7 +127,7 @@ fn rknn_matches_definition_on_tiny_db() {
         UncertainObject::certain(Point::from([5.0, 0.0])),
     ]);
     let q = UncertainObject::certain(Point::from([0.4, 0.0]));
-    let engine = QueryEngine::new(&db);
+    let engine = Engine::new(db);
     let res = engine.rknn_threshold(&q, 1, 0.5);
     // for o0: nearest other point is o1 at dist 1; q at 0.4 -> q closer:
     // hit. o1: o0 at dist 1 vs q at 0.6 -> q closer: hit. o2: o1 at 4 vs
@@ -150,7 +150,7 @@ fn expected_rank_ranking_is_consistent_with_mindist_on_separated_data() {
             .collect(),
     );
     let q = UncertainObject::certain(Point::from([0.0, 0.0]));
-    let engine = QueryEngine::new(&db);
+    let engine = Engine::new(db);
     let ranking = engine.expected_rank_ranking(&q);
     let ids: Vec<u32> = ranking.iter().map(|e| e.id.0).collect();
     assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
@@ -169,7 +169,7 @@ fn rtree_candidates_agree_with_query_engine() {
     // the 10 nearest by MinDist must all survive the engine's spatial
     // filter for k = 10
     let knn = tree.knn(q.mbr(), 10, LpNorm::L2);
-    let engine = QueryEngine::new(&db);
+    let engine = Engine::new(db);
     let res = engine.knn_threshold(&q, 10, 0.0);
     let candidate_ids: Vec<ObjectId> = res.iter().map(|r| r.id).collect();
     for n in knn {

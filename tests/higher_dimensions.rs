@@ -86,7 +86,7 @@ fn knn_threshold_in_3d() {
         UncertainObject::certain(Point::from([0.0, 0.0, 3.0])),
     ]);
     let q = UncertainObject::certain(Point::from([0.0, 0.0, 0.0]));
-    let engine = QueryEngine::new(&db);
+    let engine = Engine::new(db);
     let res = engine.knn_threshold(&q, 1, 0.5);
     let hits: Vec<ObjectId> = res.iter().filter(|r| r.is_hit(0.5)).map(|r| r.id).collect();
     assert_eq!(hits, vec![ObjectId(0)]);

@@ -59,8 +59,8 @@ fn example1_dependency_pitfall_via_idca() {
         Interval::new(0.0, 2.0),
         Interval::point(0.0),
     ])));
-    let engine = QueryEngine::with_config(
-        &db,
+    let engine = Engine::with_config(
+        db,
         IdcaConfig {
             max_iterations: 12,
             uncertainty_target: 0.01,

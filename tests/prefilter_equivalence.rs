@@ -9,6 +9,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use uncertain_db::core::scan;
 use uncertain_db::prelude::*;
 
 /// A random uncertain object: mixed density families, occasional
@@ -101,11 +102,9 @@ proptest! {
         let db = random_db(&mut rng, n);
         let q = random_object(&mut rng);
         let (cfg_off, cfg_on) = cfg_pair(4);
-        let scan_off = QueryEngine::with_config(&db, cfg_off.clone());
-        let scan_on = QueryEngine::with_config(&db, cfg_on.clone());
         assert_bit_identical(
-            &scan_off.knn_threshold(&q, k, tau),
-            &scan_on.knn_threshold(&q, k, tau),
+            &scan::knn_threshold(&db, &cfg_off, &q, k, tau),
+            &scan::knn_threshold(&db, &cfg_on, &q, k, tau),
             "scan knn",
         );
         let idx_off = Engine::with_config(db.clone(), cfg_off);
@@ -129,11 +128,9 @@ proptest! {
         let db = random_db(&mut rng, n);
         let q = random_object(&mut rng);
         let (cfg_off, cfg_on) = cfg_pair(4);
-        let scan_off = QueryEngine::with_config(&db, cfg_off.clone());
-        let scan_on = QueryEngine::with_config(&db, cfg_on.clone());
         assert_bit_identical(
-            &scan_off.rknn_threshold(&q, k, tau),
-            &scan_on.rknn_threshold(&q, k, tau),
+            &scan::rknn_threshold(&db, &cfg_off, &q, k, tau),
+            &scan::rknn_threshold(&db, &cfg_on, &q, k, tau),
             "scan rknn",
         );
         let idx_off = Engine::with_config(db.clone(), cfg_off);
@@ -155,11 +152,9 @@ proptest! {
         let db = random_db(&mut rng, n);
         let q = random_object(&mut rng);
         let (cfg_off, cfg_on) = cfg_pair(4);
-        let scan_off = QueryEngine::with_config(&db, cfg_off.clone());
-        let scan_on = QueryEngine::with_config(&db, cfg_on.clone());
         assert_bit_identical(
-            &scan_off.top_probable_nn(&q, m),
-            &scan_on.top_probable_nn(&q, m),
+            &scan::top_probable_nn(&db, &cfg_off, &q, m),
+            &scan::top_probable_nn(&db, &cfg_on, &q, m),
             "scan top-m",
         );
         let idx_off = Engine::with_config(db.clone(), cfg_off);

@@ -82,8 +82,8 @@ fn queries_agree_after_round_trip() {
     let db = cfg.generate();
     let back = round_trip(&db);
     let q = UncertainObject::certain(Point::from([0.5, 0.5]));
-    let a = QueryEngine::new(&db).knn_threshold(&q, 3, 0.5);
-    let b = QueryEngine::new(&back).knn_threshold(&q, 3, 0.5);
+    let a = Engine::new(db).knn_threshold(&q, 3, 0.5);
+    let b = Engine::new(back).knn_threshold(&q, 3, 0.5);
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b.iter()) {
         assert_eq!(x.id, y.id);
