@@ -7,6 +7,9 @@
 //! serde's default representations (maps for named fields, plain values
 //! for newtypes, external tagging for enums), so the emitted JSON matches
 //! real serde output for these types. Generic types are not supported.
+//! The one container attribute understood is `#[serde(try_from = "Raw")]`
+//! on `Deserialize`: read a `Raw` and convert it through `TryFrom`, so a
+//! type with invariants is only ever built by its own constructor.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -25,19 +28,19 @@ enum Variant {
 }
 
 /// Derives the stand-in `serde::Serialize` trait.
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, true)
 }
 
 /// Derives the stand-in `serde::Deserialize` trait.
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, false)
 }
 
 fn expand(input: TokenStream, ser: bool) -> TokenStream {
-    let (name, shape) = match parse_item(input) {
+    let (name, shape, try_from) = match parse_item(input) {
         Ok(parsed) => parsed,
         Err(msg) => {
             return format!("compile_error!({msg:?});").parse().unwrap();
@@ -46,15 +49,21 @@ fn expand(input: TokenStream, ser: bool) -> TokenStream {
     let code = if ser {
         gen_serialize(&name, &shape)
     } else {
-        gen_deserialize(&name, &shape)
+        match try_from {
+            Some(raw) => gen_deserialize_try_from(&name, &raw),
+            None => gen_deserialize(&name, &shape),
+        }
     };
     code.parse().unwrap()
 }
 
 // ---- parsing ---------------------------------------------------------------
 
-fn parse_item(input: TokenStream) -> Result<(String, Shape), String> {
+type Item = (String, Shape, Option<String>);
+
+fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
+    let try_from = container_try_from(&tokens);
     let mut pos = 0;
     skip_attrs_and_vis(&tokens, &mut pos);
 
@@ -74,24 +83,53 @@ fn parse_item(input: TokenStream) -> Result<(String, Shape), String> {
         ));
     }
 
-    match kind.as_str() {
+    let shape = match kind.as_str() {
         "struct" => match tokens.get(pos) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Ok((name, Shape::NamedStruct(parse_named_fields(g.stream())?)))
+                Shape::NamedStruct(parse_named_fields(g.stream())?)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Ok((name, Shape::TupleStruct(count_tuple_fields(g.stream()))))
+                Shape::TupleStruct(count_tuple_fields(g.stream()))
             }
-            other => Err(format!("unsupported struct body: {other:?}")),
+            other => return Err(format!("unsupported struct body: {other:?}")),
         },
         "enum" => match tokens.get(pos) {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-                Ok((name, Shape::Enum(parse_variants(g.stream())?)))
+                Shape::Enum(parse_variants(g.stream())?)
             }
-            other => Err(format!("expected enum body, found {other:?}")),
+            other => return Err(format!("expected enum body, found {other:?}")),
         },
-        other => Err(format!("expected `struct` or `enum`, found `{other}`")),
+        other => return Err(format!("expected `struct` or `enum`, found `{other}`")),
+    };
+    Ok((name, shape, try_from))
+}
+
+/// The `Raw` of a leading `#[serde(try_from = "Raw")]` attribute.
+fn container_try_from(tokens: &[TokenTree]) -> Option<String> {
+    let attrs = tokens.chunks(2).take_while(
+        |pair| matches!(pair, [TokenTree::Punct(p), TokenTree::Group(_)] if p.as_char() == '#'),
+    );
+    for pair in attrs {
+        let TokenTree::Group(attr) = &pair[1] else {
+            continue;
+        };
+        let attr: Vec<TokenTree> = attr.stream().into_iter().collect();
+        let [TokenTree::Ident(path), TokenTree::Group(args)] = attr.as_slice() else {
+            continue;
+        };
+        if path.to_string() != "serde" {
+            continue;
+        }
+        let args: Vec<TokenTree> = args.stream().into_iter().collect();
+        for window in args.windows(3) {
+            if let [TokenTree::Ident(key), TokenTree::Punct(eq), TokenTree::Literal(raw)] = window {
+                if key.to_string() == "try_from" && eq.as_char() == '=' {
+                    return Some(raw.to_string().trim_matches('"').to_owned());
+                }
+            }
+        }
     }
+    None
 }
 
 fn skip_attrs_and_vis(tokens: &[TokenTree], pos: &mut usize) {
@@ -281,6 +319,18 @@ fn gen_serialize(name: &str, shape: &Shape) -> String {
     format!(
         "impl serde::Serialize for {name} {{\n\
          \tfn to_value(&self) -> serde::Value {{ {body} }}\n\
+         }}"
+    )
+}
+
+fn gen_deserialize_try_from(name: &str, raw: &str) -> String {
+    format!(
+        "impl serde::Deserialize for {name} {{\n\
+         \tfn from_value(__v: &serde::Value) -> ::std::result::Result<Self, serde::Error> {{\n\
+         \t\tlet __raw: {raw} = serde::Deserialize::from_value(__v)?;\n\
+         \t\t<{name} as ::std::convert::TryFrom<{raw}>>::try_from(__raw)\n\
+         \t\t\t.map_err(|__e| serde::Error::msg(::std::string::ToString::to_string(&__e)))\n\
+         \t}}\n\
          }}"
     )
 }

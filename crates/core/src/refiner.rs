@@ -38,6 +38,17 @@
 //! all pairs via [`Ugf::reset`], so the steady-state snapshot performs no
 //! heap allocation in the pair loop.
 //!
+//! # The pair walk
+//!
+//! Every partition test of a snapshot is the optimal-criterion kernel of
+//! [`udb_domination::spatial`], called inline: the walk builds one
+//! [`PairClassifier`] per pair range and
+//! [`retargets`](PairClassifier::retarget) it to each `(B', R')` pair
+//! (no allocation per pair), and `FactorCache::classify_into` streams
+//! each open partition's intervals straight from the flat partition
+//! arena into [`PairClassifier::classify_dims`], which runs the kernel
+//! copy unrolled for two dimensions (the slice body for others).
+//!
 //! # The open-list arena
 //!
 //! The open lists themselves live in one contiguous, generational arena
@@ -2045,6 +2056,12 @@ fn process_pair_range<S: PairSink>(
     let n_inf = influence.len();
     let r_len = r_parts.len();
     let (old, ancestors) = remap_ctx;
+    // one classifier for the whole range, retargeted to each pair: the
+    // pair walk allocates nothing
+    let mut pc = (start < end && mode != RefreshMode::Clean).then(|| {
+        let (bp, rp) = (&b_parts[start / r_len], &r_parts[start % r_len]);
+        PairClassifier::new(&bp.mbr, &rp.mbr, cfg.criterion, cfg.norm)
+    });
     for pair_idx in start..end {
         let bp = &b_parts[pair_idx / r_len];
         let rp = &r_parts[pair_idx % r_len];
@@ -2056,8 +2073,9 @@ fn process_pair_range<S: PairSink>(
         // the pair's precomputed criterion half: every classification of
         // this pair — object pre-tests and partition streams alike —
         // shares it, so only partition-side terms run in the hot loop
-        let pc = (mode != RefreshMode::Clean)
-            .then(|| PairClassifier::new(&bp.mbr, &rp.mbr, cfg.criterion, cfg.norm));
+        if let Some(pc) = pc.as_mut() {
+            pc.retarget(&bp.mbr, &rp.mbr);
+        }
         sink.begin_pair(truncate);
         for ((inf_idx, (inf, offsets)), slot) in influence
             .iter()

@@ -10,7 +10,7 @@
 use udb_geometry::LpNorm;
 use udb_object::{Decomposition, Partition};
 
-use crate::spatial::DominationCriterion;
+use crate::spatial::{DominationCriterion, PairClassifier};
 
 /// Conservative (`lower`) and progressive (`upper`) bounds for
 /// `PDom(A, B, R)`.
@@ -86,13 +86,13 @@ pub fn pdom_bounds(
             let wrb = r.mass * b.mass;
             for a in a_parts {
                 let w = wrb * a.mass;
-                if criterion.dominates(&a.mbr, &b.mbr, &r.mbr, norm) {
-                    lb += w;
-                } else if criterion.never_dominates(&a.mbr, &b.mbr, &r.mbr, norm) {
+                match criterion.classify(&a.mbr, &b.mbr, &r.mbr, norm).decision {
+                    Some(true) => lb += w,
                     // tie-correct weak complement: strictly tighter than
                     // Lemma 2's `1 − PDomLB(B,A,R)` and still conservative,
                     // because `Dom` is strict (Definition 2)
-                    never += w;
+                    Some(false) => never += w,
+                    None => {}
                 }
             }
         }
@@ -108,10 +108,9 @@ pub fn pdom_bounds(
 /// IDCA inner loop, where `B` and `R` are pinned to one partition pair so
 /// that the per-object bounds stay mutually independent.
 ///
-/// Uses the short-circuiting `dominates` / `never_dominates` tests (the
-/// second is only evaluated when the first fails). Incremental callers
-/// that also need per-partition robustness use
-/// [`DominationCriterion::classify`] directly instead.
+/// Classifies every partition against one [`PairClassifier`] for the
+/// fixed pair (the same decisions as `dominates`, then
+/// `never_dominates`).
 pub fn pdom_bounds_vs_fixed(
     a_parts: &[Partition],
     b_region: &udb_geometry::Rect,
@@ -119,13 +118,14 @@ pub fn pdom_bounds_vs_fixed(
     norm: LpNorm,
     criterion: DominationCriterion,
 ) -> PDomBounds {
+    let pc = PairClassifier::new(b_region, r_region, criterion, norm);
     let mut lb = 0.0;
     let mut never = 0.0;
     for a in a_parts {
-        if criterion.dominates(&a.mbr, b_region, r_region, norm) {
-            lb += a.mass;
-        } else if criterion.never_dominates(&a.mbr, b_region, r_region, norm) {
-            never += a.mass;
+        match pc.classify(&a.mbr).decision {
+            Some(true) => lb += a.mass,
+            Some(false) => never += a.mass,
+            None => {}
         }
     }
     PDomBounds {

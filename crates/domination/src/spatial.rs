@@ -1,6 +1,37 @@
 //! Complete (spatial) domination on rectangular uncertainty regions.
+//!
+//! # One kernel
+//!
+//! [`dominates_optimal`], [`never_dominates_optimal`],
+//! [`DominationCriterion::classify`] and [`PairClassifier`] all run one
+//! function body, `optimal_sums`, monomorphized over the norm's power and
+//! a const dimension count (the classifier unrolls `D = 2`, where it beat
+//! the slice body by 8% end to end on 2-D serving traffic; other counts
+//! run over a slice). It reads the `(B, R)` half of Corollary 1 as
+//! six contiguous pair terms per dimension — stored once per pair by a
+//! classifier, computed on the fly by the free functions — and adds every
+//! sum in the textbook order, so all entry points agree bit for bit:
+//!
+//! ```text
+//! [r_lo, r_hi, MinDist(B_i, r_lo)^p, MinDist(B_i, r_hi)^p,
+//!              MaxDist(B_i, r_lo)^p, MaxDist(B_i, r_hi)^p]
+//! ```
+//!
+//! # Maxima and NaN
+//!
+//! The kernel takes maxima by comparison, `if y > x { y } else { x }` (one
+//! `maxsd`), not with [`f64::max`] and its NaN fix-up. For non-NaN
+//! operands both give the same value up to the sign of a zero, which no
+//! decision reads (`dom < 0`, `nd ≤ 0`; `scale ≥ 0` only sizes a margin).
+//! Coordinates are finite (asserted by [`Interval::new`], checked by the
+//! serving front), so a term is NaN only when two powered distances both
+//! overflow (`∞ − ∞`, magnitudes near `1e154` under L2). A NaN second
+//! operand yields the first, as `f64::max` does; a NaN first operand
+//! yields NaN, which sticks through the `scale` chain and every sum. So
+//! the sums equal the `f64::max` ones bit for bit, or one is NaN — and
+//! only then the body re-runs with `f64::max`.
 
-use udb_geometry::{LpNorm, Rect};
+use udb_geometry::{Interval, LpNorm, Rect};
 
 /// Which decision criterion detects complete domination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,7 +62,11 @@ impl DominationCriterion {
     pub fn never_dominates(&self, a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> bool {
         match self {
             DominationCriterion::Optimal => never_dominates_optimal(a, b, r, norm),
-            DominationCriterion::MinMax => never_dominates_minmax(a, b, r, norm),
+            // `MaxDist(B, R) ≤ MinDist(A, R)`
+            DominationCriterion::MinMax => {
+                max_dist_pow(b.intervals(), rect_bounds(r), norm)
+                    <= min_dist_pow(a.intervals(), rect_bounds(r), norm)
+            }
         }
     }
 
@@ -50,8 +85,13 @@ impl DominationCriterion {
     /// carried without recomputation.
     pub fn classify(&self, a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> SpatialDecision {
         match self {
-            DominationCriterion::Optimal => classify_optimal(a, b, r, norm),
-            DominationCriterion::MinMax => classify_minmax(a, b, r, norm),
+            DominationCriterion::Optimal => optimal_sums_of(a, b, r, norm).decision(),
+            DominationCriterion::MinMax => minmax_decision(
+                max_dist_pow(a.intervals(), rect_bounds(r), norm),
+                min_dist_pow(b.intervals(), rect_bounds(r), norm),
+                max_dist_pow(b.intervals(), rect_bounds(r), norm),
+                min_dist_pow(a.intervals(), rect_bounds(r), norm),
+            ),
         }
     }
 }
@@ -67,83 +107,88 @@ pub struct SpatialDecision {
     pub robust: bool,
 }
 
+impl SpatialDecision {
+    /// The decision from the `(test, robust)` outcomes of the domination
+    /// and the never-dominates test; domination is tested first.
+    fn of(dominates: (bool, bool), never: (bool, bool)) -> Self {
+        let (decision, robust) = match (dominates, never) {
+            ((true, robust), _) => (Some(true), robust),
+            (_, (true, robust)) => (Some(false), robust),
+            _ => (None, false),
+        };
+        SpatialDecision { decision, robust }
+    }
+}
+
 /// Relative decision margin below which a classification counts as a
 /// knife-edge (non-robust) case. Float noise of the decision sums is a
 /// few ulps (~1e-16 relative); 1e-9 leaves three orders of magnitude of
 /// slack in both directions.
 const ROBUST_MARGIN: f64 = 1e-9;
 
-/// The `(B, R)`-dependent halves of [`DominationCriterion::classify`],
-/// precomputed once for a fixed pair so that streaming many `A`
-/// rectangles against it evaluates only the `A`-dependent terms.
-///
-/// [`PairClassifier::classify`] produces **bit-identical** results to
-/// `criterion.classify(a, b, r, norm)`: the precomputed values are the
-/// exact same `f64`s the per-call path would compute, combined in the
-/// same order — so decisions, robustness flags and every downstream sum
-/// are unchanged, only roughly half the interval-distance/power work per
-/// rectangle remains. This is the hot-loop classifier of the IDCA
-/// refinement cache, where one partition pair is tested against every
-/// open partition of every influence object.
+/// The `(B, R)` half of a criterion, precomputed for one pair so that
+/// streaming many `A` rectangles against it evaluates only the
+/// `A`-dependent terms; **bit-identical** to `criterion.classify(a, b, r,
+/// norm)`. The IDCA refiner keeps one per range of partition pairs and
+/// [`retargets`](PairClassifier::retarget) it to each pair, so its pair
+/// walk allocates nothing.
 #[derive(Debug, Clone)]
 pub struct PairClassifier {
     criterion: DominationCriterion,
     norm: LpNorm,
-    /// The reference region (the `A`-dependent terms still need its
-    /// endpoints).
-    r: Rect,
-    /// Optimal criterion, per dimension: `pow(MinDist(B_i, r))` and
-    /// `pow(MaxDist(B_i, r))` at the two `R_i` endpoints, in the order
-    /// `[min@lo, min@hi, max@lo, max@hi]`.
-    b_terms: Vec<[f64; 4]>,
-    /// MinMax criterion: `pow(MinDist(B, R))` and `pow(MaxDist(B, R))`.
+    /// Per-dimension pair terms of the current pair. MinMax reads only
+    /// the `R` bounds (`[0]`, `[1]`).
+    terms: Vec<PairTerms>,
+    /// MinMax criterion: `MinDist(B, R)^p` and `MaxDist(B, R)^p`.
     minmax_b: (f64, f64),
 }
 
+/// One dimension's pair terms (layout in the module docs).
+type PairTerms = [f64; 6];
+
 impl PairClassifier {
     /// Precomputes the `B`/`R` halves for the given pair.
+    ///
+    /// # Panics
+    /// Panics for the optimal criterion under [`LpNorm::LInf`].
     pub fn new(b: &Rect, r: &Rect, criterion: DominationCriterion, norm: LpNorm) -> Self {
-        let mut b_terms = Vec::new();
-        let mut minmax_b = (0.0, 0.0);
-        match criterion {
-            DominationCriterion::Optimal => {
-                assert!(
-                    !matches!(norm, LpNorm::LInf),
-                    "the optimal domination criterion requires a finite Lp norm"
-                );
-                debug_assert_eq!(b.dims(), r.dims());
-                b_terms.reserve(r.dims());
-                for i in 0..r.dims() {
-                    let (bi, ri) = (b.dim(i), r.dim(i));
-                    b_terms.push([
-                        norm.pow(bi.min_dist(ri.lo())),
-                        norm.pow(bi.min_dist(ri.hi())),
-                        norm.pow(bi.max_dist(ri.lo())),
-                        norm.pow(bi.max_dist(ri.hi())),
-                    ]);
-                }
-            }
-            DominationCriterion::MinMax => {
-                minmax_b = match norm {
-                    LpNorm::LInf => (
-                        norm.pow(b.min_dist_rect(r, norm)),
-                        norm.pow(b.max_dist_rect(r, norm)),
-                    ),
-                    _ => (min_dist_rect_pow(b, r, norm), max_dist_rect_pow(b, r, norm)),
-                };
-            }
-        }
-        PairClassifier {
+        assert!(
+            criterion == DominationCriterion::MinMax || norm != LpNorm::LInf,
+            "{FINITE_P}"
+        );
+        let mut pc = PairClassifier {
             criterion,
             norm,
-            r: r.clone(),
-            b_terms,
-            minmax_b,
+            terms: Vec::with_capacity(r.dims()),
+            minmax_b: (0.0, 0.0),
+        };
+        pc.retarget(b, r);
+        pc
+    }
+
+    /// Points the classifier at another `(B, R)` pair, reusing its
+    /// buffer: no allocation once it has seen the dimensionality.
+    pub fn retarget(&mut self, b: &Rect, r: &Rect) {
+        debug_assert_eq!(b.dims(), r.dims());
+        let norm = self.norm;
+        self.terms.clear();
+        self.terms.extend(
+            b.intervals()
+                .iter()
+                .zip(r.intervals())
+                .map(|(&bi, &ri)| pair_terms(bi, ri, norm)),
+        );
+        if self.criterion == DominationCriterion::MinMax {
+            self.minmax_b = (
+                min_dist_pow(b.intervals(), rect_bounds(r), norm),
+                max_dist_pow(b.intervals(), rect_bounds(r), norm),
+            );
         }
     }
 
     /// Classifies `a` against the precomputed pair; equal to
     /// `criterion.classify(a, b, r, norm)` in every field.
+    #[inline]
     pub fn classify(&self, a: &Rect) -> SpatialDecision {
         self.classify_dims(a.intervals())
     }
@@ -152,164 +197,47 @@ impl PairClassifier {
     /// interval slice — hot loops that keep many boxes in one flat
     /// buffer (the refiner's partition arena) classify without
     /// materializing a `Rect` per box.
-    pub fn classify_dims(&self, a: &[udb_geometry::Interval]) -> SpatialDecision {
+    #[inline(always)]
+    pub fn classify_dims(&self, a: &[Interval]) -> SpatialDecision {
+        debug_assert_eq!(a.len(), self.terms.len());
         match self.criterion {
             DominationCriterion::Optimal => self.classify_optimal(a),
-            DominationCriterion::MinMax => self.classify_minmax(a),
-        }
-    }
-
-    fn classify_optimal(&self, a: &[udb_geometry::Interval]) -> SpatialDecision {
-        debug_assert_eq!(a.len(), self.r.dims());
-        let norm = self.norm;
-        let mut dom_sum = 0.0;
-        let mut nd_sum = 0.0;
-        let mut scale = 0.0;
-        for (i, bt) in self.b_terms.iter().enumerate() {
-            let (ai, ri) = (a[i], self.r.dim(i));
-            let d_lo = norm.pow(ai.max_dist(ri.lo())) - bt[0];
-            let d_hi = norm.pow(ai.max_dist(ri.hi())) - bt[1];
-            let n_lo = bt[2] - norm.pow(ai.min_dist(ri.lo()));
-            let n_hi = bt[3] - norm.pow(ai.min_dist(ri.hi()));
-            dom_sum += d_lo.max(d_hi);
-            nd_sum += n_lo.max(n_hi);
-            scale += d_lo.abs().max(d_hi.abs()).max(n_lo.abs()).max(n_hi.abs());
-        }
-        let margin = ROBUST_MARGIN * scale.max(f64::MIN_POSITIVE);
-        if dom_sum < 0.0 {
-            SpatialDecision {
-                decision: Some(true),
-                robust: dom_sum < -margin,
-            }
-        } else if nd_sum <= 0.0 {
-            SpatialDecision {
-                decision: Some(false),
-                robust: nd_sum < -margin,
-            }
-        } else {
-            SpatialDecision {
-                decision: None,
-                robust: false,
-            }
-        }
-    }
-
-    fn classify_minmax(&self, a: &[udb_geometry::Interval]) -> SpatialDecision {
-        let norm = self.norm;
-        let (min_br, max_br) = self.minmax_b;
-        let (max_ar, min_ar) = match norm {
-            LpNorm::LInf => {
-                // cold path: LInf has no powered-sum decomposition; go
-                // through the rectangle API for exact agreement
-                let a = Rect::new(a.to_vec());
-                (
-                    norm.pow(a.max_dist_rect(&self.r, norm)),
-                    norm.pow(a.min_dist_rect(&self.r, norm)),
+            DominationCriterion::MinMax => {
+                let (min_br, max_br) = self.minmax_b;
+                let r = |i: usize| (self.terms[i][0], self.terms[i][1]);
+                minmax_decision(
+                    max_dist_pow(a, r, self.norm),
+                    min_br,
+                    max_br,
+                    min_dist_pow(a, r, self.norm),
                 )
             }
-            _ => (
-                max_dist_dims_pow(a, &self.r, norm),
-                min_dist_dims_pow(a, &self.r, norm),
-            ),
+        }
+    }
+
+    /// The optimal criterion against the stored pair terms, dispatched to
+    /// a kernel copy specialized for the norm and the dimension count.
+    #[inline(always)]
+    fn classify_optimal(&self, a: &[Interval]) -> SpatialDecision {
+        let terms = &self.terms[..a.len()];
+        let sums = match self.norm {
+            LpNorm::L1 => by_dims(|d| LpNorm::L1.pow(d), a, terms),
+            LpNorm::L2 => by_dims(|d| LpNorm::L2.pow(d), a, terms),
+            LpNorm::P(p) => by_dims(move |d| LpNorm::P(p).pow(d), a, terms),
+            LpNorm::LInf => unreachable!("{FINITE_P}"),
         };
-        let dominates = max_ar < min_br;
-        let never = !dominates && max_br <= min_ar;
-        if dominates {
-            let margin = ROBUST_MARGIN * max_ar.abs().max(min_br.abs()).max(f64::MIN_POSITIVE);
-            SpatialDecision {
-                decision: Some(true),
-                robust: min_br - max_ar > margin,
-            }
-        } else if never {
-            let margin = ROBUST_MARGIN * max_br.abs().max(min_ar.abs()).max(f64::MIN_POSITIVE);
-            SpatialDecision {
-                decision: Some(false),
-                robust: min_ar - max_br > margin,
-            }
-        } else {
-            SpatialDecision {
-                decision: None,
-                robust: false,
-            }
-        }
+        sums.decision()
     }
 }
 
-fn classify_optimal(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> SpatialDecision {
-    assert!(
-        !matches!(norm, LpNorm::LInf),
-        "the optimal domination criterion requires a finite Lp norm"
-    );
-    debug_assert_eq!(a.dims(), b.dims());
-    debug_assert_eq!(a.dims(), r.dims());
-    let mut dom_sum = 0.0; // dominates ⇔ dom_sum < 0
-    let mut nd_sum = 0.0; // never dominates ⇔ nd_sum ≤ 0
-    let mut scale = 0.0;
-    for i in 0..a.dims() {
-        let (ai, bi, ri) = (a.dim(i), b.dim(i), r.dim(i));
-        let dom_term = |rp: f64| norm.pow(ai.max_dist(rp)) - norm.pow(bi.min_dist(rp));
-        let nd_term = |rp: f64| norm.pow(bi.max_dist(rp)) - norm.pow(ai.min_dist(rp));
-        let (d_lo, d_hi) = (dom_term(ri.lo()), dom_term(ri.hi()));
-        let (n_lo, n_hi) = (nd_term(ri.lo()), nd_term(ri.hi()));
-        dom_sum += d_lo.max(d_hi);
-        nd_sum += n_lo.max(n_hi);
-        scale += d_lo.abs().max(d_hi.abs()).max(n_lo.abs()).max(n_hi.abs());
-    }
-    let margin = ROBUST_MARGIN * scale.max(f64::MIN_POSITIVE);
-    if dom_sum < 0.0 {
-        SpatialDecision {
-            decision: Some(true),
-            robust: dom_sum < -margin,
-        }
-    } else if nd_sum <= 0.0 {
-        SpatialDecision {
-            decision: Some(false),
-            robust: nd_sum < -margin,
-        }
+/// Dispatches `D = 2` to an unrolled kernel copy, others to the slice.
+#[inline(always)]
+fn by_dims(pow: impl Fn(f64) -> f64 + Copy, a: &[Interval], terms: &[PairTerms]) -> OptimalSums {
+    let t = |i: usize| terms[i];
+    if a.len() == 2 {
+        optimal_sums::<2>(pow, a, t)
     } else {
-        SpatialDecision {
-            decision: None,
-            robust: false,
-        }
-    }
-}
-
-fn classify_minmax(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> SpatialDecision {
-    // each powered distance computed exactly once; the decisions below are
-    // the same comparisons `dominates_minmax`/`never_dominates_minmax` make
-    let (max_ar, min_br, max_br, min_ar) = match norm {
-        LpNorm::LInf => (
-            norm.pow(a.max_dist_rect(r, norm)),
-            norm.pow(b.min_dist_rect(r, norm)),
-            norm.pow(b.max_dist_rect(r, norm)),
-            norm.pow(a.min_dist_rect(r, norm)),
-        ),
-        _ => (
-            max_dist_rect_pow(a, r, norm),
-            min_dist_rect_pow(b, r, norm),
-            max_dist_rect_pow(b, r, norm),
-            min_dist_rect_pow(a, r, norm),
-        ),
-    };
-    let dominates = max_ar < min_br;
-    let never = !dominates && max_br <= min_ar;
-    if dominates {
-        let margin = ROBUST_MARGIN * max_ar.abs().max(min_br.abs()).max(f64::MIN_POSITIVE);
-        SpatialDecision {
-            decision: Some(true),
-            robust: min_br - max_ar > margin,
-        }
-    } else if never {
-        let margin = ROBUST_MARGIN * max_br.abs().max(min_ar.abs()).max(f64::MIN_POSITIVE);
-        SpatialDecision {
-            decision: Some(false),
-            robust: min_ar - max_br > margin,
-        }
-    } else {
-        SpatialDecision {
-            decision: None,
-            robust: false,
-        }
+        optimal_sums::<0>(pow, a, t)
     }
 }
 
@@ -329,19 +257,7 @@ fn classify_minmax(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> SpatialDecisio
 /// Panics for [`LpNorm::LInf`]: the sum decomposition requires a finite
 /// `p`. (The paper states its results for `Lp` norms.)
 pub fn dominates_optimal(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> bool {
-    assert!(
-        !matches!(norm, LpNorm::LInf),
-        "the optimal domination criterion requires a finite Lp norm"
-    );
-    debug_assert_eq!(a.dims(), b.dims());
-    debug_assert_eq!(a.dims(), r.dims());
-    let mut sum = 0.0;
-    for i in 0..a.dims() {
-        let (ai, bi, ri) = (a.dim(i), b.dim(i), r.dim(i));
-        let term = |rp: f64| norm.pow(ai.max_dist(rp)) - norm.pow(bi.min_dist(rp));
-        sum += term(ri.lo()).max(term(ri.hi()));
-    }
-    sum < 0.0
+    optimal_sums_of(a, b, r, norm).dom < 0.0
 }
 
 /// The weak complement of [`dominates_optimal`]: `a` is at least as far
@@ -359,63 +275,161 @@ pub fn dominates_optimal(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> bool {
 /// # Panics
 /// Panics for [`LpNorm::LInf`].
 pub fn never_dominates_optimal(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> bool {
-    assert!(
-        !matches!(norm, LpNorm::LInf),
-        "the optimal domination criterion requires a finite Lp norm"
-    );
-    debug_assert_eq!(a.dims(), b.dims());
-    debug_assert_eq!(a.dims(), r.dims());
-    let mut sum = 0.0;
-    for i in 0..a.dims() {
-        let (ai, bi, ri) = (a.dim(i), b.dim(i), r.dim(i));
-        let term = |rp: f64| norm.pow(bi.max_dist(rp)) - norm.pow(ai.min_dist(rp));
-        sum += term(ri.lo()).max(term(ri.hi()));
-    }
-    sum <= 0.0
-}
-
-/// Weak complement under the MinMax criterion:
-/// `MaxDist(B, R) ≤ MinDist(A, R)`.
-pub fn never_dominates_minmax(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> bool {
-    let max_br = match norm {
-        LpNorm::LInf => norm.pow(b.max_dist_rect(r, norm)),
-        _ => max_dist_rect_pow(b, r, norm),
-    };
-    let min_ar = match norm {
-        LpNorm::LInf => norm.pow(a.min_dist_rect(r, norm)),
-        _ => min_dist_rect_pow(a, r, norm),
-    };
-    max_br <= min_ar
+    optimal_sums_of(a, b, r, norm).nd <= 0.0
 }
 
 /// The classical MinDist/MaxDist pruning test:
 /// `MaxDist(A, R) < MinDist(B, R)` on whole rectangles.
 pub fn dominates_minmax(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> bool {
+    max_dist_pow(a.intervals(), rect_bounds(r), norm)
+        < min_dist_pow(b.intervals(), rect_bounds(r), norm)
+}
+
+const FINITE_P: &str = "the optimal domination criterion requires a finite Lp norm";
+
+/// The optimal criterion's sums: `dom < 0` ⇔ complete domination,
+/// `nd ≤ 0` ⇔ never dominates; `scale` sizes the robustness margin.
+#[derive(Clone, Copy)]
+struct OptimalSums {
+    dom: f64,
+    nd: f64,
+    scale: f64,
+}
+
+impl OptimalSums {
+    fn decision(self) -> SpatialDecision {
+        let margin = ROBUST_MARGIN * self.scale.max(f64::MIN_POSITIVE);
+        SpatialDecision::of(
+            (self.dom < 0.0, self.dom < -margin),
+            (self.nd <= 0.0, self.nd < -margin),
+        )
+    }
+}
+
+/// The optimal criterion's sums for whole rectangles, pair terms computed
+/// on the fly (the slice-length copy of the kernel).
+fn optimal_sums_of(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> OptimalSums {
+    assert!(norm != LpNorm::LInf, "{FINITE_P}");
     debug_assert_eq!(a.dims(), b.dims());
     debug_assert_eq!(a.dims(), r.dims());
-    let max_ar = match norm {
-        LpNorm::LInf => norm.pow(a.max_dist_rect(r, norm)),
-        _ => max_dist_rect_pow(a, r, norm),
-    };
-    let min_br = match norm {
-        LpNorm::LInf => norm.pow(b.min_dist_rect(r, norm)),
-        _ => min_dist_rect_pow(b, r, norm),
-    };
-    max_ar < min_br
+    let t = |i: usize| pair_terms(b.dim(i), r.dim(i), norm);
+    optimal_sums::<0>(|d| norm.pow(d), a.intervals(), t)
 }
 
-/// `MinDist(X, R)^p` between two boxes (power form, avoids roots).
-fn min_dist_rect_pow(x: &Rect, r: &Rect, norm: LpNorm) -> f64 {
-    min_dist_dims_pow(x.intervals(), r, norm)
+/// The pair terms of one dimension.
+fn pair_terms(b: Interval, r: Interval, norm: LpNorm) -> PairTerms {
+    [
+        r.lo(),
+        r.hi(),
+        norm.pow(b.min_dist(r.lo())),
+        norm.pow(b.min_dist(r.hi())),
+        norm.pow(b.max_dist(r.lo())),
+        norm.pow(b.max_dist(r.hi())),
+    ]
 }
 
-fn min_dist_dims_pow(x: &[udb_geometry::Interval], r: &Rect, norm: LpNorm) -> f64 {
-    norm.aggregate((0..x.len()).map(|i| {
-        let (xi, ri) = (x[i], r.dim(i));
-        let gap = if xi.hi() < ri.lo() {
-            ri.lo() - xi.hi()
-        } else if ri.hi() < xi.lo() {
-            xi.lo() - ri.hi()
+/// The one optimal-criterion kernel: the fast comparison-max pass, and
+/// the `f64::max` pass only when a NaN surfaced (see the module docs).
+#[inline(always)]
+fn optimal_sums<const D: usize>(
+    pow: impl Fn(f64) -> f64 + Copy,
+    a: &[Interval],
+    terms: impl Fn(usize) -> PairTerms,
+) -> OptimalSums {
+    let sums = optimal_sums_with::<D, false>(pow, a, &terms);
+    if (sums.dom + sums.nd + sums.scale).is_nan() {
+        optimal_sums_ieee(pow, a, &terms)
+    } else {
+        sums
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn optimal_sums_ieee(
+    pow: impl Fn(f64) -> f64,
+    a: &[Interval],
+    terms: &impl Fn(usize) -> PairTerms,
+) -> OptimalSums {
+    optimal_sums_with::<0, true>(pow, a, terms)
+}
+
+/// The body: `D` dimensions (`0` = `a.len()`), maxima by comparison or,
+/// with `IEEE`, by `f64::max`. Every sum adds its terms in dimension
+/// order, as the textbook formula does.
+#[inline(always)]
+fn optimal_sums_with<const D: usize, const IEEE: bool>(
+    pow: impl Fn(f64) -> f64,
+    a: &[Interval],
+    terms: &impl Fn(usize) -> PairTerms,
+) -> OptimalSums {
+    let a = if D == 0 { a } else { &a[..D] };
+    let max = max2::<IEEE>;
+    let mut sums = OptimalSums {
+        dom: 0.0,
+        nd: 0.0,
+        scale: 0.0,
+    };
+    for (i, &ai) in a.iter().enumerate() {
+        let [r_lo, r_hi, min_b_lo, min_b_hi, max_b_lo, max_b_hi] = terms(i);
+        // MaxDist(A_i, r) = max(|r - lo|, |r - hi|), as `Interval::max_dist`
+        let d_lo = pow(max((r_lo - ai.lo()).abs(), (r_lo - ai.hi()).abs())) - min_b_lo;
+        let d_hi = pow(max((r_hi - ai.lo()).abs(), (r_hi - ai.hi()).abs())) - min_b_hi;
+        // MinDist(A_i, r) = max(lo - r, r - hi, 0), branch-free
+        let min_dist = |r: f64| {
+            if IEEE {
+                ai.min_dist(r)
+            } else {
+                max(max(ai.lo() - r, r - ai.hi()), 0.0)
+            }
+        };
+        let n_lo = max_b_lo - pow(min_dist(r_lo));
+        let n_hi = max_b_hi - pow(min_dist(r_hi));
+        sums.dom += max(d_lo, d_hi);
+        sums.nd += max(n_lo, n_hi);
+        sums.scale += max(max(max(d_lo.abs(), d_hi.abs()), n_lo.abs()), n_hi.abs());
+    }
+    sums
+}
+
+/// `max(x, y)`: `f64::max` with `IEEE`, else the comparison max that
+/// returns `x` when unordered (see the module docs).
+#[inline(always)]
+fn max2<const IEEE: bool>(x: f64, y: f64) -> f64 {
+    if IEEE {
+        x.max(y)
+    } else if y > x {
+        y
+    } else {
+        x
+    }
+}
+
+/// The MinMax decision from the four powered whole-box distances.
+fn minmax_decision(max_ar: f64, min_br: f64, max_br: f64, min_ar: f64) -> SpatialDecision {
+    let dom_margin = ROBUST_MARGIN * max_ar.abs().max(min_br.abs()).max(f64::MIN_POSITIVE);
+    let never_margin = ROBUST_MARGIN * max_br.abs().max(min_ar.abs()).max(f64::MIN_POSITIVE);
+    SpatialDecision::of(
+        (max_ar < min_br, min_br - max_ar > dom_margin),
+        (max_br <= min_ar, min_ar - max_br > never_margin),
+    )
+}
+
+/// The `(lo, hi)` bounds of `r` per dimension.
+fn rect_bounds(r: &Rect) -> impl Fn(usize) -> (f64, f64) + '_ {
+    |i| (r.dim(i).lo(), r.dim(i).hi())
+}
+
+/// `MinDist(X, R)^p` between two boxes, `R` given by its per-dimension
+/// bounds (power form, avoids roots; under L∞ the maximum, which equals
+/// `norm.pow(x.min_dist_rect(r, norm))`).
+fn min_dist_pow(x: &[Interval], r: impl Fn(usize) -> (f64, f64), norm: LpNorm) -> f64 {
+    norm.aggregate(x.iter().enumerate().map(|(i, xi)| {
+        let (r_lo, r_hi) = r(i);
+        let gap = if xi.hi() < r_lo {
+            r_lo - xi.hi()
+        } else if r_hi < xi.lo() {
+            xi.lo() - r_hi
         } else {
             0.0
         };
@@ -423,16 +437,11 @@ fn min_dist_dims_pow(x: &[udb_geometry::Interval], r: &Rect, norm: LpNorm) -> f6
     }))
 }
 
-/// `MaxDist(X, R)^p` between two boxes (power form).
-fn max_dist_rect_pow(x: &Rect, r: &Rect, norm: LpNorm) -> f64 {
-    max_dist_dims_pow(x.intervals(), r, norm)
-}
-
-fn max_dist_dims_pow(x: &[udb_geometry::Interval], r: &Rect, norm: LpNorm) -> f64 {
-    norm.aggregate((0..x.len()).map(|i| {
-        let (xi, ri) = (x[i], r.dim(i));
-        let d = (xi.hi() - ri.lo()).abs().max((ri.hi() - xi.lo()).abs());
-        norm.pow(d)
+/// `MaxDist(X, R)^p` between two boxes (power form, as [`min_dist_pow`]).
+fn max_dist_pow(x: &[Interval], r: impl Fn(usize) -> (f64, f64), norm: LpNorm) -> f64 {
+    norm.aggregate(x.iter().enumerate().map(|(i, xi)| {
+        let (r_lo, r_hi) = r(i);
+        norm.pow((xi.hi() - r_lo).abs().max((r_hi - xi.lo()).abs()))
     }))
 }
 
@@ -613,27 +622,6 @@ mod tests {
             let ab = dominates_optimal(&a, &b, &r, LpNorm::L2);
             let ba = dominates_optimal(&b, &a, &r, LpNorm::L2);
             prop_assert!(!(ab && ba));
-        }
-
-        /// The precomputed pair classifier is bit-identical to the
-        /// per-call classification for both criteria.
-        #[test]
-        fn prop_pair_classifier_matches_classify(
-            a in arb_rect(-5.0..5.0),
-            b in arb_rect(-5.0..5.0),
-            r in arb_rect(-5.0..5.0),
-        ) {
-            for criterion in [DominationCriterion::Optimal, DominationCriterion::MinMax] {
-                for norm in [LpNorm::L1, LpNorm::L2, LpNorm::P(3)] {
-                    let pc = PairClassifier::new(&b, &r, criterion, norm);
-                    prop_assert_eq!(pc.classify(&a), criterion.classify(&a, &b, &r, norm));
-                }
-            }
-            let pc = PairClassifier::new(&b, &r, DominationCriterion::MinMax, LpNorm::LInf);
-            prop_assert_eq!(
-                pc.classify(&a),
-                DominationCriterion::MinMax.classify(&a, &b, &r, LpNorm::LInf)
-            );
         }
 
         /// For certain points the criterion is exactly the distance

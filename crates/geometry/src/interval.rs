@@ -8,6 +8,7 @@ use serde::{Deserialize, Serialize};
 
 /// A closed interval `[lo, hi]` with `lo <= hi`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "IntervalRaw")]
 pub struct Interval {
     lo: f64,
     hi: f64,
@@ -20,12 +21,21 @@ impl Interval {
     /// Panics if `lo > hi` or either bound is non-finite.
     #[inline]
     pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(
-            lo.is_finite() && hi.is_finite(),
-            "interval bounds must be finite"
-        );
-        assert!(lo <= hi, "interval requires lo <= hi (got [{lo}, {hi}])");
-        Interval { lo, hi }
+        Interval::try_new(lo, hi).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates the interval `[lo, hi]`, or names the violated invariant.
+    /// Deserialization goes through here too.
+    ///
+    /// # Errors
+    /// If `lo > hi` or either bound is non-finite.
+    #[inline]
+    pub fn try_new(lo: f64, hi: f64) -> Result<Self, String> {
+        if lo.is_finite() && hi.is_finite() && lo <= hi {
+            Ok(Interval { lo, hi })
+        } else {
+            Err(invalid_bounds(lo, hi))
+        }
     }
 
     /// A degenerate interval `[x, x]` (a certain value).
@@ -124,6 +134,31 @@ impl Interval {
     pub fn split_at(&self, x: f64) -> (Interval, Interval) {
         assert!(self.contains(x), "split point {x} outside {self:?}");
         (Interval::new(self.lo, x), Interval::new(x, self.hi))
+    }
+}
+
+#[cold]
+fn invalid_bounds(lo: f64, hi: f64) -> String {
+    if lo.is_finite() && hi.is_finite() {
+        format!("interval requires lo <= hi (got [{lo}, {hi}])")
+    } else {
+        format!("interval bounds must be finite (got [{lo}, {hi}])")
+    }
+}
+
+/// The serialized form of an [`Interval`], read back through
+/// [`Interval::try_new`].
+#[derive(Deserialize)]
+struct IntervalRaw {
+    lo: f64,
+    hi: f64,
+}
+
+impl TryFrom<IntervalRaw> for Interval {
+    type Error = String;
+
+    fn try_from(raw: IntervalRaw) -> Result<Self, String> {
+        Interval::try_new(raw.lo, raw.hi)
     }
 }
 

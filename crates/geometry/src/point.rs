@@ -5,6 +5,7 @@ use std::ops::{Index, IndexMut};
 
 /// A point in `R^d`, stored as a boxed slice to keep the type two words wide.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "Box<[f64]>")]
 pub struct Point(Box<[f64]>);
 
 impl Point {
@@ -13,16 +14,7 @@ impl Point {
     /// # Panics
     /// Panics if `coords` is empty or contains a non-finite value.
     pub fn new(coords: impl Into<Box<[f64]>>) -> Self {
-        let coords = coords.into();
-        assert!(
-            !coords.is_empty(),
-            "points must have at least one dimension"
-        );
-        assert!(
-            coords.iter().all(|c| c.is_finite()),
-            "point coordinates must be finite"
-        );
-        Point(coords)
+        Point::try_from(coords.into()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The origin of `R^d`.
@@ -94,6 +86,21 @@ impl IndexMut<usize> for Point {
     #[inline]
     fn index_mut(&mut self, i: usize) -> &mut f64 {
         &mut self.0[i]
+    }
+}
+
+/// The checked constructor behind [`Point::new`] and deserialization.
+impl TryFrom<Box<[f64]>> for Point {
+    type Error = String;
+
+    fn try_from(coords: Box<[f64]>) -> Result<Self, String> {
+        if coords.is_empty() {
+            Err("points must have at least one dimension".to_owned())
+        } else if !coords.iter().all(|c| c.is_finite()) {
+            Err("point coordinates must be finite".to_owned())
+        } else {
+            Ok(Point(coords))
+        }
     }
 }
 

@@ -10,8 +10,29 @@ use crate::point::Point;
 /// throughout the paper ("each uncertain object can be considered as a
 /// d-dimensional rectangle with an associated multi-dimensional object PDF").
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "RectRaw")]
 pub struct Rect {
     dims: Box<[Interval]>,
+}
+
+/// The serialized form of a [`Rect`]; its intervals are checked as they
+/// are read.
+#[derive(Deserialize)]
+struct RectRaw {
+    dims: Box<[Interval]>,
+}
+
+/// The checked constructor behind [`Rect::new`] and deserialization.
+impl TryFrom<RectRaw> for Rect {
+    type Error = String;
+
+    fn try_from(RectRaw { dims }: RectRaw) -> Result<Self, String> {
+        if dims.is_empty() {
+            Err("rectangles need at least one dimension".to_owned())
+        } else {
+            Ok(Rect { dims })
+        }
+    }
 }
 
 impl Rect {
@@ -20,9 +41,7 @@ impl Rect {
     /// # Panics
     /// Panics if `dims` is empty.
     pub fn new(dims: impl Into<Box<[Interval]>>) -> Self {
-        let dims = dims.into();
-        assert!(!dims.is_empty(), "rectangles need at least one dimension");
-        Rect { dims }
+        Rect::try_from(RectRaw { dims: dims.into() }).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Builds from corner points `lo` / `hi`.

@@ -28,12 +28,29 @@ impl std::fmt::Display for ObjectId {
 /// with a bounded density (Definition 1), optionally carrying existential
 /// uncertainty (`P(object exists) < 1`, §I-A).
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "ObjectRaw")]
 pub struct UncertainObject {
     pdf: Pdf,
     /// Cached minimal bounding rectangle of the PDF support.
     mbr: Rect,
     /// `P(object exists)`; `1.0` for the paper's main setting.
     existence: f64,
+}
+
+/// The serialized form of an [`UncertainObject`]: the region is
+/// recomputed by [`UncertainObject::try_with_existence`].
+#[derive(Deserialize)]
+struct ObjectRaw {
+    pdf: Pdf,
+    existence: f64,
+}
+
+impl TryFrom<ObjectRaw> for UncertainObject {
+    type Error = String;
+
+    fn try_from(raw: ObjectRaw) -> Result<Self, String> {
+        UncertainObject::try_with_existence(raw.pdf, raw.existence)
+    }
 }
 
 impl UncertainObject {
@@ -52,16 +69,27 @@ impl UncertainObject {
     /// # Panics
     /// Panics if `existence` is outside `(0, 1]`.
     pub fn with_existence(pdf: Pdf, existence: f64) -> Self {
-        assert!(
-            existence > 0.0 && existence <= 1.0,
-            "existence probability must be in (0, 1]"
-        );
+        UncertainObject::try_with_existence(pdf, existence).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`UncertainObject::with_existence`], naming the violated invariant
+    /// instead of panicking. Deserialization goes through here, so the
+    /// region is always the density's support, never read.
+    ///
+    /// # Errors
+    /// If `existence` is outside `(0, 1]`.
+    pub fn try_with_existence(pdf: Pdf, existence: f64) -> Result<Self, String> {
+        if !(existence > 0.0 && existence <= 1.0) {
+            return Err(format!(
+                "existence probability must be in (0, 1] (got {existence})"
+            ));
+        }
         let mbr = pdf.support().clone();
-        UncertainObject {
+        Ok(UncertainObject {
             pdf,
             mbr,
             existence,
-        }
+        })
     }
 
     /// A certain point object (degenerate uncertainty region).

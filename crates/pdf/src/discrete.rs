@@ -15,6 +15,7 @@ use crate::math::search_cumulative;
 
 /// A finite set of weighted point alternatives (weights normalized to one).
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "DiscreteRaw")]
 pub struct DiscretePdf {
     points: Vec<Point>,
     weights: Vec<f64>,
@@ -29,40 +30,33 @@ impl DiscretePdf {
     /// Panics if `points` is empty, lengths mismatch, weights are negative
     /// or all zero, or dimensionalities differ.
     pub fn new(points: Vec<Point>, weights: Vec<f64>) -> Self {
-        assert!(
-            !points.is_empty(),
-            "discrete pdf needs at least one alternative"
-        );
-        assert_eq!(
-            points.len(),
-            weights.len(),
-            "points/weights length mismatch"
-        );
-        let d = points[0].dims();
-        assert!(
-            points.iter().all(|p| p.dims() == d),
-            "all alternatives must share dimensionality"
-        );
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "weights must be non-negative and finite"
-        );
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "at least one weight must be positive");
-        let weights: Vec<f64> = weights.into_iter().map(|w| w / total).collect();
-        let mut cumulative = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for &w in &weights {
-            acc += w;
-            cumulative.push(acc);
+        DiscretePdf::try_new(points, weights).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`DiscretePdf::new`], naming the violated invariant instead of
+    /// panicking. Deserialization goes through here, so the support and
+    /// the running sums are always derived, never read.
+    ///
+    /// # Errors
+    /// On the conditions under which [`DiscretePdf::new`] panics.
+    pub fn try_new(points: Vec<Point>, weights: Vec<f64>) -> Result<Self, String> {
+        let Some(first) = points.first() else {
+            return Err("discrete pdf needs at least one alternative".to_owned());
+        };
+        if points.len() != weights.len() {
+            return Err("points/weights length mismatch".to_owned());
         }
+        if points.iter().any(|p| p.dims() != first.dims()) {
+            return Err("all alternatives must share dimensionality".to_owned());
+        }
+        let (weights, cumulative) = crate::normalize_weights(weights)?;
         let support = bbox(&points);
-        DiscretePdf {
+        Ok(DiscretePdf {
             points,
             weights,
             cumulative,
             support,
-        }
+        })
     }
 
     /// Discrete density with uniform weights (the shape produced by
@@ -184,6 +178,22 @@ impl DiscretePdf {
             return None;
         }
         Some(bbox_refs(&contained))
+    }
+}
+
+/// The serialized form of a [`DiscretePdf`]: the derived fields are
+/// recomputed by [`DiscretePdf::try_new`].
+#[derive(Deserialize)]
+struct DiscreteRaw {
+    points: Vec<Point>,
+    weights: Vec<f64>,
+}
+
+impl TryFrom<DiscreteRaw> for DiscretePdf {
+    type Error = String;
+
+    fn try_from(raw: DiscreteRaw) -> Result<Self, String> {
+        DiscretePdf::try_new(raw.points, raw.weights)
     }
 }
 
@@ -315,6 +325,19 @@ mod tests {
         assert!(d.support().is_point());
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(d.sample(&mut rng), Point::from([3.0, 4.0]));
+    }
+
+    #[test]
+    fn normalized_weights_are_kept_bit_for_bit() {
+        // ten weights of 0.1 sum to 0.9999999999999999; dividing by that
+        // again would change every weight, and a deserialized density
+        // would not equal the one that was written
+        let points = (0..10).map(|i| Point::from([f64::from(i)])).collect();
+        let pdf = DiscretePdf::equally_weighted(points);
+        assert_ne!(pdf.weights().iter().sum::<f64>(), 1.0);
+        let again = DiscretePdf::try_new(pdf.points().to_vec(), pdf.weights().to_vec()).unwrap();
+        let bits = |p: &DiscretePdf| p.weights().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again), bits(&pdf));
     }
 
     #[test]

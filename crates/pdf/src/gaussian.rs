@@ -15,6 +15,7 @@ use crate::math::{inverse_normal_cdf, normal_cdf, normal_pdf, sample_standard_no
 /// A Gaussian with diagonal covariance, truncated to a rectangular support
 /// and renormalized.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "GaussianRaw")]
 pub struct GaussianPdf {
     mean: Point,
     std: Box<[f64]>,
@@ -23,23 +24,49 @@ pub struct GaussianPdf {
     dim_mass: Box<[f64]>,
 }
 
+/// The serialized form of a [`GaussianPdf`]: the normalization is
+/// recomputed by [`GaussianPdf::try_new`].
+#[derive(Deserialize)]
+struct GaussianRaw {
+    mean: Point,
+    std: Vec<f64>,
+    support: Rect,
+}
+
+impl TryFrom<GaussianRaw> for GaussianPdf {
+    type Error = String;
+
+    fn try_from(raw: GaussianRaw) -> Result<Self, String> {
+        GaussianPdf::try_new(raw.mean, raw.std, raw.support)
+    }
+}
+
 impl GaussianPdf {
     /// Creates a truncated Gaussian.
     ///
     /// # Panics
-    /// Panics on dimension mismatches, non-positive standard deviations or
-    /// a support that carries (numerically) no Gaussian mass.
+    /// Panics on dimension mismatches, non-positive or non-finite standard
+    /// deviations or a support that carries (numerically) no Gaussian mass.
     pub fn new(mean: Point, std: Vec<f64>, support: Rect) -> Self {
-        assert_eq!(mean.dims(), std.len(), "mean/std dimensionality mismatch");
-        assert_eq!(
-            mean.dims(),
-            support.dims(),
-            "mean/support dimensionality mismatch"
-        );
-        assert!(
-            std.iter().all(|&s| s > 0.0),
-            "standard deviations must be positive"
-        );
+        GaussianPdf::try_new(mean, std, support).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`GaussianPdf::new`], naming the violated invariant instead of
+    /// panicking. Deserialization goes through here, so the normalization
+    /// is always computed, never read.
+    ///
+    /// # Errors
+    /// On the conditions under which [`GaussianPdf::new`] panics.
+    pub fn try_new(mean: Point, std: Vec<f64>, support: Rect) -> Result<Self, String> {
+        if mean.dims() != std.len() {
+            return Err("mean/std dimensionality mismatch".to_owned());
+        }
+        if mean.dims() != support.dims() {
+            return Err("mean/support dimensionality mismatch".to_owned());
+        }
+        if !std.iter().all(|&s| s > 0.0 && s.is_finite()) {
+            return Err("standard deviations must be positive and finite".to_owned());
+        }
         let dim_mass: Vec<f64> = (0..mean.dims())
             .map(|i| {
                 let iv = support.dim(i);
@@ -48,16 +75,15 @@ impl GaussianPdf {
                 normal_cdf(b) - normal_cdf(a)
             })
             .collect();
-        assert!(
-            dim_mass.iter().all(|&m| m > 1e-12),
-            "support carries no Gaussian mass in some dimension"
-        );
-        GaussianPdf {
+        if !dim_mass.iter().all(|&m| m > 1e-12) {
+            return Err("support carries no Gaussian mass in some dimension".to_owned());
+        }
+        Ok(GaussianPdf {
             mean,
             std: std.into(),
             support,
             dim_mass: dim_mass.into(),
-        }
+        })
     }
 
     /// Convenience constructor: common `sigma` for every dimension.

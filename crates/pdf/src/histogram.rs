@@ -16,6 +16,7 @@ use crate::math::{bivariate_normal_pdf, search_cumulative};
 /// A normalized piecewise-constant density on a regular grid over a
 /// rectangular support.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "HistogramRaw")]
 pub struct HistogramPdf {
     support: Rect,
     /// Cells per dimension.
@@ -27,6 +28,23 @@ pub struct HistogramPdf {
     cumulative: Box<[f64]>,
 }
 
+/// The serialized form of a [`HistogramPdf`]: the running sums are
+/// recomputed by [`HistogramPdf::try_new`].
+#[derive(Deserialize)]
+struct HistogramRaw {
+    support: Rect,
+    resolution: Vec<usize>,
+    weights: Vec<f64>,
+}
+
+impl TryFrom<HistogramRaw> for HistogramPdf {
+    type Error = String;
+
+    fn try_from(raw: HistogramRaw) -> Result<Self, String> {
+        HistogramPdf::try_new(raw.support, raw.resolution, raw.weights)
+    }
+}
+
 impl HistogramPdf {
     /// Builds a histogram from raw (non-negative) cell weights, normalizing
     /// them to sum to one.
@@ -35,36 +53,37 @@ impl HistogramPdf {
     /// Panics if the weight count does not match the grid, if any weight is
     /// negative / non-finite, or if all weights are zero.
     pub fn new(support: Rect, resolution: Vec<usize>, weights: Vec<f64>) -> Self {
-        assert_eq!(
-            support.dims(),
-            resolution.len(),
-            "resolution dimensionality mismatch"
-        );
-        assert!(
-            resolution.iter().all(|&r| r > 0),
-            "resolution must be positive"
-        );
-        let cells: usize = resolution.iter().product();
-        assert_eq!(weights.len(), cells, "weight count must match the grid");
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "weights must be non-negative and finite"
-        );
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "at least one weight must be positive");
-        let weights: Vec<f64> = weights.into_iter().map(|w| w / total).collect();
-        let mut cumulative = Vec::with_capacity(cells);
-        let mut acc = 0.0;
-        for &w in &weights {
-            acc += w;
-            cumulative.push(acc);
+        HistogramPdf::try_new(support, resolution, weights).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`HistogramPdf::new`], naming the violated invariant instead of
+    /// panicking. Deserialization goes through here, so the running sums
+    /// are always derived, never read.
+    ///
+    /// # Errors
+    /// On the conditions under which [`HistogramPdf::new`] panics.
+    pub fn try_new(
+        support: Rect,
+        resolution: Vec<usize>,
+        weights: Vec<f64>,
+    ) -> Result<Self, String> {
+        if support.dims() != resolution.len() {
+            return Err("resolution dimensionality mismatch".to_owned());
         }
-        HistogramPdf {
+        if resolution.contains(&0) {
+            return Err("resolution must be positive".to_owned());
+        }
+        let cells = resolution.iter().try_fold(1usize, |n, &r| n.checked_mul(r));
+        if cells != Some(weights.len()) {
+            return Err("weight count must match the grid".to_owned());
+        }
+        let (weights, cumulative) = crate::normalize_weights(weights)?;
+        Ok(HistogramPdf {
             support,
             resolution: resolution.into(),
             weights: weights.into(),
             cumulative: cumulative.into(),
-        }
+        })
     }
 
     /// Rasterizes a density function `f` (up to proportionality) by

@@ -255,6 +255,37 @@ impl From<MixturePdf> for Pdf {
     }
 }
 
+/// Checks raw weights — finite, non-negative, a positive finite total —
+/// and returns them normalized to sum to one, with their running sums
+/// (for sampling). Weights that already sum to one up to the rounding of
+/// a normalization (`2nε`) are kept bit for bit, so a serialized density
+/// reads back unchanged.
+fn normalize_weights(weights: Vec<f64>) -> Result<(Vec<f64>, Vec<f64>), String> {
+    if !weights.iter().all(|w| w.is_finite() && *w >= 0.0) {
+        return Err("weights must be non-negative and finite".to_owned());
+    }
+    let total: f64 = weights.iter().sum();
+    if !(total > 0.0 && total.is_finite()) {
+        return Err(format!(
+            "at least one weight must be positive, with a finite total (got {total})"
+        ));
+    }
+    let rounding = 2.0 * weights.len() as f64 * f64::EPSILON;
+    let weights: Vec<f64> = if (total - 1.0).abs() <= rounding {
+        weights
+    } else {
+        weights.into_iter().map(|w| w / total).collect()
+    };
+    let cumulative = weights
+        .iter()
+        .scan(0.0, |acc, &w| {
+            *acc += w;
+            Some(*acc)
+        })
+        .collect();
+    Ok((weights, cumulative))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,10 +13,26 @@ use crate::Pdf;
 
 /// A normalized convex combination of component PDFs.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "MixtureRaw")]
 pub struct MixturePdf {
     components: Vec<(f64, Pdf)>,
     cumulative: Vec<f64>,
     support: Rect,
+}
+
+/// The serialized form of a [`MixturePdf`]: the support and the running
+/// sums are recomputed by [`MixturePdf::try_new`].
+#[derive(Deserialize)]
+struct MixtureRaw {
+    components: Vec<(f64, Pdf)>,
+}
+
+impl TryFrom<MixtureRaw> for MixturePdf {
+    type Error = String;
+
+    fn try_from(raw: MixtureRaw) -> Result<Self, String> {
+        MixturePdf::try_new(raw.components)
+    }
 }
 
 impl MixturePdf {
@@ -27,37 +43,32 @@ impl MixturePdf {
     /// Panics if `components` is empty, weights are negative or all zero,
     /// or components disagree on dimensionality.
     pub fn new(components: Vec<(f64, Pdf)>) -> Self {
-        assert!(
-            !components.is_empty(),
-            "mixture needs at least one component"
-        );
-        assert!(
-            components.iter().all(|(w, _)| w.is_finite() && *w >= 0.0),
-            "weights must be non-negative and finite"
-        );
-        let d = components[0].1.dims();
-        assert!(
-            components.iter().all(|(_, p)| p.dims() == d),
-            "components must share dimensionality"
-        );
-        let total: f64 = components.iter().map(|(w, _)| w).sum();
-        assert!(total > 0.0, "at least one weight must be positive");
-        let components: Vec<(f64, Pdf)> = components
-            .into_iter()
-            .map(|(w, p)| (w / total, p))
-            .collect();
-        let mut cumulative = Vec::with_capacity(components.len());
-        let mut acc = 0.0;
-        for (w, _) in &components {
-            acc += w;
-            cumulative.push(acc);
+        MixturePdf::try_new(components).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`MixturePdf::new`], naming the violated invariant instead of
+    /// panicking. Deserialization goes through here, so the support and
+    /// the running sums are always derived, never read.
+    ///
+    /// # Errors
+    /// On the conditions under which [`MixturePdf::new`] panics.
+    pub fn try_new(components: Vec<(f64, Pdf)>) -> Result<Self, String> {
+        let Some((_, first)) = components.first() else {
+            return Err("mixture needs at least one component".to_owned());
+        };
+        if components.iter().any(|(_, p)| p.dims() != first.dims()) {
+            return Err("components must share dimensionality".to_owned());
         }
+        let (pdfs, weights): (Vec<Pdf>, Vec<f64>) =
+            components.into_iter().map(|(w, p)| (p, w)).unzip();
+        let (weights, cumulative) = crate::normalize_weights(weights)?;
+        let components: Vec<(f64, Pdf)> = weights.into_iter().zip(pdfs).collect();
         let support = Rect::union_all(components.iter().map(|(_, p)| p.support()));
-        MixturePdf {
+        Ok(MixturePdf {
             components,
             cumulative,
             support,
-        }
+        })
     }
 
     /// The components with their normalized weights.

@@ -10,11 +10,25 @@ use udb_geometry::{Point, Rect};
 
 /// Uniform density over a support rectangle.
 #[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "UniformRaw")]
 pub struct UniformPdf {
     support: Rect,
     /// Cached `1 / volume`; `None` for degenerate (zero-volume) supports,
     /// in which case the mass concentrates uniformly on the degenerate box.
     inv_volume: Option<f64>,
+}
+
+/// The serialized form of a [`UniformPdf`]: the inverse volume is
+/// recomputed by [`UniformPdf::new`].
+#[derive(Deserialize)]
+struct UniformRaw {
+    support: Rect,
+}
+
+impl From<UniformRaw> for UniformPdf {
+    fn from(raw: UniformRaw) -> Self {
+        UniformPdf::new(raw.support)
+    }
 }
 
 impl UniformPdf {

@@ -1,0 +1,233 @@
+//! Object JSON that breaks a constructor invariant — non-finite numbers,
+//! `lo > hi`, an existence outside `(0, 1]`, bad PDF parameters — must be
+//! refused with `ERR` and leave the served state untouched, never panic
+//! the server or be inserted and answered. Derived fields a client sends
+//! (the region, normalizations, running sums) are recomputed, never read.
+
+use udb_core::IdcaConfig;
+use udb_geometry::{Interval, Point, Rect};
+use udb_object::{Pdf, UncertainObject};
+use udb_pdf::{DiscretePdf, GaussianPdf, HistogramPdf};
+use udb_serve::{empty_server, Server};
+use udb_workload::SyntheticConfig;
+
+fn json(o: &UncertainObject) -> String {
+    serde_json::to_string(o).expect("objects serialize")
+}
+
+/// A one-shard server seeded with 30 two-dimensional objects.
+fn seeded_server() -> Server {
+    let cfg = IdcaConfig {
+        max_iterations: 3,
+        ..Default::default()
+    };
+    let mut server = empty_server(cfg, 1, 8);
+    let db = SyntheticConfig {
+        n: 30,
+        max_extent: 0.02,
+        ..Default::default()
+    }
+    .generate();
+    let inserts: Vec<String> = db
+        .iter()
+        .map(|(_, o)| format!("INSERT {}", json(o)))
+        .collect();
+    let (replies, _) = server.execute_batch(&inserts);
+    assert!(replies.iter().all(|r| r.starts_with("OK ")));
+    server
+}
+
+/// Queries of every verb plus `STATS`.
+fn probes() -> Vec<String> {
+    let q = json(&UncertainObject::certain(Point::from([0.5, 0.5])));
+    vec![
+        format!("KNN 3 0.3 {q}"),
+        format!("RKNN 1 0.3 {q}"),
+        format!("TOPM 2 {q}"),
+        "STATS".to_owned(),
+    ]
+}
+
+/// Valid objects of four PDF kinds, the bases the hostile lines edit.
+fn bases() -> [String; 4] {
+    let square = Rect::new(vec![Interval::new(0.4, 0.5), Interval::new(0.4, 0.5)]);
+    let pdfs = [
+        Pdf::uniform(square.clone()),
+        Pdf::Gaussian(GaussianPdf::isotropic(
+            Point::from([0.45, 0.45]),
+            0.25,
+            square.clone(),
+        )),
+        Pdf::Histogram(HistogramPdf::new(square, vec![1, 2], vec![0.25, 0.75])),
+        Pdf::Discrete(DiscretePdf::equally_weighted(vec![
+            Point::from([0.25, 0.5]),
+            Point::from([0.75, 0.5]),
+        ])),
+    ];
+    pdfs.map(|pdf| json(&UncertainObject::new(pdf)))
+}
+
+/// `base` with the first `n` occurrences of `from` replaced by `to`;
+/// `from` must occur, so that every edit really changes the object.
+fn edit(base: &str, from: &str, to: &str, n: usize) -> String {
+    assert!(base.contains(from), "{from:?} not in {base}");
+    base.replacen(from, to, n)
+}
+
+/// One hostile object per invariant the constructors assert.
+fn hostile_objects() -> Vec<(&'static str, String)> {
+    let [uniform, gaussian, histogram, discrete] = bases();
+    let all = usize::MAX;
+    vec![
+        (
+            "overflowing bound",
+            edit(&uniform, "\"hi\":0.5", "\"hi\":1e400", all),
+        ),
+        (
+            "inverted interval",
+            edit(
+                &uniform,
+                "\"lo\":0.4,\"hi\":0.5",
+                "\"lo\":0.6,\"hi\":0.5",
+                all,
+            ),
+        ),
+        (
+            "existence above one",
+            edit(&uniform, "\"existence\":1.0", "\"existence\":1.5", 1),
+        ),
+        (
+            "zero existence",
+            edit(&uniform, "\"existence\":1.0", "\"existence\":0.0", 1),
+        ),
+        (
+            "no dimensions",
+            "{\"pdf\":{\"Uniform\":{\"support\":{\"dims\":[]},\"inv_volume\":null}},\
+             \"mbr\":{\"dims\":[]},\"existence\":1.0}"
+                .to_owned(),
+        ),
+        (
+            "zero std",
+            edit(&gaussian, "\"std\":[0.25,", "\"std\":[0.0,", 1),
+        ),
+        (
+            "negative std",
+            edit(&gaussian, "\"std\":[0.25,", "\"std\":[-0.25,", 1),
+        ),
+        (
+            "infinite std",
+            edit(&gaussian, "\"std\":[0.25,", "\"std\":[1e400,", 1),
+        ),
+        (
+            "mass-free Gaussian support, sent normalization kept",
+            edit(&gaussian, "\"mean\":[0.45,", "\"mean\":[100.0,", 1),
+        ),
+        (
+            "negative histogram weight",
+            edit(&histogram, "\"weights\":[0.25,", "\"weights\":[-0.25,", 1),
+        ),
+        (
+            "histogram grid mismatch",
+            edit(
+                &histogram,
+                "\"resolution\":[1,2]",
+                "\"resolution\":[2,2]",
+                1,
+            ),
+        ),
+        (
+            "all-zero discrete weights",
+            edit(
+                &discrete,
+                "\"weights\":[0.5,0.5]",
+                "\"weights\":[0.0,0.0]",
+                1,
+            ),
+        ),
+        (
+            "overflowing weight total",
+            edit(
+                &discrete,
+                "\"weights\":[0.5,0.5]",
+                "\"weights\":[1e308,1e308]",
+                1,
+            ),
+        ),
+    ]
+}
+
+/// `json` with the value of the first `"key":` replaced by `value`.
+fn set_field(json: &str, key: &str, value: &str) -> String {
+    let tag = format!("\"{key}\":");
+    let start = json
+        .find(&tag)
+        .unwrap_or_else(|| panic!("{key} not in {json}"))
+        + tag.len();
+    let mut depth = 0i32;
+    let len = json[start..]
+        .find(|c: char| {
+            match c {
+                '[' | '{' => depth += 1,
+                ']' | '}' => depth -= 1,
+                _ => {}
+            }
+            depth < 0 || (depth == 0 && c == ',')
+        })
+        .expect("value is followed by a delimiter");
+    format!("{}{value}{}", &json[..start], &json[start + len..])
+}
+
+#[test]
+fn the_unedited_bases_are_accepted() {
+    let mut server = seeded_server();
+    let lines: Vec<String> = bases().iter().map(|o| format!("INSERT {o}")).collect();
+    let (replies, _) = server.execute_batch(&lines);
+    assert_eq!(replies, vec!["OK 30", "OK 31", "OK 32", "OK 33"]);
+}
+
+#[test]
+fn derived_fields_are_recomputed_not_read() {
+    let [uniform, gaussian, histogram, discrete] = bases();
+    let boxed = "{\"dims\":[{\"lo\":5.0,\"hi\":6.0},{\"lo\":5.0,\"hi\":6.0}]}";
+    let tampered = [
+        (&uniform, set_field(&uniform, "inv_volume", "12345.0")),
+        (&uniform, set_field(&uniform, "mbr", boxed)),
+        (&gaussian, set_field(&gaussian, "dim_mass", "[1.0,1.0]")),
+        (&histogram, set_field(&histogram, "cumulative", "[0.0,0.0]")),
+        (&discrete, set_field(&discrete, "support", boxed)),
+        (&discrete, set_field(&discrete, "cumulative", "[1.0,1.0]")),
+    ];
+    for (base, bad) in tampered {
+        assert_ne!(*base, bad);
+        let read: UncertainObject =
+            serde_json::from_str(&bad).expect("derived fields are not checked");
+        assert_eq!(json(&read), *base, "{bad}");
+    }
+}
+
+#[test]
+fn hostile_objects_reply_err_and_change_nothing() {
+    let mut server = seeded_server();
+    let (before, _) = server.execute_batch(&probes());
+    for (what, obj) in hostile_objects() {
+        let lines = [
+            format!("INSERT {obj}"),
+            format!("UPDATE 0 {obj}"),
+            format!("DELNEAR {obj}"),
+            format!("KNN 3 0.3 {obj}"),
+            format!("RKNN 1 0.3 {obj}"),
+            format!("TOPM 2 {obj}"),
+            format!("SUB KNN 3 0.3 {obj}"),
+        ];
+        let (replies, quit) = server.execute_batch(&lines);
+        assert!(!quit);
+        for (line, reply) in lines.iter().zip(&replies) {
+            assert!(
+                reply.starts_with("ERR bad object"),
+                "{what}: {line:.60} answered {reply:?}"
+            );
+        }
+    }
+    let (after, _) = server.execute_batch(&probes());
+    assert_eq!(before, after, "served state changed");
+}
