@@ -120,21 +120,10 @@ pub struct IdcaConfig {
     /// variable (CI shim: the `{0, 64}` matrix keeps the cache-off and
     /// eviction paths exercised on every push).
     pub decomp_cache_entries: usize,
-    /// Enables the tier-1 min/max bound prefilter in front of the exact
-    /// UGF refinement: each round first computes O(n)-per-pair CDF
-    /// brackets ([`udb_genfunc::MinMaxCdf`]) and skips the exact
-    /// aggregation whenever the brackets *prove* the round could neither
-    /// decide the query nor meet the stop criterion. The cheap tier only
-    /// ever decides whether the exact tier runs — never what it returns —
-    /// so results are bit-identical with the prefilter on or off
-    /// (property-tested); the knob trades a cheap extra pass on
-    /// terminal rounds for skipping the O(k²)-per-pair UGF work on
-    /// non-terminal ones.
-    ///
-    /// `false` (the default) keeps the exact-only semantics of previous
-    /// releases. The default honours the `UDB_PREFILTER` environment
-    /// variable (CI shim: the `{0, 1}` matrix runs every default-config
-    /// test through both tiers).
+    /// Ignored: the refiner computes the exact UGF snapshot every
+    /// round. The field is kept only because an existing struct-literal
+    /// caller still sets it; it is removed with the next benchmark
+    /// change.
     pub prefilter: bool,
     /// Fsync cadence of a durable engine's WAL: the segment is forced
     /// to stable storage every this many appended records. `1` (the
@@ -231,19 +220,6 @@ fn default_checkpoint_every() -> usize {
     })
 }
 
-/// Default prefilter setting: `UDB_PREFILTER=1` (or any non-zero
-/// integer) switches the two-tier pipeline on; `0`, junk or an unset
-/// variable keep the exact-only path.
-fn default_prefilter() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("UDB_PREFILTER")
-            .ok()
-            .and_then(|v| v.parse::<i64>().ok())
-            .is_some_and(|v| v != 0)
-    })
-}
-
 /// Default materialization threshold of the sharded candidate fan-out;
 /// `0` is meaningful (always materialize under fan-out), so only
 /// unparsable input falls back to 0.
@@ -271,7 +247,7 @@ impl Default for IdcaConfig {
             shard_threads: default_shard_threads(),
             shard_materialize_min: default_shard_materialize_min(),
             decomp_cache_entries: default_decomp_cache_entries(),
-            prefilter: default_prefilter(),
+            prefilter: false,
             wal_sync_every: default_wal_sync_every(),
             checkpoint_every: default_checkpoint_every(),
         }

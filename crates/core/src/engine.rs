@@ -215,7 +215,7 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
         let norm = self.cfg.norm;
         let mut seen: Vec<(ObjectId, f64)> = Vec::new(); // (id, max_dist)
         let mut kth_max = f64::INFINITY;
-        let mut k_smallest: Vec<f64> = Vec::with_capacity(k + 1);
+        let mut k_smallest: Vec<f64> = Vec::new();
         let db = self.db;
         for n in self.tree.knn_iter(q, norm) {
             if n.dist > kth_max {
@@ -269,9 +269,9 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
         let mut radii = vec![f64::INFINITY; queries.len()];
         let mut states: Vec<QState> = queries
             .iter()
-            .map(|(_, k)| QState {
+            .map(|_| QState {
                 seen: Vec::new(),
-                k_smallest: Vec::with_capacity(k + 1),
+                k_smallest: Vec::new(),
             })
             .collect();
         self.tree
@@ -391,7 +391,7 @@ pub struct Engine {
     decomps: Arc<DecompCache>,
     /// The persistent refiner/filter scratch pool.
     scratch: Arc<ScratchPool>,
-    /// Two-tier refinement counters, shared by every refiner the engine
+    /// Refinement round counter, shared by every refiner the engine
     /// builds across all calls.
     stats: Arc<RefineStats>,
     /// The WAL + checkpoint sidecar of a durable engine; `None` keeps
@@ -534,9 +534,8 @@ impl Engine {
         Ok(engine)
     }
 
-    /// The engine's two-tier refinement counters: how many rounds across
-    /// all refiners were decided by the tier-1 prefilter vs. computed by
-    /// the exact tier-2 UGF snapshot (see [`IdcaConfig::prefilter`]).
+    /// The engine's refinement round counter: how many exact UGF
+    /// snapshots its refiners computed, across all calls.
     pub fn refine_stats(&self) -> &Arc<RefineStats> {
         &self.stats
     }

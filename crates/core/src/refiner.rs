@@ -121,7 +121,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use udb_domination::{pdom_bounds_vs_fixed, PDomBounds, PairClassifier};
-use udb_genfunc::{CountDistributionBounds, MinMaxCdf, ProbAlgebra, Ugf};
+use udb_genfunc::{CountDistributionBounds, Ugf};
 use udb_object::{Database, Decomposition, ObjectId, Partition, Pdf, UncertainObject};
 
 use crate::batch::{DecompCache, ObjDecomp, SharedRefineCtx};
@@ -344,48 +344,25 @@ impl Influence {
     }
 }
 
-/// Two-tier refinement counters (shared, lock-free): how many rounds the
-/// O(n) min/max prefilter decided on its own (`tier1_skipped`) versus how
-/// many fell through to an exact UGF snapshot (`tier2_exact`). Engines
-/// attach one sink ([`Refiner::with_stats`]) to every refiner they build,
-/// so the tier-1 hit rate of a whole query (or workload) is observable.
+/// Refinement round counter (shared, lock-free): the number of exact
+/// UGF snapshots computed by the refiners it is attached to. Engines
+/// attach one sink ([`Refiner::with_stats`]) to every refiner they
+/// build, so the refinement work of a whole query (or workload) is
+/// observable.
 #[derive(Debug, Default)]
 pub struct RefineStats {
-    tier1_skipped: AtomicU64,
-    tier2_exact: AtomicU64,
+    rounds: AtomicU64,
 }
 
 impl RefineStats {
-    /// Rounds (plus top-`m` candidate drops) the cheap tier decided
-    /// without any exact UGF work.
-    pub fn tier1_skipped(&self) -> u64 {
-        self.tier1_skipped.load(Ordering::Relaxed)
-    }
-
-    /// Rounds that computed an exact UGF snapshot.
-    pub fn tier2_exact(&self) -> u64 {
-        self.tier2_exact.load(Ordering::Relaxed)
-    }
-
-    /// Total refinement rounds observed.
+    /// Refinement rounds observed: one per exact UGF snapshot.
     pub fn rounds(&self) -> u64 {
-        self.tier1_skipped() + self.tier2_exact()
+        self.rounds.load(Ordering::Relaxed)
     }
 
-    /// Fraction of rounds decided by the cheap tier (0 when idle).
-    pub fn tier1_rate(&self) -> f64 {
-        let rounds = self.rounds();
-        if rounds == 0 {
-            0.0
-        } else {
-            self.tier1_skipped() as f64 / rounds as f64
-        }
-    }
-
-    /// Resets both counters (between profile phases).
+    /// Resets the counter (between profile phases).
     pub fn reset(&self) {
-        self.tier1_skipped.store(0, Ordering::Relaxed);
-        self.tier2_exact.store(0, Ordering::Relaxed);
+        self.rounds.store(0, Ordering::Relaxed);
     }
 }
 
@@ -542,7 +519,7 @@ pub struct Refiner<'a> {
     /// When set (batched execution), the refiner's arenas return here on
     /// drop so the next refiner of the batch reuses the allocations.
     scratch_pool: Option<Arc<ScratchPool>>,
-    /// Two-tier round counters (engine-attached; `None` = not measured).
+    /// Round counter (engine-attached; `None` = not measured).
     stats: Option<Arc<RefineStats>>,
 }
 
@@ -961,10 +938,10 @@ impl<'a> Refiner<'a> {
         self
     }
 
-    /// Attaches a shared [`RefineStats`] sink: every subsequent round
-    /// increments the tier-1 (prefilter-decided) or tier-2 (exact UGF)
-    /// counter, so callers can measure the two-tier split across many
-    /// refiners. Purely observational — counting never changes results.
+    /// Attaches a shared [`RefineStats`] sink: every subsequent snapshot
+    /// increments its round counter, so callers can measure refinement
+    /// work across many refiners. Purely observational — counting never
+    /// changes results.
     pub fn with_stats(mut self, stats: Arc<RefineStats>) -> Self {
         self.stats = Some(stats);
         self
@@ -1122,7 +1099,7 @@ impl<'a> Refiner<'a> {
     /// and building the factor cache for a refiner that never iterates
     /// would be pure overhead.
     pub fn snapshot(&mut self) -> DomCountSnapshot {
-        self.note_exact();
+        self.note_round();
         if self.iteration == 0 && !self.cache_valid {
             return self.snapshot_from_scratch();
         }
@@ -1131,7 +1108,6 @@ impl<'a> Refiner<'a> {
             Ok(header) => header,
             Err(snapshot) => return snapshot,
         };
-        let truncate = k_eff;
 
         // the sink owns the refiner's persistent UGF arena for the
         // duration of the pair loop (returned below, so the steady-state
@@ -1139,17 +1115,15 @@ impl<'a> Refiner<'a> {
         let mut sink = ExactSink {
             ugf: std::mem::replace(&mut self.ugf, Ugf::new(None)),
             agg: CountDistributionBounds::zero(len),
+            k_eff,
             cdf_acc: k_eff.map(|_| (0.0f64, 0.0f64)),
         };
-        self.snapshot_pairs(truncate, k_eff, &mut sink, &|| ExactSink {
-            ugf: Ugf::new(truncate),
-            agg: CountDistributionBounds::zero(len),
-            cdf_acc: k_eff.map(|_| (0.0f64, 0.0f64)),
-        });
+        self.snapshot_pairs(&mut sink);
         let ExactSink {
             ugf,
             mut agg,
             cdf_acc,
+            ..
         } = sink;
         self.ugf = ugf;
 
@@ -1165,20 +1139,13 @@ impl<'a> Refiner<'a> {
         }
     }
 
-    /// The shared pair-loop engine behind both snapshot tiers: refreshes
-    /// the factor cache for the current refinement state — identically
-    /// for every sink, classification never depends on the algebra — and
-    /// streams each positive-weight pair's factor bounds into `sink`.
-    /// `fork` builds the chunk-private sinks of the parallel path; their
-    /// partials are absorbed in chunk order, so any given sink type
-    /// observes exactly the operation sequence the sequential path runs.
-    fn snapshot_pairs<S: PairSink>(
-        &mut self,
-        truncate: Option<usize>,
-        k_eff: Option<usize>,
-        sink: &mut S,
-        fork: &(dyn Fn() -> S + Sync),
-    ) {
+    /// The pair loop of [`Refiner::snapshot`]: refreshes the factor cache
+    /// for the current refinement state and streams each positive-weight
+    /// pair's factor bounds into `sink`. The parallel path aggregates into
+    /// chunk-private [`ExactSink::fork`]s and absorbs their partials in
+    /// chunk order: every pair sees the sequential operation sequence,
+    /// and results are deterministic for a fixed thread count.
+    fn snapshot_pairs(&mut self, sink: &mut ExactSink) {
         let n_inf = self.influence.len();
         let n_pairs = self.b_parts.len() * self.r_parts.len();
         // `old` (the previous-generation cache) and `ancestors` (each new
@@ -1269,8 +1236,6 @@ impl<'a> Refiner<'a> {
                 &mut self.open_scratch,
                 mode,
                 &self.cfg,
-                truncate,
-                k_eff,
                 sink,
             );
         } else {
@@ -1283,7 +1248,8 @@ impl<'a> Refiner<'a> {
             // one result slot per chunk, filled by the pool jobs and
             // merged in chunk order below: deterministic for a fixed
             // thread count
-            let mut results: Vec<Option<(S, Vec<u32>)>> = (0..n_chunks).map(|_| None).collect();
+            let mut results: Vec<Option<(ExactSink, Vec<u32>)>> =
+                (0..n_chunks).map(|_| None).collect();
             {
                 let b_parts = &self.b_parts;
                 let r_parts = &self.r_parts;
@@ -1293,7 +1259,7 @@ impl<'a> Refiner<'a> {
                 let old_arena = &self.open_arena;
                 let cfg = &self.cfg;
                 let mut cache_rest: &mut [FactorCache] = &mut self.cache;
-                let mut results_rest: &mut [Option<(S, Vec<u32>)>] = &mut results;
+                let mut results_rest: &mut [Option<(ExactSink, Vec<u32>)>] = &mut results;
                 let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(n_chunks);
                 for t in 0..n_chunks {
                     let start = t * chunk;
@@ -1303,8 +1269,8 @@ impl<'a> Refiner<'a> {
                     let (out, rest) = results_rest.split_at_mut(1);
                     results_rest = rest;
                     let out = &mut out[0];
+                    let mut local_sink = sink.fork();
                     jobs.push(Box::new(move || {
-                        let mut local_sink = fork();
                         // chunk-private arena segment, rebased into the
                         // shared generation after the scope
                         let mut local_arena = Vec::new();
@@ -1321,8 +1287,6 @@ impl<'a> Refiner<'a> {
                             &mut local_arena,
                             mode,
                             cfg,
-                            truncate,
-                            k_eff,
                             &mut local_sink,
                         );
                         *out = Some((local_sink, local_arena));
@@ -1438,188 +1402,17 @@ impl<'a> Refiner<'a> {
         snap.uncertainty() <= self.cfg.uncertainty_target
     }
 
-    /// Slack the tier-1 skip proofs keep between a cheap bracket and the
-    /// decision boundary it argues about. The brackets are mathematically
-    /// conservative; the margin only absorbs the O(n)-summation float
-    /// noise between the bracket computed here and the exact endpoint the
-    /// fall-through snapshot would produce, so a skip is never justified
-    /// by a bound that merely *ties* the exact value.
-    const PREFILTER_MARGIN: f64 = 1e-9;
-
-    /// Counts one exact (tier-2) snapshot into the attached stats sink.
-    fn note_exact(&self) {
+    /// Counts one snapshot round into the attached stats sink.
+    fn note_round(&self) {
         if let Some(stats) = &self.stats {
-            stats.tier2_exact.fetch_add(1, Ordering::Relaxed);
+            stats.rounds.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Tier-1 pass over the *cached* pair loop: same cache refresh as an
-    /// exact snapshot (so a same-round exact fall-through runs in `Clean`
-    /// mode and reproduces the dirty-mode aggregation bit-for-bit), but
-    /// aggregates O(n) min/max brackets instead of UGFs.
-    fn cheap_snapshot(&mut self, k_eff: usize) -> CheapAgg {
-        let truncate = Some(k_eff);
-        let mut sink = CheapSink::new(k_eff);
-        self.snapshot_pairs(truncate, Some(k_eff), &mut sink, &|| CheapSink::new(k_eff));
-        sink.agg
-    }
-
-    /// Tier-1 pass matching [`Refiner::snapshot_from_scratch`]: classifies
-    /// every pair directly, touching no cache state — the iteration-0
-    /// exact path is cache-free, and the cheap tier must leave the refiner
-    /// in the same state that path would.
-    fn cheap_from_scratch(&self, k_eff: usize) -> CheapAgg {
-        let truncate = Some(k_eff);
-        let mut sink = CheapSink::new(k_eff);
-        for bp in &self.b_parts {
-            for rp in &self.r_parts {
-                let w = bp.mass * rp.mass;
-                if w <= 0.0 {
-                    continue;
-                }
-                sink.begin_pair(truncate);
-                for inf in &self.influence {
-                    let bounds = pdom_bounds_vs_fixed(
-                        &inf.parts,
-                        &bp.mbr,
-                        &rp.mbr,
-                        self.cfg.norm,
-                        self.cfg.criterion,
-                    );
-                    let PDomBounds { lower, upper } = bounds.scale_by_existence(inf.existence);
-                    sink.factor(lower, upper);
-                }
-                sink.finish_pair(w, Some(k_eff), self.influence.len());
-            }
-        }
-        sink.agg
-    }
-
-    /// Tier-1 skip decision: `true` iff the cheap brackets *prove* that
-    /// this round's exact snapshot would neither satisfy any stop
-    /// criterion nor decide the threshold predicate (or the `goal_tau`
-    /// the lock-step driver also checks) — in which case computing it is
-    /// pure overhead and the round can go straight to [`Refiner::step`].
-    /// The cheap tier never decides an outcome; any doubt falls through
-    /// to the exact tier, which is what keeps results bit-identical with
-    /// the prefilter off.
-    fn round_skippable(&mut self, goal_tau: Option<f64>) -> bool {
-        if !self.cfg.prefilter {
-            return false;
-        }
-        if self.iteration >= self.cfg.max_iterations {
-            return false; // iteration budget: the driver stops either way
-        }
-        // the uncertainty proof needs the bracket-gap >= exact-CDF-gap
-        // counting argument, which holds only under k-truncation
-        let Some(k_eff) = self.effective_k() else {
-            return false;
-        };
-        if k_eff == 0 {
-            return false; // prologue early-exit: snapshot is trivial anyway
-        }
-        let cheap = if self.iteration == 0 && !self.cache_valid {
-            self.cheap_from_scratch(k_eff)
-        } else {
-            self.cheap_snapshot(k_eff)
-        };
-        let margin = Self::PREFILTER_MARGIN;
-        // exact predicate uncertainty >= exact cdf_hi - cdf_lo
-        //                            >= (hi_lo) - (lo_hi)  (raw brackets)
-        if cheap.hi_lo - cheap.lo_hi - margin <= self.cfg.uncertainty_target {
-            return false;
-        }
-        let pred_tau = match self.predicate {
-            Predicate::Threshold { tau, .. } => Some(tau),
-            _ => None,
-        };
-        let lo_hi = cheap.lo_hi.clamp(0.0, 1.0);
-        let hi_lo = cheap.hi_lo.clamp(0.0, 1.0);
-        for tau in [pred_tau, goal_tau].into_iter().flatten() {
-            // decided means lo > tau or hi <= tau: refute both by
-            // bracketing lo from above below tau and hi from below above
-            if lo_hi + margin > tau || hi_lo - margin <= tau {
-                return false;
-            }
-        }
-        if let Some(stats) = &self.stats {
-            stats.tier1_skipped.fetch_add(1, Ordering::Relaxed);
-        }
-        true
-    }
-
-    /// Tier-1 upfront drop for the top-`m` driver: `true` iff every
-    /// positive-weight pair certainly contributes `P(count < k) = 0.0`
-    /// *exactly*, i.e. has at least `k_eff` factors with scaled
-    /// `p_lb == 1.0`. Each such factor is a pure `x`-shift of the UGF, so
-    /// every coefficient in rows below `k_eff` is exactly `0.0` in float
-    /// (truncated or not) — the exact snapshot's predicate CDF is the
-    /// float constant `(0.0, 0.0)`, [`threshold_result`] drops the
-    /// candidate, and its zero lower bound never retires a rival. Unlike
-    /// [`Refiner::round_skippable`] this is decision-free *and*
-    /// float-noise-free, so it is safe even though top-`m` rounds can
-    /// never be skipped (rivals consume every candidate's lower bound
-    /// each round).
-    fn certainly_zero(&self) -> bool {
-        if !self.cfg.prefilter {
-            return false;
-        }
-        let Some(k_eff) = self.effective_k() else {
-            return false;
-        };
-        if k_eff == 0 {
-            // the filter alone found k certain dominators: the prologue
-            // early-exit already returns an exact (0, 0) CDF
-            if let Some(stats) = &self.stats {
-                stats.tier1_skipped.fetch_add(1, Ordering::Relaxed);
-            }
-            return true;
-        }
-        if self.influence.len() < k_eff {
-            return false;
-        }
-        let mut alg = MinMaxCdf::new(Some(k_eff));
-        for bp in &self.b_parts {
-            for rp in &self.r_parts {
-                if bp.mass * rp.mass <= 0.0 {
-                    continue;
-                }
-                ProbAlgebra::reset(&mut alg, Some(k_eff));
-                for inf in &self.influence {
-                    let bounds = pdom_bounds_vs_fixed(
-                        &inf.parts,
-                        &bp.mbr,
-                        &rp.mbr,
-                        self.cfg.norm,
-                        self.cfg.criterion,
-                    );
-                    let PDomBounds { lower, upper } = bounds.scale_by_existence(inf.existence);
-                    alg.multiply(lower, upper);
-                }
-                if alg.ones_lb() < k_eff {
-                    return false;
-                }
-            }
-        }
-        if let Some(stats) = &self.stats {
-            stats.tier1_skipped.fetch_add(1, Ordering::Relaxed);
-        }
-        true
     }
 
     /// Runs filter + iterations until the stop criterion fires; returns
-    /// the final snapshot. With [`IdcaConfig::prefilter`] on, rounds the
-    /// tier-1 brackets prove undecidable skip their exact snapshot.
+    /// the final snapshot.
     pub fn run(&mut self) -> DomCountSnapshot {
         loop {
-            if self.round_skippable(None) {
-                if self.step() {
-                    continue;
-                }
-                // exhausted right after a skip: step() mutated nothing,
-                // so this snapshot equals the one the skip elided
-                return self.snapshot();
-            }
             let snap = self.snapshot();
             if self.converged(&snap) || !self.step() {
                 return snap;
@@ -1679,9 +1472,6 @@ pub fn refine_lockstep(
         /// `None` only before the initial snapshot round.
         snap: Option<DomCountSnapshot>,
         stalled: bool,
-        /// The last round's exact snapshot was elided by the tier-1
-        /// prefilter (so `snap` is stale and must not drive retirement).
-        skipped: bool,
     }
     let lanes = candidates
         .iter()
@@ -1698,14 +1488,6 @@ pub fn refine_lockstep(
         let mut done: Vec<ThresholdResult> = Vec::new();
         for (id, mut refiner) in candidates {
             let snap = loop {
-                if refiner.round_skippable(goal.tau) {
-                    if refiner.step() {
-                        continue;
-                    }
-                    // exhausted right after a skip: state is unchanged,
-                    // so this equals the snapshot the skip elided
-                    break refiner.snapshot();
-                }
                 let snap = refiner.snapshot();
                 if goal.decided(&snap) || refiner.converged(&snap) || !refiner.step() {
                     break snap;
@@ -1728,30 +1510,18 @@ pub fn refine_lockstep(
             refiner,
             snap: None,
             stalled: false,
-            skipped: false,
         })
         .collect();
     // round 0: every candidate's initial snapshot (filter-level bounds)
     pool.fan_each(lanes, &mut active, |cand| {
-        if cand.refiner.round_skippable(goal.tau) {
-            cand.skipped = true;
-        } else {
-            cand.snap = Some(cand.refiner.snapshot());
-            cand.skipped = false;
-        }
+        cand.snap = Some(cand.refiner.snapshot());
     });
     while !active.is_empty() {
         let mut i = 0;
         while i < active.len() {
             let cand = &active[i];
-            // a skipped round is proven undecided and unconverged, so it
-            // can only be retired by stalling (which re-snapshots below)
-            if cand.stalled
-                || (!cand.skipped && {
-                    let snap = cand.snap.as_ref().expect("snapshot round completed");
-                    goal.decided(snap) || cand.refiner.converged(snap)
-                })
-            {
+            let snap = cand.snap.as_ref().expect("snapshot round completed");
+            if cand.stalled || goal.decided(snap) || cand.refiner.converged(snap) {
                 // swap-remove retirement: dropping the refiner frees its
                 // state; the final sort restores a deterministic order
                 let retired = active.swap_remove(i);
@@ -1767,20 +1537,9 @@ pub fn refine_lockstep(
         // state never crosses), so fanning is exact, not approximate
         pool.fan_each(lanes, &mut active, |cand| {
             if cand.refiner.step() {
-                if cand.refiner.round_skippable(goal.tau) {
-                    cand.skipped = true;
-                } else {
-                    cand.snap = Some(cand.refiner.snapshot());
-                    cand.skipped = false;
-                }
+                cand.snap = Some(cand.refiner.snapshot());
             } else {
                 cand.stalled = true; // decompositions exhausted: bounds final
-                if cand.skipped {
-                    // the failed step mutated nothing: this recovers the
-                    // exact snapshot the previous round's skip elided
-                    cand.snap = Some(cand.refiner.snapshot());
-                    cand.skipped = false;
-                }
             }
         });
     }
@@ -1801,18 +1560,8 @@ pub fn refine_lockstep(
 /// ([`IdcaConfig::candidate_threads`] lanes, bit-identical results at
 /// any lane count); the cross-candidate bound comparison between rounds
 /// always runs on the calling thread, over the merged snapshots.
-pub fn refine_top_m(
-    mut candidates: Vec<(ObjectId, Refiner<'_>)>,
-    m: usize,
-) -> Vec<ThresholdResult> {
+pub fn refine_top_m(candidates: Vec<(ObjectId, Refiner<'_>)>, m: usize) -> Vec<ThresholdResult> {
     assert!(m >= 1, "m must be positive");
-    // tier-1 upfront drop: a candidate whose predicate CDF is exactly
-    // (0.0, 0.0) is dropped by threshold_result on the exact path too,
-    // and its 0.0 lower bound can never retire a rival — removing it
-    // before the rounds changes nothing downstream. Rounds themselves
-    // stay exact: rivals consume every candidate's lower bound each
-    // round, so no round can be skipped.
-    candidates.retain(|(_, r)| !r.certainly_zero());
     struct Cand<'a> {
         id: ObjectId,
         /// `None` once retired (state freed; `snap` keeps the bounds).
@@ -1917,44 +1666,45 @@ fn compose_lineage(prev: Option<Vec<u32>>, next: Vec<u32>) -> Vec<u32> {
     }
 }
 
-/// The aggregation half of a snapshot pass, decoupled from the cache
-/// refresh: [`process_pair_range`] streams every positive-weight pair's
-/// factor bounds into one of these. [`ExactSink`] is the paper's §IV-E
-/// aggregation (one UGF per pair, weighted count bounds plus predicate
-/// CDF); [`CheapSink`] is the tier-1 O(n) bracket aggregation. Keeping
-/// the refresh shared guarantees both tiers maintain byte-identical
-/// cache and arena state, which is what lets a same-round exact snapshot
-/// after a cheap pass run in `Clean` mode without changing a bit.
-trait PairSink: Send {
-    /// Starts a new pair (the exact sink resets its UGF arena).
-    fn begin_pair(&mut self, truncate: Option<usize>);
-    /// One influence factor with probability bounds `[p_lb, p_ub]`.
-    fn factor(&mut self, p_lb: f64, p_ub: f64);
-    /// Ends the pair, folding its aggregate in with weight `w`.
-    fn finish_pair(&mut self, w: f64, k_eff: Option<usize>, n_inf: usize);
-    /// Folds a parallel chunk's partial (absorbed in chunk order) in.
-    fn absorb(&mut self, other: Self);
-}
-
-/// The exact (tier-2) aggregation state of one snapshot pass.
+/// The aggregation half of a snapshot pass (the paper's §IV-E): one UGF
+/// per pair, folded into weighted count bounds plus the predicate CDF.
+/// [`process_pair_range`] streams every positive-weight pair's factor
+/// bounds into one of these; the parallel path gives each chunk its own
+/// [`ExactSink::fork`] and absorbs the partials in chunk order.
 struct ExactSink {
     ugf: Ugf,
     agg: CountDistributionBounds,
+    /// The predicate's `k` net of certain dominators, which is also the
+    /// UGF truncation point (`None`: full PDF, no truncation).
+    k_eff: Option<usize>,
     cdf_acc: Option<(f64, f64)>,
 }
 
-impl PairSink for ExactSink {
-    fn begin_pair(&mut self, truncate: Option<usize>) {
-        self.ugf.reset(truncate);
+impl ExactSink {
+    /// An empty chunk-private sink of the same shape.
+    fn fork(&self) -> Self {
+        ExactSink {
+            ugf: Ugf::new(self.k_eff),
+            agg: CountDistributionBounds::zero(self.agg.len()),
+            k_eff: self.k_eff,
+            cdf_acc: self.cdf_acc.map(|_| (0.0, 0.0)),
+        }
     }
 
+    /// Starts a new pair (resets the UGF arena).
+    fn begin_pair(&mut self) {
+        self.ugf.reset(self.k_eff);
+    }
+
+    /// One influence factor with probability bounds `[p_lb, p_ub]`.
     fn factor(&mut self, p_lb: f64, p_ub: f64) {
         self.ugf.multiply(p_lb, p_ub);
     }
 
-    fn finish_pair(&mut self, w: f64, k_eff: Option<usize>, n_inf: usize) {
+    /// Ends the pair, folding its aggregate in with weight `w`.
+    fn finish_pair(&mut self, w: f64, n_inf: usize) {
         self.ugf.add_bounds_weighted(&mut self.agg, w);
-        if let (Some(k), Some(acc)) = (k_eff, self.cdf_acc.as_mut()) {
+        if let (Some(k), Some(acc)) = (self.k_eff, self.cdf_acc.as_mut()) {
             let (lo, hi) = self.ugf.cdf_bounds(k.min(n_inf + 1));
             // counts can never reach k when k > n_inf: cdf = 1
             let (lo, hi) = if k > n_inf { (1.0, 1.0) } else { (lo, hi) };
@@ -1963,68 +1713,13 @@ impl PairSink for ExactSink {
         }
     }
 
+    /// Folds a parallel chunk's partial (absorbed in chunk order) in.
     fn absorb(&mut self, other: Self) {
         self.agg.add_weighted(&other.agg, 1.0);
         if let (Some(acc), Some((lo, hi))) = (self.cdf_acc.as_mut(), other.cdf_acc) {
             acc.0 += lo;
             acc.1 += hi;
         }
-    }
-}
-
-/// Weighted sums of the tier-1 brackets around the exact predicate CDF:
-/// `lo_hi` upper-bounds the exact CDF *lower* endpoint and `hi_lo`
-/// lower-bounds the exact *upper* endpoint (both raw, unclamped — the
-/// skip proofs need the raw gap for the uncertainty bound).
-#[derive(Debug, Clone, Copy)]
-struct CheapAgg {
-    lo_hi: f64,
-    hi_lo: f64,
-}
-
-/// The cheap (tier-1) aggregation state: one [`MinMaxCdf`] per pair.
-struct CheapSink {
-    alg: MinMaxCdf,
-    agg: CheapAgg,
-}
-
-impl CheapSink {
-    fn new(k_eff: usize) -> Self {
-        CheapSink {
-            alg: MinMaxCdf::new(Some(k_eff)),
-            agg: CheapAgg {
-                lo_hi: 0.0,
-                hi_lo: 0.0,
-            },
-        }
-    }
-}
-
-impl PairSink for CheapSink {
-    fn begin_pair(&mut self, truncate: Option<usize>) {
-        ProbAlgebra::reset(&mut self.alg, truncate);
-    }
-
-    fn factor(&mut self, p_lb: f64, p_ub: f64) {
-        self.alg.multiply(p_lb, p_ub);
-    }
-
-    fn finish_pair(&mut self, w: f64, k_eff: Option<usize>, n_inf: usize) {
-        let k = k_eff.expect("cheap tier runs only under a count predicate");
-        if k > n_inf {
-            // counts can never reach k: the exact CDF is exactly (1, 1)
-            self.agg.lo_hi += w;
-            self.agg.hi_lo += w;
-        } else {
-            let ((_, lo_hi), (hi_lo, _)) = self.alg.cdf_brackets(k);
-            self.agg.lo_hi += w * lo_hi;
-            self.agg.hi_lo += w * hi_lo;
-        }
-    }
-
-    fn absorb(&mut self, other: Self) {
-        self.agg.lo_hi += other.agg.lo_hi;
-        self.agg.hi_lo += other.agg.hi_lo;
     }
 }
 
@@ -2036,7 +1731,7 @@ impl PairSink for CheapSink {
 /// point into. Shared by the sequential and pool-parallel snapshot paths
 /// so both produce the same per-pair operation sequence.
 #[allow(clippy::too_many_arguments)]
-fn process_pair_range<S: PairSink>(
+fn process_pair_range(
     start: usize,
     end: usize,
     b_parts: &[Partition],
@@ -2049,9 +1744,7 @@ fn process_pair_range<S: PairSink>(
     arena: &mut Vec<u32>,
     mode: RefreshMode,
     cfg: &IdcaConfig,
-    truncate: Option<usize>,
-    k_eff: Option<usize>,
-    sink: &mut S,
+    sink: &mut ExactSink,
 ) {
     let n_inf = influence.len();
     let r_len = r_parts.len();
@@ -2076,7 +1769,7 @@ fn process_pair_range<S: PairSink>(
         if let Some(pc) = pc.as_mut() {
             pc.retarget(&bp.mbr, &rp.mbr);
         }
-        sink.begin_pair(truncate);
+        sink.begin_pair();
         for ((inf_idx, (inf, offsets)), slot) in influence
             .iter()
             .zip(inf_offsets)
@@ -2157,7 +1850,7 @@ fn process_pair_range<S: PairSink>(
             }
             sink.factor(slot.bounds.lower, slot.bounds.upper);
         }
-        sink.finish_pair(w, k_eff, n_inf);
+        sink.finish_pair(w, n_inf);
     }
 }
 

@@ -392,7 +392,7 @@ impl<'a> ShardRef<'a> {
         let db = self.dbs[s];
         let mut entries: Vec<(f64, ObjectId)> = Vec::new();
         let mut local_kth = f64::INFINITY;
-        let mut k_smallest: Vec<f64> = Vec::with_capacity(k + 1);
+        let mut k_smallest: Vec<f64> = Vec::new();
         for n in self.trees[s].knn_iter(q, norm) {
             if n.dist > local_kth {
                 break;
@@ -426,7 +426,7 @@ impl<'a> ShardRef<'a> {
         let mut streams: Vec<_> = streams.into_iter().map(Iterator::peekable).collect();
         let mut seen: Vec<(ObjectId, f64)> = Vec::new(); // (gid, min_dist)
         let mut kth_max = f64::INFINITY;
-        let mut k_smallest: Vec<f64> = Vec::with_capacity(k + 1);
+        let mut k_smallest: Vec<f64> = Vec::new();
         loop {
             let mut best: Option<(usize, f64)> = None;
             for (s, stream) in streams.iter_mut().enumerate() {

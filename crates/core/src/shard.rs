@@ -113,7 +113,7 @@ pub struct ShardedEngine {
     decomps: Arc<DecompCache>,
     /// Router-level refiner/filter scratch pool.
     scratch: Arc<ScratchPool>,
-    /// Router-level two-tier refinement counters. Stays at zero while
+    /// Router-level refinement round counter. Stays at zero while
     /// queries delegate to a single shard — the 1-shard plain-path
     /// assertion the equivalence suite checks.
     stats: Arc<RefineStats>,
@@ -304,7 +304,7 @@ impl ShardedEngine {
         self.shards.iter().map(Engine::recovery_report).collect()
     }
 
-    /// The *router-level* two-tier refinement counters: advanced only
+    /// The *router-level* refinement round counter: advanced only
     /// by cross-shard query plans. A one-shard engine delegates to the
     /// shard's own pipeline, so these stay at zero — the plain-path
     /// assertion.

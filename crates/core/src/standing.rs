@@ -435,7 +435,7 @@ fn knn_guard<'a, P: QueryPlane<'a>>(
     norm: udb_geometry::LpNorm,
 ) -> KnnGuard {
     let mut cands = Vec::with_capacity(cand_ids.len());
-    let mut k_smallest: Vec<f64> = Vec::with_capacity(k + 1);
+    let mut k_smallest: Vec<f64> = Vec::new();
     let mut d_k = f64::INFINITY;
     let mut rho = f64::NEG_INFINITY;
     for &id in cand_ids {

@@ -23,14 +23,12 @@
 //! upper bounds on `P(count = k)` with the CDF/uncertainty helpers the
 //! query layer needs.
 
-pub mod algebra;
 pub mod bounds;
 pub mod classic;
 pub mod poisson;
 pub mod reference;
 pub mod ugf;
 
-pub use algebra::{MinMaxCdf, ProbAlgebra};
 pub use bounds::CountDistributionBounds;
 pub use classic::{two_gf_bounds, ClassicGf};
 pub use poisson::poisson_binomial;

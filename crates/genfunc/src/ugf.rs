@@ -133,7 +133,7 @@ impl Ugf {
     #[inline]
     fn geometry(&self, conv: usize) -> (usize, usize) {
         match self.truncate_at {
-            Some(k) => (conv.min(k) + 1, (conv + 1).min(k + 2)),
+            Some(k) => (conv.min(k) + 1, (conv + 1).min(k.saturating_add(2))),
             None => (conv + 1, conv + 1),
         }
     }
@@ -283,7 +283,7 @@ impl Ugf {
         let k = k - self.shift;
         let (rows, l0) = self.geometry(self.conv);
         let mut sum = 0.0;
-        for i in 0..rows.min(k + 1) {
+        for i in 0..rows.min(k.saturating_add(1)) {
             let base = Self::offset(i, l0);
             // j ≥ k − i contributes; smaller j cannot reach k
             for j in (k - i)..(l0 - i) {

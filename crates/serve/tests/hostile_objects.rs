@@ -3,6 +3,10 @@
 //! refused with `ERR` and leave the served state untouched, never panic
 //! the server or be inserted and answered. Derived fields a client sends
 //! (the region, normalizations, running sums) are recomputed, never read.
+//! A client-chosen `k` or `m` far beyond the object count is a valid
+//! query: it must get the same answer as `k` (or `m`) equal to the
+//! object count, not crash the server on an oversized reservation or
+//! overflowing arithmetic.
 
 use udb_core::IdcaConfig;
 use udb_geometry::{Interval, Point, Rect};
@@ -229,5 +233,63 @@ fn hostile_objects_reply_err_and_change_nothing() {
         }
     }
     let (after, _) = server.execute_batch(&probes());
+    assert_eq!(before, after, "served state changed");
+}
+
+/// The query and standing-query verbs at `k = m = size`; each `SUB` is
+/// followed by its `UNSUB` so the served state ends where it began.
+fn size_probes(size: &str, q: &str) -> Vec<String> {
+    let mut lines = vec![
+        format!("KNN {size} 0.3 {q}"),
+        format!("RKNN {size} 0.3 {q}"),
+        format!("TOPM {size} {q}"),
+    ];
+    for sub in [
+        format!("SUB KNN {size} 0.3 {q}"),
+        format!("SUB RKNN {size} 0.3 {q}"),
+        format!("SUB TOPM {size} {q}"),
+    ] {
+        lines.push(sub);
+        lines.push("UNSUB <last>".to_owned());
+    }
+    lines
+}
+
+/// Runs `lines` one at a time, filling each `UNSUB <last>` with the id
+/// of the preceding `SUB` reply; returns the replies with `SUB` ids
+/// masked (ids differ between runs, results must not).
+fn run_masking_sids(server: &mut Server, lines: &[String]) -> Vec<String> {
+    let mut sid = String::new();
+    let mut replies = Vec::new();
+    for line in lines {
+        let line = line.replace("<last>", &sid);
+        let (reply, quit) = server.execute_batch(std::slice::from_ref(&line));
+        assert!(!quit);
+        let reply = reply.into_iter().next().expect("one reply per line");
+        assert!(!reply.starts_with("ERR"), "{line:.60} answered {reply:?}");
+        let masked = if let Some(rest) = reply.strip_prefix("SUB ") {
+            let (id, res) = rest.split_once(' ').expect("SUB <sid> RES ...");
+            sid = id.to_owned();
+            format!("SUB <sid> {res}")
+        } else {
+            reply.replace(&format!("OK unsub {sid}"), "OK unsub <sid>")
+        };
+        replies.push(masked);
+    }
+    replies
+}
+
+#[test]
+fn absurd_k_and_m_answer_like_the_object_count() {
+    let mut server = seeded_server();
+    let q = json(&UncertainObject::certain(Point::from([0.5, 0.5])));
+    let stats = ["STATS".to_owned()];
+    let (before, _) = server.execute_batch(&stats);
+    let expected = run_masking_sids(&mut server, &size_probes("30", &q));
+    for size in [(1u64 << 32).to_string(), u64::MAX.to_string()] {
+        let replies = run_masking_sids(&mut server, &size_probes(&size, &q));
+        assert_eq!(replies, expected, "k = m = {size}");
+    }
+    let (after, _) = server.execute_batch(&stats);
     assert_eq!(before, after, "served state changed");
 }

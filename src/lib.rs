@@ -73,7 +73,7 @@ pub mod prelude {
         ThresholdResult, WalRecord, WorkerPool,
     };
     pub use udb_domination::{DominationCriterion, PDomBounds};
-    pub use udb_genfunc::{CountDistributionBounds, MinMaxCdf, ProbAlgebra, Ugf};
+    pub use udb_genfunc::{CountDistributionBounds, Ugf};
     pub use udb_geometry::{Interval, LpNorm, Point, Rect};
     pub use udb_index::RTree;
     pub use udb_mc::MonteCarlo;
