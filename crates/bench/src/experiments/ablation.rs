@@ -1,4 +1,5 @@
-//! Ablations for the design choices DESIGN.md calls out.
+//! Ablations of three design choices: UGF vs two regular generating
+//! functions (§IV-D), the kd-split strategy, and UGF truncation (§VI).
 
 use udb_core::{IdcaConfig, ObjRef, Predicate, Refiner};
 use udb_domination::{pdom_bounds_vs_fixed, DominationCriterion};

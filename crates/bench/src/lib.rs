@@ -1,9 +1,9 @@
 //! Experiment harness regenerating every figure of the paper's evaluation
-//! (§VII) plus the ablations called out in DESIGN.md.
+//! (§VII) plus three ablations of design choices: UGF vs two regular
+//! generating functions, the kd-split strategy and UGF truncation.
 //!
 //! Each `fig*` function returns a [`Table`] with the same series the paper
-//! plots; the `experiments` binary prints them as CSV/JSON, and
-//! EXPERIMENTS.md records paper-vs-measured shapes. All experiments accept
+//! plots; the `experiments` binary prints them as CSV/JSON. All experiments accept
 //! a [`Scale`] so CI runs shrink the datasets while `--paper` reproduces
 //! the full parameters.
 

@@ -118,12 +118,16 @@ fn write_string(s: &str, out: &mut String) {
 // ---- parser ----------------------------------------------------------------
 
 struct Parser<'a> {
+    /// The input; already valid UTF-8, so string characters decode in
+    /// place.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -299,11 +303,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // re-decode UTF-8 starting at the byte we consumed
+                    // decode the one character starting at the byte we
+                    // consumed (`pos` only ever stops on a character
+                    // boundary: every other step consumes ASCII)
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| Error::msg("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
+                    let c = self.text[start..]
+                        .chars()
+                        .next()
+                        .expect("a string character");
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -445,6 +452,36 @@ mod tests {
     fn rejects_trailing_garbage_and_nan() {
         assert!(from_str::<f64>("1.0 x").is_err());
         assert!(to_string(&f64::NAN).is_err());
+    }
+
+    #[test]
+    fn strings_decode_multibyte_characters_and_every_escape() {
+        let json = r#"{"ключ €":"a\"b\\c\/d\be\ff\ng\rh\ti\u00e9j","𝄞":"ü→𝄞"}"#;
+        let v: ValueWrap = from_str(json).unwrap();
+        assert_eq!(
+            v.0,
+            Value::Map(vec![
+                (
+                    "ключ €".into(),
+                    Value::Str("a\"b\\c/d\u{8}e\u{c}f\ng\rh\ti\u{e9}j".into())
+                ),
+                ("𝄞".into(), Value::Str("ü→𝄞".into())),
+            ])
+        );
+        // a round trip through the writer keeps every character
+        let back: ValueWrap = from_str(&to_string(&v).unwrap()).unwrap();
+        assert_eq!(back.0, v.0);
+        for bad in [r#""\x""#, r#""\u00""#, r#""abc"#, r#""\"#] {
+            assert!(from_str::<ValueWrap>(bad).is_err(), "accepted `{bad}`");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // a quadratic decoder takes minutes on this input
+        let long = "é".repeat(1 << 20);
+        let v: ValueWrap = from_str(&format!("{{\"{long}\":1}}")).unwrap();
+        assert_eq!(v.0, Value::Map(vec![(long, Value::U64(1))]));
     }
 
     #[test]

@@ -311,45 +311,38 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
         }
     }
 
-    /// Index probe of the RkNN prefilter: `true` once `k` objects (other
-    /// than `B`) certainly dominate `q` w.r.t. reference `B`. Any
-    /// dominating `A` satisfies `MinDist(A, B) < MinDist(q, B)` (for
-    /// every placement `a`, `b`: `d(a, b) < d(q, b)`), so a bounded tree
-    /// probe within that radius — recursive and allocation-free via
-    /// [`RTree::for_each_within_distance`] — covers every possible
-    /// dominator; the criterion test itself matches the scan path's, so
-    /// the two prefilters skip exactly the same objects.
-    fn certain_dominators_reach(
+    /// One walk of the R-tree ([`RTree::for_each_unpruned`]).
+    fn for_each_unvetoed(
         &self,
-        q: &UncertainObject,
-        b_obj: &UncertainObject,
-        b_id: ObjectId,
-        k: usize,
+        mut veto: impl FnMut(&Rect) -> bool,
+        mut f: impl FnMut(ObjectId, &'a UncertainObject),
+    ) {
+        let db = self.db;
+        self.tree
+            .for_each_unpruned(&mut veto, &mut |&id| f(id, db.get(id)));
+    }
+
+    /// A bounded tree probe, recursive and allocation-free via
+    /// [`RTree::for_each_within_distance`], that stops at `cap`.
+    fn dominators_reach(
+        &self,
+        region: &Rect,
+        radius: f64,
+        exclude: Option<ObjectId>,
+        cap: usize,
+        dominates: impl Fn(&Rect) -> bool + Sync,
     ) -> bool {
-        let cfg = self.cfg;
-        let radius = q.mbr().min_dist_rect(b_obj.mbr(), cfg.norm);
-        if radius <= 0.0 {
-            // overlapping MBRs: in some world q is at distance 0 from B,
-            // which no object can strictly beat
-            return false;
-        }
         let db = self.db;
         let mut count = 0usize;
         self.tree
-            .for_each_within_distance(b_obj.mbr(), radius, cfg.norm, &mut |&id| {
+            .for_each_within_distance(region, radius, self.cfg.norm, &mut |&id| {
                 let a = db.get(id);
-                // only certainly existing objects are certain dominators
-                if id != b_id
-                    && a.existence() >= 1.0
-                    && cfg
-                        .criterion
-                        .dominates(a.mbr(), q.mbr(), b_obj.mbr(), cfg.norm)
-                {
+                if Some(id) != exclude && a.existence() >= 1.0 && dominates(a.mbr()) {
                     count += 1;
                 }
-                count < k
+                count < cap
             });
-        count >= k
+        count >= cap
     }
 }
 
@@ -970,6 +963,20 @@ impl Engine {
 
     /// Probabilistic threshold reverse kNN (Corollary 5), semantics of
     /// [`crate::scan::rknn_threshold`] (sorted by id).
+    ///
+    /// `B` is an answer only if fewer than `k` objects certainly
+    /// dominate `q` w.r.t. `B`. The scan probes that count for every
+    /// live object; the engine walks the R-tree instead and skips a
+    /// whole subtree when `k + 1` certainly existing objects *robustly*
+    /// dominate `q` w.r.t. its box. Domination only gets easier as the
+    /// reference shrinks from the box to any `B` inside it, and a
+    /// robust decision survives that shrinking in floating point, so
+    /// all `k + 1` dominate `q` w.r.t. `B` too; at most one of them is
+    /// `B` itself, so the per-object probe would have vetoed `B` as
+    /// well. Objects in unskipped leaves get the per-object probe. The
+    /// survivors are therefore exactly the scan's, refined in the same
+    /// id order, with bit-identical answers (the full argument is on
+    /// the RkNN candidate enumeration in `crate::router`).
     pub fn rknn_threshold(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
         assert!(k >= 1, "k must be positive");
         assert!((0.0..1.0).contains(&tau), "tau must be in [0, 1)");
@@ -1011,7 +1018,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan;
+    use crate::{scan, ShardedEngine};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use udb_geometry::{LpNorm, Point};
     use udb_pdf::Pdf;
     use udb_workload::{QuerySet, SyntheticConfig};
@@ -1201,26 +1210,141 @@ mod tests {
         }
     }
 
+    /// RkNN edge cases in one database: uniform boxes, certain points,
+    /// objects that may be absent, exact copies of earlier objects
+    /// (coincident MBRs) and boxes nested inside earlier ones.
+    fn rknn_fixture(seed: u64, n: usize) -> Database {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut objects: Vec<UncertainObject> = Vec::with_capacity(n);
+        while objects.len() < n {
+            let c = Point::from([rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]);
+            let pdf = match rng.gen_range(0..6) {
+                0 => Pdf::uniform(Rect::from_point(&c)),
+                1 if !objects.is_empty() => objects[rng.gen_range(0..objects.len())].pdf().clone(),
+                2 if !objects.is_empty() => {
+                    let outer = objects[rng.gen_range(0..objects.len())].mbr();
+                    let shrink = rng.gen_range(0.0..1.0);
+                    let half: Vec<f64> = outer
+                        .intervals()
+                        .iter()
+                        .map(|iv| 0.5 * shrink * (iv.hi() - iv.lo()))
+                        .collect();
+                    Pdf::uniform(Rect::centered(&outer.center(), &half))
+                }
+                _ => {
+                    let half = [rng.gen_range(0.0..0.02), rng.gen_range(0.0..0.02)];
+                    Pdf::uniform(Rect::centered(&c, &half))
+                }
+            };
+            let existence = if rng.gen_bool(0.2) {
+                rng.gen_range(0.3..1.0)
+            } else {
+                1.0
+            };
+            objects.push(UncertainObject::with_existence(pdf, existence));
+        }
+        Database::from_objects(objects)
+    }
+
+    /// Bit-exact comparison of two RkNN answers.
+    fn assert_same_bits(a: &[ThresholdResult], b: &[ThresholdResult], what: &str) {
+        let bits = |r: &[ThresholdResult]| -> Vec<(ObjectId, u64, u64)> {
+            r.iter()
+                .map(|x| (x.id, x.prob_lower.to_bits(), x.prob_upper.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(a), bits(b), "{what}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+        /// The index-driven enumeration with its node veto keeps exactly
+        /// the scan oracle's survivors: at `tau = 0` every object that
+        /// is not vetoed is refined and answered, so equal answers mean
+        /// equal survivor sets, at 1, 2 and 4 shards.
+        #[test]
+        fn rknn_prefilter_probe_matches_scan_prefilter(seed in 0u64..1_000_000, n in 300usize..700) {
+            let db = rknn_fixture(seed, n);
+            let cfg = IdcaConfig {
+                max_iterations: 2,
+                ..Default::default()
+            };
+            let single = Engine::with_config(db.clone(), cfg.clone());
+            assert!(single.tree().height() >= 3, "tree too shallow");
+            let sharded: Vec<ShardedEngine> = [2, 4]
+                .iter()
+                .map(|&s| ShardedEngine::with_config(db.clone(), cfg.clone(), s))
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xA5A5);
+            let some = |rng: &mut StdRng| db.get(ObjectId(rng.gen_range(0..n as u32))).clone();
+            let queries = [
+                // a point query, a box query and a query coincident with
+                // a database object
+                UncertainObject::certain(Point::from([rng.gen_range(0.0..1.0), 0.5])),
+                UncertainObject::new(Pdf::uniform(Rect::centered(
+                    &Point::from([rng.gen_range(0.0..1.0), rng.gen_range(0.0..1.0)]),
+                    &[0.01, 0.03],
+                ))),
+                some(&mut rng),
+            ];
+            for q in &queries {
+                for k in [1usize, 2, 5] {
+                    let want = scan::rknn_threshold(&db, &cfg, q, k, 0.0);
+                    assert_same_bits(&single.rknn_threshold(q, k, 0.0), &want, "1 shard");
+                    for engine in &sharded {
+                        let got = engine.rknn_threshold(q, k, 0.0);
+                        assert_same_bits(&got, &want, "sharded");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
-    fn rknn_prefilter_probe_matches_scan_prefilter() {
-        // the within-distance probe must skip exactly the objects the
-        // scan path's certain-dominator cap skips: compare the surviving
-        // id sets end-to-end at a tau where everything undecided survives
-        let (db, cfg) = synthetic(200);
-        let qs = QuerySet::generate(&db, &cfg, 2, 10, LpNorm::L2, 83);
-        let engine = Engine::new(db.clone());
+    fn node_veto_needs_k_dominators_besides_a_member() {
+        // leaf A: 16 far objects; leaf B: a cluster near (10, 0) whose
+        // only certainly existing member `b` robustly dominates q w.r.t.
+        // the whole leaf box — the leaf's only robust dominator
+        let q = UncertainObject::certain(Point::from([0.0, 0.0]));
+        let mut objects: Vec<UncertainObject> = (0..16)
+            .map(|i| UncertainObject::certain(Point::from([-100.0 + i as f64, 50.0])))
+            .collect();
+        objects.push(UncertainObject::certain(Point::from([10.0, 0.0])));
+        let b = ObjectId(16);
+        for i in 0..15 {
+            let p = Point::from([10.0 + 0.01 * i as f64, 0.05]);
+            objects.push(UncertainObject::with_existence(
+                Pdf::uniform(Rect::from_point(&p)),
+                0.5,
+            ));
+        }
+        let db = Database::from_objects(objects);
         let cfg = IdcaConfig::default();
-        for (r, _) in qs.iter() {
-            let a: Vec<ObjectId> = engine
-                .rknn_threshold(r, 1, 0.0)
-                .iter()
-                .map(|x| x.id)
-                .collect();
-            let b: Vec<ObjectId> = scan::rknn_threshold(&db, &cfg, r, 1, 0.0)
-                .iter()
-                .map(|x| x.id)
-                .collect();
-            assert_eq!(a, b);
+        let engine = Engine::with_config(db.clone(), cfg.clone());
+        assert_eq!(engine.tree().height(), 2);
+        let mut leaf_b = None;
+        engine.tree().for_each_unpruned(
+            &mut |r| {
+                if r.contains_rect(db.get(b).mbr()) {
+                    leaf_b = Some(r.clone());
+                }
+                true
+            },
+            &mut |_| {},
+        );
+        let leaf_b = leaf_b.expect("b's leaf box");
+        let plane = engine.parts();
+        // one robust dominator: it vetoes at k = 0 (cap 1), not at k = 1
+        assert!(plane.node_vetoed(&q, &leaf_b, 0));
+        assert!(!plane.node_vetoed(&q, &leaf_b, 1));
+        // so b survives — no object besides itself dominates q w.r.t. b
+        // — while its cluster mates are vetoed by b
+        for shards in [1, 2, 4] {
+            let sharded = ShardedEngine::with_config(db.clone(), cfg.clone(), shards);
+            let got = sharded.rknn_threshold(&q, 1, 0.0);
+            assert_same_bits(&got, &scan::rknn_threshold(&db, &cfg, &q, 1, 0.0), "oracle");
+            assert!(got.iter().any(|r| r.id == b), "b vetoed at {shards} shards");
+            assert!(got.iter().all(|r| r.id.0 < 17), "a cluster mate survived");
         }
     }
 

@@ -5,7 +5,7 @@
 //! candidate generation dispatch, the kNN/RkNN/top-`m` refinement
 //! drivers, batch fan-out over worker-pool lanes — moved verbatim from
 //! the single-engine `EngineRef`, which now implements only the storage
-//! primitives (classify, candidate streams, prefilter probes) the
+//! primitives (classify, candidate streams, veto probes) the
 //! drivers are written against. [`ShardRef`] implements the same
 //! primitives over N shard databases/indexes, so the sharded router and
 //! the plain engine execute literally the same driver code: their
@@ -35,15 +35,17 @@
 //!   streams under one global `tighten_dk` bound reproduces the exact
 //!   candidate set (`tests/sharded_equivalence.rs` proves all of this
 //!   bit-for-bit at 1/2/4 shards).
-//! * **The RkNN prefilter exchange only vetoes.** Each shard reports
-//!   its capped certain-dominator count inside the probe radius; the
-//!   router sums them and drops the candidate once the sum reaches
-//!   `k`. A shard can veto a candidate, never add one, and
-//!   `Σ_s min(count_s, k) ≥ k ⇔ Σ_s count_s ≥ k`, so the sharded
-//!   prefilter skips exactly the objects the single-engine probe skips.
+//! * **The RkNN veto exchange only vetoes.** Each shard reports its
+//!   capped dominator count inside the probe radius; the router sums
+//!   them and vetoes once the sum reaches the cap (`k` for an object,
+//!   `k + 1` for an index box). A shard can veto a candidate, never
+//!   add one, and `Σ_s min(count_s, c) ≥ c ⇔ Σ_s count_s ≥ c`, so both
+//!   vetoes decide exactly as on the single engine. A box veto is exact
+//!   on any tree (see [`QueryPlane::rknn_candidates`]), so the
+//!   per-shard walks keep exactly the single engine's survivors.
 //!
 //! Every per-shard unit above — the classify walk, the candidate-stream
-//! materialization, the veto probe — is independent until its merge, so
+//! materialization, the veto probes — is independent until its merge, so
 //! [`IdcaConfig::shard_threads`] fans them over worker-pool lanes while
 //! every merge and decision (the k-way merge under the global
 //! `tighten_dk` bound, count summing, the influence sort) stays on the
@@ -68,7 +70,8 @@ use crate::refiner::{refine_lockstep, refine_top_m, DbView, RefineStats, Refiner
 struct QueryTask<'a> {
     query: QueryView<'a>,
     /// Index-driven candidates from the grouped descent (kNN-style
-    /// queries only; RkNN prefilters per database object instead).
+    /// queries only; RkNN enumerates its own, see
+    /// [`QueryPlane::rknn_candidates`]).
     candidates: Vec<ObjectId>,
     out: Vec<ThresholdResult>,
 }
@@ -110,19 +113,31 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
     /// by id.
     fn knn_candidates_batch(&self, queries: &[(Rect, usize)]) -> Vec<Vec<ObjectId>>;
 
-    /// Visits every live object in ascending id order (the RkNN
-    /// pipeline's candidate enumeration).
+    /// Visits every live object in ascending id order (the standing
+    /// RkNN guard's enumeration).
     fn for_each_object(&self, f: impl FnMut(ObjectId, &'a UncertainObject));
 
-    /// Index probe of the RkNN prefilter: `true` once `k` objects
-    /// (other than `b_id`) certainly dominate `q` w.r.t. reference
-    /// `b_obj`.
-    fn certain_dominators_reach(
+    /// Visits every live object outside the index subtrees `veto`
+    /// rejects (it is asked about every inner R-tree box), in no
+    /// particular order — the RkNN candidate enumeration.
+    fn for_each_unvetoed(
         &self,
-        q: &UncertainObject,
-        b_obj: &UncertainObject,
-        b_id: ObjectId,
-        k: usize,
+        veto: impl FnMut(&Rect) -> bool,
+        f: impl FnMut(ObjectId, &'a UncertainObject),
+    );
+
+    /// Index probe shared by both RkNN vetoes: `true` once at least
+    /// `cap` certainly existing objects other than `exclude`, with MBRs
+    /// within MinDist `radius` of `region`, pass `dominates`. Only
+    /// certainly existing objects count: an object that may be absent
+    /// dominates in no world where it is missing.
+    fn dominators_reach(
+        &self,
+        region: &Rect,
+        radius: f64,
+        exclude: Option<ObjectId>,
+        cap: usize,
+        dominates: impl Fn(&Rect) -> bool + Sync,
     ) -> bool;
 
     // ------------------------------------------------------------------
@@ -158,10 +173,98 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         refine_lockstep(refiners, goal)
     }
 
-    /// The RkNN-threshold pipeline (Corollary 5): every database object
-    /// `B` is prefiltered with an index probe — counting objects that
-    /// certainly dominate `q` w.r.t. `B` without building a refiner —
-    /// and the survivors refine in lock-step with mid-loop retirement.
+    /// The per-object RkNN veto: `true` once `k` objects other than `B`
+    /// certainly dominate `q` w.r.t. reference `B`, so that
+    /// `P(DomCount(q, B) < k)` is certainly 0. Any dominating `A`
+    /// satisfies `MinDist(A, B) < MinDist(q, B)` (for every placement
+    /// `a`, `b`: `d(a, b) < d(q, b)`), so a probe within that radius
+    /// covers every possible dominator; the criterion test is the scan
+    /// path's ([`crate::scan::certain_dominators_of`]), so both skip
+    /// exactly the same objects.
+    fn certain_dominators_reach(
+        &self,
+        q: &UncertainObject,
+        b_obj: &UncertainObject,
+        b_id: ObjectId,
+        k: usize,
+    ) -> bool {
+        let cfg = self.cfg();
+        let radius = q.mbr().min_dist_rect(b_obj.mbr(), cfg.norm);
+        if radius <= 0.0 {
+            // overlapping MBRs: in some world q is at distance 0 from B,
+            // which no object can strictly beat
+            return false;
+        }
+        let pc = PairClassifier::new(q.mbr(), b_obj.mbr(), cfg.criterion, cfg.norm);
+        self.dominators_reach(b_obj.mbr(), radius, Some(b_id), k, |a| {
+            pc.classify(a).decision == Some(true)
+        })
+    }
+
+    /// The node veto: `true` when at least `k + 1` certainly existing
+    /// objects *robustly* dominate `q` w.r.t. the whole index box
+    /// `node`, so that every object below it fails
+    /// [`QueryPlane::certain_dominators_reach`] (see
+    /// [`QueryPlane::rknn_candidates`] for why). The probe radius is
+    /// `MinDist(q, node)`, by the per-object argument with `node` as the
+    /// reference; a box overlapping `q` is never vetoed.
+    fn node_vetoed(&self, q: &UncertainObject, node: &Rect, k: usize) -> bool {
+        let cfg = self.cfg();
+        let radius = q.mbr().min_dist_rect(node, cfg.norm);
+        if radius <= 0.0 {
+            return false;
+        }
+        let pc = PairClassifier::new(q.mbr(), node, cfg.criterion, cfg.norm);
+        self.dominators_reach(node, radius, None, k.saturating_add(1), |a| {
+            let d = pc.classify(a);
+            d.decision == Some(true) && d.robust
+        })
+    }
+
+    /// The RkNN candidate enumeration: the ids, ascending, of every live
+    /// object `B` that [`QueryPlane::certain_dominators_reach`] does not
+    /// veto — found by walking the index and vetoing whole subtrees
+    /// ([`QueryPlane::node_vetoed`]) instead of probing every object.
+    ///
+    /// # Why the node veto is exact
+    ///
+    /// The surviving set is exactly the per-object one. Objects in
+    /// unvetoed leaves get the per-object test itself. For an object `B`
+    /// below a vetoed box `N` (so `B ⊆ N`), take the `k + 1` objects
+    /// that robustly dominate `q` w.r.t. `N`:
+    ///
+    /// * Both decision sums of the criterion are monotone under
+    ///   shrinking the reference region, and a *robust* decision clears
+    ///   float noise by a margin, so it is stable under that shrinking
+    ///   ([`udb_domination::DominationCriterion::classify`]): each of
+    ///   them also certainly dominates `q` w.r.t. `B`.
+    /// * Each of them is a certain dominator w.r.t. `B`, so it lies
+    ///   within the per-object probe radius `MinDist(q, B)`.
+    /// * The per-object probe excludes `B` itself, which may be one of
+    ///   the `k + 1`; at least `k` others remain.
+    ///
+    /// So the per-object probe would reach `k` and veto `B` as well.
+    /// Survivors are sorted by id, so refiners are built in the same
+    /// order as the per-object scan and the answers are bit-identical.
+    fn rknn_candidates(&self, q: &UncertainObject, k: usize) -> Vec<ObjectId> {
+        let mut survivors = Vec::new();
+        self.for_each_unvetoed(
+            |node| self.node_vetoed(q, node, k),
+            |b_id, b_obj| {
+                if !self.certain_dominators_reach(q, b_obj, b_id, k) {
+                    survivors.push(b_id);
+                }
+            },
+        );
+        survivors.sort_unstable();
+        survivors
+    }
+
+    /// The RkNN-threshold pipeline (Corollary 5): the index-driven
+    /// candidate enumeration ([`QueryPlane::rknn_candidates`]) drops
+    /// every object `B` that `k` others certainly dominate `q` w.r.t.,
+    /// without building a refiner, and the survivors refine in
+    /// lock-step with mid-loop retirement.
     fn rknn_threshold_pipeline(
         &self,
         q: &'a UncertainObject,
@@ -170,19 +273,19 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         shared: BatchShared<'_>,
     ) -> Vec<ThresholdResult> {
         let goal = RefineGoal::threshold(k, tau);
-        let mut refiners = Vec::new();
-        self.for_each_object(|b_id, b_obj| {
-            if self.certain_dominators_reach(q, b_obj, b_id, k) {
-                return; // P(DomCount < k) is certainly 0
-            }
-            refiners.push((
-                b_id,
-                attach(
-                    self.refiner(ObjRef::External(q), ObjRef::Db(b_id), goal.predicate()),
-                    shared,
-                ),
-            ));
-        });
+        let refiners = self
+            .rknn_candidates(q, k)
+            .into_iter()
+            .map(|b_id| {
+                (
+                    b_id,
+                    attach(
+                        self.refiner(ObjRef::External(q), ObjRef::Db(b_id), goal.predicate()),
+                        shared,
+                    ),
+                )
+            })
+            .collect();
         refine_lockstep(refiners, goal)
     }
 
@@ -460,30 +563,24 @@ impl<'a> ShardRef<'a> {
             .collect()
     }
 
-    /// One shard's certain-dominator probe inside the veto radius,
-    /// stopping early once `cap` dominators are found (`cap` dominators
-    /// from one report already decide the veto) — the fan-out unit of
-    /// [`ShardRef::certain_dominators_reach`].
+    /// One shard's dominator probe inside the veto radius, stopping
+    /// early once `cap` dominators are found (`cap` dominators from one
+    /// report already decide the veto) — the fan-out unit of
+    /// [`ShardRef::dominators_reach`].
     fn count_shard_dominators(
         &self,
         s: usize,
-        q: &UncertainObject,
-        b_obj: &UncertainObject,
-        b_id: ObjectId,
+        region: &Rect,
         radius: f64,
+        exclude: Option<ObjectId>,
         cap: usize,
+        dominates: &impl Fn(&Rect) -> bool,
     ) -> usize {
-        let cfg = self.cfg;
         let db = self.dbs[s];
         let mut count = 0usize;
-        self.trees[s].for_each_within_distance(b_obj.mbr(), radius, cfg.norm, &mut |&local| {
+        self.trees[s].for_each_within_distance(region, radius, self.cfg.norm, &mut |&local| {
             let a = db.get(local);
-            // only certainly existing objects are certain dominators
-            if self.global(s, local) != b_id
-                && a.existence() >= 1.0
-                && cfg
-                    .criterion
-                    .dominates(a.mbr(), q.mbr(), b_obj.mbr(), cfg.norm)
+            if Some(self.global(s, local)) != exclude && a.existence() >= 1.0 && dominates(a.mbr())
             {
                 count += 1;
             }
@@ -639,45 +736,63 @@ impl<'a> QueryPlane<'a> for ShardRef<'a> {
         }
     }
 
-    /// The cross-shard veto exchange: each shard reports its
-    /// certain-dominator count inside the probe radius (capped at `k` —
-    /// its probe stops early like the single-engine one), the router
-    /// sums the reports and vetoes the candidate once the global count
-    /// reaches `k`. Capping is lossless for the veto decision:
-    /// `Σ min(count_s, k) ≥ k ⇔ Σ count_s ≥ k` — which also makes the
-    /// per-shard probes order-free, so above `shard_threads == 1` they
-    /// run as pool lanes (each capped at `k`) and only the sum is taken
-    /// on the calling thread; at one lane the shards probe in order and
-    /// later shards stop at the remaining deficit, exactly the
-    /// sequential exchange.
-    fn certain_dominators_reach(
+    /// Each shard's tree in turn, under the same veto; ids are global.
+    /// A veto on one shard's box counts dominators on every shard (see
+    /// [`ShardRef::dominators_reach`]); like any box veto it drops only
+    /// objects the per-object veto drops, so the survivors equal the
+    /// single engine's.
+    fn for_each_unvetoed(
         &self,
-        q: &UncertainObject,
-        b_obj: &UncertainObject,
-        b_id: ObjectId,
-        k: usize,
-    ) -> bool {
-        let radius = q.mbr().min_dist_rect(b_obj.mbr(), self.cfg.norm);
-        if radius <= 0.0 {
-            // overlapping MBRs: in some world q is at distance 0 from B,
-            // which no object can strictly beat — no shard is probed
-            return false;
+        mut veto: impl FnMut(&Rect) -> bool,
+        mut f: impl FnMut(ObjectId, &'a UncertainObject),
+    ) {
+        for (s, (tree, &db)) in self.trees.iter().zip(self.dbs).enumerate() {
+            tree.for_each_unpruned(&mut veto, &mut |&local| {
+                f(self.global(s, local), db.get(local));
+            });
         }
+    }
+
+    /// The cross-shard veto exchange: each shard reports its dominator
+    /// count inside the probe radius (capped at `cap` — its probe stops
+    /// early like the single-engine one), the router sums the reports
+    /// and the veto holds once the sum reaches `cap`. Capping is
+    /// lossless for the decision: `Σ min(count_s, cap) ≥ cap ⇔
+    /// Σ count_s ≥ cap` — which also makes the per-shard probes
+    /// order-free, so above `shard_threads == 1` they run as pool lanes
+    /// (each capped at `cap`) and only the sum is taken on the calling
+    /// thread; at one lane the shards probe in order and later shards
+    /// stop at the remaining deficit, exactly the sequential exchange.
+    fn dominators_reach(
+        &self,
+        region: &Rect,
+        radius: f64,
+        exclude: Option<ObjectId>,
+        cap: usize,
+        dominates: impl Fn(&Rect) -> bool + Sync,
+    ) -> bool {
         let lanes = self.shard_lanes();
         if lanes <= 1 {
             let mut count = 0usize;
             for s in 0..self.trees.len() {
-                if count >= k {
+                if count >= cap {
                     break; // the summed reports already veto
                 }
-                count += self.count_shard_dominators(s, q, b_obj, b_id, radius, k - count);
+                count += self.count_shard_dominators(
+                    s,
+                    region,
+                    radius,
+                    exclude,
+                    cap - count,
+                    &dominates,
+                );
             }
-            return count >= k;
+            return count >= cap;
         }
         let mut counts: Vec<(usize, usize)> = (0..self.trees.len()).map(|s| (s, 0)).collect();
         self.pool.fan_each(lanes, &mut counts, |(s, count)| {
-            *count = self.count_shard_dominators(*s, q, b_obj, b_id, radius, k);
+            *count = self.count_shard_dominators(*s, region, radius, exclude, cap, &dominates);
         });
-        counts.iter().map(|(_, count)| count).sum::<usize>() >= k
+        counts.iter().map(|(_, count)| count).sum::<usize>() >= cap
     }
 }

@@ -41,7 +41,10 @@
 //! one pair `(q, b)` per live object `b`, and its index veto probe only
 //! inspects objects within `MinDist(q, b) ≤ MaxDist(q, b)` of `b`, so
 //! the single per-object test `MinDist(M, b) ≤ MaxDist(q, b)` covers
-//! both the probe and the refinement. Updates test old *and* new MBRs.
+//! both the probe and the refinement. (The one-shot query skips whole
+//! index subtrees with a node veto, but that veto is exact: it keeps
+//! exactly the objects the per-object probe keeps, so the argument is
+//! about the per-object probe alone.) Updates test old *and* new MBRs.
 
 use udb_geometry::Rect;
 use udb_object::{ObjectId, UncertainObject};

@@ -236,6 +236,38 @@ impl<T: Clone> RTree<T> {
         }
     }
 
+    /// Visits every payload outside the pruned subtrees, depth-first in
+    /// entry order: `prune` is asked about the box of every inner entry
+    /// and its subtree is skipped when it answers `true`; every leaf
+    /// entry below an unpruned path reaches `visit`. Recursive and
+    /// allocation-free, like [`RTree::for_each_within_distance`] — the
+    /// shape of a candidate enumeration with a sound subtree veto.
+    pub fn for_each_unpruned(
+        &self,
+        prune: &mut impl FnMut(&Rect) -> bool,
+        visit: &mut impl FnMut(&T),
+    ) {
+        fn rec<T>(
+            node: &Node<T>,
+            prune: &mut impl FnMut(&Rect) -> bool,
+            visit: &mut impl FnMut(&T),
+        ) {
+            match node {
+                Node::Leaf(entries) => entries.iter().for_each(|(_, p)| visit(p)),
+                Node::Inner { children, .. } => {
+                    for (mbr, child) in children {
+                        if !prune(mbr) {
+                            rec(child, prune, visit);
+                        }
+                    }
+                }
+            }
+        }
+        if let Some(root) = &self.root {
+            rec(root, prune, visit);
+        }
+    }
+
     /// One best-first descent serving many queries at once: every node is
     /// tested against each query that still wants it, so subtrees shared
     /// by several queries are visited once instead of once per query.
@@ -863,6 +895,38 @@ mod tests {
         t.for_each_within_distance(&q, -1.0, LpNorm::L2, &mut |_| {
             panic!("negative radius must visit nothing")
         });
+    }
+
+    #[test]
+    fn for_each_unpruned_skips_exactly_the_pruned_subtrees() {
+        let items = random_rects(300, 31);
+        let t = RTree::bulk_load(items.clone(), 4);
+        assert!(t.height() >= 3);
+        let all = |t: &RTree<usize>, prune: &mut dyn FnMut(&Rect) -> bool| {
+            let mut seen: Vec<usize> = Vec::new();
+            t.for_each_unpruned(&mut |r| prune(r), &mut |&i| seen.push(i));
+            seen.sort_unstable();
+            seen
+        };
+        // pruning nothing visits everything, once
+        let want: Vec<usize> = (0..items.len()).collect();
+        assert_eq!(all(&t, &mut |_| false), want);
+        // pruning every box wholly left of x = 50 still reaches every
+        // entry right of it (their boxes are never pruned), and skips
+        // some entries left of it
+        let got = all(&t, &mut |r| r.dim(0).hi() < 50.0);
+        let right: Vec<usize> = items
+            .iter()
+            .filter(|(r, _)| r.dim(0).lo() >= 50.0)
+            .map(|(_, i)| *i)
+            .collect();
+        assert!(right.iter().all(|i| got.binary_search(i).is_ok()));
+        assert!(got.len() < items.len(), "nothing was pruned");
+        // pruning everything visits nothing below the root
+        assert!(all(&t, &mut |_| true).is_empty());
+        // a leaf root has no inner boxes to prune
+        let small = RTree::bulk_load(random_rects(3, 1), 4);
+        assert_eq!(all(&small, &mut |_| true), vec![0, 1, 2]);
     }
 
     #[test]

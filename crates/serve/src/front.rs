@@ -57,18 +57,25 @@ pub enum Event {
     Closed(u64),
 }
 
+/// The longest input line a reader accepts, in bytes before its
+/// newline. A line past it is discarded up to its newline and becomes an
+/// `Err` line, so one client cannot make a reader buffer without bound.
+/// Protocol lines are a few hundred bytes.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Reads `input` line by line and feeds the queue until EOF or a read
 /// error. Line decoding happens here — not in the pump — so one
 /// connection's malformed bytes never stall another's traffic: invalid
-/// UTF-8 becomes an `Err` line (replied `ERR <reason>`, the connection
-/// survives), and a hard read error sends a final `Err` line before the
-/// [`Event::Closed`].
+/// UTF-8 and lines longer than [`MAX_LINE_BYTES`] become `Err` lines
+/// (replied `ERR <reason>`, the connection survives), and a hard read
+/// error sends a final `Err` line before the [`Event::Closed`].
 pub fn read_lines(mut input: impl BufRead, conn: u64, tx: Sender<Event>) {
     let mut buf: Vec<u8> = Vec::new();
     loop {
-        match input.read_until(b'\n', &mut buf) {
-            Ok(0) => break,
-            Ok(_) => {
+        let line = match read_line_capped(&mut input, &mut buf) {
+            Ok(None) => break,
+            Ok(Some(false)) => Err(format!("line longer than {MAX_LINE_BYTES} bytes")),
+            Ok(Some(true)) => {
                 // BufRead::lines termination semantics: strip one
                 // trailing \n, then one \r
                 if buf.last() == Some(&b'\n') {
@@ -77,19 +84,55 @@ pub fn read_lines(mut input: impl BufRead, conn: u64, tx: Sender<Event>) {
                         buf.pop();
                     }
                 }
-                let line = String::from_utf8(std::mem::take(&mut buf))
-                    .map_err(|_| "line is not valid UTF-8".to_owned());
-                if tx.send(Event::Line(conn, line)).is_err() {
-                    return;
-                }
+                String::from_utf8(std::mem::take(&mut buf))
+                    .map_err(|_| "line is not valid UTF-8".to_owned())
             }
             Err(e) => {
                 let _ = tx.send(Event::Line(conn, Err(format!("read failed: {e}"))));
                 break;
             }
+        };
+        if tx.send(Event::Line(conn, line)).is_err() {
+            return;
         }
     }
     let _ = tx.send(Event::Closed(conn));
+}
+
+/// `read_until(b'\n')` with a length cap: reads one line, newline
+/// included, into the cleared `buf`. Returns `None` at EOF,
+/// `Some(true)` for a line of at most [`MAX_LINE_BYTES`] bytes before
+/// its newline, and `Some(false)` for a longer one, whose bytes are
+/// discarded up to and including its newline.
+fn read_line_capped(input: &mut impl BufRead, buf: &mut Vec<u8>) -> std::io::Result<Option<bool>> {
+    buf.clear();
+    let mut read_any = false;
+    let mut fits = true;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(read_any.then_some(fits));
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(chunk.len(), |i| i + 1);
+        let content = take - usize::from(newline.is_some());
+        if fits && buf.len() + content > MAX_LINE_BYTES {
+            fits = false;
+            buf.clear();
+        }
+        if fits {
+            buf.extend_from_slice(&chunk[..take]);
+        }
+        input.consume(take);
+        if newline.is_some() {
+            return Ok(Some(fits));
+        }
+    }
 }
 
 /// A live connection at the pump: where its replies go, and the socket
@@ -297,4 +340,48 @@ pub fn run_client(addr: &str) -> std::io::Result<()> {
     out.flush()?;
     let _ = writer.join();
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The lines a reader sends for `input`, read through a small
+    /// buffer so lines straddle many `fill_buf` chunks.
+    fn lines_of(input: &[u8]) -> Vec<Result<String, String>> {
+        let (tx, rx) = std::sync::mpsc::channel::<Event>();
+        read_lines(BufReader::with_capacity(4096, input), 7, tx);
+        let mut out = Vec::new();
+        for event in rx {
+            match event {
+                Event::Line(7, line) => out.push(line),
+                Event::Closed(7) => return out,
+                _ => panic!("unexpected event"),
+            }
+        }
+        panic!("reader ended without Closed");
+    }
+
+    #[test]
+    fn lines_past_the_cap_become_err_and_the_reader_goes_on() {
+        let at_cap = "x".repeat(MAX_LINE_BYTES);
+        let mut input = Vec::new();
+        input.extend_from_slice(b"STATS\n");
+        input.extend_from_slice(&[b'y'; MAX_LINE_BYTES + 1]);
+        input.extend_from_slice(b"\nPING\r\n");
+        input.extend_from_slice(at_cap.as_bytes());
+        input.extend_from_slice(b"\n");
+        input.extend_from_slice(&[b'z'; 3 * MAX_LINE_BYTES]);
+        input.extend_from_slice(b"\nQUIT");
+        let lines = lines_of(&input);
+        let too_long = Err(format!("line longer than {MAX_LINE_BYTES} bytes"));
+        assert_eq!(lines.len(), 6);
+        assert_eq!(lines[0], Ok("STATS".to_owned()));
+        assert_eq!(lines[1], too_long);
+        assert_eq!(lines[2], Ok("PING".to_owned()));
+        assert_eq!(lines[3].as_deref(), Ok(at_cap.as_str()));
+        assert_eq!(lines[4], too_long);
+        // a last line without a newline still arrives
+        assert_eq!(lines[5], Ok("QUIT".to_owned()));
+    }
 }

@@ -293,3 +293,35 @@ fn absurd_k_and_m_answer_like_the_object_count() {
     let (after, _) = server.execute_batch(&stats);
     assert_eq!(before, after, "served state changed");
 }
+
+/// A 512 KiB string in the object JSON is refused as fast as any other
+/// bad object: string decoding is linear in the string, so a long key
+/// cannot stall the pump. A decoder that re-validated the rest of the
+/// input per character took about 7 s on this line in a debug build on
+/// a 2-vCPU host; the linear one takes about 50 ms.
+#[test]
+fn a_huge_string_key_gets_err_at_once() {
+    let mut server = seeded_server();
+    let stats = ["STATS".to_owned()];
+    let (before, _) = server.execute_batch(&stats);
+    let [uniform, ..] = bases();
+    let key = "k".repeat(512 << 10);
+    // the long key replaces `pdf`, so the object misses a required field
+    let line = format!(
+        "INSERT {}",
+        edit(&uniform, "\"pdf\"", &format!("\"{key}\""), 1)
+    );
+    let started = std::time::Instant::now();
+    let (replies, quit) = server.execute_batch(std::slice::from_ref(&line));
+    let took = started.elapsed();
+    assert!(!quit);
+    assert_eq!(replies.len(), 1);
+    assert!(
+        replies[0].starts_with("ERR bad object"),
+        "{:.80}",
+        replies[0]
+    );
+    assert!(took.as_secs_f64() < 2.0, "took {took:?}");
+    let (after, _) = server.execute_batch(&stats);
+    assert_eq!(before, after, "served state changed");
+}

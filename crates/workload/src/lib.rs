@@ -8,7 +8,7 @@
 //!   Iceberg Sightings dataset (6,216 objects, Gaussian positional noise
 //!   scaled by the time since the latest sighting, maximum extent 0.0004).
 //!   The real dataset is not redistributable here; the generator
-//!   reproduces its statistical shape (see DESIGN.md §3).
+//!   reproduces its statistical shape (see the [`iceberg`] module docs).
 //! * [`query`] — helpers for the paper's query protocol ("we chose B to be
 //!   the object with the 10th smallest MinDist to the reference object").
 
