@@ -23,12 +23,7 @@
 //!   a 4-shard [`udb_core::ShardedEngine`] (hash-routed mutations,
 //!   queries fanned across per-shard trees and merged under one global
 //!   pruning bound) against the single engine: the routing overhead of
-//!   the sharded serving tier on one host, where no shard parallelism
-//!   can hide it.
-//! * **sharded parallel vs sequential** — the same sharded stream with
-//!   `shard_threads = 4` against `shard_threads = 1`: what fanning the
-//!   per-shard work over worker-pool lanes buys (or costs, on a
-//!   single-core host, where the pair records dispatch overhead only).
+//!   the sharded serving tier, whose per-shard loops run inline.
 //! * **standing maintain vs reanswer** — a churn loop (insert then
 //!   remove the same objects) against an engine holding registered
 //!   standing kNN subscriptions (incremental maintenance after every
@@ -245,62 +240,6 @@ fn serve_sharded_pair(
     g.finish();
 }
 
-/// Benches the shard-parallelism knob: the same mutating batched
-/// stream served by two 4-shard [`ShardedEngine`]s that differ only in
-/// `shard_threads` — 1 (today's sequential per-shard walk) vs 4 (the
-/// per-shard candidate collection, classify rounds, and RkNN veto
-/// probes fanned over worker-pool lanes; every merge stays on the
-/// calling thread, so replies are bit-identical). On a single-core
-/// host the pair records pure fan-out dispatch overhead (ratio ≈ 1);
-/// real scaling needs the multi-core `bench-ci-scale` runner. The gate
-/// is one-sided — only a *regression* of the parallel/sequential ratio
-/// fails — so faster hosts only ever improve it.
-fn serve_sharded_parallel_pair(
-    c: &mut Criterion,
-    group: &str,
-    object_cfg: &SyntheticConfig,
-    max_iterations: usize,
-) {
-    let db = object_cfg.generate();
-    let stream = QueryStreamConfig {
-        insert_weight: 0.15,
-        delete_weight: 0.15,
-        ..stream_config()
-    }
-    .generate(object_cfg);
-    let cfg = IdcaConfig {
-        max_iterations,
-        decomp_cache_entries: 1024,
-        ..Default::default()
-    };
-    let mut sequential = ShardedEngine::with_config(
-        db.clone(),
-        IdcaConfig {
-            shard_threads: 1,
-            ..cfg.clone()
-        },
-        4,
-    );
-    let mut parallel = ShardedEngine::with_config(
-        db,
-        IdcaConfig {
-            shard_threads: 4,
-            ..cfg
-        },
-        4,
-    );
-
-    let mut g = c.benchmark_group(group);
-    g.sample_size(10);
-    g.bench_function("sequential", |bench| {
-        bench.iter(|| black_box(serve_stream(&mut sequential, &stream, ServeMode::Batched)))
-    });
-    g.bench_function("parallel", |bench| {
-        bench.iter(|| black_box(serve_stream(&mut parallel, &stream, ServeMode::Batched)))
-    });
-    g.finish();
-}
-
 /// Benches the standing-query subsystem's reason to exist: the same
 /// net-zero churn loop (insert six objects, re-remove them, queries
 /// after every mutation) served two ways. `maintain` holds four
@@ -403,12 +342,6 @@ fn bench_serve(c: &mut Criterion) {
     serve_sharded_pair(
         c,
         "serve_stream_sharded",
-        &uniform_cfg,
-        scale.max_iterations,
-    );
-    serve_sharded_parallel_pair(
-        c,
-        "serve_stream_sharded_parallel",
         &uniform_cfg,
         scale.max_iterations,
     );

@@ -117,12 +117,19 @@ fn write_string(s: &str, out: &mut String) {
 
 // ---- parser ----------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts (the real
+/// serde_json's default recursion limit): the parser recurses once per
+/// level, so unbounded nesting would overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     /// The input; already valid UTF-8, so string characters decode in
     /// place.
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
@@ -130,6 +137,7 @@ fn parse_value(s: &str) -> Result<Value, Error> {
         text: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -182,8 +190,22 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, Error> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::msg(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             b'"' => Ok(Value::Str(self.string()?)),
             b't' | b'f' | b'n' => {
                 if self.eat_keyword("true") {
@@ -482,6 +504,21 @@ mod tests {
         let long = "é".repeat(1 << 20);
         let v: ValueWrap = from_str(&format!("{{\"{long}\":1}}")).unwrap();
         assert_eq!(v.0, Value::Map(vec![(long, Value::U64(1))]));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<ValueWrap>(&nested(MAX_DEPTH)).is_ok());
+        assert!(from_str::<ValueWrap>(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(from_str::<ValueWrap>(&objects).is_err());
+        // far past the limit: an error, not a stack overflow
+        assert!(from_str::<ValueWrap>(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -65,41 +65,15 @@ pub struct IdcaConfig {
     /// default honours the `UDB_BATCH_THREADS` environment variable (CI
     /// shim, mirroring the other two).
     pub batch_threads: usize,
-    /// Parallel lanes for *per-shard* fan-out in the sharded router's
-    /// query plane ([`crate::ShardedEngine`]): candidate collection
-    /// (each shard's best-first stream materialized under its own
-    /// shard-local pruning bound, then k-way merged on the calling
-    /// thread under the single global `tighten_dk` bound), the
-    /// complete-domination classify of refiner construction, and the
-    /// RkNN veto exchange all run as lane-bounded per-shard pool jobs.
-    /// Every merge/decision stays on the calling thread, so results are
-    /// bit-identical at any lane count (`tests/sharded_equivalence.rs`
-    /// proves it at 1/2/4 threads). Composes with the other thread
-    /// knobs on the same pool (nested scopes are deadlock-safe).
-    ///
-    /// `1` (the default) keeps the router's sequential per-shard loops
-    /// — byte-for-byte the pre-knob code path. The default honours the
-    /// `UDB_SHARD_THREADS` environment variable (CI shim, mirroring the
-    /// other thread knobs). Irrelevant at one shard (the plain engine
-    /// path has no per-shard work to fan).
+    /// Ignored: the sharded router runs its per-shard loops inline, in
+    /// shard order. The field is kept only because an existing
+    /// struct-literal caller still sets it; it is removed with the next
+    /// benchmark change.
     pub shard_threads: usize,
-    /// Materialization threshold of the sharded router's parallel
-    /// candidate collection: when [`IdcaConfig::shard_threads`] `> 1`,
-    /// per-shard candidate streams are only materialized (each shard's
-    /// best-first walk drained under its own shard-local bound, then
-    /// k-way merged) when at least one shard holds this many objects;
-    /// below the threshold every shard is small enough that the lazy
-    /// merged stream under the single global bound wins — the fan-out's
-    /// per-shard setup costs more than it saves. The choice is
-    /// work-only: both paths feed the identical merge under the single
-    /// global `tighten_dk` bound, so results are bit-identical at
-    /// every threshold (swept by `tests/sharded_equivalence.rs`).
-    ///
-    /// `0` (the default) always materializes under fan-out — the
-    /// pre-knob behavior. The default honours the
-    /// `UDB_SHARD_MATERIALIZE_MIN` environment variable (`0`
-    /// meaningful, unparsable input falls back). Irrelevant at
-    /// `shard_threads == 1` (the lazy stream is always used).
+    /// Ignored: the sharded router always merges its per-shard candidate
+    /// streams lazily. The field is kept only because an existing
+    /// struct-literal caller still sets it; it is removed with the next
+    /// benchmark change.
     pub shard_materialize_min: usize,
     /// Capacity (in objects) of the owned [`crate::Engine`]'s
     /// **persistent** cross-batch decomposition cache: how many objects'
@@ -178,11 +152,6 @@ fn default_batch_threads() -> usize {
     env_threads(&THREADS, "UDB_BATCH_THREADS")
 }
 
-fn default_shard_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    env_threads(&THREADS, "UDB_SHARD_THREADS")
-}
-
 /// Default capacity of the engine-owned decomposition cache; unlike the
 /// thread shims, `0` is a meaningful value (cache off, per-call
 /// semantics), so only unparsable input falls back to the default.
@@ -220,19 +189,6 @@ fn default_checkpoint_every() -> usize {
     })
 }
 
-/// Default materialization threshold of the sharded candidate fan-out;
-/// `0` is meaningful (always materialize under fan-out), so only
-/// unparsable input falls back to 0.
-fn default_shard_materialize_min() -> usize {
-    static MIN: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *MIN.get_or_init(|| {
-        std::env::var("UDB_SHARD_MATERIALIZE_MIN")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(0)
-    })
-}
-
 impl Default for IdcaConfig {
     fn default() -> Self {
         IdcaConfig {
@@ -244,8 +200,8 @@ impl Default for IdcaConfig {
             snapshot_threads: default_snapshot_threads(),
             candidate_threads: default_candidate_threads(),
             batch_threads: default_batch_threads(),
-            shard_threads: default_shard_threads(),
-            shard_materialize_min: default_shard_materialize_min(),
+            shard_threads: 1,
+            shard_materialize_min: 0,
             decomp_cache_entries: default_decomp_cache_entries(),
             prefilter: false,
             wal_sync_every: default_wal_sync_every(),

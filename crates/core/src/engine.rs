@@ -54,10 +54,10 @@ use crate::standing::{
 };
 use crate::wal::{DurableIo, FileIo, WalRecord};
 
-/// The batch-sharing state a query pipeline may run under: the batch's
+/// The batch-sharing state a query pipeline runs under: the batch's
 /// shared context plus the query object's per-query shared
-/// decomposition. `None` is the plain per-query execution.
-pub(crate) type BatchShared<'s> = Option<(&'s SharedRefineCtx, &'s SharedDecomp)>;
+/// decomposition.
+pub(crate) type BatchShared<'s> = (&'s SharedRefineCtx, &'s SharedDecomp);
 
 /// Entry-count cutoff of the per-candidate subtree filter: a `Descend`
 /// verdict on a subtree holding at most this many entries switches to
@@ -68,14 +68,9 @@ pub(crate) type BatchShared<'s> = Option<(&'s SharedRefineCtx, &'s SharedDecomp)
 /// node tests are wasted work. One leaf level (fan-out 16) plus slack.
 pub(crate) const SUBTREE_SCAN_CUTOFF: usize = 24;
 
-/// Joins a refiner to a batch's shared state, or leaves it untouched for
-/// plain per-query execution (the only difference between the two
-/// pipeline shapes).
-pub(crate) fn attach<'b>(refiner: Refiner<'b>, shared: BatchShared<'_>) -> Refiner<'b> {
-    match shared {
-        Some((ctx, q_dec)) => refiner.with_shared_ctx(ctx).with_external_decomp(q_dec),
-        None => refiner,
-    }
+/// Joins a refiner to a batch's shared state.
+pub(crate) fn attach<'b>(refiner: Refiner<'b>, (ctx, q_dec): BatchShared<'_>) -> Refiner<'b> {
+    refiner.with_shared_ctx(ctx).with_external_decomp(q_dec)
 }
 
 /// Maintains the `k` smallest MaxDists seen over *certainly existing*
@@ -330,7 +325,7 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
         radius: f64,
         exclude: Option<ObjectId>,
         cap: usize,
-        dominates: impl Fn(&Rect) -> bool + Sync,
+        dominates: impl Fn(&Rect) -> bool,
     ) -> bool {
         let db = self.db;
         let mut count = 0usize;

@@ -43,14 +43,6 @@
 //!   vetoes decide exactly as on the single engine. A box veto is exact
 //!   on any tree (see [`QueryPlane::rknn_candidates`]), so the
 //!   per-shard walks keep exactly the single engine's survivors.
-//!
-//! Every per-shard unit above — the classify walk, the candidate-stream
-//! materialization, the veto probes — is independent until its merge, so
-//! [`IdcaConfig::shard_threads`] fans them over worker-pool lanes while
-//! every merge and decision (the k-way merge under the global
-//! `tighten_dk` bound, count summing, the influence sort) stays on the
-//! calling thread. Parallelism is work-only: results are bit-identical
-//! at every lane count, and `shard_threads == 1` is the sequential path.
 
 use udb_domination::PairClassifier;
 use udb_geometry::Rect;
@@ -137,7 +129,7 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         radius: f64,
         exclude: Option<ObjectId>,
         cap: usize,
-        dominates: impl Fn(&Rect) -> bool + Sync,
+        dominates: impl Fn(&Rect) -> bool,
     ) -> bool;
 
     // ------------------------------------------------------------------
@@ -387,15 +379,15 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         match query {
             QueryView::Knn { q, k, tau } => {
                 let q_dec = ctx.external_decomp(q.pdf());
-                self.knn_threshold_pipeline(q, k, tau, candidates, Some((ctx, &q_dec)))
+                self.knn_threshold_pipeline(q, k, tau, candidates, (ctx, &q_dec))
             }
             QueryView::Rknn { q, k, tau } => {
                 let q_dec = ctx.external_decomp(q.pdf());
-                self.rknn_threshold_pipeline(q, k, tau, Some((ctx, &q_dec)))
+                self.rknn_threshold_pipeline(q, k, tau, (ctx, &q_dec))
             }
             QueryView::TopM { q, m } => {
                 let q_dec = ctx.external_decomp(q.pdf());
-                self.top_probable_nn_pipeline(q, m, candidates, Some((ctx, &q_dec)))
+                self.top_probable_nn_pipeline(q, m, candidates, (ctx, &q_dec))
             }
         }
     }
@@ -427,29 +419,22 @@ impl<'a> ShardRef<'a> {
         ObjectId(local.0 * self.n() + s as u32)
     }
 
-    /// Per-shard fan-out width ([`IdcaConfig::shard_threads`], clamped
-    /// to the shard count). `1` runs every per-shard loop inline on the
-    /// calling thread — the sequential path.
-    fn shard_lanes(&self) -> usize {
-        self.cfg.shard_threads.min(self.dbs.len())
-    }
-
     /// One shard's complete-domination classify: walks shard `s`'s tree
-    /// with the pair filter and returns its certain-dominator count plus
-    /// its influence ids (mapped to global ids, unsorted). Per-object
-    /// verdicts are index-shape independent, so per-shard outcomes
-    /// merge by summing counts and concatenating ids — the fan-out unit
-    /// of [`ShardRef::refiner`].
+    /// with the pair filter, returns its certain-dominator count and
+    /// appends its influence ids (mapped to global ids, unsorted) to
+    /// `influence`. Per-object verdicts are index-shape independent, so
+    /// per-shard outcomes merge by summing counts and concatenating ids
+    /// — the per-shard unit of [`ShardRef::refiner`].
     fn classify_shard(
         &self,
         s: usize,
         pc: &PairClassifier,
         excluded: &[Option<ObjectId>; 2],
-    ) -> (usize, Vec<ObjectId>) {
+        influence: &mut Vec<ObjectId>,
+    ) -> usize {
         let tree = self.trees[s];
         let db = self.dbs[s];
         let mut complete = 0usize;
-        let mut influence: Vec<ObjectId> = Vec::new();
         self.scratch.with_classify(|scratch| {
             tree.classify_entries_with(scratch, SUBTREE_SCAN_CUTOFF, |mbr| {
                 match pc.classify(mbr).decision {
@@ -477,116 +462,7 @@ impl<'a> ShardRef<'a> {
                     .filter(|gid| !excluded.contains(&Some(*gid))),
             );
         });
-        (complete, influence)
-    }
-
-    /// Materializes shard `s`'s best-first candidate stream under its
-    /// **shard-local** pruning bound: the stream stops once MinDist
-    /// exceeds the k-th smallest MaxDist over the shard's own certainly
-    /// existing objects. The local bound can only be *looser* than the
-    /// global merge's bound (the global `tighten_dk` sees every shard's
-    /// certain objects, a superset of this shard's), and the k objects
-    /// pinning the local bound are consumed by the merge before anything
-    /// past it, so the materialized prefix always covers what the merged
-    /// stream would have consumed lazily — the fan-out unit of the
-    /// parallel [`ShardRef::knn_candidates`] path.
-    fn collect_shard_candidates(&self, q: &Rect, k: usize, s: usize) -> Vec<(f64, ObjectId)> {
-        let norm = self.cfg.norm;
-        let db = self.dbs[s];
-        let mut entries: Vec<(f64, ObjectId)> = Vec::new();
-        let mut local_kth = f64::INFINITY;
-        let mut k_smallest: Vec<f64> = Vec::new();
-        for n in self.trees[s].knn_iter(q, norm) {
-            if n.dist > local_kth {
-                break;
-            }
-            entries.push((n.dist, n.payload));
-            let obj = db.get(n.payload);
-            if obj.existence() < 1.0 {
-                continue;
-            }
-            let max_d = obj.mbr().max_dist_rect(q, norm);
-            if let Some(d_k) = tighten_dk(&mut k_smallest, k, max_d) {
-                local_kth = d_k;
-            }
-        }
-        entries
-    }
-
-    /// The k-way candidate merge under **one** global pruning bound:
-    /// the head with the smallest MinDist is consumed next (ties break
-    /// to the lowest shard), every certainly existing object tightens
-    /// the same `d_k` the single-engine stream maintains, and the merge
-    /// stops when the smallest head exceeds `d_k`. Identical whether the
-    /// per-shard streams are lazy iterators or pre-materialized vectors
-    /// — the consumption sequence depends only on `(MinDist, shard)`
-    /// order, which both carry.
-    fn merge_shard_streams<I>(&self, q: &Rect, k: usize, streams: Vec<I>) -> Vec<ObjectId>
-    where
-        I: Iterator<Item = (f64, ObjectId)>,
-    {
-        let norm = self.cfg.norm;
-        let mut streams: Vec<_> = streams.into_iter().map(Iterator::peekable).collect();
-        let mut seen: Vec<(ObjectId, f64)> = Vec::new(); // (gid, min_dist)
-        let mut kth_max = f64::INFINITY;
-        let mut k_smallest: Vec<f64> = Vec::new();
-        loop {
-            let mut best: Option<(usize, f64)> = None;
-            for (s, stream) in streams.iter_mut().enumerate() {
-                if let Some(&(dist, _)) = stream.peek() {
-                    if best.is_none_or(|(_, d)| dist < d) {
-                        best = Some((s, dist));
-                    }
-                }
-            }
-            let Some((s, dist)) = best else {
-                break; // every shard stream is exhausted
-            };
-            if dist > kth_max {
-                break; // every further object has MinDist > d_k
-            }
-            let (min_d, local) = streams[s].next().expect("peeked head");
-            let gid = self.global(s, local);
-            let obj = self.dbs[s].get(local);
-            seen.push((gid, min_d));
-            if obj.existence() < 1.0 {
-                continue; // cannot contribute to d_k
-            }
-            let max_d = obj.mbr().max_dist_rect(q, norm);
-            if let Some(d_k) = tighten_dk(&mut k_smallest, k, max_d) {
-                kth_max = d_k;
-            }
-        }
-        seen.into_iter()
-            .filter(|(_, min_d)| *min_d <= kth_max)
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// One shard's dominator probe inside the veto radius, stopping
-    /// early once `cap` dominators are found (`cap` dominators from one
-    /// report already decide the veto) — the fan-out unit of
-    /// [`ShardRef::dominators_reach`].
-    fn count_shard_dominators(
-        &self,
-        s: usize,
-        region: &Rect,
-        radius: f64,
-        exclude: Option<ObjectId>,
-        cap: usize,
-        dominates: &impl Fn(&Rect) -> bool,
-    ) -> usize {
-        let db = self.dbs[s];
-        let mut count = 0usize;
-        self.trees[s].for_each_within_distance(region, radius, self.cfg.norm, &mut |&local| {
-            let a = db.get(local);
-            if Some(self.global(s, local)) != exclude && a.existence() >= 1.0 && dominates(a.mbr())
-            {
-                count += 1;
-            }
-            count < cap
-        });
-        count
+        complete
     }
 }
 
@@ -603,10 +479,7 @@ impl<'a> QueryPlane<'a> for ShardRef<'a> {
     /// classified independently (per-object verdicts are index-shape
     /// independent), certain-dominator counts sum, and influence ids
     /// map to global ids and merge sorted — exactly the single index's
-    /// filter outcome over the union. The per-shard classifies fan out
-    /// over [`IdcaConfig::shard_threads`] pool lanes; summed counts are
-    /// order-free and the concatenated ids are sorted after the merge,
-    /// so the outcome is identical at every lane count.
+    /// filter outcome over the union.
     fn refiner(
         &self,
         target: ObjRef<'a>,
@@ -625,21 +498,10 @@ impl<'a> QueryPlane<'a> for ShardRef<'a> {
             cfg.criterion,
             cfg.norm,
         );
-        let mut tasks: Vec<(usize, usize, Vec<ObjectId>)> =
-            (0..self.trees.len()).map(|s| (s, 0, Vec::new())).collect();
-        self.pool.fan_each(
-            self.shard_lanes(),
-            &mut tasks,
-            |(s, complete, influence)| {
-                (*complete, *influence) = self.classify_shard(*s, &pc, &excluded);
-            },
-        );
-        let mut complete = 0usize;
         let mut influence: Vec<ObjectId> = Vec::new();
-        for (_, shard_complete, shard_influence) in tasks {
-            complete += shard_complete;
-            influence.extend(shard_influence);
-        }
+        let complete: usize = (0..self.trees.len())
+            .map(|s| self.classify_shard(s, &pc, &excluded, &mut influence))
+            .sum();
         influence.sort_unstable();
         Refiner::with_filter_result_view(
             view,
@@ -660,50 +522,54 @@ impl<'a> QueryPlane<'a> for ShardRef<'a> {
         self.dbs[(id.0 % n) as usize].get(ObjectId(id.0 / n))
     }
 
-    /// K-way merge of the per-shard best-first streams under **one**
-    /// global pruning bound (see [`ShardRef::merge_shard_streams`]), so
-    /// far shards stop contributing as soon as a near shard has pinned
-    /// the radius. At `shard_threads == 1` the merge consumes the lazy
-    /// per-shard iterators directly; above it each shard first
-    /// materializes its stream under its shard-local bound on a pool
-    /// lane ([`ShardRef::collect_shard_candidates`]) — a provable
-    /// superset of what the merge consumes, since the local bound is
-    /// never tighter than the global one — and the calling thread
-    /// replays the identical merge over the vectors. Same consumption
-    /// sequence, same `tighten_dk` call order, same candidate set.
-    ///
-    /// Materialization only pays for its buffers when shards are large
-    /// enough to keep a lane busy: when every shard holds fewer than
-    /// [`IdcaConfig::shard_materialize_min`] objects the lazy merged
-    /// path runs even under `shard_threads` fan-out (both paths produce
-    /// the identical candidate set, so the threshold is purely a cost
-    /// knob).
+    /// The k-way candidate merge under **one** global pruning bound:
+    /// the head with the smallest MinDist is consumed next (ties break
+    /// to the lowest shard), every certainly existing object tightens
+    /// the same `d_k` the single-engine stream maintains, and the merge
+    /// stops when the smallest head exceeds `d_k`, so far shards stop
+    /// contributing as soon as a near shard has pinned the radius.
     fn knn_candidates(&self, q: &Rect, k: usize) -> Vec<ObjectId> {
         assert!(k >= 1);
-        let lanes = self.shard_lanes();
-        let worth_materializing = self
-            .dbs
+        let norm = self.cfg.norm;
+        let mut streams: Vec<_> = self
+            .trees
             .iter()
-            .any(|db| db.len() >= self.cfg.shard_materialize_min);
-        if lanes <= 1 || !worth_materializing {
-            let norm = self.cfg.norm;
-            let streams: Vec<_> = self
-                .trees
-                .iter()
-                .map(|tree| tree.knn_iter(q, norm).map(|n| (n.dist, n.payload)))
-                .collect();
-            return self.merge_shard_streams(q, k, streams);
-        }
-        let mut tasks: Vec<(usize, Vec<(f64, ObjectId)>)> =
-            (0..self.trees.len()).map(|s| (s, Vec::new())).collect();
-        self.pool.fan_each(lanes, &mut tasks, |(s, entries)| {
-            *entries = self.collect_shard_candidates(q, k, *s);
-        });
-        let streams: Vec<_> = tasks
-            .into_iter()
-            .map(|(_, entries)| entries.into_iter())
+            .map(|tree| tree.knn_iter(q, norm).peekable())
             .collect();
-        self.merge_shard_streams(q, k, streams)
+        let mut seen: Vec<(ObjectId, f64)> = Vec::new(); // (gid, min_dist)
+        let mut kth_max = f64::INFINITY;
+        let mut k_smallest: Vec<f64> = Vec::new();
+        loop {
+            let mut best: Option<(usize, f64)> = None;
+            for (s, stream) in streams.iter_mut().enumerate() {
+                if let Some(n) = stream.peek() {
+                    if best.is_none_or(|(_, d)| n.dist < d) {
+                        best = Some((s, n.dist));
+                    }
+                }
+            }
+            let Some((s, dist)) = best else {
+                break; // every shard stream is exhausted
+            };
+            if dist > kth_max {
+                break; // every further object has MinDist > d_k
+            }
+            let n = streams[s].next().expect("peeked head");
+            let gid = self.global(s, n.payload);
+            let obj = self.dbs[s].get(n.payload);
+            seen.push((gid, n.dist));
+            if obj.existence() < 1.0 {
+                continue; // cannot contribute to d_k
+            }
+            let max_d = obj.mbr().max_dist_rect(q, norm);
+            if let Some(d_k) = tighten_dk(&mut k_smallest, k, max_d) {
+                kth_max = d_k;
+            }
+        }
+        seen.into_iter()
+            .filter(|(_, min_d)| *min_d <= kth_max)
+            .map(|(id, _)| id)
+            .collect()
     }
 
     /// Per-request merged streams (no cross-shard grouped descent yet
@@ -753,46 +619,35 @@ impl<'a> QueryPlane<'a> for ShardRef<'a> {
         }
     }
 
-    /// The cross-shard veto exchange: each shard reports its dominator
-    /// count inside the probe radius (capped at `cap` — its probe stops
-    /// early like the single-engine one), the router sums the reports
-    /// and the veto holds once the sum reaches `cap`. Capping is
-    /// lossless for the decision: `Σ min(count_s, cap) ≥ cap ⇔
-    /// Σ count_s ≥ cap` — which also makes the per-shard probes
-    /// order-free, so above `shard_threads == 1` they run as pool lanes
-    /// (each capped at `cap`) and only the sum is taken on the calling
-    /// thread; at one lane the shards probe in order and later shards
-    /// stop at the remaining deficit, exactly the sequential exchange.
+    /// The cross-shard veto exchange: the shards probe in order, adding
+    /// their dominators inside the probe radius to one running count,
+    /// and the veto holds once it reaches `cap`; a probe stops there,
+    /// like the single-engine one. Stopping early is lossless for the
+    /// decision: `Σ min(count_s, cap) ≥ cap ⇔ Σ count_s ≥ cap`.
     fn dominators_reach(
         &self,
         region: &Rect,
         radius: f64,
         exclude: Option<ObjectId>,
         cap: usize,
-        dominates: impl Fn(&Rect) -> bool + Sync,
+        dominates: impl Fn(&Rect) -> bool,
     ) -> bool {
-        let lanes = self.shard_lanes();
-        if lanes <= 1 {
-            let mut count = 0usize;
-            for s in 0..self.trees.len() {
-                if count >= cap {
-                    break; // the summed reports already veto
-                }
-                count += self.count_shard_dominators(
-                    s,
-                    region,
-                    radius,
-                    exclude,
-                    cap - count,
-                    &dominates,
-                );
+        let mut count = 0usize;
+        for (s, (tree, &db)) in self.trees.iter().zip(self.dbs).enumerate() {
+            if count >= cap {
+                break; // the summed reports already veto
             }
-            return count >= cap;
+            tree.for_each_within_distance(region, radius, self.cfg.norm, &mut |&local| {
+                let a = db.get(local);
+                if Some(self.global(s, local)) != exclude
+                    && a.existence() >= 1.0
+                    && dominates(a.mbr())
+                {
+                    count += 1;
+                }
+                count < cap
+            });
         }
-        let mut counts: Vec<(usize, usize)> = (0..self.trees.len()).map(|s| (s, 0)).collect();
-        self.pool.fan_each(lanes, &mut counts, |(s, count)| {
-            *count = self.count_shard_dominators(*s, region, radius, exclude, cap, &dominates);
-        });
-        counts.iter().map(|(_, count)| count).sum::<usize>() >= cap
+        count >= cap
     }
 }

@@ -510,7 +510,7 @@ fn maintain_knn<'a, P: QueryPlane<'a>>(
                 id,
                 attach(
                     plane.refiner(ObjRef::Db(id), ObjRef::External(q), goal.predicate()),
-                    Some((ctx, &q_dec)),
+                    (ctx, &q_dec),
                 ),
             )
         })
@@ -568,7 +568,7 @@ fn maintain_rknn<'a, P: QueryPlane<'a>>(
                 b_id,
                 attach(
                     plane.refiner(ObjRef::External(q), ObjRef::Db(b_id), goal.predicate()),
-                    Some((ctx, &q_dec)),
+                    (ctx, &q_dec),
                 ),
             )];
             refine_lockstep(refiners, goal).pop()

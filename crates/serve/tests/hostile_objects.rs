@@ -325,3 +325,24 @@ fn a_huge_string_key_gets_err_at_once() {
     let (after, _) = server.execute_batch(&stats);
     assert_eq!(before, after, "served state changed");
 }
+
+/// Nesting far past the parser's depth cap gets `ERR` like any other bad
+/// object: the JSON parser recurses once per level, so an uncapped
+/// parser overflowed the stack on this line and took every connection
+/// down with it. The line after it is served as usual.
+#[test]
+fn deeply_nested_json_gets_err_and_the_next_line_is_served() {
+    let mut server = seeded_server();
+    let (before, _) = server.execute_batch(&probes());
+    let line = format!("INSERT {}", "[".repeat(100_000));
+    let mut lines = vec![line];
+    lines.extend(probes());
+    let (replies, quit) = server.execute_batch(&lines);
+    assert!(!quit);
+    assert!(
+        replies[0].starts_with("ERR bad object JSON"),
+        "{:.80}",
+        replies[0]
+    );
+    assert_eq!(replies[1..], before[..], "served state changed");
+}

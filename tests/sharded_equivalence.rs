@@ -218,36 +218,6 @@ proptest! {
     }
 }
 
-/// The shard-parallelism sweep: on a 4-shard engine, fanning the
-/// per-shard work (candidate materialization, classify, veto probes)
-/// over `shard_threads` worker-pool lanes must stay `f64::to_bits`
-/// -identical to the single engine — the merge under the global
-/// pruning bound never leaves the calling thread, so lane count is a
-/// wall-clock knob, not a semantic one. Runs explicitly at 1/2/4 lanes
-/// regardless of the `UDB_SHARD_THREADS` CI shim.
-#[test]
-fn shard_threads_are_bit_identical_at_every_lane_count() {
-    let mut rng = StdRng::seed_from_u64(0x5AD_7EAD);
-    let db = random_db(&mut rng, 48);
-    let single = Engine::with_config(db.clone(), config());
-    let queries: Vec<UncertainObject> = (0..4).map(|_| random_object(&mut rng)).collect();
-    for shard_threads in [1usize, 2, 4] {
-        let cfg = IdcaConfig {
-            shard_threads,
-            ..config()
-        };
-        let sharded = ShardedEngine::with_config(db.clone(), cfg, 4);
-        for (qi, q) in queries.iter().enumerate() {
-            compare_engines(
-                &single,
-                &sharded,
-                q,
-                &format!("shard_threads={shard_threads} q={qi}"),
-            );
-        }
-    }
-}
-
 /// Deterministic dense case on the paper-shaped synthetic workload: a
 /// mutating hot-spot stream served through 1/2/4-shard engines equals
 /// the single-engine serve, sequential and batched.
