@@ -109,7 +109,7 @@ fn bench_idca(c: &mut Criterion) {
 
     // parallel snapshot scaling on a deep refined state (the pair loop is
     // what IdcaConfig::snapshot_threads fans out; shallow snapshots are
-    // too small to amortize thread spawns)
+    // too small to amortize pool dispatch)
     let mut g = c.benchmark_group("idca_snapshot_depth6_threads");
     g.sample_size(20);
     for threads in [1usize, 2, 4] {
@@ -197,12 +197,12 @@ fn bench_idca(c: &mut Criterion) {
     });
     g.finish();
 
-    // batch-parallel candidate refinement: the same indexed threshold
-    // query with the lock-step rounds fanned over 1/2/4 candidate lanes
-    // (1 = the depth-first sequential driver). Results are bit-identical
-    // across lane counts (property-tested); on a multi-core host the
-    // ratio to lane count 1 is the candidate-parallel speedup, on a
-    // single-CPU container it records round-fanning dispatch overhead.
+    // candidate-parallel refinement: the same indexed threshold query
+    // with its candidates fanned over 1/2/4 lanes, each refined to its
+    // own stop (1 = inline, in order). Results are bit-identical across
+    // lane counts (property-tested); on a multi-core host the ratio to
+    // lane count 1 is the candidate-parallel speedup, on a single-CPU
+    // container it records pool dispatch overhead.
     let mut g = c.benchmark_group("idca_early_exit_candidate_threads");
     g.sample_size(20);
     for threads in [1usize, 2, 4] {

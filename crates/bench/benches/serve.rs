@@ -1,8 +1,8 @@
 //! Query-stream serving throughput on the owned engine
 //! ([`udb_core::Engine`] via [`udb_workload::serve_stream`]), on a
 //! hot-spot-skewed mixed stream — the workload shape the shared-work
-//! machinery (grouped R-tree descent, cross-query decomposition cache,
-//! recycled refiner arenas) is built for. Two tracked comparisons:
+//! machinery (cross-query decomposition cache, recycled refiner arenas)
+//! is built for. Two tracked comparisons:
 //!
 //! * **batched vs sequential** — one `run_batch` per arrival batch
 //!   against the per-query entry points, both with the cross-batch

@@ -1,18 +1,12 @@
 //! Batched query execution: owned query specs, the cross-query
 //! decomposition cache and the shared refinement context.
 //!
-//! The per-query entry points rebuild everything from scratch for every
-//! query — candidate generation descends the R-tree once per query, and
-//! every refiner recomputes the kd-tree decomposition of every object it
-//! touches, even when the previous query just refined the same objects.
-//! A [`QueryBatch`] amortizes that repeated work across the queries of
-//! one arrival batch:
+//! Without sharing, every refiner recomputes the kd-tree decomposition
+//! of every object it touches, even when the previous query just refined
+//! the same objects. A [`QueryBatch`] amortizes that repeated work across
+//! the queries of one arrival batch (each query still finds its own
+//! candidates with one best-first R-tree descent):
 //!
-//! * **Grouped candidate generation** — all kNN-style queries of the
-//!   batch share *one* best-first R-tree descent
-//!   ([`crate::Engine::knn_candidates_batch`]): each tree node is tested
-//!   once against every query that still wants it, instead of the tree
-//!   being re-descended per query.
 //! * **Cross-query decomposition cache** — a [`DecompCache`] keyed by
 //!   object id memoizes every expansion level of every object's
 //!   decomposition. Splitting a partition evaluates PDF medians and
@@ -25,8 +19,8 @@
 //!   open-list arenas and factor-cache vector to a shared
 //!   [`ScratchPool`]; later refiners of the batch adopt the allocations.
 //! * **Batch-level parallelism** — with
-//!   [`crate::IdcaConfig::batch_threads`] > 1 (or the
-//!   `UDB_BATCH_THREADS` shim) the queries fan out over the
+//!   [`crate::IdcaConfig::batch_threads`] > 1 (or the `UDB_THREADS`
+//!   shim) the queries fan out over the
 //!   engine's persistent [`crate::parallel::WorkerPool`], composing with
 //!   the candidate-level and pair-level fan-outs on the same pool.
 //!

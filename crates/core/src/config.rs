@@ -23,47 +23,32 @@ pub struct IdcaConfig {
     /// Parallel lanes for the partition-pair loop of
     /// [`crate::Refiner::snapshot`], served by the engine's persistent
     /// [`crate::parallel::WorkerPool`] (the calling thread is one lane).
-    /// `1` (the default) keeps evaluation fully sequential and
-    /// bit-identical to previous releases; larger values trade exact
-    /// float reproducibility across *different* thread counts
-    /// (reassociation ≲ 1e-13) for wall-clock speed on deep refinements.
-    ///
-    /// The default honours the `UDB_SNAPSHOT_THREADS` environment
-    /// variable (a CI shim: the single-CPU CI container cannot observe
-    /// wall-clock scaling, but setting the variable to `2` routes every
-    /// default-config test through the worker-pool path).
+    /// Results are bit-identical at every lane count; more lanes only
+    /// shorten deep refinements. Defaults to `UDB_THREADS` (see
+    /// [`IdcaConfig::batch_threads`]).
     pub snapshot_threads: usize,
-    /// Parallel lanes for *candidate-level* fan-out in the lock-step
-    /// early-exit drivers ([`crate::refine_lockstep`] /
-    /// [`crate::refine_top_m`]): each round's per-candidate
-    /// `step()`/`snapshot()` calls run as lane-bounded candidate-chunk
-    /// pool jobs,
-    /// with retirement decisions merged deterministically after the
-    /// round — results are bit-identical to the sequential drivers at
-    /// any lane count (each candidate's own refinement sequence is
-    /// untouched; only wall-clock interleaving changes). Composes with
-    /// [`IdcaConfig::snapshot_threads`]: a candidate job may fan its own
-    /// pair loop out on the same pool (nested scopes are deadlock-safe
-    /// because the scoping thread participates).
-    ///
-    /// `1` (the default) keeps the drivers sequential. The default
-    /// honours the `UDB_CANDIDATE_THREADS` environment variable (CI
-    /// shim, mirroring `UDB_SNAPSHOT_THREADS`).
+    /// Parallel lanes for *candidate-level* fan-out in the early-exit
+    /// drivers ([`crate::refine_lockstep`] / [`crate::refine_top_m`]):
+    /// candidates (for top-`m`, each round's per-candidate
+    /// `step()`/`snapshot()` calls) run as lane-bounded pool jobs.
+    /// Composes with [`IdcaConfig::snapshot_threads`]: a candidate job
+    /// may fan its own pair loop out on the same pool (nested scopes are
+    /// deadlock-safe because the scoping thread participates). Results
+    /// are bit-identical at every lane count. Defaults to `UDB_THREADS`.
     pub candidate_threads: usize,
     /// Parallel lanes for *query-level* fan-out in the batched execution
     /// path ([`crate::Engine::run_batch`]): the queries of a
     /// [`crate::QueryBatch`] run as lane-bounded chunks on the engine's
-    /// persistent worker pool. Composes with the two knobs above — a
-    /// query job may fan its candidate rounds
-    /// ([`IdcaConfig::candidate_threads`]) and each candidate its pair
-    /// loop ([`IdcaConfig::snapshot_threads`]) on the same pool (nested
-    /// scopes are deadlock-safe). Results are bit-identical at every
-    /// lane count: queries share only the decomposition cache and
-    /// scratch allocations, never numeric state.
+    /// persistent worker pool, and may nest the two scopes above on the
+    /// same pool. Queries share only the decomposition cache and scratch
+    /// allocations, never numeric state, so results are bit-identical at
+    /// every lane count.
     ///
-    /// `1` (the default) runs the batch's queries sequentially. The
-    /// default honours the `UDB_BATCH_THREADS` environment variable (CI
-    /// shim, mirroring the other two).
+    /// All three lane counts default to the `UDB_THREADS` environment
+    /// variable, read once per process (values `< 1` and junk fall back
+    /// to `1`, the sequential default). It is a CI shim: setting it to
+    /// `2` routes every default-config test through the worker-pool
+    /// paths, whatever the runner's CPU count.
     pub batch_threads: usize,
     /// Ignored: the sharded router runs its per-shard loops inline, in
     /// shard order. The field is kept only because an existing
@@ -125,11 +110,12 @@ pub struct IdcaConfig {
     pub checkpoint_every: usize,
 }
 
-/// Reads a thread-count environment variable once (values `< 1` and junk
-/// fall back to the sequential default of 1).
-fn env_threads(cell: &'static std::sync::OnceLock<usize>, var: &str) -> usize {
-    *cell.get_or_init(|| {
-        std::env::var(var)
+/// The default of every lane count: `UDB_THREADS`, read once (values
+/// `< 1` and junk fall back to the sequential default of 1).
+fn default_threads() -> usize {
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::env::var("UDB_THREADS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&t| t >= 1)
@@ -137,23 +123,8 @@ fn env_threads(cell: &'static std::sync::OnceLock<usize>, var: &str) -> usize {
     })
 }
 
-fn default_snapshot_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    env_threads(&THREADS, "UDB_SNAPSHOT_THREADS")
-}
-
-fn default_candidate_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    env_threads(&THREADS, "UDB_CANDIDATE_THREADS")
-}
-
-fn default_batch_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    env_threads(&THREADS, "UDB_BATCH_THREADS")
-}
-
-/// Default capacity of the engine-owned decomposition cache; unlike the
-/// thread shims, `0` is a meaningful value (cache off, per-call
+/// Default capacity of the engine-owned decomposition cache; unlike
+/// `UDB_THREADS`, `0` is a meaningful value (cache off, per-call
 /// semantics), so only unparsable input falls back to the default.
 fn default_decomp_cache_entries() -> usize {
     static CAP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
@@ -197,9 +168,9 @@ impl Default for IdcaConfig {
             split_strategy: SplitStrategy::LongestExtent,
             max_iterations: 8,
             uncertainty_target: 1e-3,
-            snapshot_threads: default_snapshot_threads(),
-            candidate_threads: default_candidate_threads(),
-            batch_threads: default_batch_threads(),
+            snapshot_threads: default_threads(),
+            candidate_threads: default_threads(),
+            batch_threads: default_threads(),
             shard_threads: 1,
             shard_materialize_min: 0,
             decomp_cache_entries: default_decomp_cache_entries(),
@@ -247,10 +218,10 @@ impl Predicate {
 /// every candidate's predicate shares, plus the decision threshold when
 /// the query has one.
 ///
-/// [`crate::refine_lockstep`] uses the goal to retire candidates the
-/// moment their outcome is decided instead of refining each one to
-/// convergence; rank-style queries ([`crate::refine_top_m`]) leave `tau`
-/// unset and decide cross-candidate instead.
+/// A threshold goal's [`RefineGoal::predicate`] lets each candidate's
+/// refiner stop the moment its outcome is decided instead of refining
+/// to convergence; rank-style queries ([`crate::refine_top_m`]) leave
+/// `tau` unset and decide cross-candidate instead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefineGoal {
     /// The `k` of the query: every candidate refines `P(DomCount < k)`.

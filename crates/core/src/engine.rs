@@ -47,7 +47,7 @@ use crate::config::{IdcaConfig, ObjRef, Predicate};
 use crate::durable::{rebuild_tree, recover, Durability, DurableError, RecoveryReport};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
-use crate::refiner::{RefineStats, Refiner, ScratchPool};
+use crate::refiner::{DbView, RefineStats, Refiner, ScratchPool};
 use crate::router::QueryPlane;
 use crate::standing::{
     self, validate_spec, ResultDelta, StandingRegistry, StandingSpec, StandingStats,
@@ -76,9 +76,8 @@ pub(crate) fn attach<'b>(refiner: Refiner<'b>, (ctx, q_dec): BatchShared<'_>) ->
 /// Maintains the `k` smallest MaxDists seen over *certainly existing*
 /// objects (`k_smallest`, kept sorted ascending): inserts `max_d` if it
 /// belongs, and returns the updated pruning radius `d_k` once `k` values
-/// are held. Shared by the per-query candidate stream, the grouped
-/// batch descent and the sharded merged stream so the pruning rule
-/// cannot diverge between them.
+/// are held. Shared by the per-query candidate stream and the sharded
+/// merged stream so the pruning rule cannot diverge between them.
 pub(crate) fn tighten_dk(k_smallest: &mut Vec<f64>, k: usize, max_d: f64) -> Option<f64> {
     let pos = k_smallest
         .binary_search_by(|d| d.partial_cmp(&max_d).expect("NaN"))
@@ -181,8 +180,8 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
         });
         let mut influence = influence;
         influence.sort_unstable();
-        Refiner::with_filter_result(
-            db,
+        Refiner::with_filter_result_view(
+            DbView::Single(db),
             target,
             reference,
             cfg.clone(),
@@ -229,73 +228,6 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
         seen.into_iter()
             .filter(|(_, min_d)| *min_d <= kth_max)
             .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// Grouped spatial kNN candidate generation: the candidate sets of
-    /// many `(query MBR, k)` requests from **one** best-first R-tree
-    /// descent ([`RTree::for_each_grouped`]) instead of one descent per
-    /// query. Each request's set equals [`EngineRef::knn_candidates`]
-    /// for the same `(q, k)` — the per-query pruning rule (only certainly
-    /// existing objects tighten `d_k`; survivors have `MinDist ≤ d_k`) is
-    /// applied with per-query state while the tree is walked once, so
-    /// subtrees shared by clustered queries are tested once. Returned
-    /// sets are sorted by id (candidate order does not affect query
-    /// results; a deterministic order keeps the batched pipeline
-    /// reproducible).
-    ///
-    /// # Panics
-    /// Panics if any request has `k == 0`.
-    fn knn_candidates_batch(&self, queries: &[(Rect, usize)]) -> Vec<Vec<ObjectId>> {
-        struct QState {
-            /// `(id, MinDist)` of every object visited within the
-            /// query's (then-current) radius; filtered by the final
-            /// radius at the end, like the per-query stream.
-            seen: Vec<(ObjectId, f64)>,
-            /// The `k` smallest MaxDists over certain objects so far.
-            k_smallest: Vec<f64>,
-        }
-        for (_, k) in queries {
-            assert!(*k >= 1, "k must be positive");
-        }
-        let norm = self.cfg.norm;
-        let db = self.db;
-        let rects: Vec<Rect> = queries.iter().map(|(r, _)| r.clone()).collect();
-        let mut radii = vec![f64::INFINITY; queries.len()];
-        let mut states: Vec<QState> = queries
-            .iter()
-            .map(|_| QState {
-                seen: Vec::new(),
-                k_smallest: Vec::new(),
-            })
-            .collect();
-        self.tree
-            .for_each_grouped(&rects, norm, &mut radii, |i, &id, min_d, radii| {
-                let st = &mut states[i];
-                st.seen.push((id, min_d));
-                let obj = db.get(id);
-                if obj.existence() < 1.0 {
-                    return; // cannot contribute to d_k
-                }
-                let (q, k) = &queries[i];
-                let max_d = obj.mbr().max_dist_rect(q, norm);
-                if let Some(d_k) = tighten_dk(&mut st.k_smallest, *k, max_d) {
-                    radii[i] = d_k;
-                }
-            });
-        states
-            .into_iter()
-            .zip(radii)
-            .map(|(st, d_k)| {
-                let mut out: Vec<ObjectId> = st
-                    .seen
-                    .into_iter()
-                    .filter(|(_, min_d)| *min_d <= d_k)
-                    .map(|(id, _)| id)
-                    .collect();
-                out.sort_unstable();
-                out
-            })
             .collect()
     }
 
@@ -939,13 +871,6 @@ impl Engine {
             .map(|n| n.payload)
     }
 
-    /// Grouped spatial kNN candidate generation for many `(MBR, k)`
-    /// requests through one best-first descent; each returned set equals
-    /// [`Engine::knn_candidates`] for that request, sorted by id.
-    pub fn knn_candidates_batch(&self, queries: &[(Rect, usize)]) -> Vec<Vec<ObjectId>> {
-        self.parts().knn_candidates_batch(queries)
-    }
-
     /// Probabilistic threshold kNN (Corollary 4), fully index-integrated
     /// and warm-cache-served: a batch-of-one through the same internal
     /// pipeline as [`Engine::run_batch`]. Results are identical to
@@ -987,10 +912,10 @@ impl Engine {
         self.run_single(QueryView::TopM { q, m })
     }
 
-    /// Executes a mixed [`QueryBatch`] through one shared pass (grouped
-    /// candidate generation, the engine's persistent decomposition
-    /// cache, recycled refiner scratch, query-level fan-out over
-    /// [`IdcaConfig::batch_threads`] lanes). Returns one result vector
+    /// Executes a mixed [`QueryBatch`] through one shared pass (the
+    /// engine's persistent decomposition cache, recycled refiner
+    /// scratch, query-level fan-out over [`IdcaConfig::batch_threads`]
+    /// lanes). Returns one result vector
     /// per query, aligned with the batch's insertion order; each vector
     /// is exactly what the corresponding per-query entry point returns.
     pub fn run_batch(&self, batch: &QueryBatch) -> Vec<Vec<ThresholdResult>> {

@@ -32,9 +32,9 @@
 //! pool provides. Because the calling thread always participates, a pool
 //! serving `parallelism` lanes needs only `parallelism − 1` workers.
 //!
-//! Threshold queries reach the pool through [`PoolHandle::fan_each`]:
-//! the lock-step candidate drivers of [`crate::refiner`] fan each
-//! refinement round over [`crate::IdcaConfig::candidate_threads`] lanes.
+//! Queries reach the pool through [`PoolHandle::fan_each`]: the
+//! candidate drivers of [`crate::refiner`] fan their candidates over
+//! [`crate::IdcaConfig::candidate_threads`] lanes.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -256,28 +256,29 @@ impl PoolHandle {
         }
     }
 
-    /// Round-fanning primitive of the lock-step candidate drivers: runs
-    /// `f` once per item of `items`, on up to `lanes` concurrent lanes of
-    /// the shared pool, and returns only after every call has finished.
+    /// The fan-out primitive of the query, candidate and top-`m` round
+    /// drivers: runs `f` once per item of `items`, on up to `lanes`
+    /// concurrent lanes of the shared pool, and returns only after every
+    /// call has finished.
     ///
-    /// This is the batch-parallel shape of one refinement *round*: each
-    /// item is a candidate whose `step()`/`snapshot()` advance
-    /// independently (`f` gets exclusive `&mut` access to its item, so
-    /// no synchronization is needed inside), while everything *between*
-    /// rounds — retirement decisions, cross-candidate bounds — stays on
-    /// the calling thread. Because each item's own call sequence is
-    /// unchanged and per-item state never crosses items, results are
-    /// **bit-identical for every lane count**, including `lanes == 1`
-    /// (which runs inline, in slice order, without touching the pool).
+    /// `f` gets exclusive `&mut` access to its item, so no
+    /// synchronization is needed inside; anything that compares items
+    /// (a top-`m` retirement decision) stays on the calling thread.
+    /// Because each item's own call sequence is unchanged and per-item
+    /// state never crosses items, results are **bit-identical for every
+    /// lane count**, including `lanes == 1` (which runs inline, in slice
+    /// order, without touching the pool).
     ///
-    /// Items are dispatched as at most `lanes` contiguous-chunk jobs
-    /// (not one job per item), so the shared queue never holds more
-    /// than a lane-bounded number of pending jobs. That bound matters
-    /// for nesting: a blocked scope's participation loop executes
-    /// queued sibling jobs inline on its own stack, so with per-item
-    /// jobs a candidate's inner pair scope could recurse through
-    /// arbitrarily many sibling candidates — with chunked jobs the
-    /// inline depth stays O(lanes), independent of the item count.
+    /// Items are dispatched as `lanes` jobs (not one job per item), each
+    /// taking the next unclaimed item whenever it finishes one, so one
+    /// slow item does not leave the other lanes idle, and the pool's
+    /// queue never holds more than a lane-bounded number of pending
+    /// jobs. That bound matters for nesting: a blocked scope's
+    /// participation loop executes queued sibling jobs inline on its own
+    /// stack, so with per-item jobs a candidate's inner pair scope could
+    /// recurse through arbitrarily many sibling candidates — with lane
+    /// jobs the inline depth stays O(lanes), independent of the item
+    /// count.
     ///
     /// Nested use is safe: `f` may itself open scopes on the same pool
     /// (e.g. a candidate's snapshot fanning its pair loop out via
@@ -293,12 +294,19 @@ impl PoolHandle {
         match self.get(lanes) {
             Some(pool) => {
                 let f = &f;
-                let chunk = items.len().div_ceil(lanes);
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = items
-                    .chunks_mut(chunk)
-                    .map(|chunk| {
-                        Box::new(move || chunk.iter_mut().for_each(f))
-                            as Box<dyn FnOnce() + Send + '_>
+                let queue = Mutex::new(items.iter_mut());
+                let queue = &queue;
+                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..lanes)
+                    .map(|_| {
+                        Box::new(move || loop {
+                            // the guard drops before `f` runs: lanes
+                            // never hold the queue while they work
+                            let item = queue.lock().expect("fan_each queue poisoned").next();
+                            match item {
+                                Some(item) => f(item),
+                                None => break,
+                            }
+                        }) as Box<dyn FnOnce() + Send + '_>
                     })
                     .collect();
                 pool.scope(jobs);

@@ -70,7 +70,7 @@
 //!   snapshot; zero-weight pairs (and their descendants, whose mass stays
 //!   zero under splitting) only ever hold empty ranges.
 //! * **Retirement is free** — settling a slot (or retiring a whole
-//!   candidate in the lock-step drivers below) just zeroes its range /
+//!   candidate in the drivers below) just zeroes its range /
 //!   drops the refiner; the next generation simply never copies the dead
 //!   entries, so the arena self-compacts without a free list.
 //!
@@ -84,13 +84,14 @@
 //! the engine's persistent [`crate::parallel::WorkerPool`] (engines
 //! inject their pool via [`Refiner::with_pool`]; a stand-alone refiner
 //! lazily creates its own): pairs are split into contiguous chunks, each
-//! job owns its chunk's cache slots (`split_at_mut`), accumulates a
-//! private [`CountDistributionBounds`] + CDF pair and writes its chunk's
-//! open lists into a private arena segment; partials merge in chunk order
-//! after the scope ends (segments are concatenated and slot ranges
-//! rebased), so results are deterministic for a fixed thread count.
-//! Across different thread counts they may differ by float reassociation
-//! only (≲ 1e-13).
+//! job owns its chunk's cache slots (`split_at_mut`), records every
+//! pair's weighted bound and CDF increments in a chunk-local buffer and
+//! writes its chunk's open lists into a private arena segment. The
+//! calling thread then adds the buffers in chunk order and pair order —
+//! exactly the sequential loop's sums — and concatenates the segments
+//! (slot ranges rebased), so results are bit-identical at every lane
+//! count. Recording costs `O(pairs · k)` extra work and memory, next to
+//! the `O(pairs · influence · k)` UGF multiplies.
 //!
 //! [`Refiner::snapshot_from_scratch`] keeps the cache-free evaluation
 //! path: tests assert it agrees with the incremental snapshot at every
@@ -99,23 +100,22 @@
 //! # Early-exit candidate refinement
 //!
 //! Query-level drivers ([`refine_lockstep`], [`refine_top_m`]) run one
-//! refiner per candidate in lock-step rounds, retiring candidates
-//! mid-loop the moment their query outcome is decided (via
-//! [`DomCountSnapshot::decided`] and the [`RefineGoal`] context) — the
-//! candidate set shrinks *during* refinement, and retired refiners free
-//! their factor cache and arena immediately. [`crate::Engine`]
-//! drives its threshold and top-`m` queries through these paths.
+//! refiner per candidate and retire each candidate the moment its query
+//! outcome is decided (via [`DomCountSnapshot::decided`]), freeing its
+//! factor cache and arena immediately. [`crate::Engine`] drives its
+//! threshold and top-`m` queries through these paths.
 //!
-//! Candidates refine independently, so each round is batch-parallel:
-//! with [`IdcaConfig::candidate_threads`] > 1 the per-candidate
-//! `step()`/`snapshot()` calls of a round fan out over the shared
-//! [`crate::parallel::WorkerPool`]
-//! ([`crate::parallel::PoolHandle::fan_each`]), and the retirement /
-//! cross-candidate decisions merge on the calling thread after the round
-//! — bit-identical to the sequential drivers at every lane count.
-//! Candidate jobs may nest pair-loop scopes of the same pool
-//! ([`IdcaConfig::snapshot_threads`]); caller participation makes the
-//! candidates × pairs nesting deadlock-free.
+//! Candidates refine independently, so with
+//! [`IdcaConfig::candidate_threads`] > 1 their refinement fans out over
+//! the shared [`crate::parallel::WorkerPool`]
+//! ([`crate::parallel::PoolHandle::fan_each`]): whole candidates for
+//! threshold queries, one round of `step()`/`snapshot()` calls at a time
+//! for top-`m`, whose cross-candidate decisions merge on the calling
+//! thread between rounds. Either way the results are bit-identical to
+//! the sequential drivers at every lane count. Candidate jobs may nest
+//! pair-loop scopes of the same pool ([`IdcaConfig::snapshot_threads`]);
+//! caller participation makes the candidates × pairs nesting
+//! deadlock-free.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -125,7 +125,7 @@ use udb_genfunc::{CountDistributionBounds, Ugf};
 use udb_object::{Database, Decomposition, ObjectId, Partition, Pdf, UncertainObject};
 
 use crate::batch::{DecompCache, ObjDecomp, SharedRefineCtx};
-use crate::config::{IdcaConfig, ObjRef, Predicate, RefineGoal};
+use crate::config::{IdcaConfig, ObjRef, Predicate};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
 
@@ -708,7 +708,7 @@ impl<'a> Refiner<'a> {
             cfg.norm,
         );
         let mut complete_count = 0usize;
-        let mut influence = Vec::new();
+        let mut influence_ids = Vec::new();
         for (id, a) in db.iter() {
             if excluded.contains(&Some(id)) {
                 continue;
@@ -722,58 +722,10 @@ impl<'a> Refiner<'a> {
                     complete_count += 1;
                     continue;
                 }
-                _ => influence.push(Influence::new(id, a, &cfg)),
+                // ascending ids: the scan walks the database slots
+                _ => influence_ids.push(id),
             }
         }
-
-        let b_dec = Decomposition::with_strategy(target_obj.pdf(), cfg.split_strategy);
-        let b_parts = b_dec.partitions();
-        let r_dec = Decomposition::with_strategy(reference_obj.pdf(), cfg.split_strategy);
-        let r_parts = r_dec.partitions();
-
-        Refiner {
-            db: DbView::Single(db),
-            cfg,
-            predicate,
-            target: target_obj,
-            reference: reference_obj,
-            target_id: target.id(),
-            reference_id: reference.id(),
-            complete_count,
-            influence,
-            b_dec: DecSource::Own(b_dec),
-            b_parts,
-            r_dec: DecSource::Own(r_dec),
-            r_parts,
-            iteration: 0,
-            b_map: None,
-            r_map: None,
-            cache: Vec::new(),
-            cache_dims: (0, 0),
-            cache_valid: false,
-            open_arena: Vec::new(),
-            open_scratch: Vec::new(),
-            ugf: Ugf::new(None),
-            pool: PoolHandle::default(),
-            scratch_pool: None,
-            stats: None,
-        }
-    }
-
-    /// Builds a refiner from a *precomputed* filter result: `complete_count`
-    /// certain dominators and `influence_ids` undecided objects. The caller
-    /// is responsible for soundness of the classification (used by the
-    /// index-accelerated filter, whose subtree tests apply the same
-    /// criterion as [`Refiner::new`]).
-    pub fn with_filter_result(
-        db: &'a Database,
-        target: ObjRef<'a>,
-        reference: ObjRef<'a>,
-        cfg: IdcaConfig,
-        predicate: Predicate,
-        complete_count: usize,
-        influence_ids: Vec<ObjectId>,
-    ) -> Self {
         Refiner::with_filter_result_view(
             DbView::Single(db),
             target,
@@ -785,11 +737,14 @@ impl<'a> Refiner<'a> {
         )
     }
 
-    /// [`Refiner::with_filter_result`] over an arbitrary [`DbView`] —
-    /// the sharded router's constructor: influence ids are *global* ids
-    /// resolved through the view, so one refiner refines against
-    /// influence objects scattered across shard databases exactly as if
-    /// they lived in one.
+    /// Builds a refiner from a *precomputed* filter result over an
+    /// arbitrary [`DbView`]: `complete_count` certain dominators and the
+    /// undecided `influence_ids`, ascending. The caller is responsible
+    /// for the classification's soundness (the index-accelerated filters
+    /// apply the same criterion as [`Refiner::new`]). Influence ids are
+    /// resolved through the view, so the sharded router's refiner
+    /// refines against influence objects scattered across shard
+    /// databases exactly as if they lived in one.
     pub fn with_filter_result_view(
         db: DbView<'a>,
         target: ObjRef<'a>,
@@ -1112,12 +1067,7 @@ impl<'a> Refiner<'a> {
         // the sink owns the refiner's persistent UGF arena for the
         // duration of the pair loop (returned below, so the steady-state
         // snapshot keeps reusing one allocation)
-        let mut sink = ExactSink {
-            ugf: std::mem::replace(&mut self.ugf, Ugf::new(None)),
-            agg: CountDistributionBounds::zero(len),
-            k_eff,
-            cdf_acc: k_eff.map(|_| (0.0f64, 0.0f64)),
-        };
+        let mut sink = ExactSink::new(std::mem::replace(&mut self.ugf, Ugf::new(None)), len, k_eff);
         self.snapshot_pairs(&mut sink);
         let ExactSink {
             ugf,
@@ -1141,10 +1091,10 @@ impl<'a> Refiner<'a> {
 
     /// The pair loop of [`Refiner::snapshot`]: refreshes the factor cache
     /// for the current refinement state and streams each positive-weight
-    /// pair's factor bounds into `sink`. The parallel path aggregates into
-    /// chunk-private [`ExactSink::fork`]s and absorbs their partials in
-    /// chunk order: every pair sees the sequential operation sequence,
-    /// and results are deterministic for a fixed thread count.
+    /// pair's factor bounds into `sink`. The parallel path records each
+    /// chunk's per-pair increments ([`ExactSink::recording`]) and adds
+    /// them to `sink` in chunk order, so the sums are the sequential
+    /// ones, bit for bit, at every lane count.
     fn snapshot_pairs(&mut self, sink: &mut ExactSink) {
         let n_inf = self.influence.len();
         let n_pairs = self.b_parts.len() * self.r_parts.len();
@@ -1246,9 +1196,8 @@ impl<'a> Refiner<'a> {
             let chunk = n_pairs.div_ceil(threads);
             let n_chunks = n_pairs.div_ceil(chunk);
             // one result slot per chunk, filled by the pool jobs and
-            // merged in chunk order below: deterministic for a fixed
-            // thread count
-            let mut results: Vec<Option<(ExactSink, Vec<u32>)>> =
+            // added in chunk order below
+            let mut results: Vec<Option<(Vec<f64>, Vec<u32>)>> =
                 (0..n_chunks).map(|_| None).collect();
             {
                 let b_parts = &self.b_parts;
@@ -1259,7 +1208,7 @@ impl<'a> Refiner<'a> {
                 let old_arena = &self.open_arena;
                 let cfg = &self.cfg;
                 let mut cache_rest: &mut [FactorCache] = &mut self.cache;
-                let mut results_rest: &mut [Option<(ExactSink, Vec<u32>)>] = &mut results;
+                let mut results_rest: &mut [Option<(Vec<f64>, Vec<u32>)>] = &mut results;
                 let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(n_chunks);
                 for t in 0..n_chunks {
                     let start = t * chunk;
@@ -1269,7 +1218,7 @@ impl<'a> Refiner<'a> {
                     let (out, rest) = results_rest.split_at_mut(1);
                     results_rest = rest;
                     let out = &mut out[0];
-                    let mut local_sink = sink.fork();
+                    let mut local_sink = ExactSink::recording(sink.agg.len(), sink.k_eff);
                     jobs.push(Box::new(move || {
                         // chunk-private arena segment, rebased into the
                         // shared generation after the scope
@@ -1289,14 +1238,14 @@ impl<'a> Refiner<'a> {
                             cfg,
                             &mut local_sink,
                         );
-                        *out = Some((local_sink, local_arena));
+                        *out = Some((local_sink.terms.expect("lane sinks record"), local_arena));
                     }));
                 }
                 pool.scope(jobs);
             }
             for (t, result) in results.into_iter().enumerate() {
-                let (local_sink, local_arena) = result.expect("snapshot chunk completed");
-                sink.absorb(local_sink);
+                let (terms, local_arena) = result.expect("snapshot chunk completed");
+                sink.add_terms(&terms);
                 if rebuild {
                     // concatenate the chunk's arena segment and rebase its
                     // slots' ranges onto the shared generation
@@ -1387,9 +1336,9 @@ impl<'a> Refiner<'a> {
 
     /// Whether the stop criterion of Algorithm 1 is met for `snap`
     /// (iteration budget, a decided threshold predicate, or the
-    /// uncertainty target). Public so the lock-step drivers
-    /// ([`refine_lockstep`], [`refine_top_m`]) replicate
-    /// [`Refiner::run`]'s stopping behaviour exactly.
+    /// uncertainty target). Public so the top-`m` driver
+    /// ([`refine_top_m`]) replicates [`Refiner::run`]'s stopping
+    /// behaviour exactly.
     pub fn converged(&self, snap: &DomCountSnapshot) -> bool {
         if self.iteration >= self.cfg.max_iterations {
             return true;
@@ -1433,116 +1382,38 @@ pub(crate) fn threshold_result(id: ObjectId, snap: &DomCountSnapshot) -> Option<
     })
 }
 
-/// Lock-step early-exit refinement of a candidate set: one [`Refiner`]
-/// per candidate, all stepped in rounds; after every round the
-/// candidates whose outcome is decided (per the [`RefineGoal`]) or whose
-/// refiner hit its own stop criterion are retired — swap-removed from
-/// the active set, their factor cache and open-list arena freed — and
-/// subsequent rounds iterate only the survivors, so the candidate set
-/// shrinks *during* refinement.
-///
-/// Retirement here is purely per-candidate (the [`RefineGoal`] decision,
-/// the refiner's own stop criterion, or exhaustion), which frees the
-/// execution shape:
-///
-/// * **one lane** ([`IdcaConfig::candidate_threads`] <= 1): candidates
-///   are driven *depth-first* — each one refined to its stop before the
-///   next is touched — so a candidate's factor cache and arenas stay hot
-///   instead of being cycled through every round;
-/// * **multiple lanes**: each round's per-candidate `step()`/`snapshot()`
-///   calls fan out over the engines' shared
-///   [`crate::parallel::WorkerPool`] (lane-bounded candidate chunks, via
-///   [`crate::parallel::PoolHandle::fan_each`]), and retirement decisions
-///   are made on the calling thread after the round, in candidate order.
-///   Candidate jobs may nest pair-loop scopes on the same pool
-///   ([`IdcaConfig::snapshot_threads`]) without deadlock.
-///
-/// Results are **bit-identical for every lane count** — each candidate's
-/// own operation sequence is exactly [`Refiner::run`]'s in either shape.
+/// Early-exit refinement of a candidate set: each candidate's refiner
+/// runs to its own stop ([`Refiner::run`]: a decided threshold
+/// predicate, the iteration budget or uncertainty target, or
+/// exhaustion) and is dropped at once, freeing its factor cache and
+/// open-list arena. Retirement depends on the candidate alone, so the
+/// candidates fan out over [`IdcaConfig::candidate_threads`] lanes of
+/// the engines' shared [`crate::parallel::WorkerPool`]
+/// ([`crate::parallel::PoolHandle::fan_each`]); at one lane they run
+/// inline, in order. Each candidate's operation sequence is
+/// [`Refiner::run`]'s at every lane count, so results are bit-identical.
 ///
 /// Candidates whose predicate probability is certainly zero are dropped,
 /// and the output is sorted by id.
-pub fn refine_lockstep(
-    candidates: Vec<(ObjectId, Refiner<'_>)>,
-    goal: RefineGoal,
-) -> Vec<ThresholdResult> {
-    struct Active<'a> {
-        id: ObjectId,
-        refiner: Refiner<'a>,
-        /// `None` only before the initial snapshot round.
-        snap: Option<DomCountSnapshot>,
-        stalled: bool,
-    }
+pub fn refine_lockstep(candidates: Vec<(ObjectId, Refiner<'_>)>) -> Vec<ThresholdResult> {
     let lanes = candidates
         .iter()
         .map(|(_, r)| r.cfg.candidate_threads)
         .max()
         .unwrap_or(1);
-    if lanes <= 1 {
-        // single lane: retirement in refine_lockstep is purely
-        // per-candidate (goal.decided / converged / stalled inspect one
-        // candidate only), so candidate order is free — finish each
-        // candidate before touching the next instead of cycling through
-        // every live refiner's caches per round. Identical per-candidate
-        // operation sequence, identical results, much better locality.
-        let mut done: Vec<ThresholdResult> = Vec::new();
-        for (id, mut refiner) in candidates {
-            let snap = loop {
-                let snap = refiner.snapshot();
-                if goal.decided(&snap) || refiner.converged(&snap) || !refiner.step() {
-                    break snap;
-                }
-            };
-            done.extend(threshold_result(id, &snap));
-        }
-        done.sort_by_key(|r| r.id);
-        return done;
-    }
     let pool = candidates
         .first()
         .map(|(_, r)| r.pool.clone())
         .unwrap_or_default();
-    let mut done: Vec<ThresholdResult> = Vec::new();
-    let mut active: Vec<Active<'_>> = candidates
+    let mut jobs: Vec<(ObjectId, Option<Refiner<'_>>, Option<ThresholdResult>)> = candidates
         .into_iter()
-        .map(|(id, refiner)| Active {
-            id,
-            refiner,
-            snap: None,
-            stalled: false,
-        })
+        .map(|(id, refiner)| (id, Some(refiner), None))
         .collect();
-    // round 0: every candidate's initial snapshot (filter-level bounds)
-    pool.fan_each(lanes, &mut active, |cand| {
-        cand.snap = Some(cand.refiner.snapshot());
+    pool.fan_each(lanes, &mut jobs, |(id, refiner, out)| {
+        let mut refiner = refiner.take().expect("each candidate runs once");
+        *out = threshold_result(*id, &refiner.run());
     });
-    while !active.is_empty() {
-        let mut i = 0;
-        while i < active.len() {
-            let cand = &active[i];
-            let snap = cand.snap.as_ref().expect("snapshot round completed");
-            if cand.stalled || goal.decided(snap) || cand.refiner.converged(snap) {
-                // swap-remove retirement: dropping the refiner frees its
-                // state; the final sort restores a deterministic order
-                let retired = active.swap_remove(i);
-                done.extend(threshold_result(
-                    retired.id,
-                    retired.snap.as_ref().expect("snapshot round completed"),
-                ));
-            } else {
-                i += 1;
-            }
-        }
-        // one lock-step round: candidates advance independently (their
-        // state never crosses), so fanning is exact, not approximate
-        pool.fan_each(lanes, &mut active, |cand| {
-            if cand.refiner.step() {
-                cand.snap = Some(cand.refiner.snapshot());
-            } else {
-                cand.stalled = true; // decompositions exhausted: bounds final
-            }
-        });
-    }
+    let mut done: Vec<ThresholdResult> = jobs.into_iter().filter_map(|(_, _, out)| out).collect();
     done.sort_by_key(|r| r.id);
     done
 }
@@ -1556,10 +1427,11 @@ pub fn refine_lockstep(
 /// iterations. Returns the top `m` by bound midpoint (ties and overlaps
 /// are visible in the returned bounds).
 ///
-/// Rounds fan over the worker pool exactly like [`refine_lockstep`]
-/// ([`IdcaConfig::candidate_threads`] lanes, bit-identical results at
-/// any lane count); the cross-candidate bound comparison between rounds
-/// always runs on the calling thread, over the merged snapshots.
+/// Each round's per-candidate `step()`/`snapshot()` calls fan over
+/// [`IdcaConfig::candidate_threads`] lanes of the worker pool, like
+/// [`refine_lockstep`]; the cross-candidate bound comparison between
+/// rounds always runs on the calling thread, so results are
+/// bit-identical at any lane count.
 pub fn refine_top_m(candidates: Vec<(ObjectId, Refiner<'_>)>, m: usize) -> Vec<ThresholdResult> {
     assert!(m >= 1, "m must be positive");
     struct Cand<'a> {
@@ -1669,8 +1541,11 @@ fn compose_lineage(prev: Option<Vec<u32>>, next: Vec<u32>) -> Vec<u32> {
 /// The aggregation half of a snapshot pass (the paper's §IV-E): one UGF
 /// per pair, folded into weighted count bounds plus the predicate CDF.
 /// [`process_pair_range`] streams every positive-weight pair's factor
-/// bounds into one of these; the parallel path gives each chunk its own
-/// [`ExactSink::fork`] and absorbs the partials in chunk order.
+/// bounds into one of these. A pair lane's sink records each pair's
+/// weighted increments instead of summing them ([`ExactSink::recording`]);
+/// the calling thread then adds the records in pair order
+/// ([`ExactSink::add_terms`]), so every lane count performs the
+/// sequential sum's exact operation sequence.
 struct ExactSink {
     ugf: Ugf,
     agg: CountDistributionBounds,
@@ -1678,16 +1553,30 @@ struct ExactSink {
     /// UGF truncation point (`None`: full PDF, no truncation).
     k_eff: Option<usize>,
     cdf_acc: Option<(f64, f64)>,
+    /// A pair lane's record, one entry per positive-weight pair: its
+    /// `len` lower and `len` upper increments, then (with a predicate)
+    /// its two CDF increments. `None` sums straight into `agg`.
+    terms: Option<Vec<f64>>,
 }
 
 impl ExactSink {
-    /// An empty chunk-private sink of the same shape.
-    fn fork(&self) -> Self {
+    /// A sink summing straight into zeroed bounds of length `len`.
+    fn new(ugf: Ugf, len: usize, k_eff: Option<usize>) -> Self {
         ExactSink {
-            ugf: Ugf::new(self.k_eff),
-            agg: CountDistributionBounds::zero(self.agg.len()),
-            k_eff: self.k_eff,
-            cdf_acc: self.cdf_acc.map(|_| (0.0, 0.0)),
+            ugf,
+            agg: CountDistributionBounds::zero(len),
+            k_eff,
+            cdf_acc: k_eff.map(|_| (0.0, 0.0)),
+            terms: None,
+        }
+    }
+
+    /// A pair lane's sink: `agg` becomes per-pair scratch and each
+    /// pair's increments are recorded for [`ExactSink::add_terms`].
+    fn recording(len: usize, k_eff: Option<usize>) -> Self {
+        ExactSink {
+            terms: Some(Vec::new()),
+            ..ExactSink::new(Ugf::new(k_eff), len, k_eff)
         }
     }
 
@@ -1701,24 +1590,58 @@ impl ExactSink {
         self.ugf.multiply(p_lb, p_ub);
     }
 
-    /// Ends the pair, folding its aggregate in with weight `w`.
+    /// Ends the pair, folding its aggregate in with weight `w` (or
+    /// recording the increments that fold would add).
     fn finish_pair(&mut self, w: f64, n_inf: usize) {
+        if self.terms.is_some() {
+            // zeroed scratch: `0 + w·x` is exactly the increment `w·x`,
+            // and a slot the UGF leaves alone records `0`, whose later
+            // addition is exact too
+            let (lower, upper) = self.agg.bounds_mut();
+            lower.fill(0.0);
+            upper.fill(0.0);
+        }
         self.ugf.add_bounds_weighted(&mut self.agg, w);
-        if let (Some(k), Some(acc)) = (self.k_eff, self.cdf_acc.as_mut()) {
+        let cdf = self.k_eff.map(|k| {
             let (lo, hi) = self.ugf.cdf_bounds(k.min(n_inf + 1));
             // counts can never reach k when k > n_inf: cdf = 1
             let (lo, hi) = if k > n_inf { (1.0, 1.0) } else { (lo, hi) };
-            acc.0 += w * lo;
-            acc.1 += w * hi;
+            (w * lo, w * hi)
+        });
+        match &mut self.terms {
+            Some(terms) => {
+                terms.extend_from_slice(self.agg.lower_slice());
+                terms.extend_from_slice(self.agg.upper_slice());
+                if let Some((lo, hi)) = cdf {
+                    terms.extend_from_slice(&[lo, hi]);
+                }
+            }
+            None => {
+                if let (Some(acc), Some((lo, hi))) = (self.cdf_acc.as_mut(), cdf) {
+                    acc.0 += lo;
+                    acc.1 += hi;
+                }
+            }
         }
     }
 
-    /// Folds a parallel chunk's partial (absorbed in chunk order) in.
-    fn absorb(&mut self, other: Self) {
-        self.agg.add_weighted(&other.agg, 1.0);
-        if let (Some(acc), Some((lo, hi))) = (self.cdf_acc.as_mut(), other.cdf_acc) {
-            acc.0 += lo;
-            acc.1 += hi;
+    /// Adds a pair lane's recorded increments, pair by pair, in the
+    /// order the lane recorded them.
+    fn add_terms(&mut self, terms: &[f64]) {
+        let len = self.agg.len();
+        let stride = 2 * len + if self.cdf_acc.is_some() { 2 } else { 0 };
+        for pair in terms.chunks_exact(stride) {
+            let (lower, upper) = self.agg.bounds_mut();
+            for (acc, &x) in lower.iter_mut().zip(&pair[..len]) {
+                *acc += x;
+            }
+            for (acc, &x) in upper.iter_mut().zip(&pair[len..2 * len]) {
+                *acc += x;
+            }
+            if let Some(acc) = self.cdf_acc.as_mut() {
+                acc.0 += pair[2 * len];
+                acc.1 += pair[2 * len + 1];
+            }
         }
     }
 }
@@ -2044,8 +1967,9 @@ mod tests {
         }
     }
 
-    /// Parallel snapshots agree with sequential ones (up to float
-    /// reassociation across chunk boundaries).
+    /// Parallel snapshots are bit-identical to sequential ones: pair
+    /// lanes record their increments and the calling thread sums them in
+    /// pair order.
     #[test]
     fn parallel_snapshot_matches_sequential() {
         let db = Database::from_objects(vec![
@@ -2056,44 +1980,51 @@ mod tests {
             certain(2.0),
         ]);
         let r = uniform_seg(-0.5, 0.5);
-        let mk = |threads| {
-            Refiner::new(
-                &db,
-                ObjRef::Db(ObjectId(4)),
-                ObjRef::External(&r),
-                IdcaConfig {
-                    max_iterations: 5,
-                    uncertainty_target: 0.0,
-                    snapshot_threads: threads,
-                    ..Default::default()
-                },
-                Predicate::FullPdf,
-            )
-        };
-        let mut seq = mk(1);
-        for threads in [2usize, 4, 16] {
-            let mut par = mk(threads);
-            loop {
-                let a = seq.snapshot();
-                let b = par.snapshot();
-                for k in 0..a.bounds.len() {
-                    assert!(
-                        (a.bounds.lower(k) - b.bounds.lower(k)).abs() < 1e-12,
-                        "threads={threads} lower k={k}"
+        for predicate in [Predicate::FullPdf, Predicate::Threshold { k: 2, tau: 0.5 }] {
+            let mk = |threads| {
+                Refiner::new(
+                    &db,
+                    ObjRef::Db(ObjectId(4)),
+                    ObjRef::External(&r),
+                    IdcaConfig {
+                        max_iterations: 5,
+                        uncertainty_target: 0.0,
+                        snapshot_threads: threads,
+                        ..Default::default()
+                    },
+                    predicate,
+                )
+            };
+            for threads in [2usize, 4, 16] {
+                let (mut seq, mut par) = (mk(1), mk(threads));
+                loop {
+                    let (a, b) = (seq.snapshot(), par.snapshot());
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    let it = a.iteration;
+                    assert_eq!(
+                        bits(a.bounds.lower_slice()),
+                        bits(b.bounds.lower_slice()),
+                        "{predicate:?} threads={threads} iteration {it}: lower"
                     );
-                    assert!(
-                        (a.bounds.upper(k) - b.bounds.upper(k)).abs() < 1e-12,
-                        "threads={threads} upper k={k}"
+                    assert_eq!(
+                        bits(a.bounds.upper_slice()),
+                        bits(b.bounds.upper_slice()),
+                        "{predicate:?} threads={threads} iteration {it}: upper"
                     );
-                }
-                let (sp, pp) = (seq.step(), par.step());
-                assert_eq!(sp, pp);
-                if !sp || seq.iteration() > 5 {
-                    break;
+                    let cdf_bits =
+                        |c: Option<(f64, f64)>| c.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+                    assert_eq!(
+                        cdf_bits(a.predicate_cdf),
+                        cdf_bits(b.predicate_cdf),
+                        "{predicate:?} threads={threads} iteration {it}: cdf"
+                    );
+                    let (sp, pp) = (seq.step(), par.step());
+                    assert_eq!(sp, pp);
+                    if !sp || seq.iteration() > 5 {
+                        break;
+                    }
                 }
             }
-            // rewind the sequential refiner for the next comparison
-            seq = mk(1);
         }
     }
 
@@ -2219,8 +2150,8 @@ mod tests {
         }
     }
 
-    /// The lock-step driver must reproduce per-candidate `run()` results
-    /// exactly while actually retiring candidates at different rounds.
+    /// The candidate driver must reproduce per-candidate `run()` results
+    /// exactly while actually retiring candidates at different depths.
     #[test]
     fn lockstep_driver_matches_individual_runs() {
         let db = Database::from_objects(vec![
@@ -2236,7 +2167,7 @@ mod tests {
             uncertainty_target: 0.0,
             ..Default::default()
         };
-        let goal = RefineGoal::threshold(2, 0.5);
+        let predicate = Predicate::Threshold { k: 2, tau: 0.5 };
         let ids: Vec<ObjectId> = db.ids().collect();
         let mk = |id: ObjectId| {
             Refiner::new(
@@ -2244,10 +2175,10 @@ mod tests {
                 ObjRef::Db(id),
                 ObjRef::External(&r),
                 cfg.clone(),
-                goal.predicate(),
+                predicate,
             )
         };
-        let lockstep = refine_lockstep(ids.iter().map(|&id| (id, mk(id))).collect(), goal);
+        let lockstep = refine_lockstep(ids.iter().map(|&id| (id, mk(id))).collect());
         let mut individual: Vec<ThresholdResult> = ids
             .iter()
             .filter_map(|&id| {

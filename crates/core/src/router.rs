@@ -52,21 +52,11 @@ use udb_object::{Database, ObjectId, UncertainObject};
 use std::sync::Arc;
 
 use crate::batch::{QueryView, SharedRefineCtx};
-use crate::config::{IdcaConfig, ObjRef, Predicate, RefineGoal};
+use crate::config::{IdcaConfig, ObjRef, Predicate};
 use crate::engine::{attach, tighten_dk, BatchShared, SUBTREE_SCAN_CUTOFF};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
 use crate::refiner::{refine_lockstep, refine_top_m, DbView, RefineStats, Refiner, ScratchPool};
-
-/// Per-query execution slot of one batch run (the `fan_each` item).
-struct QueryTask<'a> {
-    query: QueryView<'a>,
-    /// Index-driven candidates from the grouped descent (kNN-style
-    /// queries only; RkNN enumerates its own, see
-    /// [`QueryPlane::rknn_candidates`]).
-    candidates: Vec<ObjectId>,
-    out: Vec<ThresholdResult>,
-}
 
 /// The storage primitives a query pipeline runs against, plus the
 /// pipeline itself as provided methods (see the module docs). `Copy`
@@ -100,11 +90,6 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
     /// MinDist/MaxDist filter. Unsorted (discovery order).
     fn knn_candidates(&self, q: &Rect, k: usize) -> Vec<ObjectId>;
 
-    /// Candidate sets for many `(query MBR, k)` requests; each set
-    /// equals [`QueryPlane::knn_candidates`] for that request, sorted
-    /// by id.
-    fn knn_candidates_batch(&self, queries: &[(Rect, usize)]) -> Vec<Vec<ObjectId>>;
-
     /// Visits every live object in ascending id order (the standing
     /// RkNN guard's enumeration).
     fn for_each_object(&self, f: impl FnMut(ObjectId, &'a UncertainObject));
@@ -137,9 +122,9 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
     // ------------------------------------------------------------------
 
     /// The kNN-threshold refinement pipeline: index-driven candidates,
-    /// subtree-filtered refiners, and lock-step early-exit refinement
-    /// that retires candidates mid-loop as soon as their
-    /// `P(DomCount < k) ≷ τ` outcome is decided. Shared verbatim by
+    /// subtree-filtered refiners, and early-exit refinement that
+    /// retires each candidate as soon as its `P(DomCount < k) ≷ τ`
+    /// outcome is decided. Shared verbatim by
     /// every entry point so the surfaces cannot drift.
     fn knn_threshold_pipeline(
         &self,
@@ -149,20 +134,20 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         candidates: Vec<ObjectId>,
         shared: BatchShared<'_>,
     ) -> Vec<ThresholdResult> {
-        let goal = RefineGoal::threshold(k, tau);
+        let predicate = Predicate::Threshold { k, tau };
         let refiners = candidates
             .into_iter()
             .map(|id| {
                 (
                     id,
                     attach(
-                        self.refiner(ObjRef::Db(id), ObjRef::External(q), goal.predicate()),
+                        self.refiner(ObjRef::Db(id), ObjRef::External(q), predicate),
                         shared,
                     ),
                 )
             })
             .collect();
-        refine_lockstep(refiners, goal)
+        refine_lockstep(refiners)
     }
 
     /// The per-object RkNN veto: `true` once `k` objects other than `B`
@@ -255,8 +240,8 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
     /// The RkNN-threshold pipeline (Corollary 5): the index-driven
     /// candidate enumeration ([`QueryPlane::rknn_candidates`]) drops
     /// every object `B` that `k` others certainly dominate `q` w.r.t.,
-    /// without building a refiner, and the survivors refine in
-    /// lock-step with mid-loop retirement.
+    /// without building a refiner, and the survivors refine with
+    /// early-exit retirement.
     fn rknn_threshold_pipeline(
         &self,
         q: &'a UncertainObject,
@@ -264,7 +249,7 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         tau: f64,
         shared: BatchShared<'_>,
     ) -> Vec<ThresholdResult> {
-        let goal = RefineGoal::threshold(k, tau);
+        let predicate = Predicate::Threshold { k, tau };
         let refiners = self
             .rknn_candidates(q, k)
             .into_iter()
@@ -272,13 +257,13 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
                 (
                     b_id,
                     attach(
-                        self.refiner(ObjRef::External(q), ObjRef::Db(b_id), goal.predicate()),
+                        self.refiner(ObjRef::External(q), ObjRef::Db(b_id), predicate),
                         shared,
                     ),
                 )
             })
             .collect();
-        refine_lockstep(refiners, goal)
+        refine_lockstep(refiners)
     }
 
     /// The top-`m` pipeline: candidates certainly outside the top `m`
@@ -290,14 +275,14 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         candidates: Vec<ObjectId>,
         shared: BatchShared<'_>,
     ) -> Vec<ThresholdResult> {
-        let goal = RefineGoal::count_below(1);
+        let predicate = Predicate::CountBelow { k: 1 };
         let refiners = candidates
             .into_iter()
             .map(|id| {
                 (
                     id,
                     attach(
-                        self.refiner(ObjRef::Db(id), ObjRef::External(q), goal.predicate()),
+                        self.refiner(ObjRef::Db(id), ObjRef::External(q), predicate),
                         shared,
                     ),
                 )
@@ -306,64 +291,35 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         refine_top_m(refiners, m)
     }
 
-    /// Executes a set of query views through one shared pass: grouped
-    /// candidate generation, the context's decomposition cache, recycled
-    /// refiner scratch, and query-level fan-out over
-    /// [`crate::IdcaConfig::batch_threads`] worker-pool lanes. Returns
-    /// one result vector per query, aligned with input order; each
-    /// vector is exactly what the corresponding per-query entry point
-    /// returns — bit-identical bounds, iteration counts and ordering, at
-    /// every lane count and cache capacity.
+    /// Executes a set of query views through one shared pass: the
+    /// context's decomposition cache, recycled refiner scratch, and
+    /// query-level fan-out over [`crate::IdcaConfig::batch_threads`]
+    /// worker-pool lanes. Each lane finds its query's candidates itself
+    /// (sorted by id; RkNN enumerates its own). Returns one result vector
+    /// per query, aligned with input order; each vector is exactly what
+    /// the corresponding per-query entry point returns — bit-identical
+    /// bounds, iteration counts and ordering, at every lane count and
+    /// cache capacity.
     fn run_views(
         &self,
         views: &[QueryView<'a>],
         ctx: &SharedRefineCtx,
     ) -> Vec<Vec<ThresholdResult>> {
-        // one grouped descent for every kNN-style candidate set
-        let requests: Vec<(Rect, usize)> = views
-            .iter()
-            .filter_map(|view| match *view {
-                QueryView::Knn { q, k, .. } => Some((q.mbr().clone(), k)),
-                QueryView::TopM { q, .. } => Some((q.mbr().clone(), 1)),
-                QueryView::Rknn { .. } => None,
-            })
-            .collect();
-        // the grouped descent only pays off when there is sharing to
-        // group: a batch-of-one (every per-query entry point) takes the
-        // plain best-first stream instead — same candidate set (property
-        // -tested), sorted to match the grouped path's deterministic
-        // order, without the grouped walker's per-node bookkeeping
-        let candidate_sets: Vec<Vec<ObjectId>> = if requests.len() <= 1 {
-            requests
-                .iter()
-                .map(|(q, k)| {
-                    let mut set = self.knn_candidates(q, *k);
-                    set.sort_unstable();
-                    set
-                })
-                .collect()
-        } else {
-            self.knn_candidates_batch(&requests)
-        };
-        let mut candidate_sets = candidate_sets.into_iter();
-        let mut tasks: Vec<QueryTask<'a>> = views
-            .iter()
-            .map(|&query| QueryTask {
-                query,
-                candidates: match query {
-                    QueryView::Rknn { .. } => Vec::new(),
-                    _ => candidate_sets
-                        .next()
-                        .expect("one candidate set per request"),
-                },
-                out: Vec::new(),
-            })
-            .collect();
+        let mut tasks: Vec<(QueryView<'a>, Vec<ThresholdResult>)> =
+            views.iter().map(|&query| (query, Vec::new())).collect();
         let lanes = self.cfg().batch_threads;
-        self.pool().clone().fan_each(lanes, &mut tasks, |task| {
-            task.out = self.run_one(task.query, std::mem::take(&mut task.candidates), ctx);
-        });
-        tasks.into_iter().map(|t| t.out).collect()
+        self.pool()
+            .clone()
+            .fan_each(lanes, &mut tasks, |(query, out)| {
+                let mut candidates = match *query {
+                    QueryView::Knn { q, k, .. } => self.knn_candidates(q.mbr(), k),
+                    QueryView::TopM { q, .. } => self.knn_candidates(q.mbr(), 1),
+                    QueryView::Rknn { .. } => Vec::new(),
+                };
+                candidates.sort_unstable();
+                *out = self.run_one(*query, candidates, ctx);
+            });
+        tasks.into_iter().map(|(_, out)| out).collect()
     }
 
     /// Executes one query against the shared context: the *same*
@@ -569,21 +525,6 @@ impl<'a> QueryPlane<'a> for ShardRef<'a> {
         seen.into_iter()
             .filter(|(_, min_d)| *min_d <= kth_max)
             .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// Per-request merged streams (no cross-shard grouped descent yet
-    /// — grouped and per-query candidate sets are equal by the property
-    /// the single engine tests, so this is a cost choice, not a
-    /// semantic one), sorted by id like the grouped path.
-    fn knn_candidates_batch(&self, queries: &[(Rect, usize)]) -> Vec<Vec<ObjectId>> {
-        queries
-            .iter()
-            .map(|(q, k)| {
-                let mut set = self.knn_candidates(q, *k);
-                set.sort_unstable();
-                set
-            })
             .collect()
     }
 

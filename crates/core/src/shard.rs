@@ -609,19 +609,6 @@ impl ShardedEngine {
         self.plane(&dbs, &trees).knn_candidates(q, k)
     }
 
-    /// Per-request candidate sets (sorted global ids) for many spatial
-    /// kNN requests at once — the sharded equivalent of
-    /// [`Engine::knn_candidates_batch`], guaranteed to return exactly
-    /// the per-request [`ShardedEngine::knn_candidates`] sets.
-    pub fn knn_candidates_batch(&self, requests: &[(Rect, usize)]) -> Vec<Vec<ObjectId>> {
-        if self.shards.len() == 1 {
-            return self.shards[0].knn_candidates_batch(requests);
-        }
-        let dbs: Vec<&Database> = self.shards.iter().map(Engine::db).collect();
-        let trees: Vec<&RTree<ObjectId>> = self.shards.iter().map(Engine::tree).collect();
-        self.plane(&dbs, &trees).knn_candidates_batch(requests)
-    }
-
     /// Probabilistic threshold kNN over the union of all shards,
     /// bit-identical to [`Engine::knn_threshold`] on a single engine
     /// holding the same objects (sorted by global id).

@@ -50,10 +50,10 @@ use udb_geometry::Rect;
 use udb_object::{ObjectId, UncertainObject};
 
 use crate::batch::{QueryView, SharedRefineCtx};
-use crate::config::{ObjRef, RefineGoal};
+use crate::config::{ObjRef, Predicate};
 use crate::engine::{attach, tighten_dk};
 use crate::queries::ThresholdResult;
-use crate::refiner::refine_lockstep;
+use crate::refiner::{refine_lockstep, threshold_result};
 use crate::router::QueryPlane;
 
 /// What a standing query watches: the same parameter shapes as the
@@ -487,9 +487,9 @@ fn maintain_knn<'a, P: QueryPlane<'a>>(
     }
     // candidate set stable; exactly the pairs whose reach the mutation
     // entered re-refine. Past half the candidates a full pipeline run
-    // is cheaper (grouped classify, one lock-step) — the cutoff is
-    // geometric, so the tier choice is deterministic everywhere, and
-    // both tiers produce bit-identical results.
+    // is cheaper — the cutoff is geometric, so the tier choice is
+    // deterministic everywhere, and both tiers produce bit-identical
+    // results.
     let affected: Vec<ObjectId> = g
         .cands
         .iter()
@@ -501,7 +501,7 @@ fn maintain_knn<'a, P: QueryPlane<'a>>(
         *results = plane.run_one(QueryView::Knn { q, k, tau }, cand_ids, ctx);
         return false;
     }
-    let goal = RefineGoal::threshold(k, tau);
+    let predicate = Predicate::Threshold { k, tau };
     let q_dec = ctx.external_decomp(q.pdf());
     let refiners = affected
         .iter()
@@ -509,13 +509,13 @@ fn maintain_knn<'a, P: QueryPlane<'a>>(
             (
                 id,
                 attach(
-                    plane.refiner(ObjRef::Db(id), ObjRef::External(q), goal.predicate()),
+                    plane.refiner(ObjRef::Db(id), ObjRef::External(q), predicate),
                     (ctx, &q_dec),
                 ),
             )
         })
         .collect();
-    let fresh = refine_lockstep(refiners, goal);
+    let fresh = refine_lockstep(refiners);
     merge_results(results, &affected, fresh);
     true
 }
@@ -554,9 +554,9 @@ fn maintain_rknn<'a, P: QueryPlane<'a>>(
         }
     }
     if affected.len() * 2 > entries.len().max(1) {
-        return None; // rebuild runs one grouped pipeline instead
+        return None; // rebuild runs the whole pipeline once instead
     }
-    let goal = RefineGoal::threshold(k, tau);
+    let predicate = Predicate::Threshold { k, tau };
     let q_dec = ctx.external_decomp(q.pdf());
     for &b_id in &affected {
         let b_obj = plane.object(b_id);
@@ -564,14 +564,11 @@ fn maintain_rknn<'a, P: QueryPlane<'a>>(
         let result = if plane.certain_dominators_reach(q, b_obj, b_id, k) {
             None // vetoed: P(DomCount < k) is certainly 0
         } else {
-            let refiners = vec![(
-                b_id,
-                attach(
-                    plane.refiner(ObjRef::External(q), ObjRef::Db(b_id), goal.predicate()),
-                    (ctx, &q_dec),
-                ),
-            )];
-            refine_lockstep(refiners, goal).pop()
+            let mut refiner = attach(
+                plane.refiner(ObjRef::External(q), ObjRef::Db(b_id), predicate),
+                (ctx, &q_dec),
+            );
+            threshold_result(b_id, &refiner.run())
         };
         let entry = RknnEntry {
             id: b_id,

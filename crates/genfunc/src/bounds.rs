@@ -76,7 +76,7 @@ impl CountDistributionBounds {
 
     /// Mutable views of both bound vectors, for fused in-place
     /// accumulation (see [`crate::Ugf::add_bounds_weighted`]).
-    pub(crate) fn bounds_mut(&mut self) -> (&mut [f64], &mut [f64]) {
+    pub fn bounds_mut(&mut self) -> (&mut [f64], &mut [f64]) {
         (&mut self.lower, &mut self.upper)
     }
 

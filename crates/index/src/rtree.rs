@@ -268,143 +268,6 @@ impl<T: Clone> RTree<T> {
         }
     }
 
-    /// One best-first descent serving many queries at once: every node is
-    /// tested against each query that still wants it, so subtrees shared
-    /// by several queries are visited once instead of once per query.
-    ///
-    /// `radii[i]` is query `i`'s current prune radius: nodes and entries
-    /// with `MinDist > radii[i]` are skipped for that query. `visit`
-    /// receives `(query_idx, payload, min_dist, radii)` for every entry
-    /// within the query's radius and may *shrink* radii as it learns
-    /// better bounds (e.g. a kNN pruning distance tightening as
-    /// candidates stream in). Radii must never grow during the
-    /// traversal — pruning decisions already taken assume monotonically
-    /// shrinking radii and are not revisited. Under that contract the
-    /// visited set for query `i` is exactly the entries a per-query
-    /// pruned descent would visit: a skipped entry had
-    /// `MinDist > radii[i]` at skip time, and the final radius is no
-    /// larger.
-    ///
-    /// Nodes pop in order of their smallest per-query MinDist (best
-    /// first), so radius-tightening visitors converge as fast as the
-    /// per-query [`RTree::knn_iter`] stream.
-    ///
-    /// # Panics
-    /// Panics if `queries` and `radii` lengths differ.
-    pub fn for_each_grouped(
-        &self,
-        queries: &[Rect],
-        norm: LpNorm,
-        radii: &mut [f64],
-        mut visit: impl FnMut(usize, &T, f64, &mut [f64]),
-    ) {
-        use std::cmp::Ordering;
-        use std::collections::BinaryHeap;
-
-        assert_eq!(
-            queries.len(),
-            radii.len(),
-            "one prune radius per grouped query"
-        );
-        let Some(root) = self.root.as_ref() else {
-            return;
-        };
-        if queries.is_empty() {
-            return;
-        }
-
-        /// A node awaiting expansion: its per-query MinDists (∞ where the
-        /// query pruned it at push time — permanent, radii only shrink)
-        /// and the smallest of them as the best-first heap key.
-        struct Pending<'a, T> {
-            key: f64,
-            dists: Box<[f64]>,
-            node: &'a Node<T>,
-        }
-        impl<T> PartialEq for Pending<'_, T> {
-            fn eq(&self, other: &Self) -> bool {
-                self.key == other.key
-            }
-        }
-        impl<T> Eq for Pending<'_, T> {}
-        impl<T> PartialOrd for Pending<'_, T> {
-            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl<T> Ord for Pending<'_, T> {
-            fn cmp(&self, other: &Self) -> Ordering {
-                // reversed: BinaryHeap is a max-heap, smallest key first
-                other
-                    .key
-                    .partial_cmp(&self.key)
-                    .expect("NaN distance in grouped descent")
-            }
-        }
-
-        let mut heap: BinaryHeap<Pending<'_, T>> = BinaryHeap::new();
-        let root_mbr = root.mbr();
-        let root_dists: Box<[f64]> = queries
-            .iter()
-            .map(|q| root_mbr.min_dist_rect(q, norm))
-            .collect();
-        let root_key = root_dists.iter().copied().fold(f64::INFINITY, f64::min);
-        heap.push(Pending {
-            key: root_key,
-            dists: root_dists,
-            node: root,
-        });
-
-        while let Some(Pending { dists, node, .. }) = heap.pop() {
-            // radii may have shrunk since the push: re-check who still
-            // wants this subtree, skip it entirely when nobody does
-            if !dists.iter().zip(radii.iter()).any(|(d, r)| d <= r) {
-                continue;
-            }
-            match node {
-                Node::Leaf(entries) => {
-                    for (mbr, payload) in entries {
-                        for i in 0..queries.len() {
-                            if dists[i] > radii[i] {
-                                continue;
-                            }
-                            let d = mbr.min_dist_rect(&queries[i], norm);
-                            if d <= radii[i] {
-                                visit(i, payload, d, radii);
-                            }
-                        }
-                    }
-                }
-                Node::Inner { children, .. } => {
-                    for (mbr, child) in children {
-                        let mut key = f64::INFINITY;
-                        let child_dists: Box<[f64]> = (0..queries.len())
-                            .map(|i| {
-                                if dists[i] > radii[i] {
-                                    return f64::INFINITY; // pruned above: stays pruned
-                                }
-                                let d = mbr.min_dist_rect(&queries[i], norm);
-                                if d <= radii[i] {
-                                    key = key.min(d);
-                                    d
-                                } else {
-                                    f64::INFINITY
-                                }
-                            })
-                            .collect();
-                        if key.is_finite() {
-                            heap.push(Pending {
-                                key,
-                                dists: child_dists,
-                                node: child,
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Validates structural invariants (test/debug helper): MBR coverage,
     /// balanced depth, fan-out limits. Returns the tree height.
     pub fn check_invariants(&self) -> usize {

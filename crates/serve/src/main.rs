@@ -41,7 +41,7 @@ USAGE:
 OPTIONS:
   --shards N      shard count (default: $UDB_SHARDS, else 1)
   --batch-cap N   max consecutive queries fused into one batch
-                  (default: $UDB_SERVE_BATCH_CAP, else 16)
+                  (default 16)
   --dir PATH      durable mode: per-shard WAL + checkpoints under PATH
   --tcp ADDR      listen on ADDR (e.g. 127.0.0.1:7878) instead of stdin;
                   connections are served concurrently
@@ -73,14 +73,10 @@ struct Args {
     subs: bool,
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.parse().ok()
-}
-
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         shards: env_shards().unwrap_or(1),
-        batch_cap: env_usize("UDB_SERVE_BATCH_CAP").unwrap_or(16),
+        batch_cap: 16,
         dir: None,
         tcp: None,
         client: None,

@@ -344,9 +344,8 @@ pub enum ServeMode {
     /// One call per query through the per-query entry points (the
     /// baseline a serving system without batching would run).
     Sequential,
-    /// One [`Engine::run_batch`] per arrival batch (grouped descent,
-    /// cross-query decomposition cache, scratch reuse, `batch_threads`
-    /// fan-out).
+    /// One [`Engine::run_batch`] per arrival batch (cross-query
+    /// decomposition cache, scratch reuse, `batch_threads` fan-out).
     Batched,
 }
 

@@ -3,9 +3,8 @@
 //! probability bounds, iteration counts, result order — to running the
 //! same queries one by one through the per-query [`Engine`] entry
 //! points, at every [`IdcaConfig::batch_threads`] lane count. The
-//! batched pass shares *work* across queries (one grouped R-tree
-//! descent, a cross-query decomposition cache, recycled refiner
-//! arenas) but never numeric state, so 1, 2 and 4 lanes must agree with
+//! batched pass shares *work* across queries (a cross-query
+//! decomposition cache, recycled refiner arenas) but never numeric state, so 1, 2 and 4 lanes must agree with
 //! the sequential entry points to the last bit, for all three query
 //! types at once — with the owned engine's persistent cross-batch
 //! cache on (the serving default) and off.
@@ -165,42 +164,12 @@ fn check_mixed_batch(seed: u64, n: usize, queries: usize) {
     }
 }
 
-/// Grouped candidate generation must return exactly the per-query
-/// candidate sets (the grouped descent prunes with the same
-/// MinDist/MaxDist rule, just against many queries at once).
-fn check_grouped_candidates(seed: u64, n: usize, queries: usize) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let db = random_db(&mut rng, n);
-    let engine = TestEngine::new(db);
-    let requests: Vec<(Rect, usize)> = (0..queries)
-        .map(|_| {
-            let q = random_object(&mut rng);
-            (q.mbr().clone(), rng.gen_range(1..5))
-        })
-        .collect();
-    let grouped = engine.knn_candidates_batch(&requests);
-    assert_eq!(grouped.len(), requests.len());
-    for ((q, k), batch_set) in requests.iter().zip(grouped.iter()) {
-        let mut single = engine.knn_candidates(q, *k);
-        single.sort_unstable();
-        assert_eq!(
-            &single, batch_set,
-            "candidate set diverged for k={k} (grouped descent vs per-query stream)"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn batched_queries_bit_identical_at_1_2_4_lanes(seed in 0u64..10_000) {
         check_mixed_batch(seed, 60, 6);
-    }
-
-    #[test]
-    fn grouped_candidates_match_per_query_candidates(seed in 0u64..10_000) {
-        check_grouped_candidates(seed, 120, 8);
     }
 }
 

@@ -121,10 +121,6 @@ impl TestEngine {
         self.engine.knn_candidates(q, k)
     }
 
-    pub fn knn_candidates_batch(&self, requests: &[(Rect, usize)]) -> Vec<Vec<ObjectId>> {
-        self.engine.knn_candidates_batch(requests)
-    }
-
     /// Entries in the decomposition cache actually serving this shard
     /// count (the shard's own cache at one shard, the router's above).
     pub fn decomp_cache_len(&self) -> usize {

@@ -1,6 +1,6 @@
 //! Equivalence oracle for index-integrated early-exit refinement: on
 //! randomized workloads, the owned [`Engine`] paths (index-driven
-//! candidates, subtree filters, lock-step mid-loop retirement) must
+//! candidates, subtree filters, early-exit candidate retirement) must
 //! classify every object exactly like the full-refinement scan oracle
 //! (`udb_core::scan`) — identical hit/drop/undecided sets *and*
 //! identical probability bounds — for both `knn_threshold` and

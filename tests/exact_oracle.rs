@@ -17,6 +17,7 @@ mod common;
 use common::TestEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use uncertain_db::genfunc::poisson_binomial;
 use uncertain_db::prelude::*;
 
 /// Slack for float summation order between the oracle and the refiner.
@@ -48,20 +49,6 @@ fn samples(o: &UncertainObject) -> Vec<(&Point, f64)> {
     }
 }
 
-/// `P(Σ = c)` for `c = 0..=probs.len()` of independent Bernoullis.
-fn poisson_binomial(probs: &[f64]) -> Vec<f64> {
-    let mut dist = vec![1.0];
-    for &p in probs {
-        let mut next = vec![0.0; dist.len() + 1];
-        for (c, &q) in dist.iter().enumerate() {
-            next[c] += q * (1.0 - p);
-            next[c + 1] += q * p;
-        }
-        dist = next;
-    }
-    dist
-}
-
 /// The exact distribution of `DomCount(target, reference)` over the
 /// `others` (every object that may dominate): entry `c` is
 /// `P(DomCount = c)`, for `c = 0..=others.len()`.
@@ -85,7 +72,7 @@ fn exact_dom_count(
                     a.existence() * closer
                 })
                 .collect();
-            for (c, p) in poisson_binomial(&probs).into_iter().enumerate() {
+            for (c, p) in poisson_binomial(&probs, None).into_iter().enumerate() {
                 exact[c] += wb * wr * p;
             }
         }
@@ -168,8 +155,28 @@ fn refiner_bounds_contain_the_exact_distribution_at_every_iteration() {
     assert!(snapshots > 300, "every seed refines at least once");
 }
 
+/// A decided threshold outcome agrees with the exact probability `p`:
+/// a hit has `p > τ`, a drop has `p ≤ τ` (up to `EPS`).
+fn assert_decision_is_right(h: &ThresholdResult, p: f64, tau: f64, what: &str) {
+    if h.is_hit(tau) {
+        assert!(
+            p > tau - EPS,
+            "{what}: {:?} decided hit at τ = {tau}, exact P = {p}",
+            h.id
+        );
+    }
+    if h.is_drop(tau) {
+        assert!(
+            p <= tau + EPS,
+            "{what}: {:?} decided drop at τ = {tau}, exact P = {p}",
+            h.id
+        );
+    }
+}
+
 /// Threshold kNN: each returned interval contains the exact
-/// `P(DomCount(B, q) < k)`, and every omitted object has probability 0.
+/// `P(DomCount(B, q) < k)`, every decided outcome is the exact one, and
+/// every omitted object has probability 0.
 #[test]
 fn knn_threshold_intervals_contain_the_exact_probability() {
     let mut results = 0;
@@ -184,12 +191,15 @@ fn knn_threshold_intervals_contain_the_exact_probability() {
         for (id, b) in db.iter() {
             let p = below(&exact_dom_count(b, &q, &others(&db, id)), k);
             match hits.iter().find(|h| h.id == id) {
-                Some(h) => assert!(
-                    h.prob_lower <= p + EPS && p <= h.prob_upper + EPS,
-                    "seed {seed}: kNN P({id:?}) = {p} outside [{}, {}]",
-                    h.prob_lower,
-                    h.prob_upper
-                ),
+                Some(h) => {
+                    assert!(
+                        h.prob_lower <= p + EPS && p <= h.prob_upper + EPS,
+                        "seed {seed}: kNN P({id:?}) = {p} outside [{}, {}]",
+                        h.prob_lower,
+                        h.prob_upper
+                    );
+                    assert_decision_is_right(h, p, tau, &format!("seed {seed}: kNN"));
+                }
                 None => assert!(p <= 1e-12, "seed {seed}: kNN omitted {id:?} with P = {p}"),
             }
         }
@@ -199,7 +209,8 @@ fn knn_threshold_intervals_contain_the_exact_probability() {
 }
 
 /// Threshold RkNN: each returned interval contains the exact
-/// `P(DomCount(q, B) < k)`, and every omitted object has probability 0.
+/// `P(DomCount(q, B) < k)`, every decided outcome is the exact one, and
+/// every omitted object has probability 0.
 #[test]
 fn rknn_threshold_intervals_contain_the_exact_probability() {
     let mut results = 0;
@@ -214,16 +225,74 @@ fn rknn_threshold_intervals_contain_the_exact_probability() {
         for (id, b) in db.iter() {
             let p = below(&exact_dom_count(&q, b, &others(&db, id)), k);
             match hits.iter().find(|h| h.id == id) {
-                Some(h) => assert!(
-                    h.prob_lower <= p + EPS && p <= h.prob_upper + EPS,
-                    "seed {seed}: RkNN P({id:?}) = {p} outside [{}, {}]",
-                    h.prob_lower,
-                    h.prob_upper
-                ),
+                Some(h) => {
+                    assert!(
+                        h.prob_lower <= p + EPS && p <= h.prob_upper + EPS,
+                        "seed {seed}: RkNN P({id:?}) = {p} outside [{}, {}]",
+                        h.prob_lower,
+                        h.prob_upper
+                    );
+                    assert_decision_is_right(h, p, tau, &format!("seed {seed}: RkNN"));
+                }
                 None => assert!(p <= 1e-12, "seed {seed}: RkNN omitted {id:?} with P = {p}"),
             }
         }
         results += hits.len();
+    }
+    assert!(results > 150, "the queries return candidates");
+}
+
+/// Top-`m` probable nearest neighbours, refined to exhaustion: each
+/// returned interval contains the exact `P(DomCount(B, q) < 1)`, no
+/// omitted object is more probable than a returned one's upper bound,
+/// and a short answer omits only objects of probability 0.
+#[test]
+fn top_m_intervals_contain_the_exact_probability_and_rank_it() {
+    let mut results = 0;
+    for seed in 0..150u64 {
+        let mut rng = StdRng::seed_from_u64(0xC40 + seed);
+        let db = random_db(&mut rng);
+        let q = random_object(&mut rng);
+        let m = rng.gen_range(1..=3);
+        let cfg = IdcaConfig {
+            uncertainty_target: 0.0,
+            ..Default::default()
+        };
+        let engine = TestEngine::with_config(db.clone(), cfg);
+        let top = engine.top_probable_nn(&q, m);
+        assert!(
+            top.len() <= m,
+            "seed {seed}: {} results for m = {m}",
+            top.len()
+        );
+        for (id, b) in db.iter() {
+            let p = below(&exact_dom_count(b, &q, &others(&db, id)), 1);
+            match top.iter().find(|h| h.id == id) {
+                Some(h) => assert!(
+                    h.prob_lower <= p + EPS && p <= h.prob_upper + EPS,
+                    "seed {seed}: top-m P({id:?}) = {p} outside [{}, {}]",
+                    h.prob_lower,
+                    h.prob_upper
+                ),
+                None => {
+                    for h in &top {
+                        assert!(
+                            p <= h.prob_upper + EPS,
+                            "seed {seed}: omitted {id:?} (P = {p}) beats returned {:?} (upper {})",
+                            h.id,
+                            h.prob_upper
+                        );
+                    }
+                    if top.len() < m {
+                        assert!(
+                            p <= 1e-12,
+                            "seed {seed}: short answer omitted {id:?} with P = {p}"
+                        );
+                    }
+                }
+            }
+        }
+        results += top.len();
     }
     assert!(results > 150, "the queries return candidates");
 }
