@@ -28,7 +28,7 @@ pub struct IdcaConfig {
     /// [`IdcaConfig::batch_threads`]).
     pub snapshot_threads: usize,
     /// Parallel lanes for *candidate-level* fan-out in the early-exit
-    /// drivers ([`crate::refine_lockstep`] / [`crate::refine_top_m`]):
+    /// drivers ([`crate::refine_each`] / [`crate::refine_top_m`]):
     /// candidates (for top-`m`, each round's per-candidate
     /// `step()`/`snapshot()` calls) run as lane-bounded pool jobs.
     /// Composes with [`IdcaConfig::snapshot_threads`]: a candidate job

@@ -46,7 +46,7 @@ pub use engine::Engine;
 pub use parallel::{PoolHandle, WorkerPool};
 pub use queries::{ExpectedRankEntry, RankDistribution, ThresholdResult};
 pub use refiner::{
-    refine_lockstep, refine_top_m, DbView, DomCountSnapshot, RefineStats, Refiner, ScratchPool,
+    refine_each, refine_top_m, DbView, DomCountSnapshot, RefineStats, Refiner, ScratchPool,
 };
 pub use shard::{env_shards, ShardedEngine};
 pub use standing::{ResultDelta, StandingQuery, StandingSpec, StandingStats};

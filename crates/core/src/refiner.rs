@@ -40,14 +40,58 @@
 //!
 //! # The pair walk
 //!
-//! Every partition test of a snapshot is the optimal-criterion kernel of
-//! [`udb_domination::spatial`], called inline: the walk builds one
-//! [`PairClassifier`] per pair range and
-//! [`retargets`](PairClassifier::retarget) it to each `(B', R')` pair
-//! (no allocation per pair), and `FactorCache::classify_into` streams
-//! each open partition's intervals straight from the flat partition
-//! arena into [`PairClassifier::classify_dims`], which runs the kernel
-//! copy unrolled for two dimensions (the slice body for others).
+//! Every partition test of a snapshot decides the optimal criterion of
+//! Corollary 1 for one open partition `A'` against one pair `(B', R')`.
+//! The walk builds one [`PairClassifier`] per pair range and
+//! [`retargets`](PairClassifier::retarget) it to each pair (no
+//! allocation per pair). The criterion is a sum over dimensions of
+//! shares that each depend only on the intervals `(A'_i, B'_i, R'_i)`,
+//! and the §V median-split kd-decomposition makes partitions share
+//! those intervals: at depth 6 a uniform object's 64 partitions have
+//! 9.5 distinct intervals per dimension on average, a Gaussian's 14.4.
+//! So the walk memoizes the shares in **criterion tables**:
+//!
+//! * **Interval ids** — each partition's interval in each dimension
+//!   gets an id, equal for bit-equal intervals (a linear scan per
+//!   interval). `B'`'s and `R'`'s are assigned in the first rebuilding
+//!   snapshot after either expands (`TableKeys::assign`); an influence
+//!   object's once per partition list, in the first snapshot whose pair
+//!   side passes the fallback rule below (`Influence::assess_tables`),
+//!   so refiners that stay shallow, and every 1-D refiner, never pay
+//!   for them.
+//! * **Tables** — a rebuilding snapshot keeps one table per (influence,
+//!   dimension), keyed by the pair's `(B'_d id, R'_d id)`. A row holds
+//!   [`PairClassifier::dim_terms`] for each distinct `A'_d` interval of
+//!   the influence object and is filled the first time a slot of a pair
+//!   with that key needs it. A partition test is then `D` row lookups,
+//!   the shares added in dimension order from zero, and
+//!   [`PairClassifier::decide_sums`]: the kernel's own operation
+//!   sequence, so every decision is bit-identical (a NaN sum re-runs the
+//!   kernel). Debug builds cross-check every table decision against
+//!   [`PairClassifier::classify_dims`]. Each pair lane builds its own
+//!   tables, and they are dropped with the snapshot: the rows hold for
+//!   one snapshot only, and with elongated objects (many distinct
+//!   intervals along the long axis) they reached about 0.7x the factor
+//!   cache's bytes, which refiners kept alive between snapshots (top-`m`
+//!   rounds, the scratch pool) would otherwise all hold.
+//! * **Fallback rule** (fixed, no knob) — an influence object uses the
+//!   tables only when each dimension has at most `1 / TABLE_MIN_SHARE`
+//!   (one half) as many distinct intervals as the object has partitions:
+//!   at depth 6 the uniform object's 64 partitions share each interval
+//!   6.7 times, the Gaussian's 4.4 times, and the correlated histogram's
+//!   (44.9 distinct intervals) only 1.4 times, so it keeps calling the
+//!   kernel. A snapshot builds tables only when in each dimension the
+//!   distinct `(B'_d, R'_d)` keys number at most `1 / TABLE_MIN_SHARE`
+//!   of the pairs, so a row serves two pairs on average and the key
+//!   index never outgrows the factor cache. 1-D decompositions (disjoint
+//!   intervals, nothing shared) fail both halves, and the MinMax
+//!   criterion, which has no per-dimension sums, never builds tables.
+//!   Everything that falls back streams the partition's intervals from
+//!   the flat partition arena into [`PairClassifier::classify_dims`],
+//!   the kernel copy unrolled for two dimensions (the slice body for
+//!   others).
+//!
+//! [`Refiner::partition_tests`] counts the tests each way.
 //!
 //! # The open-list arena
 //!
@@ -99,7 +143,7 @@
 //!
 //! # Early-exit candidate refinement
 //!
-//! Query-level drivers ([`refine_lockstep`], [`refine_top_m`]) run one
+//! Query-level drivers ([`refine_each`], [`refine_top_m`]) run one
 //! refiner per candidate and retire each candidate the moment its query
 //! outcome is decided (via [`DomCountSnapshot::decided`]), freeing its
 //! factor cache and arena immediately. [`crate::Engine`] drives its
@@ -120,8 +164,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use udb_domination::{pdom_bounds_vs_fixed, PDomBounds, PairClassifier};
+use udb_domination::{
+    pdom_bounds_vs_fixed, DominationCriterion, OptimalSums, PDomBounds, PairClassifier,
+    SpatialDecision,
+};
 use udb_genfunc::{CountDistributionBounds, Ugf};
+use udb_geometry::Interval;
 use udb_object::{Database, Decomposition, ObjectId, Partition, Pdf, UncertainObject};
 
 use crate::batch::{DecompCache, ObjDecomp, SharedRefineCtx};
@@ -308,8 +356,14 @@ struct Influence {
     /// masses — the hot-loop view of `parts`, refreshed on every
     /// expansion, so classification streams without a heap indirection
     /// per partition.
-    flat_mbrs: Vec<udb_geometry::Interval>,
+    flat_mbrs: Vec<Interval>,
     masses: Vec<f64>,
+    /// The partitions' interval ids, valid when `tabled`.
+    ids: IntervalIds,
+    /// Whether the partitions share enough intervals for criterion
+    /// tables (the fallback rule of "The pair walk"); `None` until a
+    /// snapshot that keeps tables assesses the current partition list.
+    tabled: Option<bool>,
     /// Partition lineage since the last snapshot (`map[new_idx] =
     /// old_idx`, composed across steps); `None` when unchanged.
     lineage: Option<Vec<u32>>,
@@ -327,19 +381,189 @@ impl Influence {
             parts,
             flat_mbrs: Vec::new(),
             masses: Vec::new(),
+            ids: IntervalIds::default(),
+            tabled: None,
             lineage: None,
         };
         inf.refresh_flat();
         inf
     }
 
-    /// Rebuilds the flat MBR/mass buffers from `parts`.
+    /// Rebuilds the flat MBR/mass buffers from `parts`; the interval
+    /// ids wait for [`Influence::assess_tables`].
     fn refresh_flat(&mut self) {
         self.flat_mbrs.clear();
         self.masses.clear();
         for p in &self.parts {
             self.flat_mbrs.extend_from_slice(p.mbr.intervals());
             self.masses.push(p.mass);
+        }
+        self.tabled = None;
+    }
+
+    /// Whether this object uses criterion tables, assigning its
+    /// interval ids once per partition list.
+    fn assess_tables(&mut self) -> bool {
+        *self.tabled.get_or_insert_with(|| {
+            let dims = self.mbr.dims();
+            let limit = self.parts.len() / TABLE_MIN_SHARE;
+            limit > 0
+                && self
+                    .ids
+                    .assign(dims, self.flat_mbrs.chunks_exact(dims), limit)
+        })
+    }
+}
+
+/// The fallback rule's sharing factor (see "The pair walk"): criterion
+/// tables are kept where each distinct interval serves at least this
+/// many partitions, and each table key this many pairs, on average.
+const TABLE_MIN_SHARE: usize = 2;
+
+/// Interval ids of a list of boxes: box `p`'s interval in dimension `d`
+/// has id `ids[p·dims + d]`, equal ids for bit-equal intervals.
+#[derive(Debug, Default)]
+struct IntervalIds {
+    ids: Vec<u32>,
+    /// The distinct intervals of each dimension, indexed by id.
+    distinct: Vec<Vec<Interval>>,
+}
+
+impl IntervalIds {
+    /// Assigns ids to `boxes` (linear scan per interval). Gives up,
+    /// returning `false` and leaving the ids unusable, once a dimension
+    /// has more than `limit` distinct intervals.
+    fn assign<'b>(
+        &mut self,
+        dims: usize,
+        boxes: impl Iterator<Item = &'b [Interval]>,
+        limit: usize,
+    ) -> bool {
+        self.ids.clear();
+        self.distinct.resize_with(dims, Vec::new);
+        for known in &mut self.distinct {
+            known.clear();
+        }
+        let same = |x: &Interval, y: &Interval| {
+            x.lo().to_bits() == y.lo().to_bits() && x.hi().to_bits() == y.hi().to_bits()
+        };
+        for intervals in boxes {
+            for (known, iv) in self.distinct.iter_mut().zip(intervals) {
+                let id = match known.iter().position(|k| same(k, iv)) {
+                    Some(id) => id,
+                    None if known.len() == limit => return false,
+                    None => {
+                        known.push(*iv);
+                        known.len() - 1
+                    }
+                };
+                self.ids.push(id as u32);
+            }
+        }
+        true
+    }
+
+    /// The distinct-interval count of dimension `d`.
+    fn count(&self, d: usize) -> usize {
+        self.distinct[d].len()
+    }
+}
+
+/// The key layout of a snapshot's criterion tables: the interval ids of
+/// `B'` and `R'`, and where each dimension's `(B'_d id, R'_d id)` keys
+/// start within an influence object's block of keys.
+#[derive(Debug, Default)]
+struct TableKeys {
+    b: IntervalIds,
+    r: IntervalIds,
+    base: Vec<usize>,
+    /// Keys per influence object: `Σ_d |B'_d ids| · |R'_d ids|`.
+    stride: usize,
+}
+
+impl TableKeys {
+    /// Re-keys for new `B'`/`R'` partition lists. Returns whether tables
+    /// pay: whether in every dimension the keys number at most
+    /// `1 / TABLE_MIN_SHARE` of the pairs (the pair half of the fallback
+    /// rule).
+    fn assign(&mut self, b_parts: &[Partition], r_parts: &[Partition]) -> bool {
+        let dims = b_parts[0].mbr.dims();
+        let b_boxes = b_parts.iter().map(|p| p.mbr.intervals());
+        let r_boxes = r_parts.iter().map(|p| p.mbr.intervals());
+        self.b.assign(dims, b_boxes, usize::MAX);
+        self.r.assign(dims, r_boxes, usize::MAX);
+        let n_pairs = b_parts.len() * r_parts.len();
+        self.base.clear();
+        self.stride = 0;
+        let mut pays = true;
+        for d in 0..dims {
+            let keys = self.b.count(d) * self.r.count(d);
+            pays &= keys * TABLE_MIN_SHARE <= n_pairs;
+            self.base.push(self.stride);
+            self.stride += keys;
+        }
+        pays
+    }
+
+    /// The key of influence object `inf_idx`'s dimension-`d` table for
+    /// the pair `(bp, rp)` (partition indices).
+    fn key(&self, inf_idx: usize, d: usize, bp: usize, rp: usize) -> usize {
+        let dims = self.base.len();
+        let b_id = self.b.ids[bp * dims + d] as usize;
+        let r_id = self.r.ids[rp * dims + d] as usize;
+        inf_idx * self.stride + self.base[d] + b_id * self.r.count(d) + r_id
+    }
+}
+
+/// One lane's criterion tables for one snapshot (see "The pair walk"):
+/// `row_at[key]` is where the key's row starts in `rows`, or
+/// [`UNFILLED`]; a row holds one [`PairClassifier::dim_terms`] per
+/// distinct interval of the influence object's dimension.
+#[derive(Debug, Default)]
+struct CriterionTables {
+    row_at: Vec<u32>,
+    rows: Vec<OptimalSums>,
+    /// The row starts of the slot being classified, one per dimension.
+    slot_rows: Vec<u32>,
+    /// The lane's partition tests, `(from the tables, by the kernel)`.
+    tests: (u64, u64),
+}
+
+/// A table key whose row is not filled in this snapshot.
+const UNFILLED: u32 = u32::MAX;
+
+impl CriterionTables {
+    /// Empty tables over `n_keys` keys.
+    fn new(n_keys: usize) -> Self {
+        CriterionTables {
+            row_at: vec![UNFILLED; n_keys],
+            ..CriterionTables::default()
+        }
+    }
+
+    /// Points `slot_rows` at influence object `inf_idx`'s rows for the
+    /// pair `(bp, rp)`, filling the rows no slot has needed yet from
+    /// `pc` (retargeted to that pair).
+    fn open_rows(
+        &mut self,
+        keys: &TableKeys,
+        inf_idx: usize,
+        inf: &Influence,
+        (bp, rp): (usize, usize),
+        pc: &PairClassifier,
+    ) {
+        self.slot_rows.clear();
+        for (d, distinct) in inf.ids.distinct.iter().enumerate() {
+            let key = keys.key(inf_idx, d, bp, rp);
+            if self.row_at[key] == UNFILLED {
+                self.row_at[key] = u32::try_from(self.rows.len())
+                    .ok()
+                    .filter(|&start| start != UNFILLED)
+                    .expect("criterion table overflow");
+                self.rows
+                    .extend(distinct.iter().map(|&a_d| pc.dim_terms(d, a_d)));
+            }
+            self.slot_rows.push(self.row_at[key]);
         }
     }
 }
@@ -511,6 +735,12 @@ pub struct Refiner<'a> {
     /// The next generation under construction (double buffer, swapped
     /// after each rebuilding snapshot; capacity is reused).
     open_scratch: Vec<u32>,
+    /// The criterion-table key layout for the current `B'`/`R'`, and
+    /// whether tables pay for it (see "The pair walk").
+    table_keys: TableKeys,
+    tables_pay: bool,
+    /// Partition tests so far, `(from the tables, by the kernel)`.
+    partition_tests: (u64, u64),
     /// The reusable UGF arena for sequential aggregation.
     ugf: Ugf,
     /// Shared worker pool for parallel snapshots (engine-injected via
@@ -593,29 +823,28 @@ impl FactorCache {
         self.open_start as usize..(self.open_start + self.open_len) as usize
     }
 
-    /// Classifies the candidate partitions streamed by `candidates`
-    /// against the pair behind `pc` in one pass: robust decisions settle
-    /// permanently, everything else is appended to `arena` (the new
-    /// generation under construction, which becomes this slot's open
-    /// range), and the factor bounds are recomputed. `pc` carries the
-    /// pair's precomputed criterion terms, so only the partition-side
-    /// work runs per candidate.
+    /// Classifies the candidate partitions streamed by `candidates` in
+    /// one pass, deciding partition `p` by `test(p)`: robust decisions
+    /// settle permanently, everything else is appended to `arena` (the
+    /// new generation under construction, which becomes this slot's
+    /// open range), and the factor bounds are recomputed. Returns the
+    /// number of partitions tested.
     fn classify_into(
         &mut self,
         candidates: impl Iterator<Item = u32>,
         inf: &Influence,
-        pc: &PairClassifier,
         arena: &mut Vec<u32>,
-    ) {
+        mut test: impl FnMut(usize) -> SpatialDecision,
+    ) -> u64 {
         let start = arena.len();
-        let dims = inf.mbr.dims();
+        let mut tested = 0;
         let mut open_lb = 0.0;
         let mut open_never = 0.0;
         let mut open_mass = 0.0;
         for p in candidates {
+            tested += 1;
             let mass = inf.masses[p as usize];
-            let mbr = &inf.flat_mbrs[p as usize * dims..(p as usize + 1) * dims];
-            let decision = pc.classify_dims(mbr);
+            let decision = test(p as usize);
             match (decision.decision, decision.robust) {
                 (Some(true), true) => self.settled_lb += mass,
                 (Some(false), true) => self.settled_never += mass,
@@ -644,6 +873,7 @@ impl FactorCache {
         let lower = (self.settled_lb + open_lb).min(1.0);
         let upper = (1.0 - self.settled_never - open_never).max(0.0);
         self.bounds = PDomBounds { lower, upper }.scale_by_existence(inf.existence);
+        tested
     }
 
     /// Settles all remaining open mass in one direction (after a robust
@@ -786,6 +1016,9 @@ impl<'a> Refiner<'a> {
             cache_valid: false,
             open_arena: Vec::new(),
             open_scratch: Vec::new(),
+            table_keys: TableKeys::default(),
+            tables_pay: false,
+            partition_tests: (0, 0),
             ugf: Ugf::new(None),
             pool: PoolHandle::default(),
             scratch_pool: None,
@@ -940,6 +1173,13 @@ impl<'a> Refiner<'a> {
             * self.r_parts.len()
             * self.influence.iter().map(|i| i.parts.len()).sum::<usize>();
         (open, scratch)
+    }
+
+    /// Partition tests of the cached pair walk so far, `(answered from
+    /// the criterion tables, by the kernel)` (see "The pair walk"). The
+    /// first snapshot's cache-free pass is not counted.
+    pub fn partition_tests(&self) -> (u64, u64) {
+        self.partition_tests
     }
 
     /// Effective truncation for the UGFs: the predicate's `k` minus the
@@ -1141,8 +1381,21 @@ impl<'a> Refiner<'a> {
             RefreshMode::Clean
         };
         let rebuild = mode != RefreshMode::Clean;
+        if matches!(mode, RefreshMode::Full | RefreshMode::Remapped) {
+            // B' or R' changed: re-key the criterion tables
+            self.tables_pay = self.cfg.criterion == DominationCriterion::Optimal
+                && self.table_keys.assign(&self.b_parts, &self.r_parts);
+        }
+        // interval ids only where tables pay; no table without an
+        // influence object that uses it
+        let tables = rebuild && self.tables_pay && {
+            let mut any = false;
+            for inf in &mut self.influence {
+                any |= inf.assess_tables();
+            }
+            any
+        };
         self.open_scratch.clear();
-        let remap_ctx = (&old[..], &ancestors[..]);
         self.b_map = None;
         self.r_map = None;
         self.cache_dims = (self.b_parts.len(), self.r_parts.len());
@@ -1170,22 +1423,37 @@ impl<'a> Refiner<'a> {
                 })
                 .collect()
         };
+        let walk = PairWalk {
+            b_parts: &self.b_parts,
+            r_parts: &self.r_parts,
+            influence: &self.influence,
+            inf_offsets: &inf_offsets,
+            old: &old,
+            ancestors: &ancestors,
+            old_arena: &self.open_arena,
+            mode,
+            cfg: &self.cfg,
+            keys: tables.then_some(&self.table_keys),
+        };
 
+        // one set of tables per lane, dropped with the snapshot: rows are
+        // valid for one snapshot only, and a refiner kept alive between
+        // snapshots (top-m rounds) should not hold them
+        let n_keys = walk.keys.map_or(0, |keys| n_inf * keys.stride);
         let threads = self.cfg.snapshot_threads.max(1).min(n_pairs.max(1));
+        let chunk = n_pairs.div_ceil(threads).max(1);
+        let n_chunks = n_pairs.div_ceil(chunk).max(1);
+        let mut lane_tables: Vec<CriterionTables> = (0..n_chunks)
+            .map(|_| CriterionTables::new(n_keys))
+            .collect();
         if threads <= 1 {
             process_pair_range(
+                &walk,
                 0,
                 n_pairs,
-                &self.b_parts,
-                &self.r_parts,
-                &self.influence,
-                &inf_offsets,
-                remap_ctx,
-                &self.open_arena,
                 &mut self.cache,
                 &mut self.open_scratch,
-                mode,
-                &self.cfg,
+                &mut lane_tables[0],
                 sink,
             );
         } else {
@@ -1193,22 +1461,15 @@ impl<'a> Refiner<'a> {
                 .pool
                 .get(threads)
                 .expect("threads > 1 always yields a pool");
-            let chunk = n_pairs.div_ceil(threads);
-            let n_chunks = n_pairs.div_ceil(chunk);
             // one result slot per chunk, filled by the pool jobs and
             // added in chunk order below
             let mut results: Vec<Option<(Vec<f64>, Vec<u32>)>> =
                 (0..n_chunks).map(|_| None).collect();
             {
-                let b_parts = &self.b_parts;
-                let r_parts = &self.r_parts;
-                let influence = &self.influence;
-                let offsets = &inf_offsets;
-                let ctx = remap_ctx;
-                let old_arena = &self.open_arena;
-                let cfg = &self.cfg;
+                let walk = &walk;
                 let mut cache_rest: &mut [FactorCache] = &mut self.cache;
                 let mut results_rest: &mut [Option<(Vec<f64>, Vec<u32>)>] = &mut results;
+                let mut lane_tables = lane_tables.iter_mut();
                 let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(n_chunks);
                 for t in 0..n_chunks {
                     let start = t * chunk;
@@ -1218,24 +1479,19 @@ impl<'a> Refiner<'a> {
                     let (out, rest) = results_rest.split_at_mut(1);
                     results_rest = rest;
                     let out = &mut out[0];
+                    let tables = lane_tables.next().expect("one table set per lane");
                     let mut local_sink = ExactSink::recording(sink.agg.len(), sink.k_eff);
                     jobs.push(Box::new(move || {
                         // chunk-private arena segment, rebased into the
                         // shared generation after the scope
                         let mut local_arena = Vec::new();
                         process_pair_range(
+                            walk,
                             start,
                             end,
-                            b_parts,
-                            r_parts,
-                            influence,
-                            offsets,
-                            ctx,
-                            old_arena,
                             mine,
                             &mut local_arena,
-                            mode,
-                            cfg,
+                            tables,
                             &mut local_sink,
                         );
                         *out = Some((local_sink.terms.expect("lane sinks record"), local_arena));
@@ -1264,6 +1520,10 @@ impl<'a> Refiner<'a> {
                     self.open_scratch.extend_from_slice(&local_arena);
                 }
             }
+        }
+        for tables in &lane_tables {
+            self.partition_tests.0 += tables.tests.0;
+            self.partition_tests.1 += tables.tests.1;
         }
         if rebuild {
             // the new generation becomes current; the old buffer is the
@@ -1395,7 +1655,7 @@ pub(crate) fn threshold_result(id: ObjectId, snap: &DomCountSnapshot) -> Option<
 ///
 /// Candidates whose predicate probability is certainly zero are dropped,
 /// and the output is sorted by id.
-pub fn refine_lockstep(candidates: Vec<(ObjectId, Refiner<'_>)>) -> Vec<ThresholdResult> {
+pub fn refine_each(candidates: Vec<(ObjectId, Refiner<'_>)>) -> Vec<ThresholdResult> {
     let lanes = candidates
         .iter()
         .map(|(_, r)| r.cfg.candidate_threads)
@@ -1429,7 +1689,7 @@ pub fn refine_lockstep(candidates: Vec<(ObjectId, Refiner<'_>)>) -> Vec<Threshol
 ///
 /// Each round's per-candidate `step()`/`snapshot()` calls fan over
 /// [`IdcaConfig::candidate_threads`] lanes of the worker pool, like
-/// [`refine_lockstep`]; the cross-candidate bound comparison between
+/// [`refine_each`]; the cross-candidate bound comparison between
 /// rounds always runs on the calling thread, so results are
 /// bit-identical at any lane count.
 pub fn refine_top_m(candidates: Vec<(ObjectId, Refiner<'_>)>, m: usize) -> Vec<ThresholdResult> {
@@ -1646,32 +1906,57 @@ impl ExactSink {
     }
 }
 
+/// The read-only context of one snapshot's pair walk, shared by every
+/// pair lane.
+struct PairWalk<'w> {
+    b_parts: &'w [Partition],
+    r_parts: &'w [Partition],
+    influence: &'w [Influence],
+    /// Per influence object: its lineage prefix offsets, when it
+    /// expanded since the last snapshot.
+    inf_offsets: &'w [Option<Vec<u32>>],
+    /// `Remapped` only: the previous cache generation, and each new
+    /// pair's ancestor pair index in it.
+    old: &'w [FactorCache],
+    ancestors: &'w [u32],
+    /// The previous arena generation all incoming open ranges point into.
+    old_arena: &'w [u32],
+    mode: RefreshMode,
+    cfg: &'w IdcaConfig,
+    /// The criterion-table keys, when this snapshot keeps tables.
+    keys: Option<&'w TableKeys>,
+}
+
 /// Processes the pairs `start..end` (global pair indices): refreshes their
 /// cache slots where needed, writes their new-generation open lists into
 /// `arena` and streams the §IV-E aggregation into `sink`.
 /// `cache` holds exactly the slots of this range, row-major by pair;
-/// `old_arena` is the previous arena generation all incoming open ranges
-/// point into. Shared by the sequential and pool-parallel snapshot paths
-/// so both produce the same per-pair operation sequence.
-#[allow(clippy::too_many_arguments)]
+/// `tables` are the lane's criterion tables (sized for `walk.keys`). Shared by the sequential and
+/// pool-parallel snapshot paths so both produce the same per-pair
+/// operation sequence.
 fn process_pair_range(
+    walk: &PairWalk<'_>,
     start: usize,
     end: usize,
-    b_parts: &[Partition],
-    r_parts: &[Partition],
-    influence: &[Influence],
-    inf_offsets: &[Option<Vec<u32>>],
-    remap_ctx: (&[FactorCache], &[u32]),
-    old_arena: &[u32],
     cache: &mut [FactorCache],
     arena: &mut Vec<u32>,
-    mode: RefreshMode,
-    cfg: &IdcaConfig,
+    tables: &mut CriterionTables,
     sink: &mut ExactSink,
 ) {
+    let PairWalk {
+        b_parts,
+        r_parts,
+        influence,
+        inf_offsets,
+        old,
+        ancestors,
+        old_arena,
+        mode,
+        cfg,
+        keys,
+    } = *walk;
     let n_inf = influence.len();
     let r_len = r_parts.len();
-    let (old, ancestors) = remap_ctx;
     // one classifier for the whole range, retargeted to each pair: the
     // pair walk allocates nothing
     let mut pc = (start < end && mode != RefreshMode::Clean).then(|| {
@@ -1679,8 +1964,8 @@ fn process_pair_range(
         PairClassifier::new(&bp.mbr, &rp.mbr, cfg.criterion, cfg.norm)
     });
     for pair_idx in start..end {
-        let bp = &b_parts[pair_idx / r_len];
-        let rp = &r_parts[pair_idx % r_len];
+        let pair = (pair_idx / r_len, pair_idx % r_len);
+        let (bp, rp) = (&b_parts[pair.0], &r_parts[pair.1]);
         let w = bp.mass * rp.mass;
         if w <= 0.0 {
             continue;
@@ -1692,6 +1977,8 @@ fn process_pair_range(
         if let Some(pc) = pc.as_mut() {
             pc.retarget(&bp.mbr, &rp.mbr);
         }
+        let tests = pc.as_ref().map(|pc| PairTests { pc, keys, pair });
+        let tests = || tests.as_ref().expect("classifier built for rebuild modes");
         sink.begin_pair();
         for ((inf_idx, (inf, offsets)), slot) in influence
             .iter()
@@ -1702,8 +1989,8 @@ fn process_pair_range(
             match mode {
                 // seed from the full partition list
                 RefreshMode::Full => {
-                    let pc = pc.as_ref().expect("classifier built for rebuild modes");
-                    slot.classify_into(0..inf.parts.len() as u32, inf, pc, arena);
+                    let all = 0..inf.parts.len() as u32;
+                    tests().classify(slot, all, inf_idx, inf, tables, arena);
                 }
                 // stream the ancestor slot's open list (already expanded
                 // through the influence lineage when that also changed);
@@ -1712,27 +1999,34 @@ fn process_pair_range(
                 RefreshMode::Remapped => {
                     let anc = &old[ancestors[pair_idx] as usize * n_inf + inf_idx];
                     if anc.open_len > 0 {
-                        let pc = pc.as_ref().expect("classifier built for rebuild modes");
+                        let tests = tests();
                         // object-level pre-test: if the whole object
                         // robustly decides against the shrunken pair,
                         // every open partition decides identically
-                        let obj = pc.classify(&inf.mbr);
+                        let obj = tests.pc.classify(&inf.mbr);
                         if let (Some(dominates), true) = (obj.decision, obj.robust) {
                             slot.settle_open(dominates, inf.existence);
                         } else {
                             let anc_open = &old_arena[anc.open_range()];
                             match offsets {
-                                Some(offsets) => slot.classify_into(
+                                Some(offsets) => tests.classify(
+                                    slot,
                                     anc_open.iter().flat_map(|&p| {
                                         offsets[p as usize]..offsets[p as usize + 1]
                                     }),
+                                    inf_idx,
                                     inf,
-                                    pc,
+                                    tables,
                                     arena,
                                 ),
-                                None => {
-                                    slot.classify_into(anc_open.iter().copied(), inf, pc, arena)
-                                }
+                                None => tests.classify(
+                                    slot,
+                                    anc_open.iter().copied(),
+                                    inf_idx,
+                                    inf,
+                                    tables,
+                                    arena,
+                                ),
                             }
                         }
                     }
@@ -1744,17 +2038,16 @@ fn process_pair_range(
                     if slot.open_len > 0 {
                         let cur_open = &old_arena[slot.open_range()];
                         match offsets {
-                            Some(offsets) => {
-                                let pc = pc.as_ref().expect("classifier built for rebuild modes");
-                                slot.classify_into(
-                                    cur_open.iter().flat_map(|&p| {
-                                        offsets[p as usize]..offsets[p as usize + 1]
-                                    }),
-                                    inf,
-                                    pc,
-                                    arena,
-                                )
-                            }
+                            Some(offsets) => tests().classify(
+                                slot,
+                                cur_open
+                                    .iter()
+                                    .flat_map(|&p| offsets[p as usize]..offsets[p as usize + 1]),
+                                inf_idx,
+                                inf,
+                                tables,
+                                arena,
+                            ),
                             None => {
                                 let new_start = arena.len();
                                 arena.extend_from_slice(cur_open);
@@ -1774,6 +2067,61 @@ fn process_pair_range(
             sink.factor(slot.bounds.lower, slot.bounds.upper);
         }
         sink.finish_pair(w, n_inf);
+    }
+}
+
+/// The partition tests of one pair `(B', R')`: the kernel retargeted to
+/// it, and the criterion-table keys when the walk keeps tables.
+struct PairTests<'p> {
+    pc: &'p PairClassifier,
+    keys: Option<&'p TableKeys>,
+    /// `(B', R')` partition indices.
+    pair: (usize, usize),
+}
+
+impl PairTests<'_> {
+    /// Classifies influence object `inf_idx`'s `candidates` into `slot`
+    /// ([`FactorCache::classify_into`]): from the lane's criterion tables
+    /// when the walk keeps them and the object qualifies, else by the
+    /// kernel.
+    fn classify(
+        &self,
+        slot: &mut FactorCache,
+        candidates: impl Iterator<Item = u32>,
+        inf_idx: usize,
+        inf: &Influence,
+        tables: &mut CriterionTables,
+        arena: &mut Vec<u32>,
+    ) {
+        let dims = inf.mbr.dims();
+        let mbr = |p: usize| &inf.flat_mbrs[p * dims..(p + 1) * dims];
+        match self.keys.filter(|_| inf.tabled == Some(true)) {
+            Some(keys) => {
+                tables.open_rows(keys, inf_idx, inf, self.pair, self.pc);
+                let (rows, starts, ids) = (&tables.rows, &tables.slot_rows, &inf.ids.ids);
+                let tested = slot.classify_into(candidates, inf, arena, |p| {
+                    // the kernel's sums: the same shares, added in
+                    // dimension order from zero
+                    let mut sums = OptimalSums::ZERO;
+                    for (&start, &id) in starts.iter().zip(&ids[p * dims..(p + 1) * dims]) {
+                        sums.add(rows[(start + id) as usize]);
+                    }
+                    let decision = self.pc.decide_sums(sums, mbr(p));
+                    debug_assert_eq!(
+                        decision,
+                        self.pc.classify_dims(mbr(p)),
+                        "criterion table disagrees with the kernel"
+                    );
+                    decision
+                });
+                tables.tests.0 += tested;
+            }
+            None => {
+                let tested =
+                    slot.classify_into(candidates, inf, arena, |p| self.pc.classify_dims(mbr(p)));
+                tables.tests.1 += tested;
+            }
+        }
     }
 }
 
@@ -2178,7 +2526,7 @@ mod tests {
                 predicate,
             )
         };
-        let lockstep = refine_lockstep(ids.iter().map(|&id| (id, mk(id))).collect());
+        let each = refine_each(ids.iter().map(|&id| (id, mk(id))).collect());
         let mut individual: Vec<ThresholdResult> = ids
             .iter()
             .filter_map(|&id| {
@@ -2188,8 +2536,8 @@ mod tests {
             })
             .collect();
         individual.sort_by_key(|x| x.id);
-        assert_eq!(lockstep.len(), individual.len());
-        for (a, b) in lockstep.iter().zip(individual.iter()) {
+        assert_eq!(each.len(), individual.len());
+        for (a, b) in each.iter().zip(individual.iter()) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.prob_lower, b.prob_lower);
             assert_eq!(a.prob_upper, b.prob_upper);
@@ -2198,8 +2546,8 @@ mod tests {
         // the early exit is real: decided candidates stop at different
         // iteration depths instead of all burning max_iterations
         assert!(
-            lockstep.iter().any(|x| x.iterations < 6),
-            "no candidate retired early: {lockstep:?}"
+            each.iter().any(|x| x.iterations < 6),
+            "no candidate retired early: {each:?}"
         );
     }
 

@@ -56,7 +56,7 @@ use crate::config::{IdcaConfig, ObjRef, Predicate};
 use crate::engine::{attach, tighten_dk, BatchShared, SUBTREE_SCAN_CUTOFF};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
-use crate::refiner::{refine_lockstep, refine_top_m, DbView, RefineStats, Refiner, ScratchPool};
+use crate::refiner::{refine_each, refine_top_m, DbView, RefineStats, Refiner, ScratchPool};
 
 /// The storage primitives a query pipeline runs against, plus the
 /// pipeline itself as provided methods (see the module docs). `Copy`
@@ -147,7 +147,7 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
                 )
             })
             .collect();
-        refine_lockstep(refiners)
+        refine_each(refiners)
     }
 
     /// The per-object RkNN veto: `true` once `k` objects other than `B`
@@ -263,7 +263,7 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
                 )
             })
             .collect();
-        refine_lockstep(refiners)
+        refine_each(refiners)
     }
 
     /// The top-`m` pipeline: candidates certainly outside the top `m`

@@ -53,7 +53,7 @@ use crate::batch::{QueryView, SharedRefineCtx};
 use crate::config::{ObjRef, Predicate};
 use crate::engine::{attach, tighten_dk};
 use crate::queries::ThresholdResult;
-use crate::refiner::{refine_lockstep, threshold_result};
+use crate::refiner::{refine_each, threshold_result};
 use crate::router::QueryPlane;
 
 /// What a standing query watches: the same parameter shapes as the
@@ -515,7 +515,7 @@ fn maintain_knn<'a, P: QueryPlane<'a>>(
             )
         })
         .collect();
-    let fresh = refine_lockstep(refiners);
+    let fresh = refine_each(refiners);
     merge_results(results, &affected, fresh);
     true
 }

@@ -17,6 +17,15 @@
 //!              MaxDist(B_i, r_lo)^p, MaxDist(B_i, r_hi)^p]
 //! ```
 //!
+//! The body is split at the dimension: `dim_terms` turns one interval
+//! `A_i` and one dimension's pair terms into that dimension's share
+//! `(dom_i, nd_i, scale_i)` of the three sums, and the kernel adds the
+//! shares in dimension order from zero. Callers that see the same
+//! `(A_i, B_i, R_i)` many times — the refiner's criterion tables — keep
+//! the shares ([`PairClassifier::dim_terms`]), add them in the same order
+//! ([`OptimalSums::add`]) and decide with
+//! [`PairClassifier::decide_sums`]: the kernel's decision, bit for bit.
+//!
 //! # Maxima and NaN
 //!
 //! The kernel takes maxima by comparison, `if y > x { y } else { x }` (one
@@ -228,6 +237,40 @@ impl PairClassifier {
         };
         sums.decision()
     }
+
+    /// Dimension `d`'s share of the optimal criterion's sums for the
+    /// interval `a_d` against the current pair: the kernel's loop body.
+    /// Adding the shares of a box's dimensions in dimension order from
+    /// [`OptimalSums::ZERO`] gives the kernel's sums bit for bit.
+    ///
+    /// # Panics
+    /// Panics (debug builds) for the MinMax criterion.
+    #[inline]
+    pub fn dim_terms(&self, d: usize, a_d: Interval) -> OptimalSums {
+        debug_assert_eq!(self.criterion, DominationCriterion::Optimal);
+        let t = self.terms[d];
+        match self.norm {
+            LpNorm::L1 => dim_terms::<false>(|x| LpNorm::L1.pow(x), a_d, t),
+            LpNorm::L2 => dim_terms::<false>(|x| LpNorm::L2.pow(x), a_d, t),
+            LpNorm::P(p) => dim_terms::<false>(|x| LpNorm::P(p).pow(x), a_d, t),
+            LpNorm::LInf => unreachable!("{FINITE_P}"),
+        }
+    }
+
+    /// The decision for `a` from `sums`, its [`dim_terms`] added in
+    /// dimension order: equal to [`PairClassifier::classify_dims`] in
+    /// every field. A NaN sum re-runs the kernel on `a`, which takes its
+    /// `f64::max` pass (see the module docs).
+    ///
+    /// [`dim_terms`]: PairClassifier::dim_terms
+    #[inline(always)]
+    pub fn decide_sums(&self, sums: OptimalSums, a: &[Interval]) -> SpatialDecision {
+        if sums.is_nan() {
+            self.classify_dims(a)
+        } else {
+            sums.decision()
+        }
+    }
 }
 
 /// Dispatches `D = 2` to an unrolled kernel copy, others to the slice.
@@ -288,15 +331,43 @@ pub fn dominates_minmax(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> bool {
 const FINITE_P: &str = "the optimal domination criterion requires a finite Lp norm";
 
 /// The optimal criterion's sums: `dom < 0` ⇔ complete domination,
-/// `nd ≤ 0` ⇔ never dominates; `scale` sizes the robustness margin.
-#[derive(Clone, Copy)]
-struct OptimalSums {
-    dom: f64,
-    nd: f64,
-    scale: f64,
+/// `nd ≤ 0` ⇔ never dominates; `scale` sizes the robustness margin. One
+/// dimension's share of them ([`PairClassifier::dim_terms`]) has the
+/// same three fields.
+#[derive(Debug, Clone, Copy)]
+pub struct OptimalSums {
+    /// `Σ_i max_r (MaxDist(A_i, r)^p − MinDist(B_i, r)^p)`.
+    pub dom: f64,
+    /// `Σ_i max_r (MaxDist(B_i, r)^p − MinDist(A_i, r)^p)`.
+    pub nd: f64,
+    /// The sum of each dimension's largest term magnitude.
+    pub scale: f64,
 }
 
 impl OptimalSums {
+    /// The empty sums every addition starts from.
+    pub const ZERO: OptimalSums = OptimalSums {
+        dom: 0.0,
+        nd: 0.0,
+        scale: 0.0,
+    };
+
+    /// Adds one dimension's share, field by field.
+    #[inline(always)]
+    pub fn add(&mut self, share: OptimalSums) {
+        self.dom += share.dom;
+        self.nd += share.nd;
+        self.scale += share.scale;
+    }
+
+    /// Whether any sum is NaN (the kernel's `f64::max` re-run trigger).
+    #[inline(always)]
+    fn is_nan(self) -> bool {
+        (self.dom + self.nd + self.scale).is_nan()
+    }
+
+    /// The decision these sums stand for.
+    #[inline(always)]
     fn decision(self) -> SpatialDecision {
         let margin = ROBUST_MARGIN * self.scale.max(f64::MIN_POSITIVE);
         SpatialDecision::of(
@@ -337,7 +408,7 @@ fn optimal_sums<const D: usize>(
     terms: impl Fn(usize) -> PairTerms,
 ) -> OptimalSums {
     let sums = optimal_sums_with::<D, false>(pow, a, &terms);
-    if (sums.dom + sums.nd + sums.scale).is_nan() {
+    if sums.is_nan() {
         optimal_sums_ieee(pow, a, &terms)
     } else {
         sums
@@ -364,32 +435,41 @@ fn optimal_sums_with<const D: usize, const IEEE: bool>(
     terms: &impl Fn(usize) -> PairTerms,
 ) -> OptimalSums {
     let a = if D == 0 { a } else { &a[..D] };
-    let max = max2::<IEEE>;
-    let mut sums = OptimalSums {
-        dom: 0.0,
-        nd: 0.0,
-        scale: 0.0,
-    };
+    let mut sums = OptimalSums::ZERO;
     for (i, &ai) in a.iter().enumerate() {
-        let [r_lo, r_hi, min_b_lo, min_b_hi, max_b_lo, max_b_hi] = terms(i);
-        // MaxDist(A_i, r) = max(|r - lo|, |r - hi|), as `Interval::max_dist`
-        let d_lo = pow(max((r_lo - ai.lo()).abs(), (r_lo - ai.hi()).abs())) - min_b_lo;
-        let d_hi = pow(max((r_hi - ai.lo()).abs(), (r_hi - ai.hi()).abs())) - min_b_hi;
-        // MinDist(A_i, r) = max(lo - r, r - hi, 0), branch-free
-        let min_dist = |r: f64| {
-            if IEEE {
-                ai.min_dist(r)
-            } else {
-                max(max(ai.lo() - r, r - ai.hi()), 0.0)
-            }
-        };
-        let n_lo = max_b_lo - pow(min_dist(r_lo));
-        let n_hi = max_b_hi - pow(min_dist(r_hi));
-        sums.dom += max(d_lo, d_hi);
-        sums.nd += max(n_lo, n_hi);
-        sums.scale += max(max(max(d_lo.abs(), d_hi.abs()), n_lo.abs()), n_hi.abs());
+        sums.add(dim_terms::<IEEE>(&pow, ai, terms(i)));
     }
     sums
+}
+
+/// One dimension's share of the sums, from `A_i` and the dimension's
+/// pair terms.
+#[inline(always)]
+fn dim_terms<const IEEE: bool>(
+    pow: impl Fn(f64) -> f64,
+    ai: Interval,
+    terms: PairTerms,
+) -> OptimalSums {
+    let max = max2::<IEEE>;
+    let [r_lo, r_hi, min_b_lo, min_b_hi, max_b_lo, max_b_hi] = terms;
+    // MaxDist(A_i, r) = max(|r - lo|, |r - hi|), as `Interval::max_dist`
+    let d_lo = pow(max((r_lo - ai.lo()).abs(), (r_lo - ai.hi()).abs())) - min_b_lo;
+    let d_hi = pow(max((r_hi - ai.lo()).abs(), (r_hi - ai.hi()).abs())) - min_b_hi;
+    // MinDist(A_i, r) = max(lo - r, r - hi, 0), branch-free
+    let min_dist = |r: f64| {
+        if IEEE {
+            ai.min_dist(r)
+        } else {
+            max(max(ai.lo() - r, r - ai.hi()), 0.0)
+        }
+    };
+    let n_lo = max_b_lo - pow(min_dist(r_lo));
+    let n_hi = max_b_hi - pow(min_dist(r_hi));
+    OptimalSums {
+        dom: max(d_lo, d_hi),
+        nd: max(n_lo, n_hi),
+        scale: max(max(max(d_lo.abs(), d_hi.abs()), n_lo.abs()), n_hi.abs()),
+    }
 }
 
 /// `max(x, y)`: `f64::max` with `IEEE`, else the comparison max that

@@ -66,7 +66,7 @@ pub use udb_workload as workload;
 /// The commonly used types in one import.
 pub mod prelude {
     pub use udb_core::{
-        env_shards, refine_lockstep, refine_top_m, DomCountSnapshot, DurableError, Engine,
+        env_shards, refine_each, refine_top_m, DomCountSnapshot, DurableError, Engine,
         ExpectedRankEntry, IdcaConfig, ObjRef, PoolHandle, Predicate, QueryBatch, QuerySpec,
         RankDistribution, RecoveryReport, RefineGoal, RefineStats, Refiner, ResultDelta,
         ShardedEngine, SharedRefineCtx, StandingQuery, StandingSpec, StandingStats,

@@ -1,12 +1,14 @@
 //! The shared optimal-criterion kernel against the `f64::max` formulas
 //! it replaced: every entry point — `DominationCriterion::classify`,
-//! `dominates`, `never_dominates`, and a fresh or retargeted
-//! `PairClassifier` — must agree with the reference in every field.
+//! `dominates`, `never_dominates`, a fresh or retargeted
+//! `PairClassifier`, and the criterion-table entry point (the
+//! per-dimension `dim_terms` added in dimension order, then
+//! `decide_sums`) — must agree with the reference in every field.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use udb_domination::{DominationCriterion, PairClassifier};
+use udb_domination::{DominationCriterion, OptimalSums, PairClassifier, SpatialDecision};
 use udb_geometry::{Interval, LpNorm, Rect};
 
 /// The criterion formulas as written before the shared kernel, with
@@ -138,8 +140,25 @@ mod reference {
     }
 }
 
+/// The per-dimension shares of `a` against `pc`'s pair, added in
+/// dimension order as the refiner's criterion tables add them.
+fn table_sums(pc: &PairClassifier, a: &Rect) -> OptimalSums {
+    let mut sums = OptimalSums::ZERO;
+    for (d, &a_d) in a.intervals().iter().enumerate() {
+        sums.add(pc.dim_terms(d, a_d));
+    }
+    sums
+}
+
+/// The criterion-table entry point: summed shares, then the decision
+/// (with its NaN fallback to the kernel).
+fn table_decision(pc: &PairClassifier, a: &Rect) -> SpatialDecision {
+    pc.decide_sums(table_sums(pc, a), a.intervals())
+}
+
 /// Asserts that every entry point — the criterion methods, a fresh
-/// pair classifier and a retargeted one — equals the reference.
+/// pair classifier, a retargeted one and (optimal criterion) the
+/// criterion-table entry point — equals the reference.
 fn assert_matches_reference(a: &Rect, b: &Rect, r: &Rect) {
     let cases = [
         (DominationCriterion::Optimal, LpNorm::L1),
@@ -177,6 +196,15 @@ fn assert_matches_reference(a: &Rect, b: &Rect, r: &Rect) {
         let mut pc = PairClassifier::new(a, a, criterion, norm);
         pc.retarget(b, r);
         assert_eq!(pc.classify(a), expected, "{}", ctx());
+        if criterion == DominationCriterion::Optimal {
+            assert_eq!(table_decision(&pc, a), expected, "table: {}", ctx());
+            assert_eq!(
+                table_decision(&pc, a),
+                pc.classify_dims(a.intervals()),
+                "table vs kernel: {}",
+                ctx()
+            );
+        }
     }
 }
 
@@ -240,6 +268,16 @@ fn overflowing_terms_match_reference() {
         let r2 = Rect::new(vec![Interval::new(-1e300, 1e300), Interval::new(0.0, 2.0)]);
         assert_matches_reference(&wide, &wide, &r2);
     }
+    // the table entry point's NaN fallback is really taken here: the
+    // summed shares are NaN, yet the decision equals the reference
+    let p = big(1e300, 1e300);
+    let pc = PairClassifier::new(&big(0.0, 1.0), &r, DominationCriterion::Optimal, LpNorm::L2);
+    let sums = table_sums(&pc, &p);
+    assert!((sums.dom + sums.nd + sums.scale).is_nan(), "{sums:?}");
+    assert_eq!(
+        table_decision(&pc, &p),
+        reference::classify_optimal(&p, &big(0.0, 1.0), &r, LpNorm::L2)
+    );
 }
 
 proptest! {
@@ -266,4 +304,35 @@ proptest! {
         }
     }
 
+    /// The criterion-table entry point on table-shaped inputs: boxes
+    /// built from a few shared intervals per dimension (as kd-splits
+    /// leave them), so one pair classifier's shares serve many boxes.
+    /// Every box's table decision equals the kernel's and the
+    /// reference's in every field, for L1/L2/P(3), 1–6 dimensions,
+    /// degenerate and touching intervals and magnitudes up to 1e300.
+    #[test]
+    fn prop_table_entry_point_matches_kernel(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for dims in 1..=6 {
+            let r: Vec<Interval> = (0..dims).map(|_| arb_interval(&mut rng, None)).collect();
+            let b: Vec<Interval> = r.iter().map(|&ri| arb_interval(&mut rng, Some(ri))).collect();
+            // three candidate intervals per dimension, shared by the boxes
+            let pool: Vec<Vec<Interval>> = r
+                .iter()
+                .map(|&ri| (0..3).map(|_| arb_interval(&mut rng, Some(ri))).collect())
+                .collect();
+            let (b, r) = (Rect::new(b), Rect::new(r));
+            for norm in [LpNorm::L1, LpNorm::L2, LpNorm::P(3)] {
+                let pc = PairClassifier::new(&b, &r, DominationCriterion::Optimal, norm);
+                for _ in 0..8 {
+                    let a = Rect::new(
+                        pool.iter().map(|ivs| ivs[rng.gen_range(0..3)]).collect::<Vec<_>>(),
+                    );
+                    let expected = reference::classify_optimal(&a, &b, &r, norm);
+                    prop_assert_eq!(table_decision(&pc, &a), expected);
+                    prop_assert_eq!(pc.classify_dims(a.intervals()), expected);
+                }
+            }
+        }
+    }
 }

@@ -1,11 +1,12 @@
-//! Determinism oracle for batch-parallel candidate refinement: the
-//! lock-step early-exit drivers must produce **bit-identical** results —
-//! membership, bounds, iteration counts, retirement order after the final
-//! sort — at every [`IdcaConfig::candidate_threads`] lane count. Each
-//! candidate's own operation sequence is untouched by the fan-out (only
-//! wall-clock interleaving changes), so 1, 2 and 4 lanes must agree to
-//! the last bit with the sequential depth-first driver, for all three
-//! index-integrated query paths.
+//! Determinism oracle for parallel candidate refinement: the early-exit
+//! candidate drivers (`refine_each`, and `refine_top_m` with its
+//! cross-candidate rounds) must produce **bit-identical** results —
+//! membership, bounds, iteration counts, retirement order after the
+//! final sort — at every [`IdcaConfig::candidate_threads`] lane count,
+//! nested snapshot lanes included. Each candidate's own operation
+//! sequence is untouched by the fan-out (only wall-clock interleaving
+//! changes), so 1, 2 and 4 lanes must agree to the last bit with the
+//! sequential driver, for all three index-integrated query paths.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -85,8 +86,8 @@ fn config_with_lanes(lanes: usize) -> IdcaConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// knn_threshold: parallel rounds == sequential depth-first, bit for
-    /// bit, at 2 and 4 candidate lanes.
+    /// knn_threshold: candidates fanned over 2 and 4 lanes == one
+    /// candidate after another, bit for bit.
     #[test]
     fn knn_threshold_rounds_are_lane_count_invariant(
         seed in 0u64..10_000,
@@ -107,7 +108,8 @@ proptest! {
         }
     }
 
-    /// rknn_threshold: same invariance (prefilter + lock-step rounds).
+    /// rknn_threshold: same invariance (index-driven candidates, each
+    /// refined to its own stop).
     #[test]
     fn rknn_threshold_rounds_are_lane_count_invariant(
         seed in 0u64..10_000,
@@ -150,10 +152,8 @@ proptest! {
     }
 
     /// Candidate lanes compose with snapshot lanes (nested candidate ×
-    /// pair scopes on one pool): still within float-reassociation noise
-    /// of the fully sequential result, and bit-identical membership.
-    /// (Pair-chunk merges may reassociate float sums across *snapshot*
-    /// thread counts; candidate lanes themselves never do.)
+    /// pair scopes on one pool): bit-identical to the fully sequential
+    /// result, since pair lanes add their records in pair order.
     #[test]
     fn nested_candidate_and_snapshot_lanes_compose(
         seed in 0u64..10_000,
@@ -169,11 +169,6 @@ proptest! {
             ..config_with_lanes(2)
         };
         let nested = Engine::with_config(db.clone(), nested_cfg).knn_threshold(&q, 2, 0.3);
-        prop_assert_eq!(nested.len(), sequential.len());
-        for (a, b) in nested.iter().zip(sequential.iter()) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert!((a.prob_lower - b.prob_lower).abs() < 1e-12);
-            prop_assert!((a.prob_upper - b.prob_upper).abs() < 1e-12);
-        }
+        assert_bit_identical(&sequential, &nested, 2);
     }
 }
