@@ -6,9 +6,11 @@
 //! `UDB_BENCH_SCALE=ci` switches from the smoke workload to the larger
 //! CI scale (2,000 objects) for the recorded `--ci` baselines.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use udb_bench::Scale;
-use udb_core::{scan, Engine, IdcaConfig, ObjRef, Predicate, Refiner};
+use udb_core::{
+    scan, DomCountSnapshot, Engine, IdcaConfig, ObjRef, PoolHandle, Predicate, Refiner,
+};
 
 fn bench_idca(c: &mut Criterion) {
     let scale = match std::env::var("UDB_BENCH_SCALE").as_deref() {
@@ -84,52 +86,71 @@ fn bench_idca(c: &mut Criterion) {
     }
     g.finish();
 
-    // steady-state snapshot cost at depth 4 (decompositions expanded,
-    // nothing dirty): incremental vs from-scratch in isolation
-    let mut refined = Refiner::new(
-        &db,
-        ObjRef::Db(b),
-        ObjRef::External(&r),
-        mk_cfg(4),
-        Predicate::FullPdf,
-    );
-    for _ in 0..4 {
-        refined.step();
+    // a rebuilding snapshot at depth 4: setup (untimed) refines a fresh
+    // refiner to depth 3, the timed routine expands to depth 4 and
+    // snapshots, so every iteration walks the pairs whose partitions
+    // changed. The from-scratch side recomputes the depth-4 snapshot
+    // without the cache (its cost does not depend on what changed).
+    let refined_to = |depth: usize, cfg: IdcaConfig, pool: &PoolHandle| {
+        let mut refiner = Refiner::new(
+            &db,
+            ObjRef::Db(b),
+            ObjRef::External(&r),
+            cfg,
+            Predicate::FullPdf,
+        )
+        .with_pool(pool.clone());
+        let _ = refiner.snapshot();
+        for _ in 0..depth {
+            refiner.step();
+            let _ = refiner.snapshot();
+        }
+        refiner
+    };
+    fn step_and_snapshot(mut refiner: Refiner<'_>) -> (Refiner<'_>, DomCountSnapshot) {
+        refiner.step();
+        let snap = refiner.snapshot();
+        (refiner, snap)
     }
-    let _ = refined.snapshot(); // populate the cache
+    let sequential = PoolHandle::default();
+    let refined = refined_to(4, mk_cfg(4), &sequential);
     let mut g = c.benchmark_group("idca_snapshot_depth4");
     g.sample_size(20);
     g.bench_function("incremental", |bench| {
-        bench.iter(|| black_box(refined.snapshot()))
+        bench.iter_batched(
+            || refined_to(3, mk_cfg(4), &sequential),
+            step_and_snapshot,
+            BatchSize::LargeInput,
+        )
     });
     g.bench_function("from_scratch", |bench| {
         bench.iter(|| black_box(refined.snapshot_from_scratch()))
     });
     g.finish();
 
-    // parallel snapshot scaling on a deep refined state (the pair loop is
-    // what IdcaConfig::snapshot_threads fans out; shallow snapshots are
-    // too small to amortize pool dispatch)
+    // parallel snapshot scaling on a deep rebuilding snapshot (the pair
+    // loop is what IdcaConfig::snapshot_threads fans out; shallow
+    // snapshots are too small to amortize pool dispatch): setup refines
+    // to depth 5 on one shared pool per lane count, the routine expands
+    // to depth 6 and snapshots
     let mut g = c.benchmark_group("idca_snapshot_depth6_threads");
     g.sample_size(20);
     for threads in [1usize, 2, 4] {
-        let mut refiner = Refiner::new(
-            &db,
-            ObjRef::Db(b),
-            ObjRef::External(&r),
-            IdcaConfig {
-                snapshot_threads: threads,
-                ..mk_cfg(6)
-            },
-            Predicate::FullPdf,
-        );
-        for _ in 0..6 {
-            refiner.step();
-        }
+        let cfg = IdcaConfig {
+            snapshot_threads: threads,
+            ..mk_cfg(6)
+        };
+        let pool = PoolHandle::default();
         g.bench_with_input(
             BenchmarkId::from_parameter(threads),
             &threads,
-            move |bench, _| bench.iter(|| black_box(refiner.snapshot())),
+            |bench, _| {
+                bench.iter_batched(
+                    || refined_to(5, cfg.clone(), &pool),
+                    step_and_snapshot,
+                    BatchSize::LargeInput,
+                )
+            },
         );
     }
     g.finish();
@@ -145,13 +166,12 @@ fn bench_idca(c: &mut Criterion) {
     g.sample_size(20);
     let knn_cfg = IdcaConfig {
         max_iterations: scale.max_iterations,
-        // per-call caches: this group isolates the early-exit refinement
-        // machinery itself, not cross-call warmth (the serve bench's
-        // warm-vs-cold pair measures that)
-        decomp_cache_entries: 0,
         ..Default::default()
     };
-    let indexed_engine = Engine::with_config(db.clone(), knn_cfg.clone());
+    // a freshly built engine per iteration (built untimed): the indexed
+    // side decomposes cold, like the scan oracle, instead of replaying
+    // the previous iteration's expansions from the engine's cache
+    let fresh_engine = || Engine::with_config(db.clone(), knn_cfg.clone());
     let (k, tau) = (5usize, 0.3f64);
     // the "bitter end" baseline: every candidate refined to convergence
     // (no threshold to decide against mid-loop), classified vs tau only
@@ -181,19 +201,40 @@ fn bench_idca(c: &mut Criterion) {
         bench.iter(|| black_box(scan::knn_threshold(&db, &knn_cfg, &r, k, tau)))
     });
     g.bench_function("knn_threshold_indexed", |bench| {
-        bench.iter(|| black_box(indexed_engine.knn_threshold(&r, k, tau)))
+        bench.iter_batched(
+            fresh_engine,
+            |engine| {
+                let out = engine.knn_threshold(&r, k, tau);
+                (engine, out)
+            },
+            BatchSize::LargeInput,
+        )
     });
     g.bench_function("rknn_threshold_scan", |bench| {
         bench.iter(|| black_box(scan::rknn_threshold(&db, &knn_cfg, &r, 2, tau)))
     });
     g.bench_function("rknn_threshold_indexed", |bench| {
-        bench.iter(|| black_box(indexed_engine.rknn_threshold(&r, 2, tau)))
+        bench.iter_batched(
+            fresh_engine,
+            |engine| {
+                let out = engine.rknn_threshold(&r, 2, tau);
+                (engine, out)
+            },
+            BatchSize::LargeInput,
+        )
     });
     g.bench_function("top_probable_nn_scan", |bench| {
         bench.iter(|| black_box(scan::top_probable_nn(&db, &knn_cfg, &r, 3)))
     });
     g.bench_function("top_probable_nn_indexed", |bench| {
-        bench.iter(|| black_box(indexed_engine.top_probable_nn(&r, 3)))
+        bench.iter_batched(
+            fresh_engine,
+            |engine| {
+                let out = engine.top_probable_nn(&r, 3);
+                (engine, out)
+            },
+            BatchSize::LargeInput,
+        )
     });
     g.finish();
 
@@ -206,20 +247,30 @@ fn bench_idca(c: &mut Criterion) {
     let mut g = c.benchmark_group("idca_early_exit_candidate_threads");
     g.sample_size(20);
     for threads in [1usize, 2, 4] {
-        let engine = Engine::with_config(
-            db.clone(),
-            IdcaConfig {
-                candidate_threads: threads,
-                max_iterations: scale.max_iterations,
-                decomp_cache_entries: 0,
-                ..Default::default()
-            },
-        );
-        let rq = r.clone();
+        let cfg = IdcaConfig {
+            candidate_threads: threads,
+            max_iterations: scale.max_iterations,
+            ..Default::default()
+        };
+        // a fresh engine per iteration, its pool started during setup
+        let setup = || {
+            let engine = Engine::with_config(db.clone(), cfg.clone());
+            engine.pool_handle().get(threads);
+            engine
+        };
         g.bench_with_input(
             BenchmarkId::from_parameter(threads),
             &threads,
-            move |bench, _| bench.iter(|| black_box(engine.knn_threshold(&rq, k, tau))),
+            |bench, _| {
+                bench.iter_batched(
+                    setup,
+                    |engine| {
+                        let out = engine.knn_threshold(&r, k, tau);
+                        (engine, out)
+                    },
+                    BatchSize::LargeInput,
+                )
+            },
         );
     }
     g.finish();

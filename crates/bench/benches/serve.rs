@@ -1,20 +1,14 @@
 //! Query-stream serving throughput on the owned engine
 //! ([`udb_core::Engine`] via [`udb_workload::serve_stream`]), on a
 //! hot-spot-skewed mixed stream — the workload shape the shared-work
-//! machinery (cross-query decomposition cache, recycled refiner arenas)
-//! is built for. Two tracked comparisons:
+//! machinery (the cross-query decomposition cache) is built for. The
+//! comparisons:
 //!
 //! * **batched vs sequential** — one `run_batch` per arrival batch
-//!   against the per-query entry points, both with the cross-batch
-//!   cache *off* (`decomp_cache_entries = 0`), so the pair isolates
-//!   **within-batch** work sharing exactly as it did on the borrowed
-//!   engine.
-//! * **warm vs cold** — the same batched stream served by an engine
-//!   whose persistent decomposition cache survives across batches
-//!   (warm, the serving default) against one rebuilding the cache
-//!   every batch (cold, `UDB_DECOMP_CACHE_CAP=0` semantics). This is
-//!   the cross-batch win the owned engine exists for: hot objects are
-//!   decomposed once per *stream*, not once per batch.
+//!   against the per-query entry points, both on the engine's
+//!   persistent decomposition cache, which stays warm across batches
+//!   and bench iterations (the steady serving state): the pair isolates
+//!   what one shared pass over a batch adds on top of it.
 //! * **durable vs memory** — the same stream with a mutation trickle,
 //!   served by a WAL-backed engine (log + fsync before every applied
 //!   mutation) against an in-memory one: the end-to-end durability tax
@@ -72,12 +66,11 @@ fn stream_config() -> QueryStreamConfig {
 }
 
 /// Benches one workload's sequential-vs-batched serving pair, both
-/// sides with the cross-batch cache off (within-batch sharing only).
+/// sides on the engine's persistent decomposition cache.
 fn serve_pair(c: &mut Criterion, group: &str, object_cfg: &SyntheticConfig, max_iterations: usize) {
     let db = object_cfg.generate();
     let cfg = IdcaConfig {
         max_iterations,
-        decomp_cache_entries: 0,
         ..Default::default()
     };
     let stream = stream_config().generate(object_cfg);
@@ -97,57 +90,6 @@ fn serve_pair(c: &mut Criterion, group: &str, object_cfg: &SyntheticConfig, max_
     });
     g.bench_function("batched", |bench| {
         bench.iter(|| black_box(serve_stream(&mut bat_engine, &stream, ServeMode::Batched)))
-    });
-    g.finish();
-}
-
-/// Benches one workload's warm-vs-cold cross-batch pair: the same
-/// batched hot-spot stream against an engine whose persistent
-/// decomposition cache survives across batches (warm — it also
-/// survives across bench iterations, which is the steady serving
-/// state) and one with per-batch caches (cold).
-fn serve_cache_pair(
-    c: &mut Criterion,
-    group: &str,
-    object_cfg: &SyntheticConfig,
-    max_iterations: usize,
-) {
-    let db = object_cfg.generate();
-    // same query mix, but arriving as many small all-hot batches:
-    // per-batch sharing covers little, so the pair isolates what only
-    // *cross-batch* persistence can amortize (the cold engine
-    // re-decomposes the hot working set every arrival batch)
-    let stream = QueryStreamConfig {
-        batches: 6,
-        batch_size: 2,
-        hotspot_fraction: 1.0,
-        ..stream_config()
-    }
-    .generate(object_cfg);
-    let mut warm_engine = Engine::with_config(
-        db.clone(),
-        IdcaConfig {
-            max_iterations,
-            decomp_cache_entries: 1024,
-            ..Default::default()
-        },
-    );
-    let mut cold_engine = Engine::with_config(
-        db,
-        IdcaConfig {
-            max_iterations,
-            decomp_cache_entries: 0,
-            ..Default::default()
-        },
-    );
-
-    let mut g = c.benchmark_group(group);
-    g.sample_size(10);
-    g.bench_function("warm", |bench| {
-        bench.iter(|| black_box(serve_stream(&mut warm_engine, &stream, ServeMode::Batched)))
-    });
-    g.bench_function("cold", |bench| {
-        bench.iter(|| black_box(serve_stream(&mut cold_engine, &stream, ServeMode::Batched)))
     });
     g.finish();
 }
@@ -174,7 +116,6 @@ fn serve_durable_pair(
     .generate(object_cfg);
     let cfg = IdcaConfig {
         max_iterations,
-        decomp_cache_entries: 1024,
         wal_sync_every: 1,
         checkpoint_every: 0, // steady-state logging, no checkpoint spikes
         ..Default::default()
@@ -202,9 +143,8 @@ fn serve_durable_pair(
 
 /// Benches the per-host routing overhead of the sharded serving tier:
 /// the same *mutating* batched stream served by a 4-shard
-/// [`ShardedEngine`] against the single [`Engine`]. Both sides keep the
-/// cross-batch decomposition cache on (the serving default); the
-/// sharded side pays id routing, per-shard candidate streams merged
+/// [`ShardedEngine`] against the single [`Engine`]. Both sides keep
+/// their persistent decomposition cache; the sharded side pays id routing, per-shard candidate streams merged
 /// under one global bound, and the RkNN veto exchange. The ratio is
 /// gated relative (`sharded_vs_single`): both sides share the run's
 /// clock, so the tight band holds even on noisy CI hosts.
@@ -223,7 +163,6 @@ fn serve_sharded_pair(
     .generate(object_cfg);
     let cfg = IdcaConfig {
         max_iterations,
-        decomp_cache_entries: 1024,
         ..Default::default()
     };
     let mut single = Engine::with_config(db.clone(), cfg.clone());
@@ -265,7 +204,6 @@ fn serve_standing_pair(
     let db = object_cfg.generate();
     let cfg = IdcaConfig {
         max_iterations,
-        decomp_cache_entries: 1024,
         ..Default::default()
     };
     // standing-query points and churn objects from the same hot-spot
@@ -332,7 +270,6 @@ fn bench_serve(c: &mut Criterion) {
     // realistic influence-object set into refinement
     let uniform_cfg = scale.synthetic_config(0.05);
     serve_pair(c, "serve_stream", &uniform_cfg, scale.max_iterations);
-    serve_cache_pair(c, "serve_stream_cache", &uniform_cfg, scale.max_iterations);
     serve_durable_pair(
         c,
         "serve_stream_durable",
@@ -352,8 +289,8 @@ fn bench_serve(c: &mut Criterion) {
         scale.max_iterations,
     );
     // the Gaussian variant makes decomposition genuinely expensive
-    // (inverse-CDF splits), so both the cross-query and the cross-batch
-    // decomposition cache carry a larger share of the win
+    // (inverse-CDF splits), so the decomposition cache carries a larger
+    // share of the work
     let gaussian_cfg = SyntheticConfig {
         pdf: PdfKind::Gaussian,
         ..uniform_cfg
@@ -361,12 +298,6 @@ fn bench_serve(c: &mut Criterion) {
     serve_pair(
         c,
         "serve_stream_gaussian",
-        &gaussian_cfg,
-        scale.max_iterations,
-    );
-    serve_cache_pair(
-        c,
-        "serve_stream_cache_gaussian",
         &gaussian_cfg,
         scale.max_iterations,
     );

@@ -180,6 +180,16 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// How [`Bencher::iter_batched`] groups its inputs (the subset of
+/// `criterion::BatchSize` this workspace uses). The stand-in runs one
+/// untimed setup per timed routine call, which is exact for the
+/// millisecond-scale routines batched here.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchSize {
+    /// Inputs too large to hold many of at once.
+    LargeInput,
+}
+
 /// Passed to the benchmark closure; [`Bencher::iter`] times the payload.
 pub struct Bencher {
     iters: u64,
@@ -194,6 +204,26 @@ impl Bencher {
             black_box(routine());
         }
         self.elapsed = start.elapsed();
+    }
+
+    /// Times `iters` executions of `routine`, each on a fresh input
+    /// from `setup`. Only `routine` is timed: building the input and
+    /// dropping the output happen outside the measurement, as in real
+    /// criterion.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        let mut elapsed = Duration::ZERO;
+        for _ in 0..self.iters {
+            let input = setup();
+            let start = Instant::now();
+            let output = black_box(routine(input));
+            elapsed += start.elapsed();
+            drop(output);
+        }
+        self.elapsed = elapsed;
     }
 }
 

@@ -40,9 +40,8 @@ pub struct IdcaConfig {
     /// path ([`crate::Engine::run_batch`]): the queries of a
     /// [`crate::QueryBatch`] run as lane-bounded chunks on the engine's
     /// persistent worker pool, and may nest the two scopes above on the
-    /// same pool. Queries share only the decomposition cache and scratch
-    /// allocations, never numeric state, so results are bit-identical at
-    /// every lane count.
+    /// same pool. Queries share only the decomposition cache, never
+    /// numeric state, so results are bit-identical at every lane count.
     ///
     /// All three lane counts default to the `UDB_THREADS` environment
     /// variable, read once per process (values `< 1` and junk fall back
@@ -60,24 +59,10 @@ pub struct IdcaConfig {
     /// struct-literal caller still sets it; it is removed with the next
     /// benchmark change.
     pub shard_materialize_min: usize,
-    /// Capacity (in objects) of the owned [`crate::Engine`]'s
-    /// **persistent** cross-batch decomposition cache: how many objects'
-    /// kd-decomposition expansion levels survive between `run_batch` /
-    /// per-query calls, so a stream of arrival batches re-hitting the
-    /// same hot objects replays their decompositions instead of
-    /// recomputing them. Least-recently-used entries beyond the capacity
-    /// are evicted after each call; [`crate::Engine::remove`] /
-    /// [`crate::Engine::update`] invalidate their object's entry.
-    ///
-    /// `0` disables cross-batch persistence entirely: every call builds
-    /// a fresh per-call cache, exactly the pre-owned-engine semantics.
-    /// Sharing is work-only either way — results are bit-identical at
-    /// every capacity (property-tested), this knob trades memory for
-    /// warm-serving throughput.
-    ///
-    /// The default (1024) honours the `UDB_DECOMP_CACHE_CAP` environment
-    /// variable (CI shim: the `{0, 64}` matrix keeps the cache-off and
-    /// eviction paths exercised on every push).
+    /// Ignored: the engines' decomposition cache always holds up to
+    /// [`crate::DECOMP_CACHE_ENTRIES`] objects. The field is kept only
+    /// because an existing struct-literal caller still sets it; it is
+    /// removed with the next benchmark change.
     pub decomp_cache_entries: usize,
     /// Ignored: the refiner computes the exact UGF snapshot every
     /// round. The field is kept only because an existing struct-literal
@@ -94,8 +79,8 @@ pub struct IdcaConfig {
     /// [`crate::Engine::wal_sync`] calls. Ignored by in-memory engines.
     ///
     /// The default honours the `UDB_WAL_SYNC_EVERY` environment
-    /// variable; like the cache knob, `0` is meaningful, so only
-    /// unparsable input falls back to the default.
+    /// variable; `0` is meaningful, so only unparsable input falls back
+    /// to the default.
     pub wal_sync_every: usize,
     /// Automatic checkpoint cadence of a durable engine: after this
     /// many logged mutations the engine takes a checkpoint (database
@@ -120,19 +105,6 @@ fn default_threads() -> usize {
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&t| t >= 1)
             .unwrap_or(1)
-    })
-}
-
-/// Default capacity of the engine-owned decomposition cache; unlike
-/// `UDB_THREADS`, `0` is a meaningful value (cache off, per-call
-/// semantics), so only unparsable input falls back to the default.
-fn default_decomp_cache_entries() -> usize {
-    static CAP: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CAP.get_or_init(|| {
-        std::env::var("UDB_DECOMP_CACHE_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1024)
     })
 }
 
@@ -173,7 +145,7 @@ impl Default for IdcaConfig {
             batch_threads: default_threads(),
             shard_threads: 1,
             shard_materialize_min: 0,
-            decomp_cache_entries: default_decomp_cache_entries(),
+            decomp_cache_entries: crate::DECOMP_CACHE_ENTRIES,
             prefilter: false,
             wal_sync_every: default_wal_sync_every(),
             checkpoint_every: default_checkpoint_every(),

@@ -5,13 +5,12 @@
 //! [`Engine`] owns its [`Database`], R-tree, worker pool and — unlike
 //! the borrowed snapshot engine it replaced — a
 //! **persistent, bounded, invalidation-aware** decomposition cache
-//! ([`crate::DecompCache`]) plus scratch pool that live *across*
-//! `run_batch` calls. A serving system re-hitting the same hot objects
-//! over a stream of arrival batches replays their kd-decomposition
-//! expansions from the cache instead of recomputing them every batch;
-//! [`crate::IdcaConfig::decomp_cache_entries`] bounds the memory (LRU
-//! eviction after every call, `0` = per-call caches, the old
-//! semantics).
+//! ([`crate::DecompCache`]) that lives *across* `run_batch` calls. A
+//! serving system re-hitting the same hot objects over a stream of
+//! arrival batches replays their kd-decomposition expansions from the
+//! cache instead of recomputing them every batch; LRU eviction after
+//! every call bounds it to [`crate::DECOMP_CACHE_ENTRIES`] objects.
+//! Refiners own their other buffers, which die with them.
 //!
 //! The engine is **mutable in place**: [`Engine::insert`] /
 //! [`Engine::remove`] / [`Engine::update`] maintain the R-tree
@@ -23,7 +22,7 @@
 //!
 //! All sharing is work-only: query results are bit-identical to the
 //! [`crate::scan`] reference oracle at every thread count and every
-//! cache capacity (property-tested in
+//! cache size (property-tested in
 //! `tests/owned_engine.rs`, `tests/batch_equivalence.rs` and
 //! `tests/early_exit_equivalence.rs`).
 //!
@@ -42,8 +41,9 @@ use udb_object::{Database, ObjectId, UncertainObject};
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::batch::{DecompCache, QueryBatch, QueryView, SharedDecomp, SharedRefineCtx};
+use crate::batch::{QueryBatch, QueryView};
 use crate::config::{IdcaConfig, ObjRef, Predicate};
+use crate::decomp::{DecompCache, DECOMP_CACHE_ENTRIES};
 use crate::durable::{rebuild_tree, recover, Durability, DurableError, RecoveryReport};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
@@ -54,11 +54,6 @@ use crate::standing::{
 };
 use crate::wal::{DurableIo, FileIo, WalRecord};
 
-/// The batch-sharing state a query pipeline runs under: the batch's
-/// shared context plus the query object's per-query shared
-/// decomposition.
-pub(crate) type BatchShared<'s> = (&'s SharedRefineCtx, &'s SharedDecomp);
-
 /// Entry-count cutoff of the per-candidate subtree filter: a `Descend`
 /// verdict on a subtree holding at most this many entries switches to
 /// the scan filter (per-entry tests, no interior MBR tests below).
@@ -67,11 +62,6 @@ pub(crate) type BatchShared<'s> = (&'s SharedRefineCtx, &'s SharedDecomp);
 /// overwhelmingly answer `Descend` at every level, so their interior
 /// node tests are wasted work. One leaf level (fan-out 16) plus slack.
 pub(crate) const SUBTREE_SCAN_CUTOFF: usize = 24;
-
-/// Joins a refiner to a batch's shared state.
-pub(crate) fn attach<'b>(refiner: Refiner<'b>, (ctx, q_dec): BatchShared<'_>) -> Refiner<'b> {
-    refiner.with_shared_ctx(ctx).with_external_decomp(q_dec)
-}
 
 /// Maintains the `k` smallest MaxDists seen over *certainly existing*
 /// objects (`k_smallest`, kept sorted ascending): inserts `max_d` if it
@@ -104,6 +94,7 @@ pub(crate) struct EngineRef<'a> {
     pub(crate) tree: &'a RTree<ObjectId>,
     pub(crate) scratch: &'a ScratchPool,
     pub(crate) stats: &'a Arc<RefineStats>,
+    pub(crate) decomps: &'a Arc<DecompCache>,
 }
 
 impl<'a> QueryPlane<'a> for EngineRef<'a> {
@@ -113,6 +104,10 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
 
     fn pool(&self) -> &'a PoolHandle {
         self.pool
+    }
+
+    fn decomps(&self) -> &'a Arc<DecompCache> {
+        self.decomps
     }
 
     /// Index-accelerated domination-count refiner: the complete-domination
@@ -275,7 +270,7 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
 
 /// The owned, lifetime-free serving engine: owns its [`Database`],
 /// R-tree, worker pool and the persistent cross-batch decomposition
-/// cache / scratch pool (see the module docs). Mutate in place with
+/// cache (see the module docs). Mutate in place with
 /// [`Engine::insert`] / [`Engine::remove`] / [`Engine::update`]; query
 /// with the per-query entry points or [`Engine::run_batch`] — the
 /// per-query methods are batch-of-one wrappers over the same internal
@@ -306,11 +301,10 @@ pub struct Engine {
     cfg: IdcaConfig,
     pool: PoolHandle,
     tree: RTree<ObjectId>,
-    /// The persistent cross-batch decomposition cache (unused when
-    /// [`IdcaConfig::decomp_cache_entries`] is 0).
+    /// The persistent cross-batch decomposition cache.
     decomps: Arc<DecompCache>,
-    /// The persistent refiner/filter scratch pool.
-    scratch: Arc<ScratchPool>,
+    /// The subtree-filter traversal scratch pool.
+    scratch: ScratchPool,
     /// Refinement round counter, shared by every refiner the engine
     /// builds across all calls.
     stats: Arc<RefineStats>,
@@ -396,7 +390,7 @@ impl Engine {
             db,
             tree,
             decomps: Arc::new(DecompCache::new(cfg.split_strategy)),
-            scratch: Arc::new(ScratchPool::new()),
+            scratch: ScratchPool::default(),
             pool: PoolHandle::default(),
             stats: Arc::new(RefineStats::default()),
             cfg,
@@ -512,8 +506,7 @@ impl Engine {
     }
 
     /// Number of objects currently held by the persistent decomposition
-    /// cache (0 when [`IdcaConfig::decomp_cache_entries`] is 0 —
-    /// per-call caches never land here).
+    /// cache (at most [`DECOMP_CACHE_ENTRIES`] between calls).
     pub fn decomp_cache_len(&self) -> usize {
         self.decomps.len()
     }
@@ -527,33 +520,14 @@ impl Engine {
             tree: &self.tree,
             scratch: &self.scratch,
             stats: &self.stats,
-        }
-    }
-
-    /// The shared context for one call: the engine's persistent cache
-    /// when cross-batch caching is on, a fresh per-call cache when it is
-    /// off (`decomp_cache_entries == 0` — the pre-owned-engine
-    /// decomposition semantics). The scratch pool is the engine's
-    /// persistent one either way: buffer recycling is pure allocation
-    /// reuse (it cannot change results or skip work), so the cache knob
-    /// governs only what it names.
-    fn ctx(&self) -> SharedRefineCtx {
-        if self.cfg.decomp_cache_entries == 0 {
-            SharedRefineCtx::from_parts(
-                Arc::new(DecompCache::new(self.cfg.split_strategy)),
-                Arc::clone(&self.scratch),
-            )
-        } else {
-            SharedRefineCtx::from_parts(Arc::clone(&self.decomps), Arc::clone(&self.scratch))
+            decomps: &self.decomps,
         }
     }
 
     /// Post-call cache maintenance: LRU-trim the persistent cache back
-    /// to its configured capacity.
+    /// to its capacity.
     fn trim_cache(&self) {
-        if self.cfg.decomp_cache_entries > 0 {
-            self.decomps.trim(self.cfg.decomp_cache_entries);
-        }
+        self.decomps.trim(DECOMP_CACHE_ENTRIES);
     }
 
     // ------------------------------------------------------------------
@@ -795,10 +769,7 @@ impl Engine {
     ) -> (u64, Vec<ThresholdResult>) {
         validate_spec(&spec);
         let mut reg = std::mem::take(&mut self.standing);
-        let out = {
-            let ctx = self.ctx();
-            standing::subscribe_registry(&mut reg, self.parts(), &ctx, q, spec)
-        };
+        let out = standing::subscribe_registry(&mut reg, self.parts(), q, spec);
         self.trim_cache();
         self.standing = reg;
         out
@@ -830,10 +801,7 @@ impl Engine {
     /// exactly like a query run, then put back with its queued deltas.
     fn maintain_standing(&mut self, m: &standing::Mutation) {
         let mut reg = std::mem::take(&mut self.standing);
-        {
-            let ctx = self.ctx();
-            standing::maintain_registry(&mut reg, self.parts(), &ctx, m);
-        }
+        standing::maintain_registry(&mut reg, self.parts(), m);
         self.trim_cache();
         self.standing = reg;
     }
@@ -843,8 +811,8 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Index-accelerated domination-count refiner over this engine's
-    /// database and index. Batch-shared state is not attached; use the
-    /// query entry points for cached execution.
+    /// database and index. The decomposition cache is not attached; use
+    /// the query entry points for cached execution.
     pub fn refiner<'b>(
         &'b self,
         target: ObjRef<'b>,
@@ -874,7 +842,7 @@ impl Engine {
     /// Probabilistic threshold kNN (Corollary 4), fully index-integrated
     /// and warm-cache-served: a batch-of-one through the same internal
     /// pipeline as [`Engine::run_batch`]. Results are identical to
-    /// [`crate::scan::knn_threshold`] at every cache capacity.
+    /// [`crate::scan::knn_threshold`].
     pub fn knn_threshold(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
         assert!(k >= 1, "k must be positive");
         assert!((0.0..1.0).contains(&tau), "tau must be in [0, 1)");
@@ -913,23 +881,20 @@ impl Engine {
     }
 
     /// Executes a mixed [`QueryBatch`] through one shared pass (the
-    /// engine's persistent decomposition cache, recycled refiner
-    /// scratch, query-level fan-out over [`IdcaConfig::batch_threads`]
-    /// lanes). Returns one result vector
+    /// engine's persistent decomposition cache, query-level fan-out over
+    /// [`IdcaConfig::batch_threads`] lanes). Returns one result vector
     /// per query, aligned with the batch's insertion order; each vector
     /// is exactly what the corresponding per-query entry point returns.
     pub fn run_batch(&self, batch: &QueryBatch) -> Vec<Vec<ThresholdResult>> {
         let views: Vec<QueryView<'_>> = batch.queries().iter().map(|spec| spec.view()).collect();
-        let ctx = self.ctx();
-        let out = self.parts().run_views(&views, &ctx);
+        let out = self.parts().run_views(&views);
         self.trim_cache();
         out
     }
 
     /// One query through the internal batch pipeline.
     fn run_single(&self, view: QueryView<'_>) -> Vec<ThresholdResult> {
-        let ctx = self.ctx();
-        let mut out = self.parts().run_views(&[view], &ctx);
+        let mut out = self.parts().run_views(&[view]);
         self.trim_cache();
         out.pop().expect("one result set per query")
     }
@@ -943,7 +908,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use udb_geometry::{LpNorm, Point};
     use udb_pdf::Pdf;
-    use udb_workload::{QuerySet, SyntheticConfig};
+    use udb_workload::{PdfKind, QuerySet, SyntheticConfig};
 
     /// The whole point of the lifetime-free redesign: an engine (and an
     /// owned batch) can move across threads — into a spawned serving
@@ -1364,30 +1329,110 @@ mod tests {
 
     #[test]
     fn persistent_cache_fills_and_trims() {
-        let (db, cfg) = synthetic(150);
+        let cfg = SyntheticConfig {
+            n: 150,
+            max_extent: 0.1,
+            ..Default::default()
+        };
+        let db = cfg.generate();
         let qs = QuerySet::generate(&db, &cfg, 2, 10, LpNorm::L2, 93);
         let idca = IdcaConfig {
             max_iterations: 3,
-            decomp_cache_entries: 4,
+            uncertainty_target: 0.0,
             ..Default::default()
         };
         let engine = Engine::with_config(db, idca);
-        let warm = engine.knn_threshold(&qs.references[0], 3, 0.3);
-        assert!(engine.decomp_cache_len() <= 4, "trim respects capacity");
-        // repeat batch: warm-cache results must be bit-identical
-        let again = engine.knn_threshold(&qs.references[0], 3, 0.3);
-        assert_eq!(warm, again);
-        // cache off: nothing persists
-        let (db2, _) = synthetic(150);
-        let cold = Engine::with_config(
-            db2,
-            IdcaConfig {
-                max_iterations: 3,
-                decomp_cache_entries: 0,
-                ..Default::default()
-            },
-        );
-        cold.knn_threshold(&qs.references[0], 3, 0.3);
-        assert_eq!(cold.decomp_cache_len(), 0);
+        let q = &qs.references[0];
+        let warm = engine.top_probable_nn(q, 2);
+        let filled = engine.decomp_cache_len();
+        assert!(filled > 0, "cache never filled");
+        assert!(filled <= DECOMP_CACHE_ENTRIES, "trim respects capacity");
+        // repeat against the warm cache: bit-identical results
+        assert_eq!(engine.top_probable_nn(q, 2), warm);
+        // an LRU trim keeps at most its capacity and changes nothing
+        engine.decomps.trim(4);
+        assert_eq!(engine.decomp_cache_len(), filled.min(4));
+        assert_eq!(engine.top_probable_nn(q, 2), warm);
+    }
+
+    /// Cache eviction at tiny capacities never changes results: an
+    /// engine whose cache is trimmed to 1, 2 or 3 entries after every
+    /// call (constant churn, most entries evicted every time) answers
+    /// bit-for-bit like a freshly built engine.
+    fn check_tiny_capacities(seed: u64) {
+        let pdf = [
+            PdfKind::Uniform,
+            PdfKind::Gaussian,
+            PdfKind::CorrelatedHistogram,
+        ][(seed % 3) as usize];
+        let object_cfg = SyntheticConfig {
+            n: 40,
+            max_extent: 0.1,
+            pdf,
+            seed,
+            ..Default::default()
+        };
+        let db = object_cfg.generate();
+        let idca = IdcaConfig {
+            max_iterations: 4,
+            uncertainty_target: 0.0,
+            ..Default::default()
+        };
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x71C4);
+        let hot = object_cfg.generate_object(&mut rng);
+        let batches: Vec<QueryBatch> = (0..2)
+            .map(|_| {
+                let mut batch = QueryBatch::new();
+                for i in 0..4 {
+                    let q = if i % 2 == 0 {
+                        hot.clone()
+                    } else {
+                        object_cfg.generate_object(&mut rng)
+                    };
+                    match i % 3 {
+                        0 => batch.knn_threshold(q, 2, 0.3),
+                        1 => batch.rknn_threshold(q, 2, 0.3),
+                        _ => batch.top_probable_nn(q, 2),
+                    };
+                }
+                batch
+            })
+            .collect();
+        let oracles: Vec<Vec<Vec<ThresholdResult>>> = batches
+            .iter()
+            .map(|b| Engine::with_config(db.clone(), idca.clone()).run_batch(b))
+            .collect();
+        for cap in [1usize, 2, 3] {
+            let tiny = Engine::with_config(db.clone(), idca.clone());
+            let mut evicted = false;
+            for round in 0..2 {
+                for (bi, (batch, oracle)) in batches.iter().zip(&oracles).enumerate() {
+                    let got = tiny.run_batch(batch);
+                    evicted |= tiny.decomp_cache_len() > cap;
+                    tiny.decomps.trim(cap);
+                    assert!(tiny.decomp_cache_len() <= cap);
+                    for (qi, (g, o)) in got.iter().zip(oracle).enumerate() {
+                        assert_same_bits(
+                            g,
+                            o,
+                            &format!("cap={cap} round={round} batch={bi} q={qi}"),
+                        );
+                        let iterations = |r: &[ThresholdResult]| -> Vec<usize> {
+                            r.iter().map(|x| x.iterations).collect()
+                        };
+                        assert_eq!(iterations(g), iterations(o));
+                    }
+                }
+            }
+            assert!(evicted, "cap={cap}: the trim never evicted anything");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+        #[test]
+        fn tiny_cache_capacities_never_change_results(seed in 0u64..10_000) {
+            check_tiny_capacities(seed);
+        }
     }
 }

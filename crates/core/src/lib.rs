@@ -28,6 +28,7 @@
 
 pub mod batch;
 pub mod config;
+pub mod decomp;
 pub mod durable;
 pub mod engine;
 pub mod parallel;
@@ -39,15 +40,14 @@ pub mod shard;
 pub mod standing;
 pub mod wal;
 
-pub use batch::{DecompCache, QueryBatch, QuerySpec, SharedDecomp, SharedRefineCtx};
+pub use batch::{QueryBatch, QuerySpec};
 pub use config::{IdcaConfig, ObjRef, Predicate, RefineGoal};
+pub use decomp::{DecompCache, SharedDecomp, DECOMP_CACHE_ENTRIES};
 pub use durable::{DurableError, RecoveryReport};
 pub use engine::Engine;
 pub use parallel::{PoolHandle, WorkerPool};
 pub use queries::{ExpectedRankEntry, RankDistribution, ThresholdResult};
-pub use refiner::{
-    refine_each, refine_top_m, DbView, DomCountSnapshot, RefineStats, Refiner, ScratchPool,
-};
+pub use refiner::{refine_each, refine_top_m, DbView, DomCountSnapshot, RefineStats, Refiner};
 pub use shard::{env_shards, ShardedEngine};
 pub use standing::{ResultDelta, StandingQuery, StandingSpec, StandingStats};
 pub use wal::{

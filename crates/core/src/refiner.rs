@@ -73,7 +73,7 @@
 //!   one snapshot only, and with elongated objects (many distinct
 //!   intervals along the long axis) they reached about 0.7x the factor
 //!   cache's bytes, which refiners kept alive between snapshots (top-`m`
-//!   rounds, the scratch pool) would otherwise all hold.
+//!   rounds) would otherwise all hold.
 //! * **Fallback rule** (fixed, no knob) — an influence object uses the
 //!   tables only when each dimension has at most `1 / TABLE_MIN_SHARE`
 //!   (one half) as many distinct intervals as the object has partitions:
@@ -170,155 +170,29 @@ use udb_domination::{
 };
 use udb_genfunc::{CountDistributionBounds, Ugf};
 use udb_geometry::Interval;
-use udb_object::{Database, Decomposition, ObjectId, Partition, Pdf, UncertainObject};
+use udb_object::{Database, Decomposition, ObjectId, Partition, UncertainObject};
 
-use crate::batch::{DecompCache, ObjDecomp, SharedRefineCtx};
 use crate::config::{IdcaConfig, ObjRef, Predicate};
+use crate::decomp::{DecSource, DecompCache, SharedDecomp, SharedHandle};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
 
-/// The decomposition state of one refined region: either privately owned
-/// (the classic per-refiner kd-tree) or a view into a batch-shared
-/// [`crate::batch::DecompCache`] entry, which memoizes each expansion level of an
-/// object's decomposition so every refiner touching the same object —
-/// across all queries of a batch — computes each split exactly once.
-///
-/// Expansion is deterministic given the PDF and split strategy, so a
-/// cached level is bit-identical to what an owned decomposition would
-/// produce; only the work is shared, never the results.
-enum DecSource {
-    /// Privately owned (the non-batched paths).
-    Own(Decomposition),
-    /// A cursor into a shared cache entry: `applied` counts the
-    /// expansion levels this refiner has consumed so far. The handle
-    /// resolves **lazily** — see [`SharedHandle`].
-    Shared {
-        handle: SharedHandle,
-        applied: usize,
-    },
-}
-
-/// How a shared [`DecSource`] finds its cache entry. Most early-exit
-/// refiners decide at iteration 0 and never expand anything; a deferred
-/// handle costs them *nothing* (no map lock, no [`ObjDecomp`]
-/// allocation), where eagerly registering every region of every refiner
-/// in the [`crate::batch::DecompCache`] measurably taxed the
-/// many-refiner queries (RkNN builds one refiner per database object).
-/// The entry is looked up — and created on first touch — only when an
-/// expansion is actually requested.
-enum SharedHandle {
-    /// Already looked up (the per-query external decomposition, or a
-    /// deferred handle after its first expansion).
-    Resolved(Arc<Mutex<ObjDecomp>>),
-    /// Not looked up yet: the cache and the id to ask it for.
-    Deferred(Arc<DecompCache>, ObjectId),
-}
-
-impl SharedHandle {
-    /// The cache entry, looked up (and created) on first use.
-    fn resolve(&mut self, pdf: &Pdf) -> &Arc<Mutex<ObjDecomp>> {
-        if let SharedHandle::Deferred(cache, id) = self {
-            *self = SharedHandle::Resolved(cache.entry(*id, pdf));
-        }
-        match self {
-            SharedHandle::Resolved(entry) => entry,
-            SharedHandle::Deferred(..) => unreachable!("resolved above"),
-        }
-    }
-}
-
-impl DecSource {
-    /// One expansion level: the new partition list and the lineage map
-    /// (`map[new_idx] = old_idx`), or `None` when nothing can split
-    /// further. Owned sources delegate to
-    /// [`Decomposition::expand_with_map`]; shared sources replay (or
-    /// extend) the cache entry.
-    fn expand(&mut self, pdf: &Pdf) -> Option<(Vec<Partition>, Vec<u32>)> {
-        match self {
-            DecSource::Own(dec) => dec.expand_with_map(pdf).map(|map| (dec.partitions(), map)),
-            DecSource::Shared { handle, applied } => {
-                let entry = handle.resolve(pdf);
-                let mut cached = entry.lock().unwrap_or_else(|p| p.into_inner());
-                let out = cached.expand_from(*applied, pdf);
-                if out.is_some() {
-                    *applied += 1;
-                }
-                out
-            }
-        }
-    }
-}
-
-/// The reusable heap state of a retired [`Refiner`]: the UGF arena, the
-/// open-list arena generations and the factor-cache slot vector. Contents
-/// are meaningless across refiners — only the allocations are recycled
-/// (capacity reuse cannot change results).
-pub struct RefinerScratch {
-    ugf: Ugf,
-    open_arena: Vec<u32>,
-    open_scratch: Vec<u32>,
-    cache: Vec<FactorCache>,
-}
-
-/// A shared pool of reusable scratch buffers: refiners built through a
-/// [`SharedRefineCtx`] pop a [`RefinerScratch`] at construction and
-/// return their buffers on drop, so a batch allocates each arena once
-/// per *concurrent* refiner instead of once per refiner. The pool also
-/// recycles the engines' subtree-filter traversal scratch
-/// ([`udb_index::ClassifyScratch`], via an internal check-out helper):
-/// each concurrent filter pass checks one out and returns it, so batch
-/// lanes building refiners in parallel never serialize on a single
-/// shared scratch — the lock is held only for the pop/push, never
-/// across a traversal.
-pub struct ScratchPool {
-    pool: Mutex<Vec<RefinerScratch>>,
+/// The engines' pool of subtree-filter traversal scratch
+/// ([`udb_index::ClassifyScratch`]): each concurrent filter pass checks
+/// one out and returns it, so batch lanes building refiners in parallel
+/// never serialize on a single shared scratch — the lock is held only
+/// for the pop/push, never across a traversal. Refiners own their other
+/// buffers, which die with them.
+#[derive(Default)]
+pub(crate) struct ScratchPool {
     classify: Mutex<Vec<udb_index::ClassifyScratch<ObjectId>>>,
 }
 
-/// Retained scratches are capped so a huge candidate wave cannot pin its
-/// peak memory forever; excess buffers just drop.
+/// Retained traversal scratches are capped so a burst of concurrent
+/// filter passes cannot pin its peak forever; excess buffers just drop.
 const SCRATCH_POOL_CAP: usize = 64;
 
-impl std::fmt::Debug for ScratchPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let pooled = self.pool.lock().map(|p| p.len()).unwrap_or(0);
-        let classify = self.classify.lock().map(|p| p.len()).unwrap_or(0);
-        f.debug_struct("ScratchPool")
-            .field("refiner_buffers", &pooled)
-            .field("classify_buffers", &classify)
-            .finish()
-    }
-}
-
-impl Default for ScratchPool {
-    fn default() -> Self {
-        ScratchPool {
-            pool: Mutex::new(Vec::new()),
-            classify: Mutex::new(Vec::new()),
-        }
-    }
-}
-
 impl ScratchPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        ScratchPool::default()
-    }
-
-    fn pop(&self) -> Option<RefinerScratch> {
-        self.pool.lock().unwrap_or_else(|p| p.into_inner()).pop()
-    }
-
-    fn put(&self, mut scratch: RefinerScratch) {
-        scratch.open_arena.clear();
-        scratch.open_scratch.clear();
-        scratch.cache.clear();
-        let mut pool = self.pool.lock().unwrap_or_else(|p| p.into_inner());
-        if pool.len() < SCRATCH_POOL_CAP {
-            pool.push(scratch);
-        }
-    }
-
     /// Runs `f` with a pooled subtree-filter traversal scratch, checked
     /// out for the duration of the call (concurrent callers each get
     /// their own; buffers are recycled afterwards).
@@ -706,7 +580,7 @@ pub struct Refiner<'a> {
     reference: &'a UncertainObject,
     /// Database ids of the target/reference (when they live in the
     /// database): the keys under which their decompositions can join a
-    /// batch-shared [`crate::batch::DecompCache`].
+    /// shared [`DecompCache`].
     target_id: Option<ObjectId>,
     reference_id: Option<ObjectId>,
     complete_count: usize,
@@ -746,24 +620,8 @@ pub struct Refiner<'a> {
     /// Shared worker pool for parallel snapshots (engine-injected via
     /// [`Refiner::with_pool`]; otherwise created lazily and private).
     pool: PoolHandle,
-    /// When set (batched execution), the refiner's arenas return here on
-    /// drop so the next refiner of the batch reuses the allocations.
-    scratch_pool: Option<Arc<ScratchPool>>,
     /// Round counter (engine-attached; `None` = not measured).
     stats: Option<Arc<RefineStats>>,
-}
-
-impl Drop for Refiner<'_> {
-    fn drop(&mut self) {
-        if let Some(pool) = self.scratch_pool.take() {
-            pool.put(RefinerScratch {
-                ugf: std::mem::replace(&mut self.ugf, Ugf::new(None)),
-                open_arena: std::mem::take(&mut self.open_arena),
-                open_scratch: std::mem::take(&mut self.open_scratch),
-                cache: std::mem::take(&mut self.cache),
-            });
-        }
-    }
 }
 
 /// One `(pair, influence)` slot of the snapshot cache: the factor's
@@ -1021,35 +879,31 @@ impl<'a> Refiner<'a> {
             partition_tests: (0, 0),
             ugf: Ugf::new(None),
             pool: PoolHandle::default(),
-            scratch_pool: None,
             stats: None,
         }
     }
 
-    /// Joins a batch-shared refinement context ([`SharedRefineCtx`]):
-    /// every decomposition with a database identity — the target and
+    /// Joins a shared decomposition cache ([`DecompCache`]): every
+    /// decomposition with a database identity — the target and
     /// reference when they live in the database, and every influence
-    /// object — switches to the context's [`crate::batch::DecompCache`], so expansion
-    /// levels computed by *any* refiner of the batch are replayed by all
-    /// others instead of recomputed; the refiner also draws its arena
-    /// buffers from the context's [`ScratchPool`] and returns them on
-    /// drop. Cached expansions are bit-identical to owned ones
+    /// object — switches to the cache, so expansion levels computed by
+    /// *any* refiner attached to it are replayed by all others instead
+    /// of recomputed. Cached expansions are bit-identical to owned ones
     /// (decomposition is deterministic), so results are unchanged.
     ///
     /// Must be called before refinement starts (construction-time
     /// builder, like [`Refiner::with_pool`]).
-    pub fn with_shared_ctx(mut self, ctx: &SharedRefineCtx) -> Self {
+    pub fn with_decomp_cache(mut self, cache: &Arc<DecompCache>) -> Self {
         assert!(
             self.iteration == 0 && !self.cache_valid,
-            "shared context must be attached before refinement starts"
+            "decomposition cache must be attached before refinement starts"
         );
-        let cache = ctx.decomps_arc();
         // a cached level replays only for the split strategy it was
         // computed with; a mismatch would compose lineage maps across
         // two different split trees and corrupt the bounds silently
         assert!(
             cache.strategy() == self.cfg.split_strategy,
-            "shared context split strategy differs from the refiner's"
+            "decomposition cache split strategy differs from the refiner's"
         );
         // deferred handles: no cache lookup (or entry creation) happens
         // until a region actually expands — refiners deciding at
@@ -1057,7 +911,7 @@ impl<'a> Refiner<'a> {
         let attach = |source: &mut DecSource, id: Option<ObjectId>| {
             if let Some(id) = id {
                 *source = DecSource::Shared {
-                    handle: SharedHandle::Deferred(Arc::clone(&cache), id),
+                    handle: SharedHandle::Deferred(Arc::clone(cache), id),
                     applied: 0,
                 };
             }
@@ -1066,36 +920,27 @@ impl<'a> Refiner<'a> {
         attach(&mut self.r_dec, self.reference_id);
         for inf in &mut self.influence {
             inf.dec = DecSource::Shared {
-                handle: SharedHandle::Deferred(Arc::clone(&cache), inf.id),
+                handle: SharedHandle::Deferred(Arc::clone(cache), inf.id),
                 applied: 0,
             };
         }
-        let scratch = ctx.scratch();
-        if let Some(s) = scratch.pop() {
-            self.ugf = s.ugf;
-            self.open_arena = s.open_arena;
-            self.open_scratch = s.open_scratch;
-            self.cache = s.cache;
-        }
-        self.scratch_pool = Some(scratch);
         self
     }
 
     /// Attaches a shared decomposition for the refiner's single
     /// *external* region — the side of target/reference without a
-    /// database id, which [`Refiner::with_shared_ctx`] cannot key into
-    /// the id-based cache. In a batch, the query object is that side for
-    /// every one of the query's candidate refiners; sharing one
-    /// [`crate::batch::SharedDecomp`] across them expands the query
-    /// object once per query instead of once per candidate. The handle
-    /// must have been built from this refiner's external object's PDF
-    /// ([`crate::SharedRefineCtx::external_decomp`]).
+    /// database id, which [`Refiner::with_decomp_cache`] cannot key into
+    /// the id-based cache. The query object is that side for every one
+    /// of a query's candidate refiners; sharing one [`SharedDecomp`]
+    /// across them expands the query object once per query instead of
+    /// once per candidate. The handle must have been built from this
+    /// refiner's external object's PDF ([`SharedDecomp::new`]).
     ///
     /// # Panics
     /// Panics if refinement has started, the handle's split strategy
     /// differs, or target/reference are not exactly one external and one
     /// database object.
-    pub fn with_external_decomp(mut self, shared: &crate::batch::SharedDecomp) -> Self {
+    pub fn with_external_decomp(mut self, shared: &SharedDecomp) -> Self {
         assert!(
             self.iteration == 0 && !self.cache_valid,
             "shared decomposition must be attached before refinement starts"

@@ -51,9 +51,10 @@ use udb_object::{Database, ObjectId, UncertainObject};
 
 use std::sync::Arc;
 
-use crate::batch::{QueryView, SharedRefineCtx};
+use crate::batch::QueryView;
 use crate::config::{IdcaConfig, ObjRef, Predicate};
-use crate::engine::{attach, tighten_dk, BatchShared, SUBTREE_SCAN_CUTOFF};
+use crate::decomp::{DecompCache, SharedDecomp};
+use crate::engine::{tighten_dk, SUBTREE_SCAN_CUTOFF};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
 use crate::refiner::{refine_each, refine_top_m, DbView, RefineStats, Refiner, ScratchPool};
@@ -68,6 +69,9 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
 
     /// The shared worker-pool handle for query-level fan-out.
     fn pool(&self) -> &'a PoolHandle;
+
+    /// The persistent decomposition cache every query's refiners share.
+    fn decomps(&self) -> &'a Arc<DecompCache>;
 
     /// Index-accelerated domination-count refiner: the
     /// complete-domination filter of Algorithm 1 applied through the
@@ -121,6 +125,27 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
     // Provided drivers — the one query pipeline every entry point runs.
     // ------------------------------------------------------------------
 
+    /// [`QueryPlane::refiner`] joined to the plane's decomposition cache
+    /// and to the query object's shared decomposition `q_dec`: the
+    /// refiner every pipeline runs.
+    fn shared_refiner(
+        &self,
+        target: ObjRef<'a>,
+        reference: ObjRef<'a>,
+        predicate: Predicate,
+        q_dec: &SharedDecomp,
+    ) -> Refiner<'a> {
+        self.refiner(target, reference, predicate)
+            .with_decomp_cache(self.decomps())
+            .with_external_decomp(q_dec)
+    }
+
+    /// A fresh shared decomposition of the query object `q`, for the
+    /// refiners of one query.
+    fn query_decomp(&self, q: &UncertainObject) -> SharedDecomp {
+        SharedDecomp::new(q.pdf(), self.cfg().split_strategy)
+    }
+
     /// The kNN-threshold refinement pipeline: index-driven candidates,
     /// subtree-filtered refiners, and early-exit refinement that
     /// retires each candidate as soon as its `P(DomCount < k) ≷ τ`
@@ -132,19 +157,15 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         k: usize,
         tau: f64,
         candidates: Vec<ObjectId>,
-        shared: BatchShared<'_>,
     ) -> Vec<ThresholdResult> {
         let predicate = Predicate::Threshold { k, tau };
+        let q_dec = self.query_decomp(q);
         let refiners = candidates
             .into_iter()
             .map(|id| {
-                (
-                    id,
-                    attach(
-                        self.refiner(ObjRef::Db(id), ObjRef::External(q), predicate),
-                        shared,
-                    ),
-                )
+                let refiner =
+                    self.shared_refiner(ObjRef::Db(id), ObjRef::External(q), predicate, &q_dec);
+                (id, refiner)
             })
             .collect();
         refine_each(refiners)
@@ -247,20 +268,16 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         q: &'a UncertainObject,
         k: usize,
         tau: f64,
-        shared: BatchShared<'_>,
     ) -> Vec<ThresholdResult> {
         let predicate = Predicate::Threshold { k, tau };
+        let q_dec = self.query_decomp(q);
         let refiners = self
             .rknn_candidates(q, k)
             .into_iter()
             .map(|b_id| {
-                (
-                    b_id,
-                    attach(
-                        self.refiner(ObjRef::External(q), ObjRef::Db(b_id), predicate),
-                        shared,
-                    ),
-                )
+                let refiner =
+                    self.shared_refiner(ObjRef::External(q), ObjRef::Db(b_id), predicate, &q_dec);
+                (b_id, refiner)
             })
             .collect();
         refine_each(refiners)
@@ -273,38 +290,29 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         q: &'a UncertainObject,
         m: usize,
         candidates: Vec<ObjectId>,
-        shared: BatchShared<'_>,
     ) -> Vec<ThresholdResult> {
         let predicate = Predicate::CountBelow { k: 1 };
+        let q_dec = self.query_decomp(q);
         let refiners = candidates
             .into_iter()
             .map(|id| {
-                (
-                    id,
-                    attach(
-                        self.refiner(ObjRef::Db(id), ObjRef::External(q), predicate),
-                        shared,
-                    ),
-                )
+                let refiner =
+                    self.shared_refiner(ObjRef::Db(id), ObjRef::External(q), predicate, &q_dec);
+                (id, refiner)
             })
             .collect();
         refine_top_m(refiners, m)
     }
 
     /// Executes a set of query views through one shared pass: the
-    /// context's decomposition cache, recycled refiner scratch, and
-    /// query-level fan-out over [`crate::IdcaConfig::batch_threads`]
-    /// worker-pool lanes. Each lane finds its query's candidates itself
-    /// (sorted by id; RkNN enumerates its own). Returns one result vector
-    /// per query, aligned with input order; each vector is exactly what
-    /// the corresponding per-query entry point returns — bit-identical
-    /// bounds, iteration counts and ordering, at every lane count and
-    /// cache capacity.
-    fn run_views(
-        &self,
-        views: &[QueryView<'a>],
-        ctx: &SharedRefineCtx,
-    ) -> Vec<Vec<ThresholdResult>> {
+    /// plane's decomposition cache and query-level fan-out over
+    /// [`crate::IdcaConfig::batch_threads`] worker-pool lanes. Each lane
+    /// finds its query's candidates itself (sorted by id; RkNN
+    /// enumerates its own). Returns one result vector per query, aligned
+    /// with input order; each vector is exactly what the corresponding
+    /// per-query entry point returns — bit-identical bounds, iteration
+    /// counts and ordering, at every lane count.
+    fn run_views(&self, views: &[QueryView<'a>]) -> Vec<Vec<ThresholdResult>> {
         let mut tasks: Vec<(QueryView<'a>, Vec<ThresholdResult>)> =
             views.iter().map(|&query| (query, Vec::new())).collect();
         let lanes = self.cfg().batch_threads;
@@ -317,43 +325,27 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
                     QueryView::Rknn { .. } => Vec::new(),
                 };
                 candidates.sort_unstable();
-                *out = self.run_one(*query, candidates, ctx);
+                *out = self.run_one(*query, candidates);
             });
         tasks.into_iter().map(|(_, out)| out).collect()
     }
 
-    /// Executes one query against the shared context: the *same*
-    /// pipeline function the per-query entry points run, joined to the
-    /// context's decomposition cache, scratch pool and the query
-    /// object's shared decomposition.
-    fn run_one(
-        &self,
-        query: QueryView<'a>,
-        candidates: Vec<ObjectId>,
-        ctx: &SharedRefineCtx,
-    ) -> Vec<ThresholdResult> {
+    /// Executes one query: the *same* pipeline function the per-query
+    /// entry points run.
+    fn run_one(&self, query: QueryView<'a>, candidates: Vec<ObjectId>) -> Vec<ThresholdResult> {
         match query {
-            QueryView::Knn { q, k, tau } => {
-                let q_dec = ctx.external_decomp(q.pdf());
-                self.knn_threshold_pipeline(q, k, tau, candidates, (ctx, &q_dec))
-            }
-            QueryView::Rknn { q, k, tau } => {
-                let q_dec = ctx.external_decomp(q.pdf());
-                self.rknn_threshold_pipeline(q, k, tau, (ctx, &q_dec))
-            }
-            QueryView::TopM { q, m } => {
-                let q_dec = ctx.external_decomp(q.pdf());
-                self.top_probable_nn_pipeline(q, m, candidates, (ctx, &q_dec))
-            }
+            QueryView::Knn { q, k, tau } => self.knn_threshold_pipeline(q, k, tau, candidates),
+            QueryView::Rknn { q, k, tau } => self.rknn_threshold_pipeline(q, k, tau),
+            QueryView::TopM { q, m } => self.top_probable_nn_pipeline(q, m, candidates),
         }
     }
 }
 
 /// The borrowed parts the sharded query pipeline runs against: the
 /// shard databases and indexes (position = shard tag) plus the
-/// *router-owned* config, pool, scratch and stats — one refinement
-/// plane spanning all shards, assembled per call by
-/// [`crate::ShardedEngine`].
+/// *router-owned* config, pool, scratch, stats and decomposition
+/// cache — one refinement plane spanning all shards, assembled per call
+/// by [`crate::ShardedEngine`].
 #[derive(Clone, Copy)]
 pub(crate) struct ShardRef<'a> {
     pub(crate) dbs: &'a [&'a Database],
@@ -362,6 +354,7 @@ pub(crate) struct ShardRef<'a> {
     pub(crate) pool: &'a PoolHandle,
     pub(crate) scratch: &'a ScratchPool,
     pub(crate) stats: &'a Arc<RefineStats>,
+    pub(crate) decomps: &'a Arc<DecompCache>,
 }
 
 impl<'a> ShardRef<'a> {
@@ -429,6 +422,10 @@ impl<'a> QueryPlane<'a> for ShardRef<'a> {
 
     fn pool(&self) -> &'a PoolHandle {
         self.pool
+    }
+
+    fn decomps(&self) -> &'a Arc<DecompCache> {
+        self.decomps
     }
 
     /// The merged complete-domination filter: each shard's index is

@@ -57,8 +57,9 @@ use udb_object::{Database, ObjectId, UncertainObject};
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::batch::{DecompCache, QueryBatch, QueryView, SharedRefineCtx};
+use crate::batch::{QueryBatch, QueryView};
 use crate::config::IdcaConfig;
+use crate::decomp::{DecompCache, DECOMP_CACHE_ENTRIES};
 use crate::durable::{DurableError, RecoveryReport};
 use crate::engine::Engine;
 use crate::parallel::PoolHandle;
@@ -111,8 +112,8 @@ pub struct ShardedEngine {
     /// Router-level persistent decomposition cache, keyed by *global*
     /// id (the shard engines' own caches are idle above 1 shard).
     decomps: Arc<DecompCache>,
-    /// Router-level refiner/filter scratch pool.
-    scratch: Arc<ScratchPool>,
+    /// Router-level subtree-filter scratch pool.
+    scratch: ScratchPool,
     /// Router-level refinement round counter. Stays at zero while
     /// queries delegate to a single shard — the 1-shard plain-path
     /// assertion the equivalence suite checks.
@@ -232,7 +233,7 @@ impl ShardedEngine {
             shards,
             pool: PoolHandle::default(),
             decomps: Arc::new(DecompCache::new(cfg.split_strategy)),
-            scratch: Arc::new(ScratchPool::new()),
+            scratch: ScratchPool::default(),
             stats: Arc::new(RefineStats::default()),
             cfg,
             standing: StandingRegistry::default(),
@@ -512,8 +513,7 @@ impl ShardedEngine {
         let out = {
             let dbs: Vec<&Database> = self.shards.iter().map(Engine::db).collect();
             let trees: Vec<&RTree<ObjectId>> = self.shards.iter().map(Engine::tree).collect();
-            let ctx = self.ctx();
-            standing::subscribe_registry(&mut reg, self.plane(&dbs, &trees), &ctx, q, spec)
+            standing::subscribe_registry(&mut reg, self.plane(&dbs, &trees), q, spec)
         };
         self.trim_cache();
         self.standing = reg;
@@ -564,8 +564,7 @@ impl ShardedEngine {
         {
             let dbs: Vec<&Database> = self.shards.iter().map(Engine::db).collect();
             let trees: Vec<&RTree<ObjectId>> = self.shards.iter().map(Engine::tree).collect();
-            let ctx = self.ctx();
-            standing::maintain_registry(&mut reg, self.plane(&dbs, &trees), &ctx, m);
+            standing::maintain_registry(&mut reg, self.plane(&dbs, &trees), m);
         }
         self.trim_cache();
         self.standing = reg;
@@ -654,8 +653,7 @@ impl ShardedEngine {
         let views: Vec<QueryView<'_>> = batch.queries().iter().map(|spec| spec.view()).collect();
         let dbs: Vec<&Database> = self.shards.iter().map(Engine::db).collect();
         let trees: Vec<&RTree<ObjectId>> = self.shards.iter().map(Engine::tree).collect();
-        let ctx = self.ctx();
-        let out = self.plane(&dbs, &trees).run_views(&views, &ctx);
+        let out = self.plane(&dbs, &trees).run_views(&views);
         self.trim_cache();
         out
     }
@@ -664,8 +662,7 @@ impl ShardedEngine {
     fn run_single(&self, view: QueryView<'_>) -> Vec<ThresholdResult> {
         let dbs: Vec<&Database> = self.shards.iter().map(Engine::db).collect();
         let trees: Vec<&RTree<ObjectId>> = self.shards.iter().map(Engine::tree).collect();
-        let ctx = self.ctx();
-        let mut out = self.plane(&dbs, &trees).run_views(&[view], &ctx);
+        let mut out = self.plane(&dbs, &trees).run_views(&[view]);
         self.trim_cache();
         out.pop().expect("one result set per query")
     }
@@ -683,28 +680,13 @@ impl ShardedEngine {
             pool: &self.pool,
             scratch: &self.scratch,
             stats: &self.stats,
-        }
-    }
-
-    /// The shared context for one cross-shard call (mirrors
-    /// `Engine::ctx`: persistent router cache when cross-batch caching
-    /// is on, fresh per-call cache when off).
-    fn ctx(&self) -> SharedRefineCtx {
-        if self.cfg.decomp_cache_entries == 0 {
-            SharedRefineCtx::from_parts(
-                Arc::new(DecompCache::new(self.cfg.split_strategy)),
-                Arc::clone(&self.scratch),
-            )
-        } else {
-            SharedRefineCtx::from_parts(Arc::clone(&self.decomps), Arc::clone(&self.scratch))
+            decomps: &self.decomps,
         }
     }
 
     /// Post-call LRU trim of the router cache.
     fn trim_cache(&self) {
-        if self.cfg.decomp_cache_entries > 0 {
-            self.decomps.trim(self.cfg.decomp_cache_entries);
-        }
+        self.decomps.trim(DECOMP_CACHE_ENTRIES);
     }
 }
 

@@ -21,7 +21,7 @@
 //! Every tier decision is *purely geometric* (MinDist/MaxDist against
 //! stored bounds), so the decisions — and therefore the maintained
 //! result bits — are identical at every shard count, thread count and
-//! cache capacity. Maintained results are bit-identical to re-answering
+//! cache state. Maintained results are bit-identical to re-answering
 //! after every mutation (`tests/standing_equivalence.rs` proves it
 //! property-style at 1/2/4 shards).
 //!
@@ -49,9 +49,9 @@
 use udb_geometry::Rect;
 use udb_object::{ObjectId, UncertainObject};
 
-use crate::batch::{QueryView, SharedRefineCtx};
+use crate::batch::QueryView;
 use crate::config::{ObjRef, Predicate};
-use crate::engine::{attach, tighten_dk};
+use crate::engine::tighten_dk;
 use crate::queries::ThresholdResult;
 use crate::refiner::{refine_each, threshold_result};
 use crate::router::QueryPlane;
@@ -294,7 +294,6 @@ impl StandingRegistry {
 pub(crate) fn subscribe_registry<'a, P: QueryPlane<'a>>(
     reg: &'a mut StandingRegistry,
     plane: P,
-    ctx: &SharedRefineCtx,
     q: UncertainObject,
     spec: StandingSpec,
 ) -> (u64, Vec<ThresholdResult>) {
@@ -311,7 +310,7 @@ pub(crate) fn subscribe_registry<'a, P: QueryPlane<'a>>(
     let StandingQuery {
         q, results, guard, ..
     } = sub;
-    rebuild(plane, ctx, q, spec, results, guard);
+    rebuild(plane, q, spec, results, guard);
     (id, results.clone())
 }
 
@@ -322,7 +321,6 @@ pub(crate) fn subscribe_registry<'a, P: QueryPlane<'a>>(
 pub(crate) fn maintain_registry<'a, P: QueryPlane<'a>>(
     reg: &'a mut StandingRegistry,
     plane: P,
-    ctx: &SharedRefineCtx,
     mutation: &Mutation,
 ) {
     let StandingRegistry {
@@ -344,22 +342,22 @@ pub(crate) fn maintain_registry<'a, P: QueryPlane<'a>>(
         let spec = *spec;
         let before = results.clone();
         let cheap = match guard {
-            Guard::Knn(g) => maintain_knn(plane, ctx, q, spec, mutation, results, g),
+            Guard::Knn(g) => maintain_knn(plane, q, spec, mutation, results, g),
             Guard::TopM(g) => {
                 let stable =
                     g.d_1.is_finite() && mutation.min_dist_to(q.mbr(), plane.cfg().norm) > g.rho;
                 if !stable {
-                    rebuild(plane, ctx, q, spec, results, guard);
+                    rebuild(plane, q, spec, results, guard);
                 }
                 stable
             }
-            Guard::Rknn(entries) => match maintain_rknn(plane, ctx, q, spec, mutation, entries) {
+            Guard::Rknn(entries) => match maintain_rknn(plane, q, spec, mutation, entries) {
                 Some(fresh) => {
                     *results = fresh;
                     true
                 }
                 None => {
-                    rebuild(plane, ctx, q, spec, results, guard);
+                    rebuild(plane, q, spec, results, guard);
                     false
                 }
             },
@@ -381,7 +379,6 @@ pub(crate) fn maintain_registry<'a, P: QueryPlane<'a>>(
 /// subscription seed and the conservative fallback.
 fn rebuild<'a, P: QueryPlane<'a>>(
     plane: P,
-    ctx: &SharedRefineCtx,
     q: &'a UncertainObject,
     spec: StandingSpec,
     results: &mut Vec<ThresholdResult>,
@@ -392,13 +389,13 @@ fn rebuild<'a, P: QueryPlane<'a>>(
         StandingSpec::Knn { k, tau } => {
             let mut cand_ids = plane.knn_candidates(q.mbr(), k);
             cand_ids.sort_unstable();
-            *results = plane.run_one(QueryView::Knn { q, k, tau }, cand_ids.clone(), ctx);
+            *results = plane.run_one(QueryView::Knn { q, k, tau }, cand_ids.clone());
             *guard = Guard::Knn(knn_guard(plane, q, k, &cand_ids, norm));
         }
         StandingSpec::TopM { m } => {
             let mut cand_ids = plane.knn_candidates(q.mbr(), 1);
             cand_ids.sort_unstable();
-            *results = plane.run_one(QueryView::TopM { q, m }, cand_ids.clone(), ctx);
+            *results = plane.run_one(QueryView::TopM { q, m }, cand_ids.clone());
             let g = knn_guard(plane, q, 1, &cand_ids, norm);
             *guard = Guard::TopM(TopMGuard {
                 d_1: g.d_k,
@@ -406,7 +403,7 @@ fn rebuild<'a, P: QueryPlane<'a>>(
             });
         }
         StandingSpec::Rknn { k, tau } => {
-            *results = plane.run_one(QueryView::Rknn { q, k, tau }, Vec::new(), ctx);
+            *results = plane.run_one(QueryView::Rknn { q, k, tau }, Vec::new());
             let mut entries: Vec<RknnEntry> = Vec::new();
             let mut hits = results.iter().peekable();
             plane.for_each_object(|b_id, b_obj| {
@@ -461,7 +458,6 @@ fn knn_guard<'a, P: QueryPlane<'a>>(
 /// exact either way.
 fn maintain_knn<'a, P: QueryPlane<'a>>(
     plane: P,
-    ctx: &SharedRefineCtx,
     q: &'a UncertainObject,
     spec: StandingSpec,
     mutation: &Mutation,
@@ -478,7 +474,7 @@ fn maintain_knn<'a, P: QueryPlane<'a>>(
         // no bound proves stability — conservative fallback
         let mut cand_ids = plane.knn_candidates(q.mbr(), k);
         cand_ids.sort_unstable();
-        *results = plane.run_one(QueryView::Knn { q, k, tau }, cand_ids.clone(), ctx);
+        *results = plane.run_one(QueryView::Knn { q, k, tau }, cand_ids.clone());
         *g = knn_guard(plane, q, k, &cand_ids, norm);
         return false;
     }
@@ -498,21 +494,17 @@ fn maintain_knn<'a, P: QueryPlane<'a>>(
         .collect();
     if affected.len() * 2 > g.cands.len() {
         let cand_ids: Vec<ObjectId> = g.cands.iter().map(|c| c.id).collect();
-        *results = plane.run_one(QueryView::Knn { q, k, tau }, cand_ids, ctx);
+        *results = plane.run_one(QueryView::Knn { q, k, tau }, cand_ids);
         return false;
     }
     let predicate = Predicate::Threshold { k, tau };
-    let q_dec = ctx.external_decomp(q.pdf());
+    let q_dec = plane.query_decomp(q);
     let refiners = affected
         .iter()
         .map(|&id| {
-            (
-                id,
-                attach(
-                    plane.refiner(ObjRef::Db(id), ObjRef::External(q), predicate),
-                    (ctx, &q_dec),
-                ),
-            )
+            let refiner =
+                plane.shared_refiner(ObjRef::Db(id), ObjRef::External(q), predicate, &q_dec);
+            (id, refiner)
         })
         .collect();
     let fresh = refine_each(refiners);
@@ -524,7 +516,6 @@ fn maintain_knn<'a, P: QueryPlane<'a>>(
 /// on success, `None` when the fallback should rebuild instead.
 fn maintain_rknn<'a, P: QueryPlane<'a>>(
     plane: P,
-    ctx: &SharedRefineCtx,
     q: &'a UncertainObject,
     spec: StandingSpec,
     mutation: &Mutation,
@@ -557,17 +548,15 @@ fn maintain_rknn<'a, P: QueryPlane<'a>>(
         return None; // rebuild runs the whole pipeline once instead
     }
     let predicate = Predicate::Threshold { k, tau };
-    let q_dec = ctx.external_decomp(q.pdf());
+    let q_dec = plane.query_decomp(q);
     for &b_id in &affected {
         let b_obj = plane.object(b_id);
         let max_qb = q.mbr().max_dist_rect(b_obj.mbr(), norm);
         let result = if plane.certain_dominators_reach(q, b_obj, b_id, k) {
             None // vetoed: P(DomCount < k) is certainly 0
         } else {
-            let mut refiner = attach(
-                plane.refiner(ObjRef::External(q), ObjRef::Db(b_id), predicate),
-                (ctx, &q_dec),
-            );
+            let mut refiner =
+                plane.shared_refiner(ObjRef::External(q), ObjRef::Db(b_id), predicate, &q_dec);
             threshold_result(b_id, &refiner.run())
         };
         let entry = RknnEntry {

@@ -469,10 +469,9 @@ impl StreamEngine for ShardedEngine {
 /// executes the batch's queries against the settled state. Both modes
 /// apply mutations identically, so they return bit-identical results;
 /// they differ only in how query work is shared, which is exactly what
-/// the `serve` benchmark measures as sustained operations/sec. With
-/// [`udb_core::IdcaConfig::decomp_cache_entries`] > 0 the engine's
-/// decomposition cache stays warm *across* batches — the serving
-/// default this driver is built to measure.
+/// the `serve` benchmark measures as sustained operations/sec. The
+/// engine's decomposition cache stays warm *across* batches — the
+/// serving state this driver is built to measure.
 pub fn serve_stream<E: StreamEngine>(
     engine: &mut E,
     stream: &QueryStream,

@@ -65,36 +65,43 @@ fn main() {
     let warm_results = serve_stream(&mut warm, &stream, ServeMode::Batched);
     let warm_time = t.elapsed();
     println!(
-        "\nwarm serve (cache cap {}): {:.1} ms, {} objects cached, {} live objects after churn",
-        warm.config().decomp_cache_entries,
+        "\nwarm serve: {:.1} ms, {} objects cached, {} live objects after churn",
         warm_time.as_secs_f64() * 1e3,
         warm.decomp_cache_len(),
         warm.db().len(),
     );
 
-    // Cold serving: same engine, cross-batch cache disabled — every
-    // batch re-decomposes the hot objects from scratch.
-    let mut cold = Engine::with_config(
-        db.clone(),
-        IdcaConfig {
-            decomp_cache_entries: 0,
-            ..cfg.clone()
-        },
-    );
+    // Warm against cold: the stream's queries replayed as one batch on
+    // the warm engine (its cache holds the hot objects' expansions) and
+    // on an engine freshly built over the same post-churn database
+    // (every decomposition computed from scratch).
+    let mut replay = QueryBatch::new();
+    for entry in stream.batches.iter().flatten() {
+        let q = entry.object.clone();
+        match entry.op {
+            StreamOp::KnnThreshold { k, tau } => replay.knn_threshold(q, k, tau),
+            StreamOp::RknnThreshold { k, tau } => replay.rknn_threshold(q, k, tau),
+            StreamOp::TopProbableNn { m } => replay.top_probable_nn(q, m),
+            _ => continue,
+        };
+    }
     let t = Instant::now();
-    let cold_results = serve_stream(&mut cold, &stream, ServeMode::Batched);
-    let cold_time = t.elapsed();
-    println!(
-        "cold serve (cache off):   {:.1} ms",
-        cold_time.as_secs_f64() * 1e3
-    );
+    let warm_replay = warm.run_batch(&replay);
+    let warm_replay_time = t.elapsed();
+    let fresh = Engine::with_config(warm.db().clone(), cfg.clone());
+    let t = Instant::now();
+    let fresh_replay = fresh.run_batch(&replay);
+    let fresh_time = t.elapsed();
     assert_eq!(
-        warm_results, cold_results,
+        warm_replay, fresh_replay,
         "sharing is work-only: results must be bit-identical"
     );
     println!(
-        "results bit-identical; warm/cold = {:.2}",
-        warm_time.as_secs_f64() / cold_time.as_secs_f64()
+        "replay of {} queries: warm {:.1} ms, freshly built {:.1} ms; results bit-identical, warm/fresh = {:.2}",
+        replay.len(),
+        warm_replay_time.as_secs_f64() * 1e3,
+        fresh_time.as_secs_f64() * 1e3,
+        warm_replay_time.as_secs_f64() / fresh_time.as_secs_f64()
     );
 
     // Sharded serving: the same stream through a 4-shard engine —

@@ -69,8 +69,8 @@ pub mod prelude {
         env_shards, refine_each, refine_top_m, DomCountSnapshot, DurableError, Engine,
         ExpectedRankEntry, IdcaConfig, ObjRef, PoolHandle, Predicate, QueryBatch, QuerySpec,
         RankDistribution, RecoveryReport, RefineGoal, RefineStats, Refiner, ResultDelta,
-        ShardedEngine, SharedRefineCtx, StandingQuery, StandingSpec, StandingStats,
-        ThresholdResult, WalRecord, WorkerPool,
+        ShardedEngine, StandingQuery, StandingSpec, StandingStats, ThresholdResult, WalRecord,
+        WorkerPool,
     };
     pub use udb_domination::{DominationCriterion, PDomBounds};
     pub use udb_genfunc::{CountDistributionBounds, Ugf};

@@ -3,11 +3,11 @@
 //! probability bounds, iteration counts, result order — to running the
 //! same queries one by one through the per-query [`Engine`] entry
 //! points, at every [`IdcaConfig::batch_threads`] lane count. The
-//! batched pass shares *work* across queries (a cross-query
-//! decomposition cache, recycled refiner arenas) but never numeric state, so 1, 2 and 4 lanes must agree with
-//! the sequential entry points to the last bit, for all three query
-//! types at once — with the owned engine's persistent cross-batch
-//! cache on (the serving default) and off.
+//! batched pass shares *work* across queries (the engine's persistent
+//! decomposition cache) but never numeric state, so 1, 2 and 4 lanes
+//! must agree with the sequential entry points to the last bit, for all
+//! three query types at once — on the first run of a batch and on a
+//! warm repeat.
 //!
 //! The engine under test honors the `UDB_SHARDS` matrix axis (see
 //! `tests/common`): the same oracle must hold when queries route
@@ -132,35 +132,19 @@ fn check_mixed_batch(seed: u64, n: usize, queries: usize) {
         };
     }
     for lanes in [1usize, 2, 4] {
-        for cache_cap in [0usize, 1024] {
-            // the engine under test rides the UDB_SHARDS matrix axis
-            let engine = TestEngine::with_config(
-                db.clone(),
-                IdcaConfig {
-                    decomp_cache_entries: cache_cap,
-                    ..config_with_lanes(lanes)
-                },
-            );
-            let results = engine.run_batch(&batch);
-            assert_eq!(results.len(), oracle.len());
-            for (qi, (seq, bat)) in oracle.iter().zip(results.iter()).enumerate() {
-                assert_bit_identical(
-                    seq,
-                    bat,
-                    &format!("lanes={lanes} cache={cache_cap} query={qi}"),
-                );
-            }
-            // a warm repeat of the same batch must replay identically
-            let again = engine.run_batch(&batch);
-            for (qi, (seq, bat)) in oracle.iter().zip(again.iter()).enumerate() {
-                assert_bit_identical(
-                    seq,
-                    bat,
-                    &format!("warm repeat lanes={lanes} cache={cache_cap} query={qi}"),
-                );
-            }
-            engine.assert_routing();
+        // the engine under test rides the UDB_SHARDS matrix axis
+        let engine = TestEngine::with_config(db.clone(), config_with_lanes(lanes));
+        let results = engine.run_batch(&batch);
+        assert_eq!(results.len(), oracle.len());
+        for (qi, (seq, bat)) in oracle.iter().zip(results.iter()).enumerate() {
+            assert_bit_identical(seq, bat, &format!("lanes={lanes} query={qi}"));
         }
+        // a warm repeat of the same batch must replay identically
+        let again = engine.run_batch(&batch);
+        for (qi, (seq, bat)) in oracle.iter().zip(again.iter()).enumerate() {
+            assert_bit_identical(seq, bat, &format!("warm repeat lanes={lanes} query={qi}"));
+        }
+        engine.assert_routing();
     }
 }
 

@@ -40,11 +40,10 @@ fn random_object(rng: &mut StdRng) -> UncertainObject {
     }
 }
 
-fn cfg(cache: usize) -> IdcaConfig {
+fn cfg() -> IdcaConfig {
     IdcaConfig {
         max_iterations: 4,
         uncertainty_target: 0.0,
-        decomp_cache_entries: cache,
         wal_sync_every: 1,
         checkpoint_every: 0,
         ..Default::default()
@@ -125,8 +124,8 @@ fn check_durable_equals_in_memory(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let objects: Vec<UncertainObject> = (0..25).map(|_| random_object(&mut rng)).collect();
 
-    let mut durable = Engine::open_with_config(&dir, cfg(1024)).expect("open durable");
-    let mut memory = Engine::with_config(Database::new(), cfg(1024));
+    let mut durable = Engine::open_with_config(&dir, cfg()).expect("open durable");
+    let mut memory = Engine::with_config(Database::new(), cfg());
     for o in &objects {
         durable.insert(o.clone());
         memory.insert(o.clone());
@@ -154,23 +153,23 @@ fn check_durable_equals_in_memory(seed: u64) {
 }
 
 /// (b) Drop (== crash with a synced log) and reopen at any point:
-/// the recovered engine answers bit-identically to the live one,
-/// with a warm cache on one side and a cold cache on the other.
+/// the recovered engine, its cache cold, answers bit-identically to a
+/// shadow engine whose cache stays warm across every round.
 fn check_replay_equals_live(seed: u64) {
     let dir = test_dir(&format!("replay-{seed}"));
     let mut rng = StdRng::seed_from_u64(seed);
     let objects: Vec<UncertainObject> = (0..25).map(|_| random_object(&mut rng)).collect();
 
-    let mut live = Engine::open_with_config(&dir, cfg(1024)).expect("open");
-    let mut shadow = Engine::with_config(Database::new(), cfg(0)); // cold forever
+    let mut live = Engine::open_with_config(&dir, cfg()).expect("open");
+    let mut shadow = Engine::with_config(Database::new(), cfg()); // warm forever
     for o in &objects {
         live.insert(o.clone());
         shadow.insert(o.clone());
     }
     for round in 0..3 {
         churn(&mut rng, &mut live, &mut shadow, 3);
-        // warm the live engine's cache so replay must prove the cache
-        // holds no answer-shaping state
+        // warm both caches; the reopened engine starts cold, so replay
+        // must prove the cache holds no answer-shaping state
         let warmup = random_object(&mut rng);
         live.knn_threshold(&warmup, 2, 0.3);
         shadow.knn_threshold(&warmup, 2, 0.3);
@@ -178,7 +177,7 @@ fn check_replay_equals_live(seed: u64) {
         // every record is synced (wal_sync_every = 1): dropping here is
         // a crash that loses nothing
         drop(live);
-        live = Engine::open_with_config(&dir, cfg(1024)).expect("reopen");
+        live = Engine::open_with_config(&dir, cfg()).expect("reopen");
         let report = live.recovery_report().expect("reopened").clone();
         assert!(
             report.warnings.is_empty(),
@@ -222,11 +221,11 @@ fn check_durable_serving(seed: u64) {
     // the durable engine starts from the same objects, inserted through
     // the WAL (open starts empty; from_objects and insert assign the
     // same sequential ids)
-    let mut durable = Engine::open_with_config(&dir, cfg(1024)).expect("open");
+    let mut durable = Engine::open_with_config(&dir, cfg()).expect("open");
     for (_, obj) in db.iter() {
         durable.insert(obj.clone());
     }
-    let mut memory = Engine::with_config(db, cfg(1024));
+    let mut memory = Engine::with_config(db, cfg());
 
     let (res_durable, rep_durable) =
         serve_stream_with_report(&mut durable, &stream, ServeMode::Batched).expect("durable serve");
@@ -238,7 +237,7 @@ fn check_durable_serving(seed: u64) {
 
     let final_mutations = durable.mutations();
     drop(durable);
-    let recovered = Engine::open_with_config(&dir, cfg(1024)).expect("reopen");
+    let recovered = Engine::open_with_config(&dir, cfg()).expect("reopen");
     let report = recovered.recovery_report().expect("reopened");
     assert_eq!(
         report.replayed, 0,
@@ -308,7 +307,7 @@ fn serve_report_counts_mutations() {
         .filter(|e| !e.op.is_mutation())
         .count() as u64;
 
-    let mut engine = Engine::with_config(db, cfg(1024));
+    let mut engine = Engine::with_config(db, cfg());
     let before = engine.mutations();
     let (results, report) =
         serve_stream_with_report(&mut engine, &stream, ServeMode::Sequential).expect("serve");

@@ -2,15 +2,16 @@
 //! cross-batch decomposition cache and the in-place mutation API must
 //! never change *what* is computed, only how much of it is recomputed.
 //!
-//! * **Warm ≡ cold** — repeating the same batches against one engine
-//!   (cache filling up and replaying across batches) returns results
-//!   bit-identical to a cold engine with per-batch caches.
+//! * **Warm ≡ cold** — an engine warmed by repeated batches and
+//!   mutations (cache filling up and replaying across batches) answers
+//!   bit-identically to a freshly built engine over the same database.
 //! * **Mutate-then-query ≡ rebuild** — after any interleaving of
 //!   inserts, removes and updates, every query answers exactly like a
 //!   freshly built engine over the mutated database (index maintained
 //!   incrementally, caches invalidated per object).
-//! * **Eviction-safe** — tiny cache capacities (constant churn,
-//!   every batch evicting most entries) never change results.
+//!
+//! Eviction at tiny cache sizes is tested next to the cache's trim, in
+//! the engine's unit tests.
 //!
 //! The engine under test honors the `UDB_SHARDS` matrix axis (see
 //! `tests/common`), so every property above is also a sharded-routing
@@ -61,11 +62,10 @@ fn random_db(rng: &mut StdRng, n: usize) -> Database {
     Database::from_objects((0..n).map(|_| random_object(rng)).collect())
 }
 
-fn config(cache_cap: usize) -> IdcaConfig {
+fn config() -> IdcaConfig {
     IdcaConfig {
         max_iterations: 4,
         uncertainty_target: 0.0,
-        decomp_cache_entries: cache_cap,
         ..Default::default()
     }
 }
@@ -114,28 +114,31 @@ fn mixed_batch(rng: &mut StdRng, hot: &UncertainObject, queries: usize) -> Query
     batch
 }
 
-/// (a) Warm-cache results are bit-identical to cold-cache results
-/// across repeated batches — including re-running the *same* batch
-/// against an already-hot cache.
+/// (a) An engine warmed by repeated batches and mutations answers
+/// bit-identically to a freshly built engine — including re-running the
+/// *same* batch against an already-hot cache.
 fn check_warm_equals_cold(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let db = random_db(&mut rng, 50);
     let hot = random_object(&mut rng);
     let batches: Vec<QueryBatch> = (0..3).map(|_| mixed_batch(&mut rng, &hot, 5)).collect();
     // the warm engine under test rides the UDB_SHARDS matrix axis; the
-    // cold oracle stays a plain single engine
-    let warm = TestEngine::with_config(db.clone(), config(1024));
-    let cold = Engine::with_config(db, config(0));
+    // cold oracle is a plain single engine built fresh for every batch
+    let mut warm = TestEngine::with_config(db, config());
     for (bi, batch) in batches.iter().enumerate() {
-        let w = warm.run_batch(batch);
+        let cold = Engine::with_config(warm.db().clone(), config());
         let c = cold.run_batch(batch);
+        let w = warm.run_batch(batch);
         assert_runs_identical(&w, &c, &format!("batch {bi}"));
         // replay against the now-hot cache: still identical
         let w2 = warm.run_batch(batch);
         assert_runs_identical(&w2, &c, &format!("warm replay of batch {bi}"));
+        // a mutation between batches: the warm cache must follow it
+        let live: Vec<ObjectId> = warm.db().ids().collect();
+        let id = live[rng.gen_range(0..live.len())];
+        warm.update(id, random_object(&mut rng));
     }
     assert!(warm.decomp_cache_len() > 0, "cache never filled");
-    assert_eq!(cold.decomp_cache_len(), 0, "cold engine must not persist");
     warm.assert_routing();
 }
 
@@ -145,7 +148,7 @@ fn check_warm_equals_cold(seed: u64) {
 fn check_mutate_then_query(seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let db = random_db(&mut rng, 30);
-    let mut engine = TestEngine::with_config(db, config(1024));
+    let mut engine = TestEngine::with_config(db, config());
     let q = random_object(&mut rng);
     // warm the cache so stale decompositions would be observable
     engine.knn_threshold(&q, 2, 0.3);
@@ -171,7 +174,7 @@ fn check_mutate_then_query(seed: u64) {
         }
         engine.check_invariants();
         // fresh single-engine oracle over the id-aligned mirror
-        let fresh = Engine::with_config(engine.db().clone(), config(0));
+        let fresh = Engine::with_config(engine.db().clone(), config());
         let qq = if rng.gen_range(0..2) == 0 {
             q.clone()
         } else {
@@ -196,31 +199,6 @@ fn check_mutate_then_query(seed: u64) {
     }
 }
 
-/// (c) Cache eviction at tiny capacities never changes results: an
-/// engine whose cache can hold almost nothing (constant churn) agrees
-/// bit-for-bit with the cold engine on every batch.
-fn check_tiny_capacities(seed: u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let db = random_db(&mut rng, 40);
-    let hot = random_object(&mut rng);
-    let batches: Vec<QueryBatch> = (0..2).map(|_| mixed_batch(&mut rng, &hot, 4)).collect();
-    let cold = Engine::with_config(db.clone(), config(0));
-    let oracles: Vec<Vec<Vec<ThresholdResult>>> =
-        batches.iter().map(|b| cold.run_batch(b)).collect();
-    for cap in [1usize, 2, 3] {
-        let tiny = TestEngine::with_config(db.clone(), config(cap));
-        for (bi, (batch, oracle)) in batches.iter().zip(oracles.iter()).enumerate() {
-            let got = tiny.run_batch(batch);
-            assert_runs_identical(&got, oracle, &format!("cap={cap} batch={bi}"));
-            assert!(
-                tiny.decomp_cache_len() <= cap,
-                "cap={cap}: {} entries survived trimming",
-                tiny.decomp_cache_len()
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -233,15 +211,54 @@ proptest! {
     fn mutate_then_query_equals_fresh_engine(seed in 0u64..10_000) {
         check_mutate_then_query(seed);
     }
+}
 
-    #[test]
-    fn tiny_cache_capacities_never_change_results(seed in 0u64..10_000) {
-        check_tiny_capacities(seed);
+/// A cold oracle for the stream driver: mutations apply to one engine,
+/// but every query is answered by an engine freshly built over the
+/// current database, so no cache survives from one query to the next.
+struct ColdEngine(Engine);
+
+impl ColdEngine {
+    fn fresh(&self) -> Engine {
+        Engine::with_config(self.0.db().clone(), self.0.config().clone())
+    }
+}
+
+impl StreamEngine for ColdEngine {
+    fn stream_insert(&mut self, object: UncertainObject) {
+        self.0.stream_insert(object);
+    }
+    fn stream_remove_nearest(&mut self, probe: &Rect) -> bool {
+        self.0.stream_remove_nearest(probe)
+    }
+    fn stream_knn(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
+        self.fresh().knn_threshold(q, k, tau)
+    }
+    fn stream_rknn(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
+        self.fresh().rknn_threshold(q, k, tau)
+    }
+    fn stream_top_m(&self, q: &UncertainObject, m: usize) -> Vec<ThresholdResult> {
+        self.fresh().top_probable_nn(q, m)
+    }
+    fn stream_subscribe(
+        &mut self,
+        q: &UncertainObject,
+        k: usize,
+        tau: f64,
+    ) -> Vec<ThresholdResult> {
+        self.0.stream_subscribe(q, k, tau)
+    }
+    fn stream_run_batch(&self, batch: &QueryBatch) -> Vec<Vec<ThresholdResult>> {
+        self.fresh().run_batch(batch)
+    }
+    fn stream_flush(&mut self) -> Result<(), DurableError> {
+        self.0.stream_flush()
     }
 }
 
 /// Deterministic end-to-end case: a mutating hot-spot stream served
-/// warm equals the same stream served cold, sequential and batched.
+/// warm, sequential and batched, equals the same stream answered by
+/// freshly built engines.
 #[test]
 fn mutating_stream_warm_equals_cold_all_modes() {
     let object_cfg = SyntheticConfig {
@@ -261,32 +278,16 @@ fn mutating_stream_warm_equals_cold_all_modes() {
         ..Default::default()
     }
     .generate(&object_cfg);
-    let mk = |cap: usize| {
-        TestEngine::with_config(
-            db.clone(),
-            IdcaConfig {
-                max_iterations: 4,
-                decomp_cache_entries: cap,
-                ..Default::default()
-            },
-        )
+    let cfg = IdcaConfig {
+        max_iterations: 4,
+        ..Default::default()
     };
-    let runs: Vec<_> = [
-        (1024, ServeMode::Batched),
-        (0, ServeMode::Batched),
-        (1024, ServeMode::Sequential),
-        (0, ServeMode::Sequential),
-        (2, ServeMode::Batched), // constant eviction churn
-    ]
-    .into_iter()
-    .map(|(cap, mode)| {
-        let mut engine = mk(cap);
-        let out = serve_stream(&mut engine, &stream, mode);
+    let mut cold = ColdEngine(Engine::with_config(db.clone(), cfg.clone()));
+    let oracle = serve_stream(&mut cold, &stream, ServeMode::Batched);
+    for mode in [ServeMode::Batched, ServeMode::Sequential] {
+        let mut engine = TestEngine::with_config(db.clone(), cfg.clone());
+        let warm = serve_stream(&mut engine, &stream, mode);
         engine.check_invariants();
-        out
-    })
-    .collect();
-    for (i, run) in runs.iter().enumerate().skip(1) {
-        assert_eq!(&runs[0], run, "run {i} diverged");
+        assert_eq!(warm, oracle, "{mode:?} diverged");
     }
 }

@@ -57,7 +57,6 @@ fn config() -> IdcaConfig {
     IdcaConfig {
         max_iterations: 4,
         uncertainty_target: 0.0,
-        decomp_cache_entries: 1024,
         ..Default::default()
     }
 }
@@ -242,7 +241,6 @@ fn sharded_stream_serves_bit_identically() {
     .generate(&object_cfg);
     let cfg = IdcaConfig {
         max_iterations: 4,
-        decomp_cache_entries: 1024,
         ..Default::default()
     };
     for mode in [ServeMode::Sequential, ServeMode::Batched] {

@@ -63,7 +63,6 @@ fn config() -> IdcaConfig {
     IdcaConfig {
         max_iterations: 4,
         uncertainty_target: 0.0,
-        decomp_cache_entries: 1024,
         ..Default::default()
     }
 }
