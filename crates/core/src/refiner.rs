@@ -26,10 +26,10 @@
 //!   children of settled partitions are never touched.
 //! * **Pair remapping** — expanding `B` or `R` changes the pair geometry,
 //!   so the next snapshot maps every new pair to its ancestor pair
-//!   (lineage again, composed across multiple [`Refiner::step`]s), clones
-//!   the ancestor's slot — settled mass stays settled by monotonicity —
-//!   and re-evaluates only the open partitions against the shrunken pair
-//!   regions.
+//!   (lineage again, composed across multiple [`Refiner::step`]s), carries
+//!   the ancestor's slots in as the walk reaches the pair — settled mass
+//!   stays settled by monotonicity — and re-evaluates only the open
+//!   partitions against the shrunken pair regions.
 //! * **Clean slots are free** — when neither the pair nor the influence
 //!   object changed, the slot's cached bounds are reused without a single
 //!   spatial test.
@@ -67,8 +67,11 @@
 //!   the shares added in dimension order from zero, and
 //!   [`PairClassifier::decide_sums`]: the kernel's own operation
 //!   sequence, so every decision is bit-identical (a NaN sum re-runs the
-//!   kernel). Debug builds cross-check every table decision against
-//!   [`PairClassifier::classify_dims`]. Each pair lane builds its own
+//!   kernel). The lookup is one const-generic body, like the kernel's:
+//!   at `D = 2` it reads a partition's two ids and the slot's two row
+//!   starts as fixed-length slices (no loop, no per-dimension bounds
+//!   check), other counts run over slices. Debug builds cross-check
+//!   every table decision against [`PairClassifier::classify_dims`]. Each pair lane builds its own
 //!   tables, and they are dropped with the snapshot: the rows hold for
 //!   one snapshot only, and with elongated objects (many distinct
 //!   intervals along the long axis) they reached about 0.7x the factor
@@ -90,6 +93,11 @@
 //!   the flat partition arena into [`PairClassifier::classify_dims`],
 //!   the kernel copy unrolled for two dimensions (the slice body for
 //!   others).
+//!
+//! Either way a test yields one [`DecisionClass`] (robust or open
+//! domination, robust or open never-domination, undecided), which
+//! `FactorCache::classify_into` matches once per partition: robust
+//! classes settle mass, the others join the slot's open list.
 //!
 //! [`Refiner::partition_tests`] counts the tests each way.
 //!
@@ -118,9 +126,38 @@
 //!   drops the refiner; the next generation simply never copies the dead
 //!   entries, so the arena self-compacts without a free list.
 //!
+//! * **None at the final level** — a snapshot at the last level (below)
+//!   writes no generation and drops the current one.
+//!
 //! Arena indices are `u32` (a generation holds < 2³² open references —
-//! enforced by a debug assertion); slots shrink from ~72 to 56 bytes,
+//! enforced by a hard assertion); slots shrink from ~72 to 56 bytes,
 //! which is most of the depth-4 locality win.
+//!
+//! # The final level
+//!
+//! A snapshot taken at `iteration >= max_iterations` is the refiner's
+//! last: [`Refiner::converged`] stops [`Refiner::run`], [`refine_each`]
+//! and [`refine_top_m`] there. It is also the biggest level — a level
+//! holds up to 4x the pairs of the one before, so for a refiner that
+//! reaches it the final level is most of the pairs it walks. Building
+//! its factor cache (`|B'|·|R'|` pairs x influence objects x 48 B) and
+//! open-list generation would only be dropped unread, so the final level
+//! streams every pair through one reused row of `n_inf` slots per pair
+//! lane: the walk carries each pair's slots in from the previous level's
+//! cache (the same carry the cached walk does), classifies them the same
+//! way and aggregates them in the same order, so the snapshot is
+//! bit-identical to a cached one at every lane count. Only where slots
+//! are written differs; the lane's arena is per-pair scratch. Then:
+//!
+//! * the cache and both arena generations are dropped, and the snapshot
+//!   is kept: a repeated [`Refiner::snapshot`] with no progressing step
+//!   in between returns it unchanged;
+//! * [`Refiner::open_stats`], [`Refiner::cache_stats`] and
+//!   [`Refiner::partition_tests`] report the walk's counts, as for a
+//!   cached snapshot (the walk counts open slots in every mode);
+//! * a later [`Refiner::step`] finds the refiner uncached — it retires
+//!   no influence object — and the next snapshot rebuilds in `Full` mode
+//!   (itself a final level, since the budget is still spent).
 //!
 //! # Parallel snapshots
 //!
@@ -134,7 +171,8 @@
 //! calling thread then adds the buffers in chunk order and pair order —
 //! exactly the sequential loop's sums — and concatenates the segments
 //! (slot ranges rebased), so results are bit-identical at every lane
-//! count. Recording costs `O(pairs · k)` extra work and memory, next to
+//! count. At the final level each job owns one reused row of slots
+//! instead, and nothing is concatenated. Recording costs `O(pairs · k)` extra work and memory, next to
 //! the `O(pairs · influence · k)` UGF multiplies.
 //!
 //! [`Refiner::snapshot_from_scratch`] keeps the cache-free evaluation
@@ -165,8 +203,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use udb_domination::{
-    pdom_bounds_vs_fixed, DominationCriterion, OptimalSums, PDomBounds, PairClassifier,
-    SpatialDecision,
+    pdom_bounds_vs_fixed, DecisionClass, DominationCriterion, OptimalSums, PDomBounds,
+    PairClassifier,
 };
 use udb_genfunc::{CountDistributionBounds, Ugf};
 use udb_geometry::Interval;
@@ -615,6 +653,13 @@ pub struct Refiner<'a> {
     tables_pay: bool,
     /// Partition tests so far, `(from the tables, by the kernel)`.
     partition_tests: (u64, u64),
+    /// The last cached snapshot's slot counts: `(open partition
+    /// references, slots with any, slots)`. Kept apart from the cache,
+    /// which the final level does not build.
+    level_counts: (usize, usize, usize),
+    /// The last snapshot when it walked the final level and nothing has
+    /// expanded since: a repeated [`Refiner::snapshot`] returns it.
+    final_snapshot: Option<DomCountSnapshot>,
     /// The reusable UGF arena for sequential aggregation.
     ugf: Ugf,
     /// Shared worker pool for parallel snapshots (engine-injected via
@@ -692,7 +737,7 @@ impl FactorCache {
         candidates: impl Iterator<Item = u32>,
         inf: &Influence,
         arena: &mut Vec<u32>,
-        mut test: impl FnMut(usize) -> SpatialDecision,
+        mut test: impl FnMut(usize) -> DecisionClass,
     ) -> u64 {
         let start = arena.len();
         let mut tested = 0;
@@ -702,21 +747,20 @@ impl FactorCache {
         for p in candidates {
             tested += 1;
             let mass = inf.masses[p as usize];
-            let decision = test(p as usize);
-            match (decision.decision, decision.robust) {
-                (Some(true), true) => self.settled_lb += mass,
-                (Some(false), true) => self.settled_never += mass,
-                (Some(true), false) => {
+            match test(p as usize) {
+                DecisionClass::RobustDominate => self.settled_lb += mass,
+                DecisionClass::RobustNever => self.settled_never += mass,
+                DecisionClass::OpenDominate => {
                     open_lb += mass;
                     open_mass += mass;
                     arena.push(p);
                 }
-                (Some(false), false) => {
+                DecisionClass::OpenNever => {
                     open_never += mass;
                     open_mass += mass;
                     arena.push(p);
                 }
-                (None, _) => {
+                DecisionClass::Undecided => {
                     open_mass += mass;
                     arena.push(p);
                 }
@@ -877,6 +921,8 @@ impl<'a> Refiner<'a> {
             table_keys: TableKeys::default(),
             tables_pay: false,
             partition_tests: (0, 0),
+            level_counts: (0, 0, 0),
+            final_snapshot: None,
             ugf: Ugf::new(None),
             pool: PoolHandle::default(),
             stats: None,
@@ -1002,18 +1048,19 @@ impl<'a> Refiner<'a> {
     }
 
     /// Cache diagnostics: `(finally_classified_slots, total_slots)` of the
-    /// factor cache after the last snapshot. Useful for tuning and for
-    /// understanding where snapshot time goes.
+    /// factor cache after the last snapshot (at the final level, of the
+    /// slots its walk streamed). Useful for tuning and for understanding
+    /// where snapshot time goes.
     pub fn cache_stats(&self) -> (usize, usize) {
-        let settled = self.cache.iter().filter(|e| e.open_len == 0).count();
-        (settled, self.cache.len())
+        let (_, open_slots, slots) = self.level_counts;
+        (slots - open_slots, slots)
     }
 
     /// Total open (still-classified-per-snapshot) partition references
-    /// across all cache slots, and the total the from-scratch path would
-    /// test per snapshot.
+    /// across all cache slots after the last snapshot, and the total the
+    /// from-scratch path would test per snapshot.
     pub fn open_stats(&self) -> (usize, usize) {
-        let open: usize = self.cache.iter().map(|e| e.open_len as usize).sum();
+        let open = self.level_counts.0;
         let scratch: usize = self.b_parts.len()
             * self.r_parts.len()
             * self.influence.iter().map(|i| i.parts.len()).sum::<usize>();
@@ -1051,6 +1098,10 @@ impl<'a> Refiner<'a> {
     /// *no* slot anywhere is open, expanding `B`/`R` is equally pointless
     /// (child pairs inherit their ancestor's settled factors verbatim, so
     /// the aggregate is a fixed point) and the step reports exhaustion.
+    ///
+    /// After a final-level snapshot no cache is left, so the refiner is
+    /// treated as uncached: nothing retires and the next snapshot
+    /// rebuilds in `Full` mode.
     pub fn step(&mut self) -> bool {
         // per-influence open-reference counts of the last snapshot;
         // settledness is monotone, so counts from the most recent
@@ -1059,8 +1110,10 @@ impl<'a> Refiner<'a> {
             let n_inf = self.influence.len();
             let mut open = vec![0u32; n_inf];
             if n_inf > 0 {
-                for (slot_idx, slot) in self.cache.iter().enumerate() {
-                    open[slot_idx % n_inf] += slot.open_len;
+                for row in self.cache.chunks_exact(n_inf) {
+                    for (open, slot) in open.iter_mut().zip(row) {
+                        *open += slot.open_len;
+                    }
                 }
             }
             open
@@ -1096,6 +1149,7 @@ impl<'a> Refiner<'a> {
         }
         if progress {
             self.iteration += 1;
+            self.final_snapshot = None;
         }
         progress
     }
@@ -1137,9 +1191,14 @@ impl<'a> Refiner<'a> {
     /// snapshot (iteration 0, before any [`Refiner::step`]) takes the
     /// cache-free path — threshold queries frequently decide right there,
     /// and building the factor cache for a refiner that never iterates
-    /// would be pure overhead.
+    /// would be pure overhead. A snapshot at the final level (see the
+    /// module docs) keeps no cache; repeating it without a
+    /// [`Refiner::step`] returns the same snapshot.
     pub fn snapshot(&mut self) -> DomCountSnapshot {
         self.note_round();
+        if let Some(last) = &self.final_snapshot {
+            return last.clone();
+        }
         if self.iteration == 0 && !self.cache_valid {
             return self.snapshot_from_scratch();
         }
@@ -1153,7 +1212,7 @@ impl<'a> Refiner<'a> {
         // duration of the pair loop (returned below, so the steady-state
         // snapshot keeps reusing one allocation)
         let mut sink = ExactSink::new(std::mem::replace(&mut self.ugf, Ugf::new(None)), len, k_eff);
-        self.snapshot_pairs(&mut sink);
+        let final_level = self.snapshot_pairs(&mut sink);
         let ExactSink {
             ugf,
             mut agg,
@@ -1165,13 +1224,17 @@ impl<'a> Refiner<'a> {
         agg.normalize();
         agg.shift_right(self.complete_count);
 
-        DomCountSnapshot {
+        let snap = DomCountSnapshot {
             bounds: agg,
             predicate_cdf: cdf_acc.map(|(lo, hi)| (lo.clamp(0.0, 1.0), hi.clamp(0.0, 1.0))),
             complete_count: self.complete_count,
             influence_count: n_inf,
             iteration: self.iteration,
+        };
+        if final_level {
+            self.final_snapshot = Some(snap.clone());
         }
+        snap
     }
 
     /// The pair loop of [`Refiner::snapshot`]: refreshes the factor cache
@@ -1179,46 +1242,17 @@ impl<'a> Refiner<'a> {
     /// pair's factor bounds into `sink`. The parallel path records each
     /// chunk's per-pair increments ([`ExactSink::recording`]) and adds
     /// them to `sink` in chunk order, so the sums are the sequential
-    /// ones, bit for bit, at every lane count.
-    fn snapshot_pairs(&mut self, sink: &mut ExactSink) {
+    /// ones, bit for bit, at every lane count. Returns whether it walked
+    /// the final level, which leaves no cache behind.
+    fn snapshot_pairs(&mut self, sink: &mut ExactSink) -> bool {
         let n_inf = self.influence.len();
         let n_pairs = self.b_parts.len() * self.r_parts.len();
-        // `old` (the previous-generation cache) and `ancestors` (each new
-        // pair's pair index in it) stay alive through processing so open
-        // lists can be streamed from the ancestor slots without cloning.
-        let mut old: Vec<FactorCache> = Vec::new();
-        let mut ancestors: Vec<u32> = Vec::new();
         let any_inf_dirty = self.influence.iter().any(|inf| inf.lineage.is_some());
         let mode = if !self.cache_valid
             || self.cache.len() != self.cache_dims.0 * self.cache_dims.1 * n_inf
         {
-            self.cache.clear();
-            self.cache.resize_with(n_pairs * n_inf, FactorCache::empty);
             RefreshMode::Full
         } else if self.b_map.is_some() || self.r_map.is_some() {
-            // remap: carry every new pair's slots from its ancestor pair;
-            // settled mass is final by monotonicity, open partitions are
-            // re-evaluated against the shrunken pair regions below
-            old = std::mem::take(&mut self.cache);
-            let (_, old_r_len) = self.cache_dims;
-            let r_len = self.r_parts.len();
-            self.cache.reserve(n_pairs * n_inf);
-            ancestors.reserve(n_pairs);
-            for new_pair in 0..n_pairs {
-                let ob = match &self.b_map {
-                    Some(map) => map[new_pair / r_len] as usize,
-                    None => new_pair / r_len,
-                };
-                let or = match &self.r_map {
-                    Some(map) => map[new_pair % r_len] as usize,
-                    None => new_pair % r_len,
-                };
-                let old_pair = ob * old_r_len + or;
-                ancestors.push(old_pair as u32);
-                for anc in &old[old_pair * n_inf..(old_pair + 1) * n_inf] {
-                    self.cache.push(FactorCache::carried_from(anc));
-                }
-            }
             RefreshMode::Remapped
         } else if any_inf_dirty {
             RefreshMode::InPlace
@@ -1226,6 +1260,44 @@ impl<'a> Refiner<'a> {
             RefreshMode::Clean
         };
         let rebuild = mode != RefreshMode::Clean;
+        // every driver stops at this level (`Refiner::converged`), so its
+        // slots are streamed through one reused row per lane instead of
+        // building the next cache
+        let final_level = rebuild && self.iteration >= self.cfg.max_iterations;
+        let threads = self.cfg.snapshot_threads.max(1).min(n_pairs.max(1));
+        let chunk = n_pairs.div_ceil(threads).max(1);
+        let n_chunks = n_pairs.div_ceil(chunk).max(1);
+        // `old` (the previous level's cache) and `ancestors` (each new
+        // pair's pair index in it) stay alive through the walk, which
+        // carries each pair's slots in from them and streams open lists
+        // from the ancestor slots without cloning
+        let old = if mode == RefreshMode::Remapped || (final_level && mode == RefreshMode::InPlace)
+        {
+            std::mem::take(&mut self.cache)
+        } else {
+            Vec::new()
+        };
+        let ancestors: Vec<u32> = if mode == RefreshMode::Remapped {
+            let (_, old_r_len) = self.cache_dims;
+            let r_len = self.r_parts.len();
+            let lineage = |map: &Option<Vec<u32>>, idx: usize| {
+                map.as_ref().map_or(idx, |map| map[idx] as usize)
+            };
+            (0..n_pairs)
+                .map(|new_pair| {
+                    let ob = lineage(&self.b_map, new_pair / r_len);
+                    let or = lineage(&self.r_map, new_pair % r_len);
+                    (ob * old_r_len + or) as u32
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        if final_level || matches!(mode, RefreshMode::Full | RefreshMode::Remapped) {
+            let slots = if final_level { n_chunks } else { n_pairs } * n_inf;
+            self.cache.clear();
+            self.cache.resize(slots, FactorCache::empty());
+        }
         if matches!(mode, RefreshMode::Full | RefreshMode::Remapped) {
             // B' or R' changed: re-key the criterion tables
             self.tables_pay = self.cfg.criterion == DominationCriterion::Optimal
@@ -1277,6 +1349,7 @@ impl<'a> Refiner<'a> {
             ancestors: &ancestors,
             old_arena: &self.open_arena,
             mode,
+            final_level,
             cfg: &self.cfg,
             keys: tables.then_some(&self.table_keys),
         };
@@ -1285,14 +1358,13 @@ impl<'a> Refiner<'a> {
         // valid for one snapshot only, and a refiner kept alive between
         // snapshots (top-m rounds) should not hold them
         let n_keys = walk.keys.map_or(0, |keys| n_inf * keys.stride);
-        let threads = self.cfg.snapshot_threads.max(1).min(n_pairs.max(1));
-        let chunk = n_pairs.div_ceil(threads).max(1);
-        let n_chunks = n_pairs.div_ceil(chunk).max(1);
         let mut lane_tables: Vec<CriterionTables> = (0..n_chunks)
             .map(|_| CriterionTables::new(n_keys))
             .collect();
+        // (open partition references, slots with any) over every lane
+        let mut open = (0, 0);
         if threads <= 1 {
-            process_pair_range(
+            open = process_pair_range(
                 &walk,
                 0,
                 n_pairs,
@@ -1308,18 +1380,20 @@ impl<'a> Refiner<'a> {
                 .expect("threads > 1 always yields a pool");
             // one result slot per chunk, filled by the pool jobs and
             // added in chunk order below
-            let mut results: Vec<Option<(Vec<f64>, Vec<u32>)>> =
-                (0..n_chunks).map(|_| None).collect();
+            type LaneResult = Option<(Vec<f64>, Vec<u32>, (usize, usize))>;
+            let mut results: Vec<LaneResult> = (0..n_chunks).map(|_| None).collect();
             {
                 let walk = &walk;
                 let mut cache_rest: &mut [FactorCache] = &mut self.cache;
-                let mut results_rest: &mut [Option<(Vec<f64>, Vec<u32>)>] = &mut results;
+                let mut results_rest: &mut [LaneResult] = &mut results;
                 let mut lane_tables = lane_tables.iter_mut();
                 let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(n_chunks);
                 for t in 0..n_chunks {
                     let start = t * chunk;
                     let end = (start + chunk).min(n_pairs);
-                    let (mine, rest) = cache_rest.split_at_mut((end - start) * n_inf);
+                    // a chunk's slots, or at the final level its lane's row
+                    let lane_slots = if final_level { 1 } else { end - start } * n_inf;
+                    let (mine, rest) = cache_rest.split_at_mut(lane_slots);
                     cache_rest = rest;
                     let (out, rest) = results_rest.split_at_mut(1);
                     results_rest = rest;
@@ -1330,7 +1404,7 @@ impl<'a> Refiner<'a> {
                         // chunk-private arena segment, rebased into the
                         // shared generation after the scope
                         let mut local_arena = Vec::new();
-                        process_pair_range(
+                        let open = process_pair_range(
                             walk,
                             start,
                             end,
@@ -1339,15 +1413,18 @@ impl<'a> Refiner<'a> {
                             tables,
                             &mut local_sink,
                         );
-                        *out = Some((local_sink.terms.expect("lane sinks record"), local_arena));
+                        let terms = local_sink.terms.expect("lane sinks record");
+                        *out = Some((terms, local_arena, open));
                     }));
                 }
                 pool.scope(jobs);
             }
             for (t, result) in results.into_iter().enumerate() {
-                let (terms, local_arena) = result.expect("snapshot chunk completed");
+                let (terms, local_arena, lane_open) = result.expect("snapshot chunk completed");
                 sink.add_terms(&terms);
-                if rebuild {
+                open.0 += lane_open.0;
+                open.1 += lane_open.1;
+                if rebuild && !final_level {
                     // concatenate the chunk's arena segment and rebase its
                     // slots' ranges onto the shared generation
                     let base = self.open_scratch.len();
@@ -1370,16 +1447,27 @@ impl<'a> Refiner<'a> {
             self.partition_tests.0 += tables.tests.0;
             self.partition_tests.1 += tables.tests.1;
         }
-        if rebuild {
-            // the new generation becomes current; the old buffer is the
-            // next snapshot's scratch (capacity reused)
-            std::mem::swap(&mut self.open_arena, &mut self.open_scratch);
+        self.level_counts = (open.0, open.1, n_pairs * n_inf);
+        if final_level {
+            // the last level keeps no cache and no arena: a later step()
+            // finds the refiner uncached and the next snapshot rebuilds
+            // in `Full` mode
+            self.cache = Vec::new();
+            self.open_arena = Vec::new();
+            self.open_scratch = Vec::new();
+            self.cache_valid = false;
+        } else {
+            if rebuild {
+                // the new generation becomes current; the old buffer is
+                // the next snapshot's scratch (capacity reused)
+                std::mem::swap(&mut self.open_arena, &mut self.open_scratch);
+            }
+            self.cache_valid = true;
         }
-
-        self.cache_valid = true;
         for inf in &mut self.influence {
             inf.lineage = None;
         }
+        final_level
     }
 
     /// Cache-free snapshot: recomputes every factor of every partition
@@ -1760,25 +1848,57 @@ struct PairWalk<'w> {
     /// Per influence object: its lineage prefix offsets, when it
     /// expanded since the last snapshot.
     inf_offsets: &'w [Option<Vec<u32>>],
-    /// `Remapped` only: the previous cache generation, and each new
-    /// pair's ancestor pair index in it.
+    /// The previous level's cache (`Remapped`, and `InPlace` at the
+    /// final level), and each new pair's ancestor pair index in it
+    /// (`Remapped`).
     old: &'w [FactorCache],
     ancestors: &'w [u32],
     /// The previous arena generation all incoming open ranges point into.
     old_arena: &'w [u32],
     mode: RefreshMode,
+    /// Whether this is the final level: each lane's slots are one reused
+    /// row, and its arena is scratch.
+    final_level: bool,
     cfg: &'w IdcaConfig,
     /// The criterion-table keys, when this snapshot keeps tables.
     keys: Option<&'w TableKeys>,
 }
 
+impl PairWalk<'_> {
+    /// Writes pair `pair_idx`'s incoming slot states into `slots`: empty
+    /// for a `Full` rebuild, each ancestor slot's settled state for a
+    /// remap (settled mass is final by monotonicity; the walk
+    /// re-evaluates the ancestor's open list), and at the final level
+    /// the previous level's slots verbatim. A cached `InPlace` or
+    /// `Clean` walk's slots are current already.
+    fn carry_in(&self, pair_idx: usize, slots: &mut [FactorCache]) {
+        let n_inf = slots.len();
+        match self.mode {
+            RefreshMode::Full => slots.fill(FactorCache::empty()),
+            RefreshMode::Remapped => {
+                let anc = self.ancestors[pair_idx] as usize * n_inf;
+                for (slot, anc) in slots.iter_mut().zip(&self.old[anc..anc + n_inf]) {
+                    *slot = FactorCache::carried_from(anc);
+                }
+            }
+            RefreshMode::InPlace | RefreshMode::Clean => {
+                if self.final_level {
+                    slots.copy_from_slice(&self.old[pair_idx * n_inf..(pair_idx + 1) * n_inf]);
+                }
+            }
+        }
+    }
+}
+
 /// Processes the pairs `start..end` (global pair indices): refreshes their
 /// cache slots where needed, writes their new-generation open lists into
 /// `arena` and streams the §IV-E aggregation into `sink`.
-/// `cache` holds exactly the slots of this range, row-major by pair;
-/// `tables` are the lane's criterion tables (sized for `walk.keys`). Shared by the sequential and
-/// pool-parallel snapshot paths so both produce the same per-pair
-/// operation sequence.
+/// `cache` holds exactly the slots of this range, row-major by pair, or
+/// at the final level one row that every pair reuses (the arena is then
+/// scratch, cleared per pair); `tables` are the lane's criterion tables
+/// (sized for `walk.keys`). Shared by the sequential and pool-parallel
+/// snapshot paths so both produce the same per-pair operation sequence.
+/// Returns the open partition references and the slots with any.
 fn process_pair_range(
     walk: &PairWalk<'_>,
     start: usize,
@@ -1787,7 +1907,7 @@ fn process_pair_range(
     arena: &mut Vec<u32>,
     tables: &mut CriterionTables,
     sink: &mut ExactSink,
-) {
+) -> (usize, usize) {
     let PairWalk {
         b_parts,
         r_parts,
@@ -1797,6 +1917,7 @@ fn process_pair_range(
         ancestors,
         old_arena,
         mode,
+        final_level,
         cfg,
         keys,
     } = *walk;
@@ -1808,14 +1929,20 @@ fn process_pair_range(
         let (bp, rp) = (&b_parts[start / r_len], &r_parts[start % r_len]);
         PairClassifier::new(&bp.mbr, &rp.mbr, cfg.criterion, cfg.norm)
     });
+    let mut open = (0, 0);
     for pair_idx in start..end {
         let pair = (pair_idx / r_len, pair_idx % r_len);
         let (bp, rp) = (&b_parts[pair.0], &r_parts[pair.1]);
+        let row = if final_level { 0 } else { pair_idx - start };
+        let slots = &mut cache[row * n_inf..(row + 1) * n_inf];
+        walk.carry_in(pair_idx, slots);
         let w = bp.mass * rp.mass;
         if w <= 0.0 {
             continue;
         }
-        let slots = &mut cache[(pair_idx - start) * n_inf..(pair_idx - start + 1) * n_inf];
+        if final_level {
+            arena.clear();
+        }
         // the pair's precomputed criterion half: every classification of
         // this pair — object pre-tests and partition streams alike —
         // shares it, so only partition-side terms run in the hot loop
@@ -1910,9 +2037,12 @@ fn process_pair_range(
                 RefreshMode::Clean => {}
             }
             sink.factor(slot.bounds.lower, slot.bounds.upper);
+            open.0 += slot.open_len as usize;
+            open.1 += usize::from(slot.open_len > 0);
         }
         sink.finish_pair(w, n_inf);
     }
+    open
 }
 
 /// The partition tests of one pair `(B', R')`: the kernel retargeted to
@@ -1938,35 +2068,62 @@ impl PairTests<'_> {
         tables: &mut CriterionTables,
         arena: &mut Vec<u32>,
     ) {
-        let dims = inf.mbr.dims();
-        let mbr = |p: usize| &inf.flat_mbrs[p * dims..(p + 1) * dims];
         match self.keys.filter(|_| inf.tabled == Some(true)) {
             Some(keys) => {
                 tables.open_rows(keys, inf_idx, inf, self.pair, self.pc);
-                let (rows, starts, ids) = (&tables.rows, &tables.slot_rows, &inf.ids.ids);
-                let tested = slot.classify_into(candidates, inf, arena, |p| {
-                    // the kernel's sums: the same shares, added in
-                    // dimension order from zero
-                    let mut sums = OptimalSums::ZERO;
-                    for (&start, &id) in starts.iter().zip(&ids[p * dims..(p + 1) * dims]) {
-                        sums.add(rows[(start + id) as usize]);
-                    }
-                    let decision = self.pc.decide_sums(sums, mbr(p));
-                    debug_assert_eq!(
-                        decision,
-                        self.pc.classify_dims(mbr(p)),
-                        "criterion table disagrees with the kernel"
-                    );
-                    decision
-                });
+                let tested = if inf.mbr.dims() == 2 {
+                    self.classify_tabled::<2>(slot, candidates, inf, tables, arena)
+                } else {
+                    self.classify_tabled::<0>(slot, candidates, inf, tables, arena)
+                };
                 tables.tests.0 += tested;
             }
             None => {
-                let tested =
-                    slot.classify_into(candidates, inf, arena, |p| self.pc.classify_dims(mbr(p)));
+                let dims = inf.mbr.dims();
+                let tested = slot.classify_into(candidates, inf, arena, |p| {
+                    self.pc
+                        .classify_dims(&inf.flat_mbrs[p * dims..(p + 1) * dims])
+                        .into()
+                });
                 tables.tests.1 += tested;
             }
         }
+    }
+
+    /// The tabled partition test over the slot's rows
+    /// ([`CriterionTables::open_rows`]): `D` dimensions, or with `D = 0`
+    /// the influence object's count over slices, like the kernel's own
+    /// `D = 2` / slice copies. The rows and each partition's ids are
+    /// sliced once, to constant length `D` when it is not 0, so the
+    /// 2-D lookup is two loads without a loop.
+    #[inline(always)]
+    fn classify_tabled<const D: usize>(
+        &self,
+        slot: &mut FactorCache,
+        candidates: impl Iterator<Item = u32>,
+        inf: &Influence,
+        tables: &CriterionTables,
+        arena: &mut Vec<u32>,
+    ) -> u64 {
+        let dims = if D == 0 { inf.mbr.dims() } else { D };
+        let (rows, starts) = (&tables.rows[..], &tables.slot_rows[..dims]);
+        slot.classify_into(candidates, inf, arena, |p| {
+            let ids = &inf.ids.ids[p * dims..][..dims];
+            let mbr = &inf.flat_mbrs[p * dims..][..dims];
+            // the kernel's sums: the same shares, added in dimension
+            // order from zero
+            let mut sums = OptimalSums::ZERO;
+            for (&start, &id) in starts.iter().zip(ids) {
+                sums.add(rows[(start + id) as usize]);
+            }
+            let class = self.pc.decide_sums(sums, mbr);
+            debug_assert_eq!(
+                class,
+                self.pc.classify_dims(mbr).into(),
+                "criterion table disagrees with the kernel"
+            );
+            class
+        })
     }
 }
 

@@ -22,6 +22,6 @@ pub mod spatial;
 
 pub use probabilistic::{pdom_bounds, pdom_bounds_decomposed, pdom_bounds_vs_fixed, PDomBounds};
 pub use spatial::{
-    dominates_minmax, dominates_optimal, DominationCriterion, OptimalSums, PairClassifier,
-    SpatialDecision,
+    dominates_minmax, dominates_optimal, DecisionClass, DominationCriterion, OptimalSums,
+    PairClassifier, SpatialDecision,
 };

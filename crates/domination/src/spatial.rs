@@ -24,7 +24,8 @@
 //! `(A_i, B_i, R_i)` many times — the refiner's criterion tables — keep
 //! the shares ([`PairClassifier::dim_terms`]), add them in the same order
 //! ([`OptimalSums::add`]) and decide with
-//! [`PairClassifier::decide_sums`]: the kernel's decision, bit for bit.
+//! [`PairClassifier::decide_sums`]: the kernel's decision, bit for bit,
+//! as one five-way [`DecisionClass`].
 //!
 //! # Maxima and NaN
 //!
@@ -116,16 +117,59 @@ pub struct SpatialDecision {
     pub robust: bool,
 }
 
-impl SpatialDecision {
-    /// The decision from the `(test, robust)` outcomes of the domination
+/// A [`SpatialDecision`] as the one of its five values it takes: the
+/// decision and its robustness in one class, so a hot loop branches on
+/// it once. The two convert into each other losslessly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecisionClass {
+    /// Complete domination, float-robust (final under refinement).
+    RobustDominate,
+    /// Never dominates, float-robust (final under refinement).
+    RobustNever,
+    /// Complete domination at a knife edge.
+    OpenDominate,
+    /// Never dominates at a knife edge.
+    OpenNever,
+    /// Undecided at this resolution.
+    Undecided,
+}
+
+impl DecisionClass {
+    /// The class from the `(test, robust)` outcomes of the domination
     /// and the never-dominates test; domination is tested first.
+    #[inline(always)]
     fn of(dominates: (bool, bool), never: (bool, bool)) -> Self {
-        let (decision, robust) = match (dominates, never) {
-            ((true, robust), _) => (Some(true), robust),
-            (_, (true, robust)) => (Some(false), robust),
-            _ => (None, false),
+        match (dominates, never) {
+            ((true, true), _) => DecisionClass::RobustDominate,
+            ((true, false), _) => DecisionClass::OpenDominate,
+            (_, (true, true)) => DecisionClass::RobustNever,
+            (_, (true, false)) => DecisionClass::OpenNever,
+            _ => DecisionClass::Undecided,
+        }
+    }
+}
+
+impl From<DecisionClass> for SpatialDecision {
+    #[inline(always)]
+    fn from(class: DecisionClass) -> Self {
+        let (decision, robust) = match class {
+            DecisionClass::RobustDominate => (Some(true), true),
+            DecisionClass::OpenDominate => (Some(true), false),
+            DecisionClass::RobustNever => (Some(false), true),
+            DecisionClass::OpenNever => (Some(false), false),
+            DecisionClass::Undecided => (None, false),
         };
         SpatialDecision { decision, robust }
+    }
+}
+
+impl From<SpatialDecision> for DecisionClass {
+    #[inline(always)]
+    fn from(d: SpatialDecision) -> Self {
+        DecisionClass::of(
+            (d.decision == Some(true), d.robust),
+            (d.decision == Some(false), d.robust),
+        )
     }
 }
 
@@ -258,17 +302,18 @@ impl PairClassifier {
     }
 
     /// The decision for `a` from `sums`, its [`dim_terms`] added in
-    /// dimension order: equal to [`PairClassifier::classify_dims`] in
-    /// every field. A NaN sum re-runs the kernel on `a`, which takes its
-    /// `f64::max` pass (see the module docs).
+    /// dimension order, as one [`DecisionClass`]: equal to
+    /// [`PairClassifier::classify_dims`] in every field. A NaN sum
+    /// re-runs the kernel on `a`, which takes its `f64::max` pass (see
+    /// the module docs).
     ///
     /// [`dim_terms`]: PairClassifier::dim_terms
     #[inline(always)]
-    pub fn decide_sums(&self, sums: OptimalSums, a: &[Interval]) -> SpatialDecision {
+    pub fn decide_sums(&self, sums: OptimalSums, a: &[Interval]) -> DecisionClass {
         if sums.is_nan() {
-            self.classify_dims(a)
+            self.classify_dims(a).into()
         } else {
-            sums.decision()
+            sums.class()
         }
     }
 }
@@ -366,14 +411,20 @@ impl OptimalSums {
         (self.dom + self.nd + self.scale).is_nan()
     }
 
-    /// The decision these sums stand for.
+    /// The decision these sums stand for, as one class.
     #[inline(always)]
-    fn decision(self) -> SpatialDecision {
+    fn class(self) -> DecisionClass {
         let margin = ROBUST_MARGIN * self.scale.max(f64::MIN_POSITIVE);
-        SpatialDecision::of(
+        DecisionClass::of(
             (self.dom < 0.0, self.dom < -margin),
             (self.nd <= 0.0, self.nd < -margin),
         )
+    }
+
+    /// The decision these sums stand for.
+    #[inline(always)]
+    fn decision(self) -> SpatialDecision {
+        self.class().into()
     }
 }
 
@@ -489,10 +540,11 @@ fn max2<const IEEE: bool>(x: f64, y: f64) -> f64 {
 fn minmax_decision(max_ar: f64, min_br: f64, max_br: f64, min_ar: f64) -> SpatialDecision {
     let dom_margin = ROBUST_MARGIN * max_ar.abs().max(min_br.abs()).max(f64::MIN_POSITIVE);
     let never_margin = ROBUST_MARGIN * max_br.abs().max(min_ar.abs()).max(f64::MIN_POSITIVE);
-    SpatialDecision::of(
+    DecisionClass::of(
         (max_ar < min_br, min_br - max_ar > dom_margin),
         (max_br <= min_ar, min_ar - max_br > never_margin),
     )
+    .into()
 }
 
 /// The `(lo, hi)` bounds of `r` per dimension.
@@ -661,6 +713,141 @@ mod tests {
             .prop_map(|(x, w, y, h)| rect(x, x + w, y, y + h))
     }
 
+    /// The decision of the optimal criterion's sums as documented
+    /// (`dom < 0` dominates, else `nd ≤ 0` never dominates; robust
+    /// beyond the relative margin), written out independently of the
+    /// classes.
+    fn documented_decision(sums: OptimalSums) -> SpatialDecision {
+        let margin = ROBUST_MARGIN * sums.scale.max(f64::MIN_POSITIVE);
+        let (decision, robust) = if sums.dom < 0.0 {
+            (Some(true), sums.dom < -margin)
+        } else if sums.nd <= 0.0 {
+            (Some(false), sums.nd < -margin)
+        } else {
+            (None, false)
+        };
+        SpatialDecision { decision, robust }
+    }
+
+    /// Asserts that the five-way class the criterion tables read
+    /// (`decide_sums` on `a`'s shares added in dimension order) is the
+    /// kernel's decision for `a`, field for field, and that each
+    /// converts losslessly into the other.
+    fn assert_class_matches_kernel(pc: &PairClassifier, a: &Rect) {
+        let mut sums = OptimalSums::ZERO;
+        for (d, &a_d) in a.intervals().iter().enumerate() {
+            sums.add(pc.dim_terms(d, a_d));
+        }
+        let class = pc.decide_sums(sums, a.intervals());
+        let kernel = pc.classify_dims(a.intervals());
+        let decided = SpatialDecision::from(class);
+        assert_eq!(decided.decision, kernel.decision, "{a:?}: {sums:?}");
+        assert_eq!(decided.robust, kernel.robust, "{a:?}: {sums:?}");
+        assert_eq!(DecisionClass::from(kernel), class, "{a:?}: {sums:?}");
+    }
+
+    #[test]
+    fn decision_class_at_knife_edges() {
+        let sums = |dom: f64, nd: f64| OptimalSums {
+            dom,
+            nd,
+            scale: 1.0,
+        };
+        let margin = ROBUST_MARGIN;
+        for (s, class) in [
+            (sums(0.0, 1.0), DecisionClass::Undecided),
+            (sums(-0.0, 1.0), DecisionClass::Undecided),
+            (sums(-margin, 1.0), DecisionClass::OpenDominate),
+            (sums(-2.0 * margin, 1.0), DecisionClass::RobustDominate),
+            (sums(1.0, 0.0), DecisionClass::OpenNever),
+            (sums(0.0, 0.0), DecisionClass::OpenNever),
+            (sums(1.0, -margin), DecisionClass::OpenNever),
+            (sums(1.0, -2.0 * margin), DecisionClass::RobustNever),
+            (sums(-margin, -1.0), DecisionClass::OpenDominate),
+            (
+                sums(f64::MIN_POSITIVE, f64::MIN_POSITIVE),
+                DecisionClass::Undecided,
+            ),
+        ] {
+            assert_eq!(s.class(), class, "{s:?}");
+            assert_eq!(
+                SpatialDecision::from(s.class()),
+                documented_decision(s),
+                "{s:?}"
+            );
+        }
+        // geometric knife edges: ties between certain points (`dom = 0`,
+        // `nd = 0`) and touching boxes
+        let r = point_rect(0.0, 0.0);
+        for norm in [LpNorm::L1, LpNorm::L2, LpNorm::P(3)] {
+            let pc = PairClassifier::new(
+                &point_rect(-1.0, 0.0),
+                &r,
+                DominationCriterion::Optimal,
+                norm,
+            );
+            assert_class_matches_kernel(&pc, &point_rect(1.0, 0.0));
+            assert_class_matches_kernel(&pc, &point_rect(0.0, 1.0));
+            assert_class_matches_kernel(&pc, &rect(-1.0, 1.0, 0.0, 0.0));
+            assert_eq!(
+                pc.decide_sums(OptimalSums::ZERO, point_rect(1.0, 0.0).intervals()),
+                DecisionClass::OpenNever
+            );
+        }
+    }
+
+    #[test]
+    fn nan_sums_take_the_kernel() {
+        // interval ends whose powered distances overflow to infinity:
+        // the shares hold `inf - inf`, so the summed shares are NaN and
+        // only the kernel's `f64::max` pass decides
+        let r = rect(-1e300, 1e300, 0.0, 0.0);
+        let b = rect(0.0, 1.0, 0.0, 0.0);
+        let pc = PairClassifier::new(&b, &r, DominationCriterion::Optimal, LpNorm::L2);
+        for a in [
+            point_rect(1e300, 0.0),
+            point_rect(-1e300, 0.0),
+            rect(-1e300, 1e300, 0.0, 1.0),
+        ] {
+            let mut sums = OptimalSums::ZERO;
+            for (d, &a_d) in a.intervals().iter().enumerate() {
+                sums.add(pc.dim_terms(d, a_d));
+            }
+            assert!(sums.is_nan(), "{a:?}: {sums:?}");
+            assert_class_matches_kernel(&pc, &a);
+        }
+        // any NaN field re-runs the kernel on the box, whatever the
+        // other fields say
+        let a = point_rect(0.5, 0.0);
+        let pc = PairClassifier::new(
+            &point_rect(5.0, 0.0),
+            &point_rect(0.0, 0.0),
+            DominationCriterion::Optimal,
+            LpNorm::L2,
+        );
+        let kernel = DecisionClass::from(pc.classify_dims(a.intervals()));
+        assert_eq!(kernel, DecisionClass::RobustDominate);
+        for nan in [
+            OptimalSums {
+                dom: f64::NAN,
+                nd: -1.0,
+                scale: 1.0,
+            },
+            OptimalSums {
+                dom: 1.0,
+                nd: f64::NAN,
+                scale: 1.0,
+            },
+            OptimalSums {
+                dom: 1.0,
+                nd: 1.0,
+                scale: f64::NAN,
+            },
+        ] {
+            assert_eq!(pc.decide_sums(nan, a.intervals()), kernel, "{nan:?}");
+        }
+    }
+
     proptest! {
         /// Soundness: whenever the optimal criterion claims domination,
         /// sampled instantiations must agree.
@@ -702,6 +889,29 @@ mod tests {
             let ab = dominates_optimal(&a, &b, &r, LpNorm::L2);
             let ba = dominates_optimal(&b, &a, &r, LpNorm::L2);
             prop_assert!(!(ab && ba));
+        }
+
+        /// The five-way class of summed shares is the kernel's decision
+        /// field for field, under L1, L2 and P(3), for boxes, certain
+        /// points (ties included: `b` mirrors `a` through `r`'s center)
+        /// and boxes sharing an edge with `r`.
+        #[test]
+        fn prop_decision_class_matches_kernel(
+            a in arb_rect(-5.0..5.0),
+            b in arb_rect(-5.0..5.0),
+            r in arb_rect(-5.0..5.0),
+            px in -5.0..5.0f64, py in -5.0..5.0f64,
+        ) {
+            let mirrored = point_rect(-px, -py);
+            let touching = rect(r.dim(0).hi(), r.dim(0).hi() + 1.0, r.dim(1).lo(), r.dim(1).hi());
+            for norm in [LpNorm::L1, LpNorm::L2, LpNorm::P(3)] {
+                for (b, r) in [(&b, &r), (&mirrored, &point_rect(0.0, 0.0))] {
+                    let pc = PairClassifier::new(b, r, DominationCriterion::Optimal, norm);
+                    for a in [&a, &point_rect(px, py), &touching] {
+                        assert_class_matches_kernel(&pc, a);
+                    }
+                }
+            }
         }
 
         /// For certain points the criterion is exactly the distance

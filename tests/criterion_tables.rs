@@ -6,6 +6,11 @@
 //! pair walk. `Refiner::partition_tests` shows which path the tests
 //! took: the uniform objects share intervals and use the tables, the
 //! correlated histograms share too few and call the kernel.
+//!
+//! Depth 6 is also the refiners' iteration budget, so their last
+//! snapshot walks the final level, which keeps no factor cache: it must
+//! equal, bit for bit and count for count, the cached walk of the same
+//! level by a refiner with a larger budget, at 1 and 2 pair lanes.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,55 +63,151 @@ fn object(kind: Kind, dims: usize, rng: &mut StdRng) -> UncertainObject {
     UncertainObject::new(pdf)
 }
 
+/// The full-PDF refiner of object 0 w.r.t. `reference`, with iteration budget `max_iterations` and `threads` pair lanes.
+fn build_refiner<'a>(
+    db: &'a Database,
+    reference: &'a UncertainObject,
+    max_iterations: usize,
+    threads: usize,
+) -> Refiner<'a> {
+    Refiner::new(
+        db,
+        ObjRef::Db(ObjectId(0)),
+        ObjRef::External(reference),
+        IdcaConfig {
+            max_iterations,
+            uncertainty_target: 0.0,
+            snapshot_threads: threads,
+            ..Default::default()
+        },
+        Predicate::FullPdf,
+    )
+}
+
+/// Asserts the incremental snapshot `inc` matches the cache-free
+/// recompute `scratch` within 1e-12.
+fn assert_matches_scratch(inc: &DomCountSnapshot, scratch: &DomCountSnapshot, what: &str) {
+    let it = inc.iteration;
+    assert_eq!(inc.bounds.len(), scratch.bounds.len());
+    for k in 0..inc.bounds.len() {
+        for (x, y, side) in [
+            (inc.bounds.lower(k), scratch.bounds.lower(k), "lower"),
+            (inc.bounds.upper(k), scratch.bounds.upper(k), "upper"),
+        ] {
+            assert!(
+                (x - y).abs() < 1e-12,
+                "{what} iteration {it} {side}({k}): {x} vs {y}"
+            );
+        }
+    }
+}
+
+/// Every bound of a snapshot, as bits.
+fn bits(snap: &DomCountSnapshot) -> Vec<u64> {
+    (0..snap.bounds.len())
+        .flat_map(|k| [snap.bounds.lower(k), snap.bounds.upper(k)])
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// Snapshots every level, as `Refiner::run` does, until `depth` or until
+/// nothing splits; returns the last snapshot.
+fn walk_to(refiner: &mut Refiner<'_>, depth: usize) -> DomCountSnapshot {
+    loop {
+        let snap = refiner.snapshot();
+        if refiner.iteration() >= depth || !refiner.step() {
+            return snap;
+        }
+    }
+}
+
 /// Refines the domination count of object 0 w.r.t. an external
 /// reference to depth 6 (or until nothing splits), comparing every
-/// snapshot with the cache-free recompute; returns the partition-test counts `(tabled, kernel)`.
+/// snapshot with the cache-free recompute, then checks the final level
+/// (see the module docs) and one step past it; returns the
+/// partition-test counts `(tabled, kernel)`.
 fn refine_and_check(kind: Kind, dims: usize) -> (u64, u64) {
     let mut rng = StdRng::seed_from_u64(0x7AB1E + dims as u64);
     let db = Database::from_objects((0..8).map(|_| object(kind, dims, &mut rng)).collect());
     let reference = object(kind, dims, &mut rng);
-    let mut refiner = Refiner::new(
-        &db,
-        ObjRef::Db(ObjectId(0)),
-        ObjRef::External(&reference),
-        IdcaConfig {
-            max_iterations: 6,
-            uncertainty_target: 0.0,
-            snapshot_threads: 1,
-            ..Default::default()
-        },
-        Predicate::FullPdf,
-    );
+    let what = format!("{kind:?} {dims}-D");
+    let mut refiner = build_refiner(&db, &reference, 6, 1);
     assert!(
         refiner.influence_ids().len() > 0,
-        "{kind:?} {dims}-D: no influence object, nothing refines"
+        "{what}: no influence object, nothing refines"
     );
-    loop {
+    let last = loop {
         let inc = refiner.snapshot();
-        let scratch = refiner.snapshot_from_scratch();
-        let it = inc.iteration;
-        assert_eq!(inc.bounds.len(), scratch.bounds.len());
-        for k in 0..inc.bounds.len() {
-            for (x, y, side) in [
-                (inc.bounds.lower(k), scratch.bounds.lower(k), "lower"),
-                (inc.bounds.upper(k), scratch.bounds.upper(k), "upper"),
-            ] {
-                assert!(
-                    (x - y).abs() < 1e-12,
-                    "{kind:?} {dims}-D iteration {it} {side}({k}): {x} vs {y}"
-                );
-            }
-        }
+        assert_matches_scratch(&inc, &refiner.snapshot_from_scratch(), &what);
         if refiner.iteration() >= 6 || !refiner.step() {
-            break;
+            break inc;
         }
-    }
+    };
     // a discrete object stops splitting once each partition holds one
     // point; the continuous families reach depth 6
     if kind != Kind::Discrete {
-        assert_eq!(refiner.iteration(), 6, "{kind:?} {dims}-D stopped early");
+        assert_eq!(refiner.iteration(), 6, "{what} stopped early");
     }
-    refiner.partition_tests()
+    let tests = refiner.partition_tests();
+    let counts = (refiner.open_stats(), refiner.cache_stats(), tests);
+
+    // a repeated snapshot without a step is the same snapshot
+    assert_eq!(bits(&refiner.snapshot()), bits(&last), "{what}: repeated");
+    assert_eq!(
+        (
+            refiner.open_stats(),
+            refiner.cache_stats(),
+            refiner.partition_tests()
+        ),
+        counts,
+        "{what}: repeated"
+    );
+    // a larger budget walks the same level through its factor cache:
+    // the same snapshot and counts, and at 2 lanes the same bits
+    let mut cached = build_refiner(&db, &reference, 7, 1);
+    assert_eq!(
+        bits(&walk_to(&mut cached, 6)),
+        bits(&last),
+        "{what}: cached"
+    );
+    assert_eq!(
+        (
+            cached.open_stats(),
+            cached.cache_stats(),
+            cached.partition_tests()
+        ),
+        counts,
+        "{what}: cached"
+    );
+    let mut lanes = build_refiner(&db, &reference, 6, 2);
+    assert_eq!(
+        bits(&walk_to(&mut lanes, 6)),
+        bits(&last),
+        "{what}: 2 lanes"
+    );
+    assert_eq!(
+        (
+            lanes.open_stats(),
+            lanes.cache_stats(),
+            lanes.partition_tests()
+        ),
+        counts,
+        "{what}: 2 lanes"
+    );
+    // past the budget (a shallower one, to keep the cache-free oracle
+    // cheap) the uncached refiner rebuilds from nothing
+    let mut short = build_refiner(&db, &reference, 3, 1);
+    walk_to(&mut short, 3);
+    if short.step() {
+        let past = short.snapshot();
+        assert_matches_scratch(&past, &short.snapshot_from_scratch(), &what);
+        assert_eq!(
+            bits(&short.snapshot()),
+            bits(&past),
+            "{what}: repeated past"
+        );
+    }
+    tests
 }
 
 #[test]

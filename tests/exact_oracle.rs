@@ -100,11 +100,15 @@ fn random_db(rng: &mut StdRng) -> Database {
 
 /// Full-PDF refinement of `DomCount(B, R)` for two database objects:
 /// every iteration's bounds contain the exact distribution, and no
-/// per-count bound ever loosens from one iteration to the next.
+/// per-count bound ever loosens from one iteration to the next. Each
+/// database refines under the default budget and under a budget of two
+/// iterations, where the snapshot at iteration 2 walks the final level
+/// (no factor cache kept) from the cached level before it, and each
+/// step past it rebuilds from nothing.
 #[test]
 fn refiner_bounds_contain_the_exact_distribution_at_every_iteration() {
     let mut snapshots = 0;
-    for seed in 0..300u64 {
+    for (seed, max_iterations) in (0..300u64).flat_map(|seed| [(seed, 8), (seed, 2)]) {
         let mut rng = StdRng::seed_from_u64(0xE0 + seed);
         let db = random_db(&mut rng);
         let n = db.len();
@@ -123,6 +127,7 @@ fn refiner_bounds_contain_the_exact_distribution_at_every_iteration() {
         let exact = exact_dom_count(db.get(b), db.get(r), &influencers);
         let cfg = IdcaConfig {
             uncertainty_target: 0.0,
+            max_iterations,
             ..Default::default()
         };
         let mut refiner = Refiner::new(&db, ObjRef::Db(b), ObjRef::Db(r), cfg, Predicate::FullPdf);
@@ -135,12 +140,12 @@ fn refiner_bounds_contain_the_exact_distribution_at_every_iteration() {
                 let (lo, hi) = (snap.bounds.lower(c), snap.bounds.upper(c));
                 assert!(
                     lo <= p + EPS && p <= hi + EPS,
-                    "seed {seed} iteration {it}: P(DomCount = {c}) = {p} outside [{lo}, {hi}]"
+                    "seed {seed} budget {max_iterations} iteration {it}: P(DomCount = {c}) = {p} outside [{lo}, {hi}]"
                 );
                 if let Some(prev) = &prev {
                     assert!(
                         lo >= prev.bounds.lower(c) - EPS && hi <= prev.bounds.upper(c) + EPS,
-                        "seed {seed} iteration {it}: count {c} bounds loosened from [{}, {}] to [{lo}, {hi}]",
+                        "seed {seed} budget {max_iterations} iteration {it}: count {c} bounds loosened from [{}, {}] to [{lo}, {hi}]",
                         prev.bounds.lower(c),
                         prev.bounds.upper(c)
                     );
@@ -152,7 +157,7 @@ fn refiner_bounds_contain_the_exact_distribution_at_every_iteration() {
             }
         }
     }
-    assert!(snapshots > 300, "every seed refines at least once");
+    assert!(snapshots > 600, "every seed refines at least once");
 }
 
 /// A decided threshold outcome agrees with the exact probability `p`:

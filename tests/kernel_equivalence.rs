@@ -153,7 +153,7 @@ fn table_sums(pc: &PairClassifier, a: &Rect) -> OptimalSums {
 /// The criterion-table entry point: summed shares, then the decision
 /// (with its NaN fallback to the kernel).
 fn table_decision(pc: &PairClassifier, a: &Rect) -> SpatialDecision {
-    pc.decide_sums(table_sums(pc, a), a.intervals())
+    pc.decide_sums(table_sums(pc, a), a.intervals()).into()
 }
 
 /// Asserts that every entry point — the criterion methods, a fresh
