@@ -4,6 +4,8 @@
 
 pub use serde::{Error, Value};
 
+use std::fmt::Write as _;
+
 /// Serializes a value to compact JSON.
 ///
 /// # Errors
@@ -42,15 +44,16 @@ fn write_value(
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::U64(x) => out.push_str(&x.to_string()),
-        Value::I64(x) => out.push_str(&x.to_string()),
+        // numbers format straight into `out`: no string per number
+        Value::U64(x) => write!(out, "{x}").expect("writing to a String cannot fail"),
+        Value::I64(x) => write!(out, "{x}").expect("writing to a String cannot fail"),
         Value::F64(x) => {
             if !x.is_finite() {
                 return Err(Error::msg(format!("cannot serialize non-finite float {x}")));
             }
             // `{:?}` is the shortest representation that round-trips; it is
             // always valid JSON for finite floats (e.g. `1.0`, `1e300`).
-            out.push_str(&format!("{x:?}"));
+            write!(out, "{x:?}").expect("writing to a String cannot fail");
         }
         Value::Str(s) => write_string(s, out),
         Value::Seq(items) => {
@@ -468,6 +471,31 @@ mod tests {
             let json = to_string(&x).unwrap();
             assert_eq!(from_str::<f64>(&json).unwrap(), x, "{json}");
         }
+    }
+
+    #[test]
+    fn integers_write_their_decimal_digits_and_round_trip() {
+        for x in [0u64, 1, 42, 1 << 53, u64::MAX] {
+            let json = to_string(&x).unwrap();
+            assert_eq!(json, x.to_string());
+            assert_eq!(from_str::<u64>(&json).unwrap(), x);
+        }
+        for x in [-1i64, -7, i64::MIN, i64::MAX] {
+            let json = to_string(&x).unwrap();
+            assert_eq!(json, x.to_string());
+            assert_eq!(from_str::<i64>(&json).unwrap(), x);
+        }
+    }
+
+    #[test]
+    fn negative_zero_keeps_its_sign() {
+        let json = to_string(&-0.0f64).unwrap();
+        assert_eq!(json, "-0.0");
+        assert_eq!(
+            from_str::<f64>(&json).unwrap().to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(to_string(&vec![0.0f64, -0.0]).unwrap(), "[0.0,-0.0]");
     }
 
     #[test]

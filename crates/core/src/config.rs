@@ -69,13 +69,17 @@ pub struct IdcaConfig {
     /// caller still sets it; it is removed with the next benchmark
     /// change.
     pub prefilter: bool,
-    /// Fsync cadence of a durable engine's WAL: the segment is forced
-    /// to stable storage every this many appended records. `1` (the
-    /// default: every record is durable the moment the mutation call
-    /// returns) is the paper-trail-honest setting; larger values batch
-    /// fsyncs — a crash may lose up to `wal_sync_every - 1` of the most
-    /// recent acknowledged mutations (never a prefix gap, never a
-    /// reorder). `0` syncs only at checkpoints and explicit
+    /// Fsync cadence of a durable engine's WAL: after each mutation
+    /// call the segment is forced to stable storage once at least this
+    /// many appended records are unsynced. An insert run
+    /// ([`crate::Engine::try_insert_run`]) is one call: all of its
+    /// records are appended first, then one fsync covers them, before
+    /// any of them is applied or acknowledged. `1` (the default: every
+    /// record is durable the moment the mutation call returns) is the
+    /// paper-trail-honest setting; larger values batch fsyncs — a crash
+    /// may lose up to `wal_sync_every - 1` of the most recent
+    /// acknowledged mutations (never a prefix gap, never a reorder).
+    /// `0` syncs only at checkpoints and explicit
     /// [`crate::Engine::wal_sync`] calls. Ignored by in-memory engines.
     ///
     /// The default honours the `UDB_WAL_SYNC_EVERY` environment
@@ -85,7 +89,10 @@ pub struct IdcaConfig {
     /// Automatic checkpoint cadence of a durable engine: after this
     /// many logged mutations the engine takes a checkpoint (database
     /// snapshot + WAL rotation + tombstone compaction + R-tree
-    /// rebuild). `0` disables automatic checkpoints — only
+    /// rebuild). The cadence is checked after each mutation, and once
+    /// after a whole insert run ([`crate::Engine::try_insert_run`]),
+    /// never between a run's logged records and their application. `0`
+    /// disables automatic checkpoints — only
     /// [`crate::Engine::checkpoint`] and the open-time checkpoint run.
     /// Ignored by in-memory engines.
     ///

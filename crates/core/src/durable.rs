@@ -54,7 +54,7 @@
 use udb_index::RTree;
 use udb_object::{Database, ObjectId};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -130,7 +130,8 @@ pub struct RecoveryReport {
 
 /// The checkpoint payload: the full database plus the bookkeeping
 /// recovery needs to line the WAL back up.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
+#[cfg_attr(test, derive(Serialize))]
 struct CheckpointData {
     /// This checkpoint's sequence number (also in the file name; stored
     /// inside too so a renamed file cannot lie about its position).
@@ -139,6 +140,26 @@ struct CheckpointData {
     mutations: u64,
     /// The serialized database (tombstones compacted at write time).
     db: Database,
+}
+
+/// The checkpoint payload as it is written: [`CheckpointData`] with the
+/// database borrowed, so taking a checkpoint encodes the live database
+/// without copying it. The fields serialize in `CheckpointData`'s order,
+/// so the bytes are the ones its derive would write.
+struct CheckpointView<'a> {
+    seq: u64,
+    mutations: u64,
+    db: &'a Database,
+}
+
+impl Serialize for CheckpointView<'_> {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![
+            ("seq".to_owned(), self.seq.to_value()),
+            ("mutations".to_owned(), self.mutations.to_value()),
+            ("db".to_owned(), self.db.to_value()),
+        ])
+    }
 }
 
 fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
@@ -415,10 +436,18 @@ impl Durability {
         self.since_checkpoint
     }
 
-    /// Appends one record to the current segment, honouring the
-    /// mid-record, before-sync and after-sync crash gates, and fsyncing
-    /// per `sync_every`.
+    /// Appends one record and fsyncs per `sync_every`: [`Durability::append`]
+    /// then [`Durability::sync_due`].
     pub(crate) fn log(&mut self, record: &WalRecord) -> Result<(), DurableError> {
+        self.append(record)?;
+        self.sync_due()
+    }
+
+    /// Appends one record to the current segment, honouring the
+    /// mid-record and before-sync crash gates. The record is not forced
+    /// to stable storage: a run of appends ends with one
+    /// [`Durability::sync_due`].
+    pub(crate) fn append(&mut self, record: &WalRecord) -> Result<(), DurableError> {
         let frame = record.encode();
         let path = wal_path(&self.dir, self.seq);
         let mid = frame.len() / 2;
@@ -428,6 +457,12 @@ impl Durability {
         self.unsynced += 1;
         self.since_checkpoint += 1;
         self.io.gate(CrashPoint::WalBeforeSync)?;
+        Ok(())
+    }
+
+    /// Fsyncs the segment once when at least `sync_every` records are
+    /// unsynced, then crosses the after-sync crash gate.
+    pub(crate) fn sync_due(&mut self) -> Result<(), DurableError> {
         if self.sync_every > 0 && self.unsynced >= self.sync_every {
             self.sync()?;
             self.io.gate(CrashPoint::WalAfterSync)?;
@@ -452,13 +487,12 @@ impl Durability {
         self.sync()?;
 
         let new_seq = self.seq + 1;
-        let data = CheckpointData {
+        let data = CheckpointView {
             seq: new_seq,
             mutations,
-            db: db.clone(),
+            db,
         };
         let json = serde_json::to_string(&data).map_err(|e| DurableError::Encode(e.to_string()))?;
-        drop(data); // give the snapshot's database copy back promptly
         let mut bytes = Vec::with_capacity(CHECKPOINT_MAGIC.len() + 8 + json.len());
         bytes.extend_from_slice(CHECKPOINT_MAGIC);
         bytes.extend_from_slice(&encode_frame(json.as_bytes()));
@@ -541,6 +575,35 @@ mod tests {
         assert_eq!(parse_seq("wal-.log", "wal-", ".log"), None);
         assert_eq!(parse_seq("wal-12x4.log", "wal-", ".log"), None);
         assert_eq!(parse_seq("other.txt", "wal-", ".log"), None);
+    }
+
+    #[test]
+    fn checkpoint_view_encodes_like_the_payload() {
+        use udb_geometry::{Point, Rect};
+        use udb_object::UncertainObject;
+        let mut db = Database::from_objects(vec![
+            UncertainObject::certain(Point::from([0.25, -0.0])),
+            UncertainObject::new(udb_pdf::Pdf::uniform(Rect::centered(
+                &Point::from([1.0, 2.0]),
+                &[0.1, 0.3],
+            ))),
+            UncertainObject::certain(Point::from([3.0, 1e-300])),
+        ]);
+        db.remove(ObjectId(0));
+        let view = CheckpointView {
+            seq: 7,
+            mutations: 41,
+            db: &db,
+        };
+        let data = CheckpointData {
+            seq: 7,
+            mutations: 41,
+            db: db.clone(),
+        };
+        assert_eq!(
+            serde_json::to_string(&view).unwrap(),
+            serde_json::to_string(&data).unwrap()
+        );
     }
 
     #[test]

@@ -333,6 +333,20 @@ impl std::fmt::Debug for Engine {
     }
 }
 
+/// Asserts that every object of an insert run has the database's
+/// dimensionality — or, into an empty database (`dims` is `None`), the
+/// run's first object's.
+pub(crate) fn assert_run_dims(dims: Option<usize>, objects: &[UncertainObject]) {
+    let dims = dims.or_else(|| objects.first().map(UncertainObject::dims));
+    for object in objects {
+        assert_eq!(
+            dims,
+            Some(object.dims()),
+            "object dimensionality must match the database"
+        );
+    }
+}
+
 /// Test-suite shim: `UDB_WAL=1` (any non-zero integer) makes every
 /// engine built through [`Engine::new`] / [`Engine::with_config`]
 /// durable, backed by a fresh auto-removed temp directory — the CI
@@ -564,22 +578,101 @@ impl Engine {
     /// # Panics
     /// Panics on dimensionality mismatch with the database.
     pub fn try_insert(&mut self, object: UncertainObject) -> Result<ObjectId, DurableError> {
-        if let Some(d) = self.db.dims() {
-            assert_eq!(
-                d,
-                object.dims(),
-                "object dimensionality must match the database"
-            );
+        let mut id = None;
+        self.insert_run_with(vec![object], |_, applied| id = Some(applied))?;
+        Ok(id.expect("a run of one applies one insert"))
+    }
+
+    /// Inserts a run of objects with **one** WAL fsync (group commit),
+    /// returning each insert's fresh id with the standing-query deltas
+    /// its maintenance produced, in run order. Two phases:
+    ///
+    /// 1. every object is validated and its record appended to the WAL
+    ///    (no fsync yet);
+    /// 2. the segment is fsynced once per [`IdcaConfig::wal_sync_every`]
+    ///    — the run counts as that many appended records — and only then
+    ///    are the inserts applied in order: database, R-tree, standing
+    ///    maintenance.
+    ///
+    /// The [`IdcaConfig::checkpoint_every`] cadence is checked once,
+    /// after the whole run is applied, so a checkpoint never rotates the
+    /// WAL between a logged record and its application. Results and ids
+    /// are exactly those of calling [`Engine::try_insert`] per object; a
+    /// run of one issues the same IO. In-memory engines skip the log.
+    ///
+    /// # Errors
+    /// Fails when an append or the fsync fails: then **no** insert of
+    /// the run is applied (records already appended may still replay at
+    /// recovery, like a single insert whose fsync fails). Also fails
+    /// when the cadence checkpoint after the run fails; the inserts are
+    /// then applied and durable, and their deltas stay queued for
+    /// [`Engine::take_standing_deltas`].
+    ///
+    /// # Panics
+    /// Panics when an object's dimensionality differs from the
+    /// database's — or, into an empty database, from the run's first
+    /// object's — before anything is logged.
+    pub fn try_insert_run(
+        &mut self,
+        objects: Vec<UncertainObject>,
+    ) -> Result<Vec<(ObjectId, Vec<ResultDelta>)>, DurableError> {
+        let mut ids = Vec::with_capacity(objects.len());
+        let mut ends = Vec::with_capacity(objects.len());
+        self.insert_run_with(objects, |engine, id| {
+            ids.push(id);
+            ends.push(engine.standing.queued_deltas());
+        })?;
+        let deltas = self.standing.take_deltas_split(&ends);
+        Ok(ids.into_iter().zip(deltas).collect())
+    }
+
+    /// The insert-run body behind [`Engine::try_insert`] and
+    /// [`Engine::try_insert_run`]: log every record, fsync once, apply
+    /// in order (calling `applied` after each insert's maintenance),
+    /// then check the checkpoint cadence.
+    fn insert_run_with(
+        &mut self,
+        objects: Vec<UncertainObject>,
+        mut applied: impl FnMut(&Self, ObjectId),
+    ) -> Result<(), DurableError> {
+        assert_run_dims(self.db.dims(), &objects);
+        for object in &objects {
+            self.append_insert(object)?;
         }
+        self.sync_due()?;
+        for object in objects {
+            let id = self.apply_insert(object);
+            applied(self, id);
+        }
+        self.checkpoint_due()
+    }
+
+    /// Appends an insert's WAL record without fsyncing it (a no-op on
+    /// in-memory engines). Phase 1 of an insert run.
+    pub(crate) fn append_insert(&mut self, object: &UncertainObject) -> Result<(), DurableError> {
         if let Some(d) = &mut self.durable {
-            let rec = WalRecord::Insert {
+            d.append(&WalRecord::Insert {
                 object: Box::new(object.clone()),
-            };
-            d.log(&rec)?;
+            })?;
         }
+        Ok(())
+    }
+
+    /// Fsyncs the WAL segment when its cadence is due (a no-op on
+    /// in-memory engines). Phase 2 of an insert run.
+    pub(crate) fn sync_due(&mut self) -> Result<(), DurableError> {
+        match &mut self.durable {
+            Some(d) => d.sync_due(),
+            None => Ok(()),
+        }
+    }
+
+    /// Applies an already logged insert: database, R-tree, mutation
+    /// count, standing maintenance. Phase 3 of an insert run.
+    pub(crate) fn apply_insert(&mut self, object: UncertainObject) -> ObjectId {
         let id = self.db.insert(object);
         self.tree.insert(self.db.get(id).mbr().clone(), id);
-        self.after_mutation()?;
+        self.mutations += 1;
         if !self.standing.is_empty() {
             let m = standing::Mutation {
                 id,
@@ -588,7 +681,7 @@ impl Engine {
             };
             self.maintain_standing(&m);
         }
-        Ok(id)
+        id
     }
 
     /// Removes an object in place, returning it: the database slot
@@ -692,11 +785,17 @@ impl Engine {
         Ok(old)
     }
 
-    /// Post-apply bookkeeping shared by every mutation: the lifetime
-    /// counter, plus the automatic checkpoint cadence of durable
-    /// engines ([`IdcaConfig::checkpoint_every`]).
+    /// Post-apply bookkeeping of a remove or update: the lifetime
+    /// counter, plus the checkpoint cadence.
     fn after_mutation(&mut self) -> Result<(), DurableError> {
         self.mutations += 1;
+        self.checkpoint_due()
+    }
+
+    /// The automatic checkpoint cadence of durable engines
+    /// ([`IdcaConfig::checkpoint_every`]): checkpoints when that many
+    /// records were logged since the last one.
+    pub(crate) fn checkpoint_due(&mut self) -> Result<(), DurableError> {
         let due = self.cfg.checkpoint_every > 0
             && self
                 .durable

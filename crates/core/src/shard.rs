@@ -61,7 +61,7 @@ use crate::batch::{QueryBatch, QueryView};
 use crate::config::IdcaConfig;
 use crate::decomp::{DecompCache, DECOMP_CACHE_ENTRIES};
 use crate::durable::{DurableError, RecoveryReport};
-use crate::engine::Engine;
+use crate::engine::{assert_run_dims, Engine};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
 use crate::refiner::{RefineStats, ScratchPool};
@@ -343,21 +343,6 @@ impl ShardedEngine {
     // Mutation routing
     // ------------------------------------------------------------------
 
-    /// The shard the next insert routes to, with the global id it will
-    /// assign: the smallest next fresh global id across shards — plain
-    /// round-robin in the steady state (see the module docs).
-    fn insert_slot(&self) -> (usize, u32) {
-        let n = self.shards.len() as u64;
-        let (s, gid) = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(s, shard)| (s, u64::from(shard.db().next_id()) * n + s as u64))
-            .min_by_key(|&(_, gid)| gid)
-            .expect("at least one shard");
-        (s, u32::try_from(gid).expect("global id space exhausted"))
-    }
-
     /// Inserts an object, returning its fresh *global* id — for the
     /// same arrival sequence, the same id a single engine would assign.
     ///
@@ -374,20 +359,92 @@ impl ShardedEngine {
     /// # Errors
     /// Fails when the target shard cannot log the record.
     pub fn try_insert(&mut self, object: UncertainObject) -> Result<ObjectId, DurableError> {
-        let (s, gid) = self.insert_slot();
-        let local = self.shards[s].try_insert(object)?;
-        debug_assert_eq!(self.global_id(s, local), ObjectId(gid));
-        // fresh global ids are never reused, so no cache invalidation
-        let id = ObjectId(gid);
-        if !self.standing.is_empty() {
-            let m = standing::Mutation {
-                id,
-                old: None,
-                new: Some(self.get(id).mbr().clone()),
-            };
-            self.maintain_standing(&m);
+        if self.shards.len() == 1 {
+            return self.shards[0].try_insert(object);
         }
-        Ok(id)
+        let mut id = None;
+        self.insert_run_with(vec![object], |_, applied| id = Some(applied))?;
+        Ok(id.expect("a run of one applies one insert"))
+    }
+
+    /// [`Engine::try_insert_run`] across shards: the run's global ids
+    /// are assigned up front (the ids the inserts would get one by one),
+    /// every record is appended to its shard's WAL in run order, each
+    /// touched shard fsyncs its segment once, and only then are the
+    /// inserts applied in order, each followed by its standing
+    /// maintenance. Each touched shard checks its checkpoint cadence
+    /// once, after the whole run. One shard delegates to
+    /// [`Engine::try_insert_run`].
+    ///
+    /// # Errors
+    /// Fails when an append or an fsync fails: then no insert of the
+    /// run is applied. Also fails when a cadence checkpoint after the
+    /// run fails (the inserts are then applied, their deltas stay
+    /// queued).
+    ///
+    /// # Panics
+    /// Panics on a dimensionality mismatch (see
+    /// [`Engine::try_insert_run`]), before anything is logged.
+    pub fn try_insert_run(
+        &mut self,
+        objects: Vec<UncertainObject>,
+    ) -> Result<Vec<(ObjectId, Vec<ResultDelta>)>, DurableError> {
+        if self.shards.len() == 1 {
+            return self.shards[0].try_insert_run(objects);
+        }
+        let mut ids = Vec::with_capacity(objects.len());
+        let mut ends = Vec::with_capacity(objects.len());
+        self.insert_run_with(objects, |engine, id| {
+            ids.push(id);
+            ends.push(engine.standing.queued_deltas());
+        })?;
+        let deltas = self.standing.take_deltas_split(&ends);
+        Ok(ids.into_iter().zip(deltas).collect())
+    }
+
+    /// The cross-shard insert-run body behind
+    /// [`ShardedEngine::try_insert`] and [`ShardedEngine::try_insert_run`]
+    /// (more than one shard): log, fsync each touched shard once, apply
+    /// in order (calling `applied` after each insert's maintenance), then
+    /// check each touched shard's checkpoint cadence.
+    fn insert_run_with(
+        &mut self,
+        objects: Vec<UncertainObject>,
+        mut applied: impl FnMut(&Self, ObjectId),
+    ) -> Result<(), DurableError> {
+        debug_assert!(self.shards.len() > 1, "one shard runs in the shard");
+        assert_run_dims(self.shards.iter().find_map(|e| e.db().dims()), &objects);
+        let mut next: Vec<u32> = self.shards.iter().map(|e| e.db().next_id()).collect();
+        let slots: Vec<(usize, u32)> = objects.iter().map(|_| next_slot(&mut next)).collect();
+        let mut touched: Vec<usize> = Vec::new();
+        for (object, &(s, _)) in objects.iter().zip(&slots) {
+            self.shards[s].append_insert(object)?;
+            if !touched.contains(&s) {
+                touched.push(s);
+            }
+        }
+        for &s in &touched {
+            self.shards[s].sync_due()?;
+        }
+        for (object, (s, gid)) in objects.into_iter().zip(slots) {
+            let local = self.shards[s].apply_insert(object);
+            debug_assert_eq!(self.global_id(s, local), ObjectId(gid));
+            // fresh global ids are never reused, so no cache invalidation
+            let id = ObjectId(gid);
+            if !self.standing.is_empty() {
+                let m = standing::Mutation {
+                    id,
+                    old: None,
+                    new: Some(self.get(id).mbr().clone()),
+                };
+                self.maintain_standing(&m);
+            }
+            applied(self, id);
+        }
+        for &s in &touched {
+            self.shards[s].checkpoint_due()?;
+        }
+        Ok(())
     }
 
     /// Removes the object behind a global id, returning it. The id is
@@ -688,6 +745,22 @@ impl ShardedEngine {
     fn trim_cache(&self) {
         self.decomps.trim(DECOMP_CACHE_ENTRIES);
     }
+}
+
+/// The shard the next insert routes to, with the global id it gets:
+/// the smallest next fresh global id across shards (plain round-robin in
+/// the steady state, see the module docs), given each shard's next local
+/// id. Advances that shard's next id, so repeated calls assign a run.
+fn next_slot(next: &mut [u32]) -> (usize, u32) {
+    let n = next.len() as u64;
+    let (s, gid) = next
+        .iter()
+        .enumerate()
+        .map(|(s, &local)| (s, u64::from(local) * n + s as u64))
+        .min_by_key(|&(_, gid)| gid)
+        .expect("at least one shard");
+    next[s] += 1;
+    (s, u32::try_from(gid).expect("global id space exhausted"))
 }
 
 #[cfg(test)]

@@ -277,6 +277,28 @@ impl StandingRegistry {
         std::mem::take(&mut self.deltas)
     }
 
+    /// How many result deltas are queued: an insert run marks each
+    /// insert's end in the queue with it.
+    pub(crate) fn queued_deltas(&self) -> usize {
+        self.deltas.len()
+    }
+
+    /// Drains the queued result deltas split at the queue marks `ends`
+    /// (ascending, the last one the queue length): part `i` holds the
+    /// deltas queued after mark `i - 1` up to mark `i`.
+    pub(crate) fn take_deltas_split(&mut self, ends: &[usize]) -> Vec<Vec<ResultDelta>> {
+        debug_assert_eq!(ends.last().copied().unwrap_or(0), self.deltas.len());
+        let mut all = std::mem::take(&mut self.deltas).into_iter();
+        let mut start = 0;
+        ends.iter()
+            .map(|&end| {
+                let part = all.by_ref().take(end - start).collect();
+                start = end;
+                part
+            })
+            .collect()
+    }
+
     /// The maintenance counters.
     pub fn stats(&self) -> StandingStats {
         StandingStats {

@@ -55,6 +55,13 @@
 //! run. Batched execution is bit-identical to one-at-a-time execution
 //! (the batch-equivalence suite), so batching never changes replies —
 //! only throughput.
+//!
+//! Each maximal run of consecutive `INSERT` lines (also capped at
+//! `batch_cap`) is one group commit,
+//! [`ShardedEngine::try_insert_run`]: one WAL fsync per touched shard
+//! for the run, after which the inserts apply and reply in order, each
+//! followed by its `NOTIFY` lines — the replies of one-at-a-time
+//! execution, with the acks written after the fsync.
 
 use std::collections::HashMap;
 
@@ -361,6 +368,9 @@ impl Server {
         let mut quits: Vec<u64> = Vec::new();
         // reply slots of the current run of consecutive query lines
         let mut pending: Vec<(usize, Op)> = Vec::new();
+        // the current run of consecutive INSERT lines: one group commit,
+        // flushed before any other line replies
+        let mut inserts: Vec<(u64, UncertainObject)> = Vec::new();
         for (conn, line) in lines {
             if quits.contains(conn) {
                 continue; // this connection closed earlier in the slice
@@ -368,14 +378,27 @@ impl Server {
             let line = match line {
                 Ok(line) => line,
                 Err(reason) => {
+                    self.flush_inserts(&mut replies, &mut inserts);
                     replies.push((*conn, format!("ERR {reason}")));
                     continue;
                 }
             };
-            match parse_line(line).and_then(|op| self.check_dims(op)) {
+            match parse_line(line).and_then(|op| self.check_dims(op, &inserts)) {
                 Ok(None) => {}
-                Err(e) => replies.push((*conn, format!("ERR {e}"))),
+                Err(e) => {
+                    self.flush_inserts(&mut replies, &mut inserts);
+                    replies.push((*conn, format!("ERR {e}")));
+                }
+                Ok(Some(Op::Insert(obj))) => {
+                    // queued queries settle against the pre-insert state
+                    self.flush_queries(&mut replies, &mut pending);
+                    inserts.push((*conn, obj));
+                    if inserts.len() >= self.batch_cap {
+                        self.flush_inserts(&mut replies, &mut inserts);
+                    }
+                }
                 Ok(Some(op)) if op.is_query() => {
+                    self.flush_inserts(&mut replies, &mut inserts);
                     let slot = replies.len();
                     replies.push((*conn, String::new()));
                     pending.push((slot, op));
@@ -387,15 +410,11 @@ impl Server {
                     // a mutation/control op: settle queued queries
                     // against the pre-mutation state first
                     self.flush_queries(&mut replies, &mut pending);
+                    self.flush_inserts(&mut replies, &mut inserts);
                     let quit = matches!(op, Op::Quit);
                     replies.push((*conn, self.apply(*conn, op)));
-                    // push standing-query deltas right behind the
-                    // mutation's own reply — deterministic positions
-                    for delta in self.engine.take_standing_deltas() {
-                        if let Some(&owner) = self.subs.get(&delta.sub) {
-                            replies.push((owner, format_notify(&delta)));
-                        }
-                    }
+                    let deltas = self.engine.take_standing_deltas();
+                    self.push_notifies(&mut replies, deltas);
                     if quit {
                         quits.push(*conn);
                         // the stream is closing: its subscriptions die
@@ -406,24 +425,43 @@ impl Server {
             }
         }
         self.flush_queries(&mut replies, &mut pending);
+        self.flush_inserts(&mut replies, &mut inserts);
         (replies, quits)
     }
 
+    /// Pushes a mutation's standing-query deltas right behind its own
+    /// reply, as `NOTIFY` lines to the subscribing connections —
+    /// deterministic positions.
+    fn push_notifies(&self, replies: &mut Vec<(u64, String)>, deltas: Vec<ResultDelta>) {
+        for delta in deltas {
+            if let Some(&owner) = self.subs.get(&delta.sub) {
+                replies.push((owner, format_notify(&delta)));
+            }
+        }
+    }
+
     /// The dimensionality every object must have: the live database's,
-    /// or — while it is empty — that of the standing queries.
-    fn dims(&self) -> Option<usize> {
+    /// or — while it is empty — that of the standing queries, or of the
+    /// first insert of the queued run.
+    fn dims(&self, inserts: &[(u64, UncertainObject)]) -> Option<usize> {
         let live = self.engine.shards().iter().find_map(|e| e.db().dims());
         live.or_else(|| {
             let subs = self.engine.standing_queries();
             subs.first().map(|s| s.query().dims())
         })
+        .or_else(|| inserts.first().map(|(_, o)| o.dims()))
     }
 
     /// Passes a parsed line through unless its object's dimensionality
-    /// differs from the served data's — such an object would panic deep
-    /// in the geometry, taking the whole server down.
-    fn check_dims(&self, op: Option<Op>) -> Result<Option<Op>, String> {
-        if let (Some(obj), Some(d)) = (op.as_ref().and_then(Op::object), self.dims()) {
+    /// differs from the served data's (queued inserts included) — such
+    /// an object would panic deep in the geometry, taking the whole
+    /// server down.
+    fn check_dims(
+        &self,
+        op: Option<Op>,
+        inserts: &[(u64, UncertainObject)],
+    ) -> Result<Option<Op>, String> {
+        if let (Some(obj), Some(d)) = (op.as_ref().and_then(Op::object), self.dims(inserts)) {
             if obj.dims() != d {
                 return Err(format!(
                     "object has {} dimensions, the database has {d}",
@@ -473,14 +511,39 @@ impl Server {
         }
     }
 
+    /// Runs a queued run of inserts as one group commit
+    /// ([`ShardedEngine::try_insert_run`]: one WAL fsync per touched
+    /// shard, then the inserts apply) and replies `OK <gid>` to each
+    /// line, its `NOTIFY` lines right behind it. When the log fails,
+    /// nothing was applied and every line replies `ERR`.
+    fn flush_inserts(
+        &mut self,
+        replies: &mut Vec<(u64, String)>,
+        inserts: &mut Vec<(u64, UncertainObject)>,
+    ) {
+        if inserts.is_empty() {
+            return;
+        }
+        let (conns, objects): (Vec<u64>, Vec<UncertainObject>) = inserts.drain(..).unzip();
+        match self.engine.try_insert_run(objects) {
+            Ok(acks) => {
+                for (conn, (id, deltas)) in conns.into_iter().zip(acks) {
+                    replies.push((conn, format!("OK {}", id.0)));
+                    self.push_notifies(replies, deltas);
+                }
+            }
+            Err(e) => {
+                for conn in conns {
+                    replies.push((conn, format!("ERR insert failed: {e}")));
+                }
+            }
+        }
+    }
+
     /// Applies one non-query operation and formats its reply. `conn`
     /// tags subscription ownership.
     fn apply(&mut self, conn: u64, op: Op) -> String {
         match op {
-            Op::Insert(obj) => match self.engine.try_insert(obj) {
-                Ok(id) => format!("OK {}", id.0),
-                Err(e) => format!("ERR insert failed: {e}"),
-            },
             Op::Delete(id) => {
                 if self.engine.try_get(id).is_none() {
                     return format!("ERR no live object {}", id.0);
@@ -543,6 +606,7 @@ impl Server {
             Op::Knn { .. } | Op::Rknn { .. } | Op::TopM { .. } => {
                 unreachable!("queries go through flush_queries")
             }
+            Op::Insert(_) => unreachable!("inserts go through flush_inserts"),
         }
     }
 }

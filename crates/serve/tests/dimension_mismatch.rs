@@ -130,3 +130,46 @@ fn tcp_server_survives_a_wrong_dimension_line() {
     assert!(second[3].starts_with("OK objects=30 "), "{second:?}");
     handle.join().expect("server thread");
 }
+
+/// A run of inserts into an empty database takes its dimensionality
+/// from the run's first object: mismatching lines reply `ERR` in place,
+/// at any batch cap, and the server never panics.
+#[test]
+fn insert_run_into_empty_database_checks_against_its_first_object() {
+    let o2 = |x: f64| json(&UncertainObject::certain(Point::from([x, 0.5])));
+    let o3 = json(&UncertainObject::certain(Point::from([0.5, 0.5, 0.5])));
+    let lines = vec![
+        format!("INSERT {}", o2(0.1)),
+        format!("INSERT {o3}"),
+        format!("INSERT {}", o2(0.2)),
+        format!("INSERT {o3}"),
+        format!("KNN 1 0.5 {o3}"),
+        format!("INSERT {}", o2(0.3)),
+        "STATS".to_owned(),
+    ];
+    for shards in [1, 2] {
+        for cap in [1, 16] {
+            let (replies, _) = empty_server(cfg(), shards, cap).execute_batch(&lines);
+            assert_eq!(
+                replies,
+                vec![
+                    "OK 0",
+                    MISMATCH,
+                    "OK 1",
+                    MISMATCH,
+                    MISMATCH,
+                    "OK 2",
+                    "OK objects=3 mutations=3 subs=0 maintained=0 reanswered=0 notified=0",
+                ],
+                "{shards} shards, cap {cap}"
+            );
+        }
+    }
+    // the first object decides, whatever its dimensionality
+    let (replies, _) = empty_server(cfg(), 1, 16)
+        .execute_batch(&[format!("INSERT {o3}"), format!("INSERT {}", o2(0.1))]);
+    assert_eq!(
+        replies,
+        vec!["OK 0", "ERR object has 2 dimensions, the database has 3"]
+    );
+}

@@ -16,8 +16,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::io;
 use std::path::{Path, PathBuf};
-use uncertain_db::core::{CrashPoint, FaultIo, FaultMode};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use udb_serve::Server;
+use uncertain_db::core::{CrashPoint, DurableIo, FaultIo, FaultMode, FileIo, ShardedEngine};
 use uncertain_db::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -514,4 +518,246 @@ fn unrecoverable_directory_is_an_error_not_empty() {
         ),
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------
+// Group commit: a run of inserts shares one WAL fsync
+// ---------------------------------------------------------------------
+
+/// The shared handles of one [`ProbeIo`]: its WAL-segment fsync count,
+/// and a switch that makes those fsyncs fail.
+#[derive(Clone, Default)]
+struct Probe {
+    wal_syncs: Arc<AtomicUsize>,
+    fail_syncs: Arc<AtomicBool>,
+}
+
+/// A [`FileIo`] that counts WAL-segment fsyncs and fails them while
+/// `fail_syncs` is set: the fsync-level probe of the group-commit tests.
+struct ProbeIo {
+    inner: FileIo,
+    probe: Probe,
+}
+
+impl Probe {
+    fn io(&self) -> Box<dyn DurableIo> {
+        Box::new(ProbeIo {
+            inner: FileIo::new(),
+            probe: self.clone(),
+        })
+    }
+
+    fn syncs(&self) -> usize {
+        self.wal_syncs.load(Ordering::SeqCst)
+    }
+}
+
+impl DurableIo for ProbeIo {
+    fn append(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.inner.append(path, bytes)
+    }
+
+    fn sync(&mut self, path: &Path) -> io::Result<()> {
+        if path.extension().is_some_and(|e| e == "log") {
+            if self.probe.fail_syncs.load(Ordering::SeqCst) {
+                return Err(io::Error::other("injected fsync failure"));
+            }
+            self.probe.wal_syncs.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.sync(path)
+    }
+
+    fn write_new(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.inner.write_new(path, bytes)
+    }
+
+    fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
+        self.inner.rename(from, to)
+    }
+
+    fn remove_file(&mut self, path: &Path) -> io::Result<()> {
+        self.inner.remove_file(path)
+    }
+
+    fn sync_dir(&mut self, dir: &Path) -> io::Result<()> {
+        self.inner.sync_dir(dir)
+    }
+
+    fn gate(&mut self, point: CrashPoint) -> io::Result<()> {
+        self.inner.gate(point)
+    }
+}
+
+/// With `wal_sync_every = 1`, a run of 16 inserts fsyncs each touched
+/// shard's segment exactly once; the same 16 inserts one by one fsync
+/// 16 times.
+#[test]
+fn insert_run_fsyncs_each_touched_shard_once() {
+    for shards in [1usize, 3] {
+        let dir = test_dir(&format!("group-commit-{shards}"));
+        let probes: Vec<Probe> = (0..shards).map(|_| Probe::default()).collect();
+        let mut engine =
+            ShardedEngine::open_with_io(&dir, cfg(), shards, |s| probes[s].io()).expect("open");
+        let mut rng = StdRng::seed_from_u64(21);
+        let run: Vec<UncertainObject> = (0..16).map(|_| random_object(&mut rng)).collect();
+
+        let acks = engine.try_insert_run(run.clone()).expect("run");
+        let ids: Vec<u32> = acks.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(ids, (0..16).collect::<Vec<u32>>(), "{shards} shards");
+        for (s, probe) in probes.iter().enumerate() {
+            assert_eq!(probe.syncs(), 1, "{shards} shards: shard {s}");
+        }
+
+        for o in run {
+            engine.try_insert(o).expect("single insert");
+        }
+        let total: usize = probes.iter().map(Probe::syncs).sum();
+        assert_eq!(
+            total,
+            shards + 16,
+            "{shards} shards: one fsync per single insert"
+        );
+        drop(engine);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The run configuration: cadence checkpoints every 20 records, so the
+/// second run of [`crash_in_run_case`] ends with one.
+fn run_cfg() -> IdcaConfig {
+    IdcaConfig {
+        checkpoint_every: 20,
+        ..cfg()
+    }
+}
+
+/// Acknowledges a run of 8 inserts, then crashes a run of 16 at the
+/// `pos`-th crossing of `point` inside it (the WAL gates are crossed
+/// once per record, the after-sync gate once per run, the checkpoint
+/// gates by the cadence checkpoint after the run). Nothing of the
+/// crashed run is applied in memory; recovery keeps the whole first run
+/// and exactly the prefix of the second that reached the file.
+fn crash_in_run_case(point: CrashPoint, mode: FaultMode, pos: u32) {
+    let name = format!("run-{}-{:?}-{pos}", point.name(), mode);
+    let dir = test_dir(&name);
+    let mut rng = StdRng::seed_from_u64(40 + u64::from(pos));
+    let baseline: Vec<UncertainObject> = (0..6).map(|_| random_object(&mut rng)).collect();
+    seed_dir(&dir, &baseline);
+    let first: Vec<UncertainObject> = (0..8).map(|_| random_object(&mut rng)).collect();
+    let second: Vec<UncertainObject> = (0..16).map(|_| random_object(&mut rng)).collect();
+
+    let wal_record_gate = matches!(point, CrashPoint::WalMidRecord | CrashPoint::WalBeforeSync);
+    // the first run crosses each record gate 8 times and the after-sync
+    // gate once; opening crosses each checkpoint gate once
+    let nth = if wal_record_gate { 8 + pos } else { 2 };
+    let io = FaultIo::armed(mode, point, nth);
+    let mut engine = Engine::open_with_io(&dir, run_cfg(), Box::new(io)).expect("armed open");
+    engine
+        .try_insert_run(first.clone())
+        .unwrap_or_else(|e| panic!("{name}: first run failed: {e}"));
+    assert!(
+        engine.try_insert_run(second.clone()).is_err(),
+        "{name}: the armed crash point never fired"
+    );
+    let applied = engine.db().len() - baseline.len() - first.len();
+    let checkpoint_gate = !wal_record_gate && point != CrashPoint::WalAfterSync;
+    // only the cadence checkpoint runs after the inserts are applied
+    let expect_applied = if checkpoint_gate { second.len() } else { 0 };
+    assert_eq!(applied, expect_applied, "{name}: applied in memory");
+    drop(engine);
+
+    let recovered = Engine::open_with_config(&dir, run_cfg())
+        .unwrap_or_else(|e| panic!("{name}: recovery failed: {e}"));
+    let survived = (recovered.mutations() as usize)
+        .checked_sub(baseline.len() + first.len())
+        .unwrap_or_else(|| panic!("{name}: an acknowledged insert was lost"));
+    let pos = pos as usize;
+    let expected = match (point, mode) {
+        (CrashPoint::WalMidRecord, FaultMode::WriteThrough) => pos - 1,
+        (CrashPoint::WalBeforeSync, FaultMode::WriteThrough) => pos,
+        // nothing of the run was fsynced
+        (_, FaultMode::WriteBack) if wal_record_gate => 0,
+        // the run's fsync came before the crash
+        _ => second.len(),
+    };
+    assert_eq!(survived, expected, "{name}: surviving prefix");
+
+    let mut oracle = Engine::with_config(Database::new(), run_cfg());
+    for o in baseline.iter().chain(&first).chain(&second[..survived]) {
+        oracle.insert(o.clone());
+    }
+    oracle.checkpoint().expect("oracle checkpoint");
+    let a = serde_json::to_string(recovered.db()).expect("serialize recovered");
+    let b = serde_json::to_string(oracle.db()).expect("serialize oracle");
+    assert_eq!(a, b, "{name}: databases diverged");
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn crash_at_every_point_and_record_of_a_run_recovers_a_prefix() {
+    for &point in CrashPoint::ALL.iter() {
+        let positions = match point {
+            CrashPoint::WalMidRecord | CrashPoint::WalBeforeSync => 1..=16,
+            _ => 1..=1,
+        };
+        for pos in positions {
+            for mode in [FaultMode::WriteThrough, FaultMode::WriteBack] {
+                crash_in_run_case(point, mode, pos);
+            }
+        }
+    }
+}
+
+/// An fsync that fails inside a pipelined run of `INSERT` lines — on
+/// the last shard, after the others synced — applies nothing: every
+/// line of the run replies `ERR insert failed`, no `NOTIFY` is pushed,
+/// and the served answers are unchanged.
+#[test]
+fn failed_run_fsync_applies_nothing_and_every_line_errs() {
+    let json = |o: &UncertainObject| serde_json::to_string(o).expect("objects serialize");
+    for shards in [1usize, 2] {
+        let dir = test_dir(&format!("failed-fsync-{shards}"));
+        let probes: Vec<Probe> = (0..shards).map(|_| Probe::default()).collect();
+        let engine =
+            ShardedEngine::open_with_io(&dir, cfg(), shards, |s| probes[s].io()).expect("open");
+        let mut server = Server::new(engine, 16);
+        let mut rng = StdRng::seed_from_u64(8);
+        let seed: Vec<String> = (0..10)
+            .map(|_| format!("INSERT {}", json(&random_object(&mut rng))))
+            .collect();
+        let (replies, _) = server.execute_batch(&seed);
+        assert!(replies.iter().all(|r| r.starts_with("OK ")), "{replies:?}");
+        let q = json(&random_object(&mut rng));
+        let (sub, _) = server.execute_batch(&[format!("SUB KNN 2 0.2 {q}")]);
+        assert!(sub[0].starts_with("SUB "), "{sub:?}");
+
+        let probe = vec![
+            format!("KNN 2 0.3 {q}"),
+            format!("RKNN 1 0.3 {q}"),
+            format!("TOPM 3 {q}"),
+            "STATS".to_owned(),
+        ];
+        let (before, _) = server.execute_batch(&probe);
+        let (len, mutations) = (server.engine().len(), server.engine().mutations());
+
+        probes[shards - 1].fail_syncs.store(true, Ordering::SeqCst);
+        let run: Vec<String> = (0..16)
+            .map(|_| format!("INSERT {}", json(&random_object(&mut rng))))
+            .collect();
+        let (replies, _) = server.execute_batch(&run);
+        assert_eq!(replies.len(), run.len(), "{shards} shards: {replies:?}");
+        assert!(
+            replies.iter().all(|r| r.starts_with("ERR insert failed: ")),
+            "{shards} shards: {replies:?}"
+        );
+        probes[shards - 1].fail_syncs.store(false, Ordering::SeqCst);
+
+        assert_eq!(server.engine().len(), len, "{shards} shards");
+        assert_eq!(server.engine().mutations(), mutations, "{shards} shards");
+        let (after, _) = server.execute_batch(&probe);
+        assert_eq!(before, after, "{shards} shards: served state changed");
+        drop(server);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
