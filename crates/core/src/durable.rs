@@ -376,6 +376,15 @@ pub(crate) fn recover(dir: &Path) -> Result<RecoveredState, DurableError> {
     })
 }
 
+/// The WAL position before a mutation call ([`Durability::mark`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WalMark {
+    seq: u64,
+    seg_len: u64,
+    unsynced: usize,
+    since_checkpoint: u64,
+}
+
 /// The engine's durability sidecar: owns the directory, the IO layer
 /// and the WAL/checkpoint bookkeeping. Mutation logging and
 /// checkpointing route through here; the engine applies state changes
@@ -386,6 +395,9 @@ pub(crate) struct Durability {
     /// Basis sequence: records append to `wal-{seq}.log`, the next
     /// checkpoint is `seq + 1`.
     seq: u64,
+    /// Bytes in the current segment (a running count of the appends,
+    /// so marking a mutation's start costs no `stat`).
+    seg_len: u64,
     /// Records appended since the last fsync of the current segment.
     unsynced: usize,
     /// Records logged since the last checkpoint.
@@ -393,6 +405,10 @@ pub(crate) struct Durability {
     /// Fsync the segment every this many records (`0`: only at
     /// checkpoints and explicit [`Durability::sync`] calls).
     sync_every: usize,
+    /// Set when a refused mutation's records could not be cut from the
+    /// WAL again: every later append is refused, so nothing is logged
+    /// after records that recovery would replay, until a reopen.
+    wedged: bool,
     /// Remove the whole directory on drop (the `UDB_WAL=1` auto-dir
     /// test shim only — explicit directories are never cleaned up).
     auto_cleanup: bool,
@@ -403,6 +419,7 @@ impl std::fmt::Debug for Durability {
         f.debug_struct("Durability")
             .field("dir", &self.dir)
             .field("seq", &self.seq)
+            .field("seg_len", &self.seg_len)
             .field("unsynced", &self.unsynced)
             .field("since_checkpoint", &self.since_checkpoint)
             .field("sync_every", &self.sync_every)
@@ -411,14 +428,19 @@ impl std::fmt::Debug for Durability {
 }
 
 impl Durability {
+    /// A sidecar appending to `wal-{seq}.log`. The caller checkpoints
+    /// before the first append, which rotates to a fresh, empty segment
+    /// (the running byte count starts at 0).
     pub(crate) fn new(dir: PathBuf, io: Box<dyn DurableIo>, seq: u64, sync_every: usize) -> Self {
         Durability {
             dir,
             io,
             seq,
+            seg_len: 0,
             unsynced: 0,
             since_checkpoint: 0,
             sync_every,
+            wedged: false,
             auto_cleanup: false,
         }
     }
@@ -437,10 +459,15 @@ impl Durability {
     }
 
     /// Appends one record and fsyncs per `sync_every`: [`Durability::append`]
-    /// then [`Durability::sync_due`].
+    /// then [`Durability::sync_due`]. On failure the record is rolled
+    /// back ([`Durability::roll_back`]).
     pub(crate) fn log(&mut self, record: &WalRecord) -> Result<(), DurableError> {
-        self.append(record)?;
-        self.sync_due()
+        let mark = self.mark();
+        let logged = self.append(record).and_then(|()| self.sync_due());
+        if logged.is_err() {
+            self.roll_back(mark);
+        }
+        logged
     }
 
     /// Appends one record to the current segment, honouring the
@@ -448,16 +475,53 @@ impl Durability {
     /// to stable storage: a run of appends ends with one
     /// [`Durability::sync_due`].
     pub(crate) fn append(&mut self, record: &WalRecord) -> Result<(), DurableError> {
+        if self.wedged {
+            return Err(DurableError::Io(io::Error::other(
+                "an earlier refused mutation could not be rolled back; reopen the engine",
+            )));
+        }
         let frame = record.encode();
         let path = wal_path(&self.dir, self.seq);
         let mid = frame.len() / 2;
         self.io.append(&path, &frame[..mid])?;
+        self.seg_len += mid as u64;
         self.io.gate(CrashPoint::WalMidRecord)?;
         self.io.append(&path, &frame[mid..])?;
+        self.seg_len += (frame.len() - mid) as u64;
         self.unsynced += 1;
         self.since_checkpoint += 1;
         self.io.gate(CrashPoint::WalBeforeSync)?;
         Ok(())
+    }
+
+    /// Where the WAL stands before a mutation call, for
+    /// [`Durability::roll_back`].
+    pub(crate) fn mark(&self) -> WalMark {
+        WalMark {
+            seq: self.seq,
+            seg_len: self.seg_len,
+            unsynced: self.unsynced,
+            since_checkpoint: self.since_checkpoint,
+        }
+    }
+
+    /// Takes a refused mutation call's records out of the WAL: cuts the
+    /// segment back to `mark` (and fsyncs it), so recovery never replays
+    /// what the caller was told failed. A failed cut wedges the WAL:
+    /// every later append is refused.
+    pub(crate) fn roll_back(&mut self, mark: WalMark) {
+        debug_assert_eq!(mark.seq, self.seq, "no checkpoint inside a mutation call");
+        match self
+            .io
+            .truncate(&wal_path(&self.dir, mark.seq), mark.seg_len)
+        {
+            Ok(()) => {
+                self.seg_len = mark.seg_len;
+                self.unsynced = mark.unsynced;
+                self.since_checkpoint = mark.since_checkpoint;
+            }
+            Err(_) => self.wedged = true,
+        }
     }
 
     /// Fsyncs the segment once when at least `sync_every` records are
@@ -515,6 +579,7 @@ impl Durability {
         // 4. rotate
         let prev_seq = self.seq;
         self.seq = new_seq;
+        self.seg_len = 0;
         self.unsynced = 0;
         self.since_checkpoint = 0;
         self.io.gate(CrashPoint::CheckpointBeforePrune)?;

@@ -39,20 +39,58 @@ use udb_index::{NodeDecision, RTree};
 use udb_object::{Database, ObjectId, UncertainObject};
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use crate::batch::{QueryBatch, QueryView};
 use crate::config::{IdcaConfig, ObjRef, Predicate};
 use crate::decomp::{DecompCache, DECOMP_CACHE_ENTRIES};
-use crate::durable::{rebuild_tree, recover, Durability, DurableError, RecoveryReport};
+use crate::durable::{rebuild_tree, recover, Durability, DurableError, RecoveryReport, WalMark};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
-use crate::refiner::{DbView, RefineStats, Refiner, ScratchPool};
+use crate::refiner::{DbView, RefineStats, Refiner};
 use crate::router::QueryPlane;
 use crate::standing::{
     self, validate_spec, ResultDelta, StandingRegistry, StandingSpec, StandingStats,
 };
 use crate::wal::{DurableIo, FileIo, WalRecord};
+
+/// The engines' pool of subtree-filter traversal scratch
+/// ([`udb_index::ClassifyScratch`]): each concurrent filter pass checks
+/// one out and returns it, so batch lanes building refiners in parallel
+/// never serialize on a single shared scratch — the lock is held only
+/// for the pop/push, never across a traversal. Refiners own their other
+/// buffers, which die with them.
+#[derive(Default)]
+pub(crate) struct ScratchPool {
+    classify: Mutex<Vec<udb_index::ClassifyScratch<ObjectId>>>,
+}
+
+/// Retained traversal scratches are capped so a burst of concurrent
+/// filter passes cannot pin its peak forever; excess buffers just drop.
+const SCRATCH_POOL_CAP: usize = 64;
+
+impl ScratchPool {
+    /// Runs `f` with a pooled subtree-filter traversal scratch, checked
+    /// out for the duration of the call (concurrent callers each get
+    /// their own; buffers are recycled afterwards).
+    pub(crate) fn with_classify<R>(
+        &self,
+        f: impl FnOnce(&mut udb_index::ClassifyScratch<ObjectId>) -> R,
+    ) -> R {
+        let mut scratch = self
+            .classify
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .pop()
+            .unwrap_or_default();
+        let out = f(&mut scratch);
+        let mut pool = self.classify.lock().unwrap_or_else(|p| p.into_inner());
+        if pool.len() < SCRATCH_POOL_CAP {
+            pool.push(scratch);
+        }
+        out
+    }
+}
 
 /// Entry-count cutoff of the per-candidate subtree filter: a `Descend`
 /// verdict on a subtree holding at most this many entries switches to
@@ -602,8 +640,8 @@ impl Engine {
     ///
     /// # Errors
     /// Fails when an append or the fsync fails: then **no** insert of
-    /// the run is applied (records already appended may still replay at
-    /// recovery, like a single insert whose fsync fails). Also fails
+    /// the run is applied, and its records are cut from the WAL again,
+    /// so recovery does not replay them either. Also fails
     /// when the cadence checkpoint after the run fails; the inserts are
     /// then applied and durable, and their deltas stay queued for
     /// [`Engine::take_standing_deltas`].
@@ -636,10 +674,15 @@ impl Engine {
         mut applied: impl FnMut(&Self, ObjectId),
     ) -> Result<(), DurableError> {
         assert_run_dims(self.db.dims(), &objects);
-        for object in &objects {
-            self.append_insert(object)?;
+        let mark = self.wal_mark();
+        let logged = objects
+            .iter()
+            .try_for_each(|object| self.append_insert(object))
+            .and_then(|()| self.sync_due());
+        if let Err(e) = logged {
+            self.wal_roll_back(mark);
+            return Err(e);
         }
-        self.sync_due()?;
         for object in objects {
             let id = self.apply_insert(object);
             applied(self, id);
@@ -656,6 +699,20 @@ impl Engine {
             })?;
         }
         Ok(())
+    }
+
+    /// The WAL position before a mutation call (`None` on in-memory
+    /// engines), for [`Engine::wal_roll_back`].
+    pub(crate) fn wal_mark(&self) -> Option<WalMark> {
+        self.durable.as_ref().map(Durability::mark)
+    }
+
+    /// Cuts the records a refused mutation call appended since `mark`
+    /// out of the WAL again, so recovery does not replay them.
+    pub(crate) fn wal_roll_back(&mut self, mark: Option<WalMark>) {
+        if let (Some(d), Some(mark)) = (&mut self.durable, mark) {
+            d.roll_back(mark);
+        }
     }
 
     /// Fsyncs the WAL segment when its cadence is due (a no-op on

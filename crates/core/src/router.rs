@@ -54,10 +54,10 @@ use std::sync::Arc;
 use crate::batch::QueryView;
 use crate::config::{IdcaConfig, ObjRef, Predicate};
 use crate::decomp::{DecompCache, SharedDecomp};
-use crate::engine::{tighten_dk, SUBTREE_SCAN_CUTOFF};
+use crate::engine::{tighten_dk, ScratchPool, SUBTREE_SCAN_CUTOFF};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
-use crate::refiner::{refine_each, refine_top_m, DbView, RefineStats, Refiner, ScratchPool};
+use crate::refiner::{refine_each, refine_top_m, DbView, RefineStats, Refiner};
 
 /// The storage primitives a query pipeline runs against, plus the
 /// pipeline itself as provided methods (see the module docs). `Copy`

@@ -61,10 +61,10 @@ use crate::batch::{QueryBatch, QueryView};
 use crate::config::IdcaConfig;
 use crate::decomp::{DecompCache, DECOMP_CACHE_ENTRIES};
 use crate::durable::{DurableError, RecoveryReport};
-use crate::engine::{assert_run_dims, Engine};
+use crate::engine::{assert_run_dims, Engine, ScratchPool};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
-use crate::refiner::{RefineStats, ScratchPool};
+use crate::refiner::RefineStats;
 use crate::router::{QueryPlane, ShardRef};
 use crate::standing::{
     self, validate_spec, ResultDelta, StandingRegistry, StandingSpec, StandingStats,
@@ -378,7 +378,8 @@ impl ShardedEngine {
     ///
     /// # Errors
     /// Fails when an append or an fsync fails: then no insert of the
-    /// run is applied. Also fails when a cadence checkpoint after the
+    /// run is applied, and every touched shard's records are cut from
+    /// its WAL again. Also fails when a cadence checkpoint after the
     /// run fails (the inserts are then applied, their deltas stay
     /// queued).
     ///
@@ -416,15 +417,24 @@ impl ShardedEngine {
         assert_run_dims(self.shards.iter().find_map(|e| e.db().dims()), &objects);
         let mut next: Vec<u32> = self.shards.iter().map(|e| e.db().next_id()).collect();
         let slots: Vec<(usize, u32)> = objects.iter().map(|_| next_slot(&mut next)).collect();
+        let marks: Vec<_> = self.shards.iter().map(Engine::wal_mark).collect();
         let mut touched: Vec<usize> = Vec::new();
-        for (object, &(s, _)) in objects.iter().zip(&slots) {
-            self.shards[s].append_insert(object)?;
-            if !touched.contains(&s) {
-                touched.push(s);
+        let mut log = || {
+            for (object, &(s, _)) in objects.iter().zip(&slots) {
+                if !touched.contains(&s) {
+                    touched.push(s);
+                }
+                self.shards[s].append_insert(object)?;
             }
-        }
-        for &s in &touched {
-            self.shards[s].sync_due()?;
+            touched.iter().try_for_each(|&s| self.shards[s].sync_due())
+        };
+        if let Err(e) = log() {
+            // a refused run leaves no record behind, also on the
+            // shards whose own fsync succeeded
+            for &s in &touched {
+                self.shards[s].wal_roll_back(marks[s]);
+            }
+            return Err(e);
         }
         for (object, (s, gid)) in objects.into_iter().zip(slots) {
             let local = self.shards[s].apply_insert(object);

@@ -312,6 +312,9 @@ pub trait DurableIo: Send {
     fn append(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Forces `path`'s appended bytes to stable storage.
     fn sync(&mut self, path: &Path) -> io::Result<()>;
+    /// Cuts `path` back to its first `len` bytes and forces that to
+    /// stable storage: takes a refused mutation's records out of the WAL.
+    fn truncate(&mut self, path: &Path, len: u64) -> io::Result<()>;
     /// Creates (or truncates) `path` with `bytes`.
     fn write_new(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// Atomically renames `from` to `to`.
@@ -377,6 +380,12 @@ impl DurableIo for FileIo {
 
     fn sync(&mut self, path: &Path) -> io::Result<()> {
         self.handle(path)?.sync_all()
+    }
+
+    fn truncate(&mut self, path: &Path, len: u64) -> io::Result<()> {
+        let file = self.handle(path)?;
+        file.set_len(len)?;
+        file.sync_all()
     }
 
     fn write_new(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
@@ -511,6 +520,23 @@ impl DurableIo for FaultIo {
             FaultIo::fs_append(path, &bytes)?;
         }
         Ok(())
+    }
+
+    fn truncate(&mut self, path: &Path, len: u64) -> io::Result<()> {
+        self.check()?;
+        // the file as written is its bytes on disk, then its unsynced ones
+        let on_disk = match std::fs::metadata(path) {
+            Ok(meta) => meta.len(),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+            Err(e) => return Err(e),
+        };
+        if let Some(pending) = self.pending.get_mut(path) {
+            pending.truncate(len.saturating_sub(on_disk) as usize);
+        }
+        if len < on_disk {
+            OpenOptions::new().write(true).open(path)?.set_len(len)?;
+        }
+        self.sync(path)
     }
 
     fn write_new(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {

@@ -567,6 +567,10 @@ impl DurableIo for ProbeIo {
         self.inner.sync(path)
     }
 
+    fn truncate(&mut self, path: &Path, len: u64) -> io::Result<()> {
+        self.inner.truncate(path, len)
+    }
+
     fn write_new(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         self.inner.write_new(path, bytes)
     }
@@ -759,5 +763,94 @@ fn failed_run_fsync_applies_nothing_and_every_line_errs() {
         assert_eq!(before, after, "{shards} shards: served state changed");
         drop(server);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Copies a durable directory tree (a restart's view of it: every file
+/// as written so far).
+fn copy_dir(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("create copy");
+    for entry in std::fs::read_dir(from).expect("read dir") {
+        let entry = entry.expect("dir entry");
+        let target = to.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).expect("copy file");
+        }
+    }
+}
+
+/// Mutations refused on a failed fsync leave no trace: their records are
+/// cut from the WAL again, so a restarted server serves exactly the
+/// acknowledged state, and hands out the same next id as the live one.
+/// The refused insert run fails on the last shard only, so the other
+/// shards' synced records must be cut as well.
+#[test]
+fn refused_mutations_leave_no_trace_after_a_reopen() {
+    let json = |o: &UncertainObject| serde_json::to_string(o).expect("objects serialize");
+    for shards in [1usize, 2] {
+        let dir = test_dir(&format!("refused-{shards}"));
+        let restarted = test_dir(&format!("refused-{shards}-restarted"));
+        let probes: Vec<Probe> = (0..shards).map(|_| Probe::default()).collect();
+        let engine =
+            ShardedEngine::open_with_io(&dir, cfg(), shards, |s| probes[s].io()).expect("open");
+        let mut server = Server::new(engine, 16);
+        let mut rng = StdRng::seed_from_u64(12);
+        let seed: Vec<String> = (0..10)
+            .map(|_| format!("INSERT {}", json(&random_object(&mut rng))))
+            .collect();
+        let (replies, _) = server.execute_batch(&seed);
+        assert!(replies.iter().all(|r| r.starts_with("OK ")), "{replies:?}");
+
+        probes[shards - 1].fail_syncs.store(true, Ordering::SeqCst);
+        let run: Vec<String> = (0..16)
+            .map(|_| format!("INSERT {}", json(&random_object(&mut rng))))
+            .collect();
+        let (replies, _) = server.execute_batch(&run);
+        assert_eq!(replies.len(), 16, "{shards} shards: {replies:?}");
+        assert!(
+            replies.iter().all(|r| r.starts_with("ERR insert failed: ")),
+            "{shards} shards: {replies:?}"
+        );
+        // global id `shards - 1` lives on the failing shard
+        let id = shards - 1;
+        let update = format!("UPDATE {id} {}", json(&random_object(&mut rng)));
+        let (replies, _) = server.execute_batch(&[update, format!("DELETE {id}")]);
+        assert!(replies[0].starts_with("ERR update failed: "), "{replies:?}");
+        assert!(replies[1].starts_with("ERR delete failed: "), "{replies:?}");
+        probes[shards - 1].fail_syncs.store(false, Ordering::SeqCst);
+
+        let stats = || "STATS".to_owned();
+        let acknowledged = "OK objects=10 mutations=10 ";
+        let (live, _) = server.execute_batch(&[stats()]);
+        assert!(
+            live[0].starts_with(acknowledged),
+            "{shards} shards: {live:?}"
+        );
+        let probe = vec![format!("KNN 2 0.3 {}", json(&random_object(&mut rng)))];
+        let (live_answer, _) = server.execute_batch(&probe);
+
+        copy_dir(&dir, &restarted);
+        let reopened = ShardedEngine::open(&restarted, cfg(), shards).expect("reopen");
+        let mut reopened = Server::new(reopened, 16);
+        let (after, _) = reopened.execute_batch(&[stats()]);
+        assert!(
+            after[0].starts_with(acknowledged),
+            "{shards} shards: {after:?}"
+        );
+        let (answer, _) = reopened.execute_batch(&probe);
+        assert_eq!(
+            answer, live_answer,
+            "{shards} shards: answers after a reopen"
+        );
+        let next = vec![format!("INSERT {}", json(&random_object(&mut rng)))];
+        let (live_id, _) = server.execute_batch(&next);
+        let (reopened_id, _) = reopened.execute_batch(&next);
+        assert_eq!(live_id, reopened_id, "{shards} shards: next insert id");
+        assert_eq!(live_id[0], "OK 10", "{shards} shards");
+        drop((server, reopened));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&restarted);
     }
 }

@@ -11,9 +11,15 @@
 //! snapshot walks the final level, which keeps no factor cache: it must
 //! equal, bit for bit and count for count, the cached walk of the same
 //! level by a refiner with a larger budget, at 1 and 2 pair lanes.
+//!
+//! A refiner keeps its last snapshot until a step makes progress: a
+//! repeated snapshot, at the final level and at a cached one below it,
+//! returns the same bits and leaves every counter but the round count
+//! alone.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use uncertain_db::prelude::*;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,6 +200,30 @@ fn refine_and_check(kind: Kind, dims: usize) -> (u64, u64) {
         counts,
         "{what}: 2 lanes"
     );
+    // below the budget the level is cached: a repeated snapshot is the
+    // kept one, and the walk after the next step still matches
+    let stats = Arc::new(RefineStats::default());
+    let mut mid = build_refiner(&db, &reference, 6, 1).with_stats(Arc::clone(&stats));
+    walk_to(&mut mid, 2);
+    let stepped = mid.step();
+    let first = mid.snapshot();
+    let counts = (mid.open_stats(), mid.cache_stats(), mid.partition_tests());
+    let rounds = stats.rounds();
+    assert_eq!(
+        bits(&mid.snapshot()),
+        bits(&first),
+        "{what}: repeated at depth 3"
+    );
+    assert_eq!(
+        (mid.open_stats(), mid.cache_stats(), mid.partition_tests()),
+        counts,
+        "{what}: repeated at depth 3"
+    );
+    assert_eq!(stats.rounds(), rounds + 1, "{what}: one round per call");
+    if stepped && mid.step() {
+        let next = mid.snapshot();
+        assert_matches_scratch(&next, &mid.snapshot_from_scratch(), &what);
+    }
     // past the budget (a shallower one, to keep the cache-free oracle
     // cheap) the uncached refiner rebuilds from nothing
     let mut short = build_refiner(&db, &reference, 3, 1);

@@ -163,6 +163,15 @@ fn crash_in_one_shard_leaves_siblings_intact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Removes a test directory when dropped, also while a panic unwinds.
+struct RemoveOnDrop(PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// The `shards` marker file pins the shard count: reopening a durable
 /// directory with a different count must refuse loudly instead of
 /// silently re-mapping every global id.
@@ -170,6 +179,8 @@ fn crash_in_one_shard_leaves_siblings_intact() {
 #[should_panic(expected = "shard")]
 fn reopening_with_a_different_shard_count_panics() {
     let dir = test_dir("marker");
+    // the expected panic unwinds past any cleanup at the end
+    let _cleanup = RemoveOnDrop(dir.clone());
     {
         let mut engine = ShardedEngine::open(&dir, cfg(), 2).expect("seed open");
         let mut rng = StdRng::seed_from_u64(1);
