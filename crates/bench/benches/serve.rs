@@ -1,6 +1,8 @@
-//! Query-stream serving throughput on the owned engine
-//! ([`udb_core::Engine`] via [`udb_workload::serve_stream`]), on a
-//! hot-spot-skewed mixed stream — the workload shape the shared-work
+//! Query-stream serving throughput on the owned engine (a
+//! [`udb_core::ShardedEngine`], driven directly by this bench's
+//! [`serve`] loop; at one shard every call goes straight to
+//! [`udb_core::Engine`]'s entry point), on a hot-spot-skewed mixed
+//! stream — the workload shape the shared-work
 //! machinery (the cross-query decomposition cache) is built for. The
 //! comparisons:
 //!
@@ -38,8 +40,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use udb_bench::Scale;
-use udb_core::{Engine, IdcaConfig, ShardedEngine, StandingSpec};
-use udb_workload::{serve_stream, PdfKind, QueryStreamConfig, ServeMode, SyntheticConfig};
+use udb_core::{Engine, IdcaConfig, QueryBatch, ShardedEngine, StandingSpec, ThresholdResult};
+use udb_workload::{PdfKind, QueryStream, QueryStreamConfig, StreamOp, SyntheticConfig};
 
 /// The hot-spot stream every serve bench replays: two arrival batches
 /// of mixed traffic around two hot spots — the candidate overlap across
@@ -65,6 +67,55 @@ fn stream_config() -> QueryStreamConfig {
     }
 }
 
+/// Serves a stream arrival batch by arrival batch: the batch's
+/// mutations apply first, in stream order (an insert adds the entry's
+/// object, a delete removes the live object nearest the entry's probe),
+/// then its queries run against the settled state — as one
+/// [`ShardedEngine::run_batch`] when `batched`, else one per-query call
+/// each. Returns each batch's query results.
+fn serve(
+    engine: &mut ShardedEngine,
+    stream: &QueryStream,
+    batched: bool,
+) -> Vec<Vec<Vec<ThresholdResult>>> {
+    let mut served = Vec::with_capacity(stream.len());
+    for batch in &stream.batches {
+        for entry in batch {
+            if entry.op == StreamOp::Insert {
+                engine.insert(entry.object.clone());
+            } else if entry.op == StreamOp::Delete {
+                if let Some(id) = engine.nearest(entry.object.mbr()) {
+                    engine.remove(id);
+                }
+            }
+        }
+        let queries = batch.iter().filter(|e| !e.op.is_mutation());
+        served.push(if batched {
+            let mut run = QueryBatch::new();
+            for q in queries {
+                let o = q.object.clone();
+                match q.op {
+                    StreamOp::KnnThreshold { k, tau } => run.knn_threshold(o, k, tau),
+                    StreamOp::RknnThreshold { k, tau } => run.rknn_threshold(o, k, tau),
+                    StreamOp::TopProbableNn { m } => run.top_probable_nn(o, m),
+                    op => unreachable!("the serve streams register no subscription: {op:?}"),
+                };
+            }
+            engine.run_batch(&run)
+        } else {
+            queries
+                .map(|q| match q.op {
+                    StreamOp::KnnThreshold { k, tau } => engine.knn_threshold(&q.object, k, tau),
+                    StreamOp::RknnThreshold { k, tau } => engine.rknn_threshold(&q.object, k, tau),
+                    StreamOp::TopProbableNn { m } => engine.top_probable_nn(&q.object, m),
+                    op => unreachable!("the serve streams register no subscription: {op:?}"),
+                })
+                .collect()
+        });
+    }
+    served
+}
+
 /// Benches one workload's sequential-vs-batched serving pair, both
 /// sides on the engine's persistent decomposition cache.
 fn serve_pair(c: &mut Criterion, group: &str, object_cfg: &SyntheticConfig, max_iterations: usize) {
@@ -74,22 +125,16 @@ fn serve_pair(c: &mut Criterion, group: &str, object_cfg: &SyntheticConfig, max_
         ..Default::default()
     };
     let stream = stream_config().generate(object_cfg);
-    let mut seq_engine = Engine::with_config(db.clone(), cfg.clone());
-    let mut bat_engine = Engine::with_config(db, cfg);
+    let mut seq_engine = ShardedEngine::with_config(db.clone(), cfg.clone(), 1);
+    let mut bat_engine = ShardedEngine::with_config(db, cfg, 1);
 
     let mut g = c.benchmark_group(group);
     g.sample_size(10);
     g.bench_function("sequential", |bench| {
-        bench.iter(|| {
-            black_box(serve_stream(
-                &mut seq_engine,
-                &stream,
-                ServeMode::Sequential,
-            ))
-        })
+        bench.iter(|| black_box(serve(&mut seq_engine, &stream, false)))
     });
     g.bench_function("batched", |bench| {
-        bench.iter(|| black_box(serve_stream(&mut bat_engine, &stream, ServeMode::Batched)))
+        bench.iter(|| black_box(serve(&mut bat_engine, &stream, true)))
     });
     g.finish();
 }
@@ -120,10 +165,10 @@ fn serve_durable_pair(
         checkpoint_every: 0, // steady-state logging, no checkpoint spikes
         ..Default::default()
     };
-    let mut memory = Engine::with_config(db.clone(), cfg.clone());
+    let mut memory = ShardedEngine::with_config(db.clone(), cfg.clone(), 1);
     let dir = std::env::temp_dir().join(format!("udb-bench-serve-durable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut durable = Engine::open_with_config(&dir, cfg).expect("open durable engine");
+    let mut durable = ShardedEngine::open(&dir, cfg, 1).expect("open durable engine");
     for (_, obj) in db.iter() {
         durable.insert(obj.clone());
     }
@@ -131,10 +176,10 @@ fn serve_durable_pair(
     let mut g = c.benchmark_group(group);
     g.sample_size(10);
     g.bench_function("memory", |bench| {
-        bench.iter(|| black_box(serve_stream(&mut memory, &stream, ServeMode::Batched)))
+        bench.iter(|| black_box(serve(&mut memory, &stream, true)))
     });
     g.bench_function("durable", |bench| {
-        bench.iter(|| black_box(serve_stream(&mut durable, &stream, ServeMode::Batched)))
+        bench.iter(|| black_box(serve(&mut durable, &stream, true)))
     });
     g.finish();
     drop(durable);
@@ -165,16 +210,16 @@ fn serve_sharded_pair(
         max_iterations,
         ..Default::default()
     };
-    let mut single = Engine::with_config(db.clone(), cfg.clone());
+    let mut single = ShardedEngine::with_config(db.clone(), cfg.clone(), 1);
     let mut sharded = ShardedEngine::with_config(db, cfg, 4);
 
     let mut g = c.benchmark_group(group);
     g.sample_size(10);
     g.bench_function("single", |bench| {
-        bench.iter(|| black_box(serve_stream(&mut single, &stream, ServeMode::Batched)))
+        bench.iter(|| black_box(serve(&mut single, &stream, true)))
     });
     g.bench_function("sharded", |bench| {
-        bench.iter(|| black_box(serve_stream(&mut sharded, &stream, ServeMode::Batched)))
+        bench.iter(|| black_box(serve(&mut sharded, &stream, true)))
     });
     g.finish();
 }

@@ -81,10 +81,6 @@ pub struct IdcaConfig {
     /// acknowledged mutations (never a prefix gap, never a reorder).
     /// `0` syncs only at checkpoints and explicit
     /// [`crate::Engine::wal_sync`] calls. Ignored by in-memory engines.
-    ///
-    /// The default honours the `UDB_WAL_SYNC_EVERY` environment
-    /// variable; `0` is meaningful, so only unparsable input falls back
-    /// to the default.
     pub wal_sync_every: usize,
     /// Automatic checkpoint cadence of a durable engine: after this
     /// many logged mutations the engine takes a checkpoint (database
@@ -94,11 +90,7 @@ pub struct IdcaConfig {
     /// never between a run's logged records and their application. `0`
     /// disables automatic checkpoints — only
     /// [`crate::Engine::checkpoint`] and the open-time checkpoint run.
-    /// Ignored by in-memory engines.
-    ///
-    /// The default (1024) honours the `UDB_CHECKPOINT_EVERY`
-    /// environment variable (`0` meaningful, unparsable input falls
-    /// back).
+    /// Defaults to 1024. Ignored by in-memory engines.
     pub checkpoint_every: usize,
 }
 
@@ -112,30 +104,6 @@ fn default_threads() -> usize {
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&t| t >= 1)
             .unwrap_or(1)
-    })
-}
-
-/// Default WAL fsync cadence; `0` is meaningful (sync only at
-/// checkpoints), so only unparsable input falls back to 1.
-fn default_wal_sync_every() -> usize {
-    static EVERY: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *EVERY.get_or_init(|| {
-        std::env::var("UDB_WAL_SYNC_EVERY")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1)
-    })
-}
-
-/// Default automatic-checkpoint cadence; `0` is meaningful (manual
-/// checkpoints only), so only unparsable input falls back to 1024.
-fn default_checkpoint_every() -> usize {
-    static EVERY: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *EVERY.get_or_init(|| {
-        std::env::var("UDB_CHECKPOINT_EVERY")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(1024)
     })
 }
 
@@ -154,8 +122,8 @@ impl Default for IdcaConfig {
             shard_materialize_min: 0,
             decomp_cache_entries: crate::DECOMP_CACHE_ENTRIES,
             prefilter: false,
-            wal_sync_every: default_wal_sync_every(),
-            checkpoint_every: default_checkpoint_every(),
+            wal_sync_every: 1,
+            checkpoint_every: 1024,
         }
     }
 }

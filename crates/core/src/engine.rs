@@ -758,11 +758,23 @@ impl Engine {
     ///
     /// # Errors
     /// Fails when the durable engine cannot log the record; the
-    /// mutation is then **not** applied.
+    /// mutation is then **not** applied. Also fails when the cadence
+    /// checkpoint after it fails; the removal is then applied and
+    /// durable, and standing maintenance has already seen it.
     ///
     /// # Panics
     /// Panics if `id` is not a live object.
     pub fn try_remove(&mut self, id: ObjectId) -> Result<UncertainObject, DurableError> {
+        let object = self.logged_remove(id)?;
+        self.checkpoint_due()?;
+        Ok(object)
+    }
+
+    /// [`Engine::try_remove`] without the checkpoint cadence: logs the
+    /// record, then applies the removal with all of its bookkeeping
+    /// (index, cache, mutation count, standing maintenance). The caller
+    /// checks [`Engine::checkpoint_due`] after its own bookkeeping.
+    pub(crate) fn logged_remove(&mut self, id: ObjectId) -> Result<UncertainObject, DurableError> {
         assert!(self.db.contains(id), "{id:?} is not a live object");
         if let Some(d) = &mut self.durable {
             d.log(&WalRecord::Remove { id: id.0 })?;
@@ -771,7 +783,7 @@ impl Engine {
         let removed = self.tree.remove(object.mbr(), &id);
         assert!(removed, "index entry missing for {id:?}");
         self.decomps.invalidate(id);
-        self.after_mutation()?;
+        self.mutations += 1;
         if !self.standing.is_empty() {
             let m = standing::Mutation {
                 id,
@@ -799,11 +811,25 @@ impl Engine {
     ///
     /// # Errors
     /// Fails when the durable engine cannot log the record; the
-    /// mutation is then **not** applied.
+    /// mutation is then **not** applied. Also fails when the cadence
+    /// checkpoint after it fails; the update is then applied and
+    /// durable, and standing maintenance has already seen it.
     ///
     /// # Panics
     /// Panics if `id` is dead or the dimensionality differs.
     pub fn try_update(
+        &mut self,
+        id: ObjectId,
+        object: UncertainObject,
+    ) -> Result<UncertainObject, DurableError> {
+        let old = self.logged_update(id, object)?;
+        self.checkpoint_due()?;
+        Ok(old)
+    }
+
+    /// [`Engine::try_update`] without the checkpoint cadence (see
+    /// [`Engine::logged_remove`]).
+    pub(crate) fn logged_update(
         &mut self,
         id: ObjectId,
         object: UncertainObject,
@@ -830,7 +856,7 @@ impl Engine {
         assert!(removed, "index entry missing for {id:?}");
         self.tree.insert(self.db.get(id).mbr().clone(), id);
         self.decomps.invalidate(id);
-        self.after_mutation()?;
+        self.mutations += 1;
         if !self.standing.is_empty() {
             let m = standing::Mutation {
                 id,
@@ -840,13 +866,6 @@ impl Engine {
             self.maintain_standing(&m);
         }
         Ok(old)
-    }
-
-    /// Post-apply bookkeeping of a remove or update: the lifetime
-    /// counter, plus the checkpoint cadence.
-    fn after_mutation(&mut self) -> Result<(), DurableError> {
-        self.mutations += 1;
-        self.checkpoint_due()
     }
 
     /// The automatic checkpoint cadence of durable engines

@@ -470,14 +470,18 @@ impl ShardedEngine {
     /// [`ShardedEngine::remove`], surfacing WAL errors.
     ///
     /// # Errors
-    /// Fails when the owning shard cannot log the record.
+    /// Fails when the owning shard cannot log the record; the mutation
+    /// is then **not** applied. Also fails when the shard's cadence
+    /// checkpoint after it fails; the removal is then applied and
+    /// durable, and the router cache and standing maintenance have
+    /// already seen it.
     ///
     /// # Panics
     /// Panics if `id` is not a live object.
     pub fn try_remove(&mut self, id: ObjectId) -> Result<UncertainObject, DurableError> {
         let shard = self.shard_of(id);
         let local = self.local_id(id);
-        let object = self.shards[shard].try_remove(local)?;
+        let object = self.shards[shard].logged_remove(local)?;
         // the router cache is keyed by global id; the shard engine only
         // invalidated its own (local-id-keyed, idle above 1 shard) cache
         self.decomps.invalidate(id);
@@ -489,6 +493,7 @@ impl ShardedEngine {
             };
             self.maintain_standing(&m);
         }
+        self.shards[shard].checkpoint_due()?;
         Ok(object)
     }
 
@@ -505,7 +510,8 @@ impl ShardedEngine {
     /// [`ShardedEngine::update`], surfacing WAL errors.
     ///
     /// # Errors
-    /// Fails when the owning shard cannot log the record.
+    /// Fails when the owning shard cannot log the record, or when its
+    /// cadence checkpoint fails (see [`ShardedEngine::try_remove`]).
     ///
     /// # Panics
     /// Panics if `id` is dead or the dimensionality differs.
@@ -516,7 +522,7 @@ impl ShardedEngine {
     ) -> Result<UncertainObject, DurableError> {
         let shard = self.shard_of(id);
         let local = self.local_id(id);
-        let old = self.shards[shard].try_update(local, object)?;
+        let old = self.shards[shard].logged_update(local, object)?;
         self.decomps.invalidate(id);
         if !self.standing.is_empty() {
             let m = standing::Mutation {
@@ -526,6 +532,7 @@ impl ShardedEngine {
             };
             self.maintain_standing(&m);
         }
+        self.shards[shard].checkpoint_due()?;
         Ok(old)
     }
 

@@ -43,15 +43,6 @@ pub enum NodeDecision {
     Descend,
 }
 
-/// Outcome of [`RTree::classify_entries`].
-#[derive(Debug, Clone, Default)]
-pub struct ClassifyOutcome<T> {
-    /// Payloads in `TakeAll` subtrees / entries.
-    pub taken: Vec<T>,
-    /// Payloads the classifier could not decide.
-    pub undecided: Vec<T>,
-}
-
 /// Reusable traversal state for [`RTree::classify_entries_with`]: the
 /// explicit node stack plus the two outcome buffers. A warm scratch makes
 /// repeated classifications of the same tree allocation-free — the
@@ -119,22 +110,9 @@ impl<T: Clone> RTree<T> {
     /// on entry MBRs. The caller must guarantee monotonicity — a
     /// `TakeAll`/`DropAll` answer for a covering rectangle must be valid
     /// for every rectangle inside it; otherwise results are meaningless.
-    ///
-    /// Convenience wrapper over [`RTree::classify_entries_with`] with a
-    /// fresh scratch and no subtree cutoff; hot per-candidate loops
-    /// should hold a [`ClassifyScratch`] and call the `_with` variant.
-    pub fn classify_entries(&self, f: impl FnMut(&Rect) -> NodeDecision) -> ClassifyOutcome<T> {
-        let mut scratch = ClassifyScratch::new();
-        self.classify_entries_with(&mut scratch, 0, f);
-        ClassifyOutcome {
-            taken: std::mem::take(&mut scratch.taken),
-            undecided: std::mem::take(&mut scratch.undecided),
-        }
-    }
-
-    /// [`RTree::classify_entries`] with a reusable [`ClassifyScratch`]
-    /// and an entry-count cutoff; results are left in `scratch.taken` /
-    /// `scratch.undecided` (cleared on entry).
+    /// Results are left in `scratch.taken` / `scratch.undecided`
+    /// (cleared on entry), so a warm [`ClassifyScratch`] makes repeated
+    /// classifications allocation-free.
     ///
     /// `small_subtree_cutoff` switches to the scan filter for small
     /// subtrees: a `Descend` verdict on a subtree holding at most that
@@ -210,46 +188,6 @@ impl<T: Clone> RTree<T> {
             }
         }
     }
-
-    /// Counts entries under subtrees fully accepted by `f`, without
-    /// collecting payloads (cheaper when only the count matters and no
-    /// undecided handling is needed: `Descend` leaf entries are counted as
-    /// undecided).
-    pub fn classify_count(&self, mut f: impl FnMut(&Rect) -> NodeDecision) -> (usize, usize) {
-        fn rec<T>(
-            node: &Node<T>,
-            f: &mut impl FnMut(&Rect) -> NodeDecision,
-            taken: &mut usize,
-            undecided: &mut usize,
-        ) {
-            match node {
-                Node::Leaf(entries) => {
-                    for (mbr, _) in entries {
-                        match f(mbr) {
-                            NodeDecision::TakeAll => *taken += 1,
-                            NodeDecision::DropAll => {}
-                            NodeDecision::Descend => *undecided += 1,
-                        }
-                    }
-                }
-                Node::Inner { children, .. } => {
-                    for (mbr, child) in children {
-                        match f(mbr) {
-                            NodeDecision::TakeAll => *taken += child.count(),
-                            NodeDecision::DropAll => {}
-                            NodeDecision::Descend => rec(child, f, taken, undecided),
-                        }
-                    }
-                }
-            }
-        }
-        let mut taken = 0;
-        let mut undecided = 0;
-        if let Some(root) = self.root() {
-            rec(root, &mut f, &mut taken, &mut undecided);
-        }
-        (taken, undecided)
-    }
 }
 
 #[cfg(test)]
@@ -259,6 +197,17 @@ mod tests {
 
     fn pt(x: f64, y: f64) -> Rect {
         Rect::from_point(&Point::from([x, y]))
+    }
+
+    /// One classification through a fresh scratch, no cutoff:
+    /// `(taken, undecided)`.
+    fn classify(
+        tree: &RTree<usize>,
+        f: impl FnMut(&Rect) -> NodeDecision,
+    ) -> (Vec<usize>, Vec<usize>) {
+        let mut scratch = ClassifyScratch::new();
+        tree.classify_entries_with(&mut scratch, 0, f);
+        (scratch.taken, scratch.undecided)
     }
 
     fn classifier(cut: f64) -> impl FnMut(&Rect) -> NodeDecision {
@@ -279,11 +228,10 @@ mod tests {
     fn classify_partitions_by_rule() {
         let items: Vec<(Rect, usize)> = (0..100).map(|i| (pt(i as f64, 0.0), i)).collect();
         let tree = RTree::bulk_load(items, 8);
-        let out = tree.classify_entries(classifier(49.5));
-        let mut taken = out.taken.clone();
+        let (mut taken, undecided) = classify(&tree, classifier(49.5));
         taken.sort_unstable();
         assert_eq!(taken, (0..50).collect::<Vec<_>>());
-        assert!(out.undecided.is_empty());
+        assert!(undecided.is_empty());
     }
 
     #[test]
@@ -297,29 +245,17 @@ mod tests {
             (pt(-5.0, 0.0), 2),
         ];
         let tree = RTree::bulk_load(items, 4);
-        let out = tree.classify_entries(classifier(1.0));
-        assert_eq!(out.undecided, vec![0]);
-        assert_eq!(out.taken, vec![2]);
-    }
-
-    #[test]
-    fn classify_count_matches_entries() {
-        let items: Vec<(Rect, usize)> = (0..257).map(|i| (pt(i as f64, 0.0), i)).collect();
-        let tree = RTree::bulk_load(items, 8);
-        let out = tree.classify_entries(classifier(100.2));
-        let (taken, undecided) = tree.classify_count(classifier(100.2));
-        assert_eq!(taken, out.taken.len());
-        assert_eq!(undecided, out.undecided.len());
-        assert_eq!(taken, 101);
+        let (taken, undecided) = classify(&tree, classifier(1.0));
+        assert_eq!(undecided, vec![0]);
+        assert_eq!(taken, vec![2]);
     }
 
     #[test]
     fn empty_tree_classifies_empty() {
         let tree: RTree<usize> = RTree::new(4);
-        let out = tree.classify_entries(|_| NodeDecision::TakeAll);
-        assert!(out.taken.is_empty());
-        assert!(out.undecided.is_empty());
-        assert_eq!(tree.classify_count(|_| NodeDecision::TakeAll), (0, 0));
+        let (taken, undecided) = classify(&tree, |_| NodeDecision::TakeAll);
+        assert!(taken.is_empty());
+        assert!(undecided.is_empty());
     }
 
     #[test]
@@ -327,12 +263,12 @@ mod tests {
         let items: Vec<(Rect, usize)> = (0..300).map(|i| (pt(i as f64, 0.0), i)).collect();
         let tree = RTree::bulk_load(items, 8);
         let mut scratch = ClassifyScratch::new();
-        let reference = tree.classify_entries(classifier(123.4));
+        let (taken, undecided) = classify(&tree, classifier(123.4));
         for cutoff in [0usize, 4, 8, 16, 64, 1000] {
             // repeated reuse of one scratch, across cutoffs
             tree.classify_entries_with(&mut scratch, cutoff, classifier(123.4));
-            assert_eq!(scratch.taken, reference.taken, "cutoff={cutoff}");
-            assert_eq!(scratch.undecided, reference.undecided, "cutoff={cutoff}");
+            assert_eq!(scratch.taken, taken, "cutoff={cutoff}");
+            assert_eq!(scratch.undecided, undecided, "cutoff={cutoff}");
         }
     }
 
@@ -367,8 +303,7 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(24))]
             /// Subtree classification with a monotone rule matches
             /// per-entry brute force, for both bulk-loaded and
-            /// incrementally built trees — and the scratch/cutoff variant
-            /// agrees at every cutoff.
+            /// incrementally built trees — at every cutoff.
             #[test]
             fn prop_classify_matches_bruteforce(seed in 0u64..500, cut in 0.0..100.0f64) {
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -392,9 +327,8 @@ mod tests {
                 }
                 let mut scratch = ClassifyScratch::new();
                 for tree in [&bulk, &incr] {
-                    let out = tree.classify_entries(classifier(cut));
-                    let mut taken = out.taken.clone();
-                    let mut undecided = out.undecided.clone();
+                    let out = classify(tree, classifier(cut));
+                    let (mut taken, mut undecided) = out.clone();
                     taken.sort_unstable();
                     undecided.sort_unstable();
                     let mut want_taken: Vec<usize> = items
@@ -411,15 +345,11 @@ mod tests {
                     want_undecided.sort_unstable();
                     prop_assert_eq!(&taken, &want_taken);
                     prop_assert_eq!(&undecided, &want_undecided);
-                    // counting variant agrees
-                    let (t, u) = tree.classify_count(classifier(cut));
-                    prop_assert_eq!(t, want_taken.len());
-                    prop_assert_eq!(u, want_undecided.len());
-                    // scratch + cutoff variant is outcome-identical
+                    // every cutoff is outcome-identical
                     for cutoff in [3usize, 20, 150] {
                         tree.classify_entries_with(&mut scratch, cutoff, classifier(cut));
-                        prop_assert_eq!(&scratch.taken, &out.taken);
-                        prop_assert_eq!(&scratch.undecided, &out.undecided);
+                        prop_assert_eq!(&scratch.taken, &out.0);
+                        prop_assert_eq!(&scratch.undecided, &out.1);
                     }
                 }
             }

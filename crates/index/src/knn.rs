@@ -75,82 +75,6 @@ impl<'a, T: Clone> KnnIter<'a, T> {
     }
 }
 
-/// Distance-bounded variant of [`KnnIter`]: streams exactly the entries
-/// with `MinDist ≤ radius`, in MinDist order. Unlike filtering the full
-/// kNN stream, the traversal prunes *before* pushing — nodes and
-/// entries beyond the radius never enter the heap — so a small-radius
-/// probe touches only the qualifying subtrees. Allocation-free beyond
-/// the traversal heap; query loops that probe repeatedly (e.g. the
-/// RkNN certain-dominator prefilter) consume it without materializing a
-/// `Vec` per probe.
-pub struct WithinDistanceIter<'a, T> {
-    heap: BinaryHeap<Prioritized<'a, T>>,
-    query: Rect,
-    norm: LpNorm,
-    radius: f64,
-}
-
-impl<'a, T: Clone> WithinDistanceIter<'a, T> {
-    pub(crate) fn new(root: Option<&'a Node<T>>, query: Rect, norm: LpNorm, radius: f64) -> Self {
-        let mut heap = BinaryHeap::new();
-        if let Some(root) = root {
-            if radius >= 0.0 {
-                heap.push(Prioritized {
-                    dist: 0.0,
-                    item: HeapItem::Node(root),
-                });
-            }
-        }
-        WithinDistanceIter {
-            heap,
-            query,
-            norm,
-            radius,
-        }
-    }
-}
-
-impl<T: Clone> Iterator for WithinDistanceIter<'_, T> {
-    type Item = Neighbor<T>;
-
-    fn next(&mut self) -> Option<Neighbor<T>> {
-        while let Some(Prioritized { dist, item }) = self.heap.pop() {
-            match item {
-                HeapItem::Entry(payload) => {
-                    // entries only enter the heap within the radius
-                    return Some(Neighbor {
-                        payload: payload.clone(),
-                        dist,
-                    });
-                }
-                HeapItem::Node(Node::Leaf(entries)) => {
-                    for (mbr, p) in entries {
-                        let d = mbr.min_dist_rect(&self.query, self.norm);
-                        if d <= self.radius {
-                            self.heap.push(Prioritized {
-                                dist: d,
-                                item: HeapItem::Entry(p),
-                            });
-                        }
-                    }
-                }
-                HeapItem::Node(Node::Inner { children, .. }) => {
-                    for (mbr, child) in children {
-                        let d = mbr.min_dist_rect(&self.query, self.norm);
-                        if d <= self.radius {
-                            self.heap.push(Prioritized {
-                                dist: d,
-                                item: HeapItem::Node(child),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-}
-
 impl<T: Clone> Iterator for KnnIter<'_, T> {
     type Item = Neighbor<T>;
 

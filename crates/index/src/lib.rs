@@ -11,13 +11,14 @@
 //!   axis split),
 //! * best-first incremental nearest-neighbour search by box-to-box
 //!   MinDist,
-//! * range (intersection) queries.
+//! * distance-bounded and pruned traversals, and subtree
+//!   classification by a containment-monotone predicate.
 
 pub mod classify;
 pub mod knn;
 pub mod node;
 pub mod rtree;
 
-pub use classify::{ClassifyOutcome, ClassifyScratch, NodeDecision};
-pub use knn::{KnnIter, Neighbor, WithinDistanceIter};
-pub use rtree::{RTree, RangeIter};
+pub use classify::{ClassifyScratch, NodeDecision};
+pub use knn::{KnnIter, Neighbor};
+pub use rtree::RTree;

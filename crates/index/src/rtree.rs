@@ -2,7 +2,7 @@
 
 use udb_geometry::{LpNorm, Rect};
 
-use crate::knn::{KnnIter, Neighbor, WithinDistanceIter};
+use crate::knn::{KnnIter, Neighbor};
 use crate::node::{split_entries, Node, DEFAULT_MAX_ENTRIES};
 
 /// An R-tree mapping MBRs to payloads.
@@ -139,23 +139,6 @@ impl<T: Clone> RTree<T> {
         true
     }
 
-    /// All payloads whose MBR intersects `query`.
-    pub fn range(&self, query: &Rect) -> Vec<T> {
-        self.range_iter(query).cloned().collect()
-    }
-
-    /// Iterator over references to all payloads whose MBR intersects
-    /// `query` (depth-first, arbitrary order). Allocation-free apart
-    /// from its traversal stack, so probe loops can prune without
-    /// collecting a `Vec` per probe; [`RTree::range`] delegates here.
-    pub fn range_iter<'q>(&'q self, query: &'q Rect) -> RangeIter<'q, T> {
-        RangeIter {
-            query,
-            leaf: [].iter(),
-            stack: self.root.as_ref().into_iter().collect(),
-        }
-    }
-
     /// The `k` nearest entries to `query` by box-to-box MinDist, sorted
     /// ascending (ties in arbitrary order).
     pub fn knn(&self, query: &Rect, k: usize, norm: LpNorm) -> Vec<Neighbor<T>> {
@@ -168,32 +151,12 @@ impl<T: Clone> RTree<T> {
         KnnIter::new(self.root.as_ref(), query.clone(), norm)
     }
 
-    /// Payloads within MinDist `radius` of `query`, in ascending MinDist
-    /// order.
-    pub fn within_distance(&self, query: &Rect, radius: f64, norm: LpNorm) -> Vec<T> {
-        self.within_distance_iter(query, radius, norm)
-            .map(|n| n.payload)
-            .collect()
-    }
-
-    /// Distance-ordered iterator over the entries within MinDist
-    /// `radius` of `query` (see [`WithinDistanceIter`]);
-    /// [`RTree::within_distance`] delegates here.
-    pub fn within_distance_iter(
-        &self,
-        query: &Rect,
-        radius: f64,
-        norm: LpNorm,
-    ) -> WithinDistanceIter<'_, T> {
-        WithinDistanceIter::new(self.root.as_ref(), query.clone(), norm, radius)
-    }
-
     /// Visits every payload whose MBR lies within MinDist `radius` of
     /// `query`, in arbitrary order, stopping the whole traversal early
     /// once `visit` returns `false`. Recursive and allocation-free — the
     /// cheapest form of a bounded probe for hot loops that only count or
-    /// test a predicate (the distance-*ordered*
-    /// [`RTree::within_distance_iter`] pays for a traversal heap).
+    /// test a predicate (the distance-*ordered* [`RTree::knn_iter`]
+    /// pays for a traversal heap).
     pub fn for_each_within_distance(
         &self,
         query: &Rect,
@@ -419,40 +382,6 @@ fn choose_subtree<T>(children: &[(Rect, Node<T>)], mbr: &Rect) -> usize {
     best
 }
 
-/// Depth-first iterator over the payloads intersecting a query rectangle
-/// (see [`RTree::range_iter`]).
-pub struct RangeIter<'a, T> {
-    query: &'a Rect,
-    /// Remaining entries of the leaf currently being scanned.
-    leaf: std::slice::Iter<'a, (Rect, T)>,
-    /// Nodes whose MBR intersects the query, not yet expanded.
-    stack: Vec<&'a Node<T>>,
-}
-
-impl<'a, T> Iterator for RangeIter<'a, T> {
-    type Item = &'a T;
-
-    fn next(&mut self) -> Option<&'a T> {
-        loop {
-            for (mbr, payload) in self.leaf.by_ref() {
-                if mbr.intersects(self.query) {
-                    return Some(payload);
-                }
-            }
-            match self.stack.pop()? {
-                Node::Leaf(entries) => self.leaf = entries.iter(),
-                Node::Inner { children, .. } => {
-                    for (mbr, child) in children {
-                        if mbr.intersects(self.query) {
-                            self.stack.push(child);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Sort-Tile-Recursive leaf packing: returns groups of at most
 /// `max_entries` items, tiled along x then y (generalized to `d`
 /// dimensions by recursive slicing).
@@ -552,12 +481,24 @@ mod tests {
             .collect()
     }
 
+    /// The range query: payloads whose MBR intersects `q`, sorted — the
+    /// entries at MinDist 0, through the bounded traversal.
+    fn intersecting(t: &RTree<usize>, q: &Rect) -> Vec<usize> {
+        let mut got = Vec::new();
+        t.for_each_within_distance(q, 0.0, LpNorm::L2, &mut |&i| {
+            got.push(i);
+            true
+        });
+        got.sort_unstable();
+        got
+    }
+
     #[test]
     fn empty_tree() {
         let t: RTree<usize> = RTree::default();
         assert!(t.is_empty());
         assert_eq!(t.height(), 0);
-        assert!(t.range(&pt_rect(0.0, 0.0)).is_empty());
+        assert!(intersecting(&t, &pt_rect(0.0, 0.0)).is_empty());
         assert!(t.knn(&pt_rect(0.0, 0.0), 3, LpNorm::L2).is_empty());
     }
 
@@ -583,7 +524,7 @@ mod tests {
 
     #[test]
     fn remove_maintains_invariants_and_queries() {
-        // interleave removals with range checks against a scan oracle,
+        // interleave removals with intersection checks against a scan oracle,
         // validating structural invariants (incl. cached counts) after
         // every deletion
         let items = random_rects(300, 21);
@@ -598,8 +539,7 @@ mod tests {
             assert_eq!(t.len(), live.len());
             t.check_invariants();
             if live.len().is_multiple_of(37) {
-                let mut got = t.range(&q);
-                got.sort_unstable();
+                let got = intersecting(&t, &q);
                 let mut want: Vec<usize> = live
                     .iter()
                     .filter(|(r, _)| r.intersects(&q))
@@ -637,8 +577,7 @@ mod tests {
         assert_eq!(t.len(), 120);
         t.check_invariants();
         let q = Rect::new(vec![Interval::new(0.0, 100.0), Interval::new(0.0, 100.0)]);
-        let mut got = t.range(&q);
-        got.sort_unstable();
+        let got = intersecting(&t, &q);
         let mut want: Vec<usize> = items
             .iter()
             .filter(|(r, _)| r.intersects(&q))
@@ -653,8 +592,7 @@ mod tests {
         let items = random_rects(400, 11);
         let t = RTree::bulk_load(items.clone(), 16);
         let q = Rect::new(vec![Interval::new(20.0, 40.0), Interval::new(20.0, 40.0)]);
-        let mut got = t.range(&q);
-        got.sort_unstable();
+        let got = intersecting(&t, &q);
         let mut want: Vec<usize> = items
             .iter()
             .filter(|(r, _)| r.intersects(&q))
@@ -707,25 +645,13 @@ mod tests {
             (pt_rect(10.0, 0.0), 2),
         ];
         let t = RTree::bulk_load(items, 4);
-        let mut got = t.within_distance(&pt_rect(0.0, 0.0), 5.0, LpNorm::L2);
+        let mut got = Vec::new();
+        t.for_each_within_distance(&pt_rect(0.0, 0.0), 5.0, LpNorm::L2, &mut |&i| {
+            got.push(i);
+            true
+        });
         got.sort_unstable();
         assert_eq!(got, vec![0, 1]);
-    }
-
-    #[test]
-    fn range_iter_matches_range() {
-        let items = random_rects(300, 19);
-        let t = RTree::bulk_load(items, 16);
-        let q = Rect::new(vec![Interval::new(25.0, 55.0), Interval::new(10.0, 70.0)]);
-        let mut via_iter: Vec<usize> = t.range_iter(&q).copied().collect();
-        via_iter.sort_unstable();
-        let mut via_vec = t.range(&q);
-        via_vec.sort_unstable();
-        assert_eq!(via_iter, via_vec);
-        assert!(!via_vec.is_empty());
-        // an empty tree streams nothing
-        let empty: RTree<usize> = RTree::default();
-        assert_eq!(empty.range_iter(&q).count(), 0);
     }
 
     #[test]
@@ -740,11 +666,11 @@ mod tests {
             true
         });
         seen.sort_unstable();
-        let mut want: Vec<usize> = t
-            .within_distance(&q, radius, LpNorm::L2)
-            .into_iter()
+        let want: Vec<usize> = items
+            .iter()
+            .filter(|(r, _)| r.min_dist_rect(&q, LpNorm::L2) <= radius)
+            .map(|(_, i)| *i)
             .collect();
-        want.sort_unstable();
         assert_eq!(seen, want);
         assert!(!want.is_empty());
         // early stop: the traversal ends after the first `false`
@@ -793,32 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn within_distance_iter_is_ordered_and_bounded() {
-        let items = random_rects(200, 23);
-        let t = RTree::bulk_load(items.clone(), 8);
-        let q = pt_rect(50.0, 50.0);
-        let radius = 15.0;
-        let stream: Vec<Neighbor<usize>> = t.within_distance_iter(&q, radius, LpNorm::L2).collect();
-        for w in stream.windows(2) {
-            assert!(w[0].dist <= w[1].dist + 1e-12, "not distance-ordered");
-        }
-        assert!(stream.iter().all(|n| n.dist <= radius));
-        // fused: once past the radius the iterator stays exhausted
-        let mut it = t.within_distance_iter(&q, radius, LpNorm::L2);
-        for _ in 0..stream.len() {
-            assert!(it.next().is_some());
-        }
-        assert!(it.next().is_none());
-        assert!(it.next().is_none());
-        // agrees with the brute-force count
-        let want = items
-            .iter()
-            .filter(|(r, _)| r.min_dist_rect(&q, LpNorm::L2) <= radius)
-            .count();
-        assert_eq!(stream.len(), want);
-    }
-
-    #[test]
     fn incremental_insert_then_query() {
         let mut t = RTree::new(4);
         for i in 0..50usize {
@@ -861,15 +761,13 @@ mod tests {
             let items = random_rects(150, seed);
             let t = RTree::bulk_load(items.clone(), 8);
             let q = Rect::new(vec![Interval::new(10.0, 60.0), Interval::new(30.0, 80.0)]);
-            let mut got = t.range(&q);
-            got.sort_unstable();
             let mut want: Vec<usize> = items
                 .iter()
                 .filter(|(r, _)| r.intersects(&q))
                 .map(|(_, i)| *i)
                 .collect();
             want.sort_unstable();
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(intersecting(&t, &q), want);
         }
     }
 }

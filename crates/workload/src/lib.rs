@@ -11,11 +11,11 @@
 //!   reproduces its statistical shape (see the [`iceberg`] module docs).
 //! * [`query`] — helpers for the paper's query protocol ("we chose B to be
 //!   the object with the 10th smallest MinDist to the reference object").
-
 //! * [`stream`] — query-stream workloads for serving benchmarks: mixed
-//!   kNN/RkNN/top-`m` traffic arriving in batches, with optional
-//!   hot-spot skew, plus the [`stream::serve_stream`] driver that runs a
-//!   stream sequentially or through the batched engine.
+//!   kNN/RkNN/top-`m` traffic and mutations arriving in batches, with
+//!   optional hot-spot skew.
+//!
+//! The crate only generates data; it does not depend on the engine.
 
 pub mod iceberg;
 pub mod query;
@@ -24,8 +24,5 @@ pub mod synthetic;
 
 pub use iceberg::IcebergConfig;
 pub use query::{target_by_min_dist_rank, QuerySet};
-pub use stream::{
-    serve_stream, serve_stream_with_report, MixCounts, QueryStream, QueryStreamConfig, ServeMode,
-    ServeReport, ServeResults, StreamEngine, StreamOp, StreamQuery,
-};
+pub use stream::{MixCounts, QueryStream, QueryStreamConfig, StreamOp, StreamQuery};
 pub use synthetic::{PdfKind, SyntheticConfig};

@@ -6,23 +6,14 @@
 //! a mix of query types, data mutations (inserts and deletes trickling
 //! in between queries) and (realistically) spatial skew: many users ask
 //! about the same hot regions. [`QueryStreamConfig`] generates such a
-//! stream deterministically (same seed ⇒ same stream), and
-//! [`serve_stream`] drives it through any owned [`StreamEngine`] — a
-//! plain [`Engine`] or a sharded [`ShardedEngine`] — either
-//! query-by-query ([`ServeMode::Sequential`], the per-query entry
-//! points) or batch-by-batch ([`ServeMode::Batched`], the shared-work
-//! [`QueryBatch`] pass). Mutations are applied identically in both
-//! modes, so the two return bit-identical results; and the sharded
-//! engine's routing is id-order-preserving, so a sharded serve returns
-//! bit-identical results to a single-engine serve of the same stream
-//! (the `sharded_vs_single` pair in the `serve` bench group records the
-//! throughput ratio).
+//! stream deterministically (same seed ⇒ same stream). This crate only
+//! generates the stream; the `serve` crate's `generate_script` renders
+//! it as protocol lines, and its `Server` executes them.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use udb_core::{DurableError, Engine, QueryBatch, ShardedEngine, StandingSpec, ThresholdResult};
-use udb_geometry::{Point, Rect};
+use udb_geometry::Point;
 use udb_object::UncertainObject;
 
 use crate::synthetic::SyntheticConfig;
@@ -56,7 +47,7 @@ pub enum StreamOp {
     /// objects — including hot-spot skew — so deletions target the hot
     /// working set exactly like the queries hammering it.
     Delete,
-    /// Register a standing kNN query ([`udb_core::standing`]): the
+    /// Register a standing kNN query (the engine's `standing` module): the
     /// entry's object becomes a subscription whose result set the
     /// engine maintains incrementally as later mutations land. The
     /// entry's own result is the subscription's initial answer.
@@ -338,279 +329,9 @@ impl QueryStreamConfig {
     }
 }
 
-/// How [`serve_stream`] executes the queries of each arrival batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// One call per query through the per-query entry points (the
-    /// baseline a serving system without batching would run).
-    Sequential,
-    /// One [`Engine::run_batch`] per arrival batch (cross-query
-    /// decomposition cache, scratch reuse, `batch_threads` fan-out).
-    Batched,
-}
-
-/// An owned engine [`serve_stream`] can drive: the mutation, query and
-/// shutdown surface the stream driver needs, implemented by the plain
-/// [`Engine`] and the sharded [`ShardedEngine`]. Both implementations
-/// delegate straight to the engine's own entry points, so serving the
-/// same stream through either returns bit-identical results.
-pub trait StreamEngine {
-    /// Applies an arrival ([`StreamOp::Insert`]).
-    fn stream_insert(&mut self, object: UncertainObject);
-    /// Applies a departure ([`StreamOp::Delete`]): removes the live
-    /// object nearest `probe`, returning whether one existed.
-    fn stream_remove_nearest(&mut self, probe: &Rect) -> bool;
-    /// Probabilistic threshold kNN (the engine's own entry point).
-    fn stream_knn(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult>;
-    /// Probabilistic threshold RkNN.
-    fn stream_rknn(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult>;
-    /// Top-`m` probable nearest neighbours.
-    fn stream_top_m(&self, q: &UncertainObject, m: usize) -> Vec<ThresholdResult>;
-    /// Registers a standing kNN query ([`StreamOp::Subscribe`]),
-    /// returning its initial result set. Maintenance deltas queue in
-    /// the engine (drain with its `take_standing_deltas`).
-    fn stream_subscribe(&mut self, q: &UncertainObject, k: usize, tau: f64)
-        -> Vec<ThresholdResult>;
-    /// One shared-work pass over a query batch.
-    fn stream_run_batch(&self, batch: &QueryBatch) -> Vec<Vec<ThresholdResult>>;
-    /// The graceful-shutdown handshake: WAL fsync + final checkpoint.
-    ///
-    /// # Errors
-    /// Fails when a durable engine cannot flush or checkpoint.
-    fn stream_flush(&mut self) -> Result<(), DurableError>;
-}
-
-impl StreamEngine for Engine {
-    fn stream_insert(&mut self, object: UncertainObject) {
-        self.insert(object);
-    }
-    fn stream_remove_nearest(&mut self, probe: &Rect) -> bool {
-        match self.nearest(probe) {
-            Some(id) => {
-                self.remove(id);
-                true
-            }
-            None => false,
-        }
-    }
-    fn stream_knn(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
-        self.knn_threshold(q, k, tau)
-    }
-    fn stream_rknn(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
-        self.rknn_threshold(q, k, tau)
-    }
-    fn stream_top_m(&self, q: &UncertainObject, m: usize) -> Vec<ThresholdResult> {
-        self.top_probable_nn(q, m)
-    }
-    fn stream_subscribe(
-        &mut self,
-        q: &UncertainObject,
-        k: usize,
-        tau: f64,
-    ) -> Vec<ThresholdResult> {
-        self.subscribe(q.clone(), StandingSpec::Knn { k, tau }).1
-    }
-    fn stream_run_batch(&self, batch: &QueryBatch) -> Vec<Vec<ThresholdResult>> {
-        self.run_batch(batch)
-    }
-    fn stream_flush(&mut self) -> Result<(), DurableError> {
-        self.wal_sync()?;
-        self.checkpoint()
-    }
-}
-
-impl StreamEngine for ShardedEngine {
-    fn stream_insert(&mut self, object: UncertainObject) {
-        self.insert(object);
-    }
-    fn stream_remove_nearest(&mut self, probe: &Rect) -> bool {
-        match self.nearest(probe) {
-            Some(id) => {
-                self.remove(id);
-                true
-            }
-            None => false,
-        }
-    }
-    fn stream_knn(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
-        self.knn_threshold(q, k, tau)
-    }
-    fn stream_rknn(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
-        self.rknn_threshold(q, k, tau)
-    }
-    fn stream_top_m(&self, q: &UncertainObject, m: usize) -> Vec<ThresholdResult> {
-        self.top_probable_nn(q, m)
-    }
-    fn stream_subscribe(
-        &mut self,
-        q: &UncertainObject,
-        k: usize,
-        tau: f64,
-    ) -> Vec<ThresholdResult> {
-        self.subscribe(q.clone(), StandingSpec::Knn { k, tau }).1
-    }
-    fn stream_run_batch(&self, batch: &QueryBatch) -> Vec<Vec<ThresholdResult>> {
-        self.run_batch(batch)
-    }
-    fn stream_flush(&mut self) -> Result<(), DurableError> {
-        self.wal_sync()?;
-        self.checkpoint()
-    }
-}
-
-/// Drives a stream through the owned engine, batch by batch, and
-/// returns the per-batch, per-entry results (aligned with the stream;
-/// mutation entries yield an empty result vector).
-///
-/// Each arrival batch applies its **mutations first, in stream order**
-/// — [`StreamOp::Insert`] adds the entry's object,
-/// [`StreamOp::Delete`] removes the live object nearest the entry's
-/// probe ([`Engine::nearest`]; a no-op on an empty database) — then
-/// executes the batch's queries against the settled state. Both modes
-/// apply mutations identically, so they return bit-identical results;
-/// they differ only in how query work is shared, which is exactly what
-/// the `serve` benchmark measures as sustained operations/sec. The
-/// engine's decomposition cache stays warm *across* batches — the
-/// serving state this driver is built to measure.
-pub fn serve_stream<E: StreamEngine>(
-    engine: &mut E,
-    stream: &QueryStream,
-    mode: ServeMode,
-) -> ServeResults {
-    serve_batches(engine, stream, mode, &mut ServeReport::default())
-}
-
-/// Per-batch, per-entry query results from a served stream, aligned
-/// with the stream's entries (mutation entries yield an empty vector).
-pub type ServeResults = Vec<Vec<Vec<ThresholdResult>>>;
-
-/// What [`serve_stream_with_report`] did to the engine, alongside the
-/// query results: the applied-mutation counts a serving operator
-/// reconciles against the upstream feed, and whether the end-of-stream
-/// durability handshake ran.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServeReport {
-    /// Objects inserted from [`StreamOp::Insert`] entries.
-    pub inserts: u64,
-    /// Objects removed by [`StreamOp::Delete`] entries. Can trail the
-    /// stream's delete count: a delete against an empty database is a
-    /// no-op.
-    pub removes: u64,
-    /// Query entries executed (threshold kNN/RkNN + top-`m`).
-    pub queries: u64,
-    /// Whether the graceful-shutdown handshake ran at stream end: WAL
-    /// fsync + final checkpoint on a durable engine, so a crash *after*
-    /// the stream loses nothing. Always `true` after
-    /// [`serve_stream_with_report`] returns `Ok`; in-memory engines
-    /// still get the checkpoint's compaction + index rebuild.
-    pub flushed: bool,
-}
-
-/// [`serve_stream`] with a graceful shutdown: after the last batch the
-/// engine's WAL is fsynced and a final checkpoint is taken
-/// ([`Engine::wal_sync`] + [`Engine::checkpoint`]), so every
-/// acknowledged mutation is on stable storage and recovery replays
-/// nothing. Returns the per-batch results plus a [`ServeReport`] of
-/// applied mutation counts.
-///
-/// # Errors
-/// Fails when the durable engine cannot flush or checkpoint; results
-/// and counts up to that point are lost to the caller, but the WAL
-/// still holds every mutation that was acknowledged mid-stream.
-pub fn serve_stream_with_report<E: StreamEngine>(
-    engine: &mut E,
-    stream: &QueryStream,
-    mode: ServeMode,
-) -> Result<(ServeResults, ServeReport), udb_core::DurableError> {
-    let mut report = ServeReport::default();
-    let results = serve_batches(engine, stream, mode, &mut report);
-    engine.stream_flush()?;
-    report.flushed = true;
-    Ok((results, report))
-}
-
-fn serve_batches<E: StreamEngine>(
-    engine: &mut E,
-    stream: &QueryStream,
-    mode: ServeMode,
-    report: &mut ServeReport,
-) -> ServeResults {
-    stream
-        .batches
-        .iter()
-        .map(|batch| {
-            // mutations settle first (identically in both modes);
-            // subscriptions register here too — their initial answer is
-            // computed against the settled state, in both modes, and
-            // slots into the entry's result position below
-            let mut sub_results: std::collections::HashMap<usize, Vec<ThresholdResult>> =
-                std::collections::HashMap::new();
-            for (i, entry) in batch.iter().enumerate() {
-                match entry.op {
-                    StreamOp::Insert => {
-                        engine.stream_insert(entry.object.clone());
-                        report.inserts += 1;
-                    }
-                    StreamOp::Delete if engine.stream_remove_nearest(entry.object.mbr()) => {
-                        report.removes += 1;
-                    }
-                    StreamOp::Subscribe { k, tau } => {
-                        sub_results.insert(i, engine.stream_subscribe(&entry.object, k, tau));
-                    }
-                    _ => {}
-                }
-            }
-            report.queries += batch.iter().filter(|q| !q.op.is_mutation()).count() as u64;
-            match mode {
-                ServeMode::Sequential => batch
-                    .iter()
-                    .enumerate()
-                    .map(|(i, q)| match q.op {
-                        StreamOp::KnnThreshold { k, tau } => engine.stream_knn(&q.object, k, tau),
-                        StreamOp::RknnThreshold { k, tau } => engine.stream_rknn(&q.object, k, tau),
-                        StreamOp::TopProbableNn { m } => engine.stream_top_m(&q.object, m),
-                        StreamOp::Subscribe { .. } => sub_results.remove(&i).unwrap_or_default(),
-                        StreamOp::Insert | StreamOp::Delete => Vec::new(),
-                    })
-                    .collect(),
-                ServeMode::Batched => {
-                    let mut qb = QueryBatch::new();
-                    for q in batch {
-                        match q.op {
-                            StreamOp::KnnThreshold { k, tau } => {
-                                qb.knn_threshold(q.object.clone(), k, tau);
-                            }
-                            StreamOp::RknnThreshold { k, tau } => {
-                                qb.rknn_threshold(q.object.clone(), k, tau);
-                            }
-                            StreamOp::TopProbableNn { m } => {
-                                qb.top_probable_nn(q.object.clone(), m);
-                            }
-                            StreamOp::Insert | StreamOp::Delete | StreamOp::Subscribe { .. } => {}
-                        }
-                    }
-                    let mut results = engine.stream_run_batch(&qb).into_iter();
-                    batch
-                        .iter()
-                        .enumerate()
-                        .map(|(i, q)| match q.op {
-                            StreamOp::Insert | StreamOp::Delete => Vec::new(),
-                            StreamOp::Subscribe { .. } => {
-                                sub_results.remove(&i).unwrap_or_default()
-                            }
-                            _ => results.next().expect("one result set per query"),
-                        })
-                        .collect()
-                }
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use udb_core::IdcaConfig;
 
     fn small_cfg() -> QueryStreamConfig {
         QueryStreamConfig {
@@ -789,104 +510,5 @@ mod tests {
         };
         let stream = cfg.generate(&object_cfg());
         assert_eq!(stream.total_ops(), 15);
-    }
-
-    #[test]
-    fn serve_modes_agree_end_to_end() {
-        let object_cfg = SyntheticConfig {
-            n: 150,
-            max_extent: 0.02,
-            ..Default::default()
-        };
-        let db = object_cfg.generate();
-        let idca = IdcaConfig {
-            max_iterations: 4,
-            ..Default::default()
-        };
-        let stream = QueryStreamConfig {
-            batches: 2,
-            batch_size: 4,
-            k: 3,
-            ..Default::default()
-        }
-        .generate(&object_cfg);
-        let mut seq_engine = Engine::with_config(db.clone(), idca.clone());
-        let mut bat_engine = Engine::with_config(db, idca);
-        let seq = serve_stream(&mut seq_engine, &stream, ServeMode::Sequential);
-        let bat = serve_stream(&mut bat_engine, &stream, ServeMode::Batched);
-        assert_eq!(seq, bat);
-    }
-
-    #[test]
-    fn serve_modes_agree_with_mutations() {
-        let object_cfg = SyntheticConfig {
-            n: 120,
-            max_extent: 0.02,
-            ..Default::default()
-        };
-        let db = object_cfg.generate();
-        let idca = IdcaConfig {
-            max_iterations: 3,
-            ..Default::default()
-        };
-        let stream = QueryStreamConfig {
-            batches: 3,
-            batch_size: 6,
-            k: 3,
-            insert_weight: 0.25,
-            delete_weight: 0.2,
-            ..Default::default()
-        }
-        .generate(&object_cfg);
-        assert!(
-            stream.mix_counts().mutations() > 0,
-            "stream must exercise the mutation path"
-        );
-        let mut seq_engine = Engine::with_config(db.clone(), idca.clone());
-        let mut bat_engine = Engine::with_config(db.clone(), idca.clone());
-        let seq = serve_stream(&mut seq_engine, &stream, ServeMode::Sequential);
-        let bat = serve_stream(&mut bat_engine, &stream, ServeMode::Batched);
-        assert_eq!(seq, bat);
-        // both engines converged to the same mutated database; the db
-        // never empties mid-stream, so every delete found a victim
-        let counts = stream.mix_counts();
-        let expected = db.len() + counts.insert - counts.delete;
-        assert_eq!(seq_engine.db().len(), expected);
-        assert_eq!(bat_engine.db().len(), expected);
-        seq_engine.tree().check_invariants();
-    }
-
-    #[test]
-    fn sharded_serve_matches_single_engine() {
-        // the ShardedEngine driver: same stream, same mode, sharded 3
-        // ways — results are bit-identical to the single engine because
-        // routing preserves arrival order in the global id space
-        let object_cfg = SyntheticConfig {
-            n: 120,
-            max_extent: 0.02,
-            ..Default::default()
-        };
-        let db = object_cfg.generate();
-        let idca = IdcaConfig {
-            max_iterations: 3,
-            ..Default::default()
-        };
-        let stream = QueryStreamConfig {
-            batches: 3,
-            batch_size: 6,
-            k: 3,
-            insert_weight: 0.25,
-            delete_weight: 0.2,
-            ..Default::default()
-        }
-        .generate(&object_cfg);
-        let mut single = Engine::with_config(db.clone(), idca.clone());
-        let mut sharded = ShardedEngine::with_config(db, idca, 3);
-        for mode in [ServeMode::Sequential, ServeMode::Batched] {
-            let a = serve_stream(&mut single, &stream, mode);
-            let b = serve_stream(&mut sharded, &stream, mode);
-            assert_eq!(a, b);
-        }
-        assert_eq!(single.db().len(), sharded.len());
     }
 }

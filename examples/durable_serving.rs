@@ -3,7 +3,7 @@
 //! registered crash point (the example re-spawns itself as the victim
 //! via `UDB_CRASH_POINT`), and the parent verifies each time that
 //! recovery lands on a consistent, loudly-reported state — finishing
-//! with a graceful shutdown + replay-free reopen.
+//! with a protocol `FLUSH` + replay-free reopen.
 //!
 //! ```sh
 //! cargo run --release --example durable_serving
@@ -14,6 +14,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
+use udb_serve::{generate_script, Server};
 use uncertain_db::core::CrashPoint;
 use uncertain_db::prelude::*;
 
@@ -135,88 +136,61 @@ fn main() -> ExitCode {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // and the happy path: serve a stream durably, shut down gracefully,
-    // reopen with nothing to replay
-    let dir =
-        std::env::temp_dir().join(format!("udb-durable-serving-{}-clean", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    // and the happy path: serve a script durably through the protocol
+    // server at one and at three shards (each shard owns its own WAL +
+    // checkpoint directory under one root: `shard-0/`, `shard-1/`, …),
+    // shut down gracefully with the script's closing FLUSH, reopen with
+    // nothing to replay. (Crash isolation — a fault in one shard
+    // leaving its siblings untouched — is proven per crash point in
+    // tests/sharded_durability.rs.)
     let object_cfg = SyntheticConfig {
         n: 120,
         max_extent: 0.02,
         ..Default::default()
     };
-    let stream = QueryStreamConfig {
+    let stream_cfg = QueryStreamConfig {
         batches: 4,
         batch_size: 6,
         insert_weight: 0.2,
         delete_weight: 0.1,
         ..Default::default()
+    };
+    let script: Vec<String> = generate_script(&object_cfg, &stream_cfg)
+        .lines()
+        .map(str::to_owned)
+        .collect();
+    let mut served = Vec::new();
+    for shards in [1usize, 3] {
+        let dir = std::env::temp_dir().join(format!(
+            "udb-durable-serving-{}-clean-{shards}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = ShardedEngine::open(&dir, cfg(), shards).expect("serving open");
+        let mut server = Server::new(engine, 16);
+        let (replies, _) = server.execute_batch(&script);
+        assert!(replies.iter().any(|r| r == "OK flushed"), "{replies:?}");
+        let queries = replies.iter().filter(|r| r.starts_with("RES ")).count();
+        let mutations = server.engine().mutations();
+        drop(server); // drop == crash; FLUSH already checkpointed
+        let reopened = ShardedEngine::open(&dir, cfg(), shards).expect("reopen after FLUSH");
+        for (s, recovery) in reopened.recovery_reports().into_iter().enumerate() {
+            let recovery = recovery.expect("durable shard");
+            assert_eq!(recovery.replayed, 0, "shard {s} left WAL records");
+            assert!(recovery.warnings.is_empty(), "shard {s}: {recovery:?}");
+        }
+        assert_eq!(reopened.mutations(), mutations);
+        println!(
+            "served {queries} queries durably at {shards} shard(s), flushed; \
+             reopened replay-free at {mutations} lifetime mutations"
+        );
+        served.push(replies);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    .generate(&object_cfg);
-    let mut engine = Engine::open_with_config(&dir, cfg()).expect("serving open");
-    let seed_db = object_cfg.generate();
-    for (_, obj) in seed_db.iter() {
-        engine.insert(obj.clone());
-    }
-    let (single_replies, report) =
-        serve_stream_with_report(&mut engine, &stream, ServeMode::Batched).expect("durable serve");
-    println!(
-        "\nserved {} queries durably (+{} inserts, -{} removes), flushed: {}",
-        report.queries, report.inserts, report.removes, report.flushed
-    );
-    let mutations = engine.mutations();
-    drop(engine); // drop == crash; the handshake already checkpointed
-    let reopened = Engine::open(&dir).expect("reopen after graceful shutdown");
-    let recovery = reopened.recovery_report().expect("reopened").clone();
-    assert_eq!(recovery.replayed, 0, "graceful shutdown left WAL records");
-    assert!(recovery.warnings.is_empty(), "{recovery:?}");
-    assert_eq!(reopened.mutations(), mutations);
-    println!(
-        "reopened replay-free at {} lifetime mutations (basis ckpt {:?})",
-        reopened.mutations(),
-        recovery.checkpoint_seq
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // The sharded variant of the same graceful story: three shards,
-    // each owning its own WAL + checkpoint directory under one root
-    // (`shard-0/`, `shard-1/`, …), serving the identical stream with
-    // bit-identical replies, then recovering independently and
-    // replay-free on reopen. (Crash isolation — a fault in one shard
-    // leaving its siblings untouched — is proven per crash point in
-    // tests/sharded_durability.rs.)
-    let dir = std::env::temp_dir().join(format!(
-        "udb-durable-serving-{}-sharded",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut sharded = ShardedEngine::open(&dir, cfg(), 3).expect("sharded open");
-    for (_, obj) in seed_db.iter() {
-        sharded.insert(obj.clone());
-    }
-    let (sharded_replies, report) =
-        serve_stream_with_report(&mut sharded, &stream, ServeMode::Batched)
-            .expect("sharded durable serve");
     assert_eq!(
-        single_replies, sharded_replies,
-        "sharded durable replies must be bit-identical to the single engine"
+        served[0], served[1],
+        "sharded durable replies must be byte-identical to one shard's"
     );
-    let mutations = sharded.mutations();
-    drop(sharded);
-    let reopened = ShardedEngine::open(&dir, cfg(), 3).expect("sharded reopen");
-    for (s, recovery) in reopened.recovery_reports().into_iter().enumerate() {
-        let recovery = recovery.expect("durable shard");
-        assert_eq!(recovery.replayed, 0, "shard {s} left WAL records");
-        assert!(recovery.warnings.is_empty(), "shard {s}: {recovery:?}");
-    }
-    assert_eq!(reopened.mutations(), mutations);
-    println!(
-        "sharded serve (3 shards): {} queries, replies bit-identical, \
-         all shards reopened replay-free at {} lifetime mutations",
-        report.queries,
-        reopened.mutations()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 
     if failures == 0 {
         println!("\nall {} crash points recovered", CrashPoint::ALL.len());

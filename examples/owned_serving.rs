@@ -1,13 +1,14 @@
 //! The owned serving engine end to end: a hot-spot-skewed stream of
-//! queries *and* mutations served batch by batch, with the engine's
-//! persistent decomposition cache amortizing hot objects' kd-tree
-//! expansions across arrival batches.
+//! queries *and* mutations served through the protocol `Server`, with
+//! the engine's persistent decomposition cache amortizing hot objects'
+//! kd-tree expansions across query runs.
 //!
 //! ```sh
 //! cargo run --release --example owned_serving
 //! ```
 
 use std::time::Instant;
+use udb_serve::{empty_server, generate_script};
 use uncertain_db::prelude::*;
 
 fn main() {
@@ -17,12 +18,11 @@ fn main() {
         max_extent: 0.02,
         ..Default::default()
     };
-    let db = object_cfg.generate();
 
     // A stream of arrival batches: mixed kNN / RkNN / top-m traffic plus
     // a trickle of inserts and hot-spot-skewed deletes, 80% of it
     // hammering two hot regions — many users, one working set.
-    let stream = QueryStreamConfig {
+    let stream_cfg = QueryStreamConfig {
         batches: 6,
         batch_size: 8,
         knn_weight: 0.45,
@@ -38,8 +38,8 @@ fn main() {
         hotspot_fraction: 0.8,
         hotspot_spread: 0.02,
         seed: 7,
-    }
-    .generate(&object_cfg);
+    };
+    let stream = stream_cfg.generate(&object_cfg);
     let counts = stream.mix_counts();
     println!(
         "stream: {} ops in {} batches ({} knn, {} rknn, {} top-m, {} inserts, {} deletes)",
@@ -51,22 +51,29 @@ fn main() {
         counts.insert,
         counts.delete
     );
+    // The protocol script: the database as INSERT lines, then the
+    // stream's operations in arrival order, then STATS, FLUSH and QUIT.
+    let script: Vec<String> = generate_script(&object_cfg, &stream_cfg)
+        .lines()
+        .map(str::to_owned)
+        .collect();
 
     let cfg = IdcaConfig {
         max_iterations: 5,
         ..Default::default()
     };
 
-    // Warm serving (the default): the engine owns the database and keeps
-    // its decomposition cache across batches; mutations maintain the
+    // Warm serving: the server's engine owns the database and keeps its
+    // decomposition cache across query runs; mutations maintain the
     // R-tree in place and invalidate exactly the touched objects.
-    let mut warm = Engine::with_config(db.clone(), cfg.clone());
+    let mut server = empty_server(cfg.clone(), 1, 16);
     let t = Instant::now();
-    let warm_results = serve_stream(&mut warm, &stream, ServeMode::Batched);
-    let warm_time = t.elapsed();
+    let (replies, _) = server.execute_batch(&script);
+    let serve_time = t.elapsed();
+    let warm = &server.engine().shards()[0];
     println!(
         "\nwarm serve: {:.1} ms, {} objects cached, {} live objects after churn",
-        warm_time.as_secs_f64() * 1e3,
+        serve_time.as_secs_f64() * 1e3,
         warm.decomp_cache_len(),
         warm.db().len(),
     );
@@ -88,7 +95,7 @@ fn main() {
     let t = Instant::now();
     let warm_replay = warm.run_batch(&replay);
     let warm_replay_time = t.elapsed();
-    let fresh = Engine::with_config(warm.db().clone(), cfg.clone());
+    let mut fresh = Engine::with_config(warm.db().clone(), cfg.clone());
     let t = Instant::now();
     let fresh_replay = fresh.run_batch(&replay);
     let fresh_time = t.elapsed();
@@ -104,51 +111,53 @@ fn main() {
         warm_replay_time.as_secs_f64() / fresh_time.as_secs_f64()
     );
 
-    // Sharded serving: the same stream through a 4-shard engine —
+    // Sharded serving: the same script through a 4-shard server —
     // mutations hash-route by global id, queries fan across per-shard
     // trees and merge under one global pruning bound. Global ids track
     // arrival order regardless of shard count, so the replies are
-    // bit-identical to the single engine (asserted here, property-
+    // byte-identical to the single engine's (asserted here, property-
     // tested in tests/sharded_equivalence.rs).
-    let mut sharded = ShardedEngine::with_config(db, cfg, 4);
+    let mut sharded = empty_server(cfg, 4, 16);
     let t = Instant::now();
-    let sharded_results = serve_stream(&mut sharded, &stream, ServeMode::Batched);
+    let (sharded_replies, _) = sharded.execute_batch(&script);
     let sharded_time = t.elapsed();
     assert_eq!(
-        warm_results, sharded_results,
+        replies, sharded_replies,
         "shard routing must not move a bit"
     );
     println!(
-        "sharded serve (4 shards): {:.1} ms, bit-identical; per-shard live objects {:?}",
+        "sharded serve (4 shards): {:.1} ms, byte-identical replies; per-shard live objects {:?}",
         sharded_time.as_secs_f64() * 1e3,
         sharded
+            .engine()
             .shards()
             .iter()
             .map(|s| s.db().len())
             .collect::<Vec<_>>(),
     );
 
-    // The mutation API, directly: insert / update / remove, no rebuild.
+    // The mutation API, directly on an owned engine: insert / update /
+    // remove, no rebuild.
     let probe = UncertainObject::certain(Point::from([0.5, 0.5]));
-    let before = warm.knn_threshold(&probe, 1, 0.5);
-    let id = warm.insert(UncertainObject::certain(Point::from([0.5, 0.5])));
-    let after = warm.knn_threshold(&probe, 1, 0.5);
+    let before = fresh.knn_threshold(&probe, 1, 0.5);
+    let id = fresh.insert(UncertainObject::certain(Point::from([0.5, 0.5])));
+    let after = fresh.knn_threshold(&probe, 1, 0.5);
     println!(
         "\ninserted {id:?} at the probe point: 1NN hit set {} -> {}",
         before.iter().filter(|r| r.is_hit(0.5)).count(),
         after.iter().filter(|r| r.is_hit(0.5)).count(),
     );
-    warm.update(
+    fresh.update(
         id,
         UncertainObject::new(Pdf::uniform(Rect::centered(
             &Point::from([0.9, 0.9]),
             &[0.01, 0.01],
         ))),
     );
-    warm.remove(id);
+    fresh.remove(id);
     println!(
         "updated and removed it again; {} live objects, index height {}",
-        warm.db().len(),
-        warm.tree().height()
+        fresh.db().len(),
+        fresh.tree().height()
     );
 }

@@ -20,7 +20,9 @@
 //! * [`core`] — the IDCA refinement engine and the query layer
 //!   (threshold kNN/RkNN, inverse ranking, expected ranks);
 //! * [`mc`] — the Monte-Carlo comparison baseline;
-//! * [`workload`] — the paper's evaluation workload generators.
+//! * [`workload`] — the paper's evaluation workload generators (data
+//!   only: the `udb-serve` crate's `Server` is what executes a
+//!   generated query stream).
 //!
 //! ## Quickstart
 //!
@@ -80,8 +82,7 @@ pub mod prelude {
     pub use udb_object::{Database, Decomposition, ObjectId, SplitStrategy, UncertainObject};
     pub use udb_pdf::{DiscretePdf, GaussianPdf, HistogramPdf, MixturePdf, Pdf, UniformPdf};
     pub use udb_workload::{
-        serve_stream, serve_stream_with_report, IcebergConfig, MixCounts, QuerySet, QueryStream,
-        QueryStreamConfig, ServeMode, ServeReport, StreamEngine, StreamOp, StreamQuery,
+        IcebergConfig, MixCounts, QuerySet, QueryStream, QueryStreamConfig, StreamOp, StreamQuery,
         SyntheticConfig,
     };
 }

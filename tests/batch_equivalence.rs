@@ -16,6 +16,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use udb_serve::empty_server;
 use uncertain_db::prelude::*;
 
 mod common;
@@ -158,15 +159,17 @@ proptest! {
 }
 
 /// A deterministic larger case on the paper-shaped synthetic workload
-/// (denser candidate sets than the randomized mixed-family databases).
+/// (denser candidate sets than the randomized mixed-family databases),
+/// served through the protocol [`udb_serve::Server`]: one query per
+/// batch (cap 1) and fused query runs (cap 16) must reply byte for
+/// byte alike at every lane count.
 #[test]
 fn batched_synthetic_workload_matches_sequential() {
-    let object_cfg = SyntheticConfig {
+    let objects = SyntheticConfig {
         n: 300,
         max_extent: 0.02,
         ..Default::default()
     };
-    let db = object_cfg.generate();
     let stream = QueryStreamConfig {
         batches: 2,
         batch_size: 5,
@@ -174,14 +177,15 @@ fn batched_synthetic_workload_matches_sequential() {
         hotspots: 1,
         hotspot_fraction: 0.8,
         ..Default::default()
-    }
-    .generate(&object_cfg);
+    };
+    let lines = common::script_lines(&objects, &stream);
     for lanes in [1usize, 2, 4] {
-        let mut seq_engine = TestEngine::with_config(db.clone(), config_with_lanes(lanes));
-        let mut bat_engine = TestEngine::with_config(db.clone(), config_with_lanes(lanes));
-        let seq = serve_stream(&mut seq_engine, &stream, ServeMode::Sequential);
-        let bat = serve_stream(&mut bat_engine, &stream, ServeMode::Batched);
-        assert_eq!(seq, bat, "lanes={lanes}");
-        seq_engine.assert_routing();
+        let mut seq = empty_server(config_with_lanes(lanes), common::shards(), 1);
+        let mut bat = empty_server(config_with_lanes(lanes), common::shards(), 16);
+        let (seq_replies, _) = seq.execute_batch(&lines);
+        let (bat_replies, _) = bat.execute_batch(&lines);
+        assert!(seq_replies.iter().any(|r| r.starts_with("RES ")));
+        assert_eq!(seq_replies, bat_replies, "lanes={lanes}");
+        common::assert_routing(seq.engine());
     }
 }

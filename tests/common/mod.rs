@@ -26,6 +26,39 @@ pub fn shards() -> usize {
     env_shards().unwrap_or(1)
 }
 
+/// The protocol lines of `udb_serve::generate_script`: every object of
+/// the synthetic database as an `INSERT`, then the stream's operations,
+/// then `STATS`, `FLUSH` and `QUIT`.
+pub fn script_lines(objects: &SyntheticConfig, stream: &QueryStreamConfig) -> Vec<String> {
+    udb_serve::generate_script(objects, stream)
+        .lines()
+        .map(str::to_owned)
+        .collect()
+}
+
+/// Asserts the routing contract for the engine's shard count: at one
+/// shard every query must have delegated to the plain engine
+/// (router-level refinement counters untouched); above one shard
+/// refinement belongs to the router's cross-shard plane, so no shard's
+/// own counters may ever move.
+pub fn assert_routing(engine: &ShardedEngine) {
+    if engine.num_shards() == 1 {
+        assert_eq!(
+            engine.refine_stats().rounds(),
+            0,
+            "one-shard engine must delegate to the plain-engine path"
+        );
+    } else {
+        for shard in engine.shards() {
+            assert_eq!(
+                shard.refine_stats().rounds(),
+                0,
+                "shards must not refine on their own above one shard"
+            );
+        }
+    }
+}
+
 /// The engine under test: a [`ShardedEngine`] at the `UDB_SHARDS`
 /// shard count, plus an id-aligned database mirror.
 pub struct TestEngine {
@@ -59,27 +92,9 @@ impl TestEngine {
         &self.mirror
     }
 
-    /// Asserts the routing contract for the current shard count: at
-    /// one shard every query must have delegated to the plain engine
-    /// (router-level refinement counters untouched); above one shard
-    /// refinement belongs to the router's cross-shard plane, so no
-    /// shard's own counters may ever move.
+    /// [`assert_routing`] on the engine under test.
     pub fn assert_routing(&self) {
-        if self.engine.num_shards() == 1 {
-            assert_eq!(
-                self.engine.refine_stats().rounds(),
-                0,
-                "one-shard engine must delegate to the plain-engine path"
-            );
-        } else {
-            for shard in self.engine.shards() {
-                assert_eq!(
-                    shard.refine_stats().rounds(),
-                    0,
-                    "shards must not refine on their own above one shard"
-                );
-            }
-        }
+        assert_routing(&self.engine);
     }
 
     pub fn insert(&mut self, object: UncertainObject) -> ObjectId {
@@ -136,46 +151,5 @@ impl TestEngine {
         for shard in self.engine.shards() {
             shard.tree().check_invariants();
         }
-    }
-}
-
-impl StreamEngine for TestEngine {
-    fn stream_insert(&mut self, object: UncertainObject) {
-        self.insert(object);
-    }
-    fn stream_remove_nearest(&mut self, probe: &Rect) -> bool {
-        match self.engine.nearest(probe) {
-            Some(id) => {
-                self.remove(id);
-                true
-            }
-            None => false,
-        }
-    }
-    fn stream_knn(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
-        self.knn_threshold(q, k, tau)
-    }
-    fn stream_rknn(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
-        self.rknn_threshold(q, k, tau)
-    }
-    fn stream_top_m(&self, q: &UncertainObject, m: usize) -> Vec<ThresholdResult> {
-        self.top_probable_nn(q, m)
-    }
-    fn stream_run_batch(&self, batch: &QueryBatch) -> Vec<Vec<ThresholdResult>> {
-        self.run_batch(batch)
-    }
-    fn stream_subscribe(
-        &mut self,
-        q: &UncertainObject,
-        k: usize,
-        tau: f64,
-    ) -> Vec<ThresholdResult> {
-        self.engine
-            .subscribe(q.clone(), StandingSpec::Knn { k, tau })
-            .1
-    }
-    fn stream_flush(&mut self) -> Result<(), DurableError> {
-        self.engine.wal_sync()?;
-        self.engine.checkpoint()
     }
 }

@@ -525,15 +525,19 @@ fn unrecoverable_directory_is_an_error_not_empty() {
 // ---------------------------------------------------------------------
 
 /// The shared handles of one [`ProbeIo`]: its WAL-segment fsync count,
-/// and a switch that makes those fsyncs fail.
+/// a switch that makes those fsyncs fail, and one that makes checkpoint
+/// writes fail.
 #[derive(Clone, Default)]
 struct Probe {
     wal_syncs: Arc<AtomicUsize>,
     fail_syncs: Arc<AtomicBool>,
+    fail_checkpoints: Arc<AtomicBool>,
 }
 
 /// A [`FileIo`] that counts WAL-segment fsyncs and fails them while
-/// `fail_syncs` is set: the fsync-level probe of the group-commit tests.
+/// `fail_syncs` is set, and fails the checkpoint file's write while
+/// `fail_checkpoints` is set: the IO-level probe of the group-commit
+/// and checkpoint-failure tests.
 struct ProbeIo {
     inner: FileIo,
     probe: Probe,
@@ -572,6 +576,9 @@ impl DurableIo for ProbeIo {
     }
 
     fn write_new(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        if self.probe.fail_checkpoints.load(Ordering::SeqCst) {
+            return Err(io::Error::other("injected checkpoint write failure"));
+        }
         self.inner.write_new(path, bytes)
     }
 
@@ -853,4 +860,92 @@ fn refused_mutations_leave_no_trace_after_a_reopen() {
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&restarted);
     }
+}
+
+/// A cadence checkpoint that fails after a remove or an update returns
+/// the error, but the mutation is applied and durable, and everything
+/// the engine derives from it has already seen it: the standing kNN
+/// subscription equals a re-answer, and at two shards the router cache
+/// replays no partition of the old PDF, so queries answer like a fresh
+/// engine over the same objects.
+fn failed_cadence_checkpoint_case(shards: usize) {
+    let dir = test_dir(&format!("failed-checkpoint-{shards}"));
+    let cfg = IdcaConfig {
+        checkpoint_every: 1,
+        ..cfg()
+    };
+    let objects = SyntheticConfig {
+        n: 200,
+        max_extent: 0.05,
+        ..Default::default()
+    };
+    let mut mirror = objects.generate();
+    let probes: Vec<Probe> = (0..shards).map(|_| Probe::default()).collect();
+    let mut engine =
+        ShardedEngine::open_with_io(&dir, cfg.clone(), shards, |s| probes[s].io()).expect("open");
+    let seed: Vec<UncertainObject> = mirror.iter().map(|(_, o)| o.clone()).collect();
+    engine.try_insert_run(seed).expect("seed run");
+    let q = mirror.get(ObjectId(1)).clone();
+    let (k, tau) = (3, 0.3);
+    engine.subscribe(q.clone(), StandingSpec::Knn { k, tau });
+    // warm the decomposition cache with the objects around `q`
+    engine.knn_threshold(&q, k, tau);
+
+    let mut rng = StdRng::seed_from_u64(51);
+    let center = |o: &UncertainObject, dx: f64| {
+        let c = o.mbr().center();
+        vec![c[0] + dx, c[1]]
+    };
+    let near = objects.generate_object_at(center(&q, 0.01), &mut rng);
+    let far = objects.generate_object_at(center(&q, 0.5), &mut rng);
+    let steps = [
+        (ObjectId(1), Some(near)),
+        (ObjectId(1), Some(far)),
+        (engine.nearest(q.mbr()).expect("live objects"), None),
+    ];
+    for (step, (id, object)) in steps.into_iter().enumerate() {
+        let ctx = format!("{shards} shards, step {step}");
+        probes[engine.shard_of(id)]
+            .fail_checkpoints
+            .store(true, Ordering::SeqCst);
+        let result = match object {
+            Some(o) => {
+                mirror.replace(id, o.clone());
+                engine.try_update(id, o).map(drop)
+            }
+            None => {
+                mirror.remove(id);
+                engine.try_remove(id).map(drop)
+            }
+        };
+        assert!(result.is_err(), "{ctx}: the checkpoint did not fail");
+        probes[engine.shard_of(id)]
+            .fail_checkpoints
+            .store(false, Ordering::SeqCst);
+
+        let answer = engine.knn_threshold(&q, k, tau);
+        let standing = engine.standing_queries()[0].results();
+        assert_results_identical(standing, &answer, &format!("{ctx}: standing"));
+        let fresh = Engine::with_config(mirror.clone(), cfg.clone());
+        let probe = objects.generate_object_at(center(&q, 0.005), &mut rng);
+        for (query, kind) in [(&q, "query"), (&probe, "probe")] {
+            assert_results_identical(
+                &engine.knn_threshold(query, k, tau),
+                &fresh.knn_threshold(query, k, tau),
+                &format!("{ctx}: {kind} vs a fresh engine"),
+            );
+        }
+    }
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_cadence_checkpoint_keeps_standing_results_current() {
+    failed_cadence_checkpoint_case(1);
+}
+
+#[test]
+fn failed_cadence_checkpoint_keeps_the_router_cache_current() {
+    failed_cadence_checkpoint_case(2);
 }

@@ -8,7 +8,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
+use udb_serve::{empty_server, Server};
 use uncertain_db::prelude::*;
+
+mod common;
 
 fn random_object(rng: &mut StdRng) -> UncertainObject {
     let cx: f64 = rng.gen_range(0.0..4.0);
@@ -195,18 +198,18 @@ fn check_replay_equals_live(seed: u64) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// (c) Serving a mutating stream durably == serving it in memory, and
-/// the graceful shutdown leaves a directory that recovers to the exact
-/// post-stream state without replaying a single record.
+/// (c) Serving a mutating script durably through the protocol
+/// [`Server`] replies exactly like serving it in memory, and the
+/// script's closing `FLUSH` leaves a directory that recovers to the
+/// exact post-script state without replaying a single record.
 fn check_durable_serving(seed: u64) {
     let dir = test_dir(&format!("serve-{seed}"));
-    let object_cfg = SyntheticConfig {
+    let objects = SyntheticConfig {
         n: 120,
         max_extent: 0.02,
         seed,
         ..Default::default()
     };
-    let db = object_cfg.generate();
     let stream = QueryStreamConfig {
         batches: 3,
         batch_size: 5,
@@ -215,42 +218,44 @@ fn check_durable_serving(seed: u64) {
         delete_weight: 0.1,
         seed: seed ^ 0xD15C,
         ..Default::default()
-    }
-    .generate(&object_cfg);
-
-    // the durable engine starts from the same objects, inserted through
-    // the WAL (open starts empty; from_objects and insert assign the
-    // same sequential ids)
-    let mut durable = Engine::open_with_config(&dir, cfg()).expect("open");
-    for (_, obj) in db.iter() {
-        durable.insert(obj.clone());
-    }
-    let mut memory = Engine::with_config(db, cfg());
-
-    let (res_durable, rep_durable) =
-        serve_stream_with_report(&mut durable, &stream, ServeMode::Batched).expect("durable serve");
-    let (res_memory, rep_memory) =
-        serve_stream_with_report(&mut memory, &stream, ServeMode::Batched).expect("memory serve");
+    };
+    // the script seeds both servers with the same INSERT lines, so the
+    // durable one logs every object through its WAL
+    let lines = common::script_lines(&objects, &stream);
+    let durable = ShardedEngine::open(&dir, cfg(), 1).expect("open");
+    let mut durable = Server::new(durable, 16);
+    let mut memory = empty_server(cfg(), 1, 16);
+    let (res_durable, _) = durable.execute_batch(&lines);
+    let (res_memory, _) = memory.execute_batch(&lines);
     assert_eq!(res_durable, res_memory, "seed={seed}: serving diverged");
-    assert_eq!(rep_durable, rep_memory, "seed={seed}: reports diverged");
-    assert!(rep_durable.flushed, "shutdown handshake skipped");
-
-    let final_mutations = durable.mutations();
-    drop(durable);
-    let recovered = Engine::open_with_config(&dir, cfg()).expect("reopen");
-    let report = recovered.recovery_report().expect("reopened");
-    assert_eq!(
-        report.replayed, 0,
-        "graceful shutdown must leave nothing to replay: {report:?}"
+    assert!(
+        res_durable.iter().any(|r| r == "OK flushed"),
+        "seed={seed}: {res_durable:?}"
     );
-    assert!(report.warnings.is_empty(), "{report:?}");
-    assert_eq!(recovered.mutations(), final_mutations);
+
+    drop(durable);
+    let recovered = ShardedEngine::open(&dir, cfg(), 1).expect("reopen");
+    for report in recovered.recovery_reports() {
+        let report = report.expect("reopened");
+        assert_eq!(
+            report.replayed, 0,
+            "FLUSH must leave nothing to replay: {report:?}"
+        );
+        assert!(report.warnings.is_empty(), "{report:?}");
+    }
+    let mut recovered = Server::new(recovered, 16);
+    let stats = ["STATS".to_owned()];
+    assert_eq!(
+        recovered.execute_batch(&stats).0,
+        memory.execute_batch(&stats).0,
+        "seed={seed}: STATS after a reopen"
+    );
 
     let mut rng = StdRng::seed_from_u64(seed);
     assert_same_answers(
         &mut rng,
-        &recovered,
-        &memory,
+        &recovered.engine().shards()[0],
+        &memory.engine().shards()[0],
         2,
         &format!("seed={seed} post-serve"),
     );
@@ -276,49 +281,38 @@ proptest! {
     }
 }
 
-/// Deterministic smoke checks on the report plumbing: counts add up and
-/// the in-memory serve handshake still reports `flushed`.
+/// The `STATS` line of a served script counts what it applied: every
+/// seed and stream `INSERT`, and every `DELNEAR` (none hits an empty
+/// database).
 #[test]
 fn serve_report_counts_mutations() {
-    let object_cfg = SyntheticConfig {
+    let objects = SyntheticConfig {
         n: 80,
         max_extent: 0.02,
         ..Default::default()
     };
-    let db = object_cfg.generate();
     let stream = QueryStreamConfig {
         batches: 2,
         batch_size: 6,
         insert_weight: 0.3,
         delete_weight: 0.2,
         ..Default::default()
-    }
-    .generate(&object_cfg);
-    let expected_inserts: u64 = stream
-        .batches
-        .iter()
-        .flatten()
-        .filter(|e| matches!(e.op, StreamOp::Insert))
-        .count() as u64;
-    let expected_queries: u64 = stream
-        .batches
-        .iter()
-        .flatten()
-        .filter(|e| !e.op.is_mutation())
-        .count() as u64;
-
-    let mut engine = Engine::with_config(db, cfg());
-    let before = engine.mutations();
-    let (results, report) =
-        serve_stream_with_report(&mut engine, &stream, ServeMode::Sequential).expect("serve");
-    assert_eq!(results.len(), stream.batches.len());
-    assert_eq!(report.inserts, expected_inserts);
-    assert_eq!(report.queries, expected_queries);
-    assert!(report.flushed);
-    // deletes against a non-empty database all land
-    assert_eq!(
-        engine.mutations() - before,
-        report.inserts + report.removes,
-        "engine mutation counter must match the report"
+    };
+    let counts = stream.generate(&objects).mix_counts();
+    assert!(counts.insert > 0 && counts.delete > 0, "{counts:?}");
+    let mut server = empty_server(cfg(), 1, 16);
+    let (replies, quit) = server.execute_batch(&common::script_lines(&objects, &stream));
+    assert!(quit);
+    let inserts = objects.n + counts.insert;
+    let stats = format!(
+        "OK objects={} mutations={} ",
+        inserts - counts.delete,
+        inserts + counts.delete
     );
+    assert!(
+        replies.iter().any(|r| r.starts_with(&stats)),
+        "want {stats}: {replies:?}"
+    );
+    let answered = replies.iter().filter(|r| r.starts_with("RES ")).count();
+    assert_eq!(answered, counts.queries());
 }

@@ -213,52 +213,12 @@ proptest! {
     }
 }
 
-/// A cold oracle for the stream driver: mutations apply to one engine,
-/// but every query is answered by an engine freshly built over the
-/// current database, so no cache survives from one query to the next.
-struct ColdEngine(Engine);
-
-impl ColdEngine {
-    fn fresh(&self) -> Engine {
-        Engine::with_config(self.0.db().clone(), self.0.config().clone())
-    }
-}
-
-impl StreamEngine for ColdEngine {
-    fn stream_insert(&mut self, object: UncertainObject) {
-        self.0.stream_insert(object);
-    }
-    fn stream_remove_nearest(&mut self, probe: &Rect) -> bool {
-        self.0.stream_remove_nearest(probe)
-    }
-    fn stream_knn(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
-        self.fresh().knn_threshold(q, k, tau)
-    }
-    fn stream_rknn(&self, q: &UncertainObject, k: usize, tau: f64) -> Vec<ThresholdResult> {
-        self.fresh().rknn_threshold(q, k, tau)
-    }
-    fn stream_top_m(&self, q: &UncertainObject, m: usize) -> Vec<ThresholdResult> {
-        self.fresh().top_probable_nn(q, m)
-    }
-    fn stream_subscribe(
-        &mut self,
-        q: &UncertainObject,
-        k: usize,
-        tau: f64,
-    ) -> Vec<ThresholdResult> {
-        self.0.stream_subscribe(q, k, tau)
-    }
-    fn stream_run_batch(&self, batch: &QueryBatch) -> Vec<Vec<ThresholdResult>> {
-        self.fresh().run_batch(batch)
-    }
-    fn stream_flush(&mut self) -> Result<(), DurableError> {
-        self.0.stream_flush()
-    }
-}
-
 /// Deterministic end-to-end case: a mutating hot-spot stream served
-/// warm, sequential and batched, equals the same stream answered by
-/// freshly built engines.
+/// warm, per query and as one [`QueryBatch`] per arrival batch, equals
+/// the same stream answered by an engine freshly built over the current
+/// database for every query, so no cache survives from one query to the
+/// next. Each arrival batch applies its mutations first, then answers
+/// its queries.
 #[test]
 fn mutating_stream_warm_equals_cold_all_modes() {
     let object_cfg = SyntheticConfig {
@@ -282,12 +242,55 @@ fn mutating_stream_warm_equals_cold_all_modes() {
         max_iterations: 4,
         ..Default::default()
     };
-    let mut cold = ColdEngine(Engine::with_config(db.clone(), cfg.clone()));
-    let oracle = serve_stream(&mut cold, &stream, ServeMode::Batched);
-    for mode in [ServeMode::Batched, ServeMode::Sequential] {
-        let mut engine = TestEngine::with_config(db.clone(), cfg.clone());
-        let warm = serve_stream(&mut engine, &stream, mode);
-        engine.check_invariants();
-        assert_eq!(warm, oracle, "{mode:?} diverged");
+    let mut cold = Engine::with_config(db.clone(), cfg.clone());
+    let mut seq = TestEngine::with_config(db.clone(), cfg.clone());
+    let mut bat = TestEngine::with_config(db, cfg.clone());
+    for (b, batch) in stream.batches.iter().enumerate() {
+        for entry in batch.iter().filter(|e| e.op.is_mutation()) {
+            if entry.op == StreamOp::Insert {
+                cold.insert(entry.object.clone());
+                seq.insert(entry.object.clone());
+                bat.insert(entry.object.clone());
+            } else if let Some(id) = cold.nearest(entry.object.mbr()) {
+                cold.remove(id);
+                seq.remove(id);
+                bat.remove(id);
+            }
+        }
+        let mut queries = QueryBatch::new();
+        let (mut oracle, mut warm) = (Vec::new(), Vec::new());
+        for q in batch.iter().filter(|e| !e.op.is_mutation()) {
+            let fresh = Engine::with_config(cold.db().clone(), cfg.clone());
+            let (want, got) = match q.op {
+                StreamOp::KnnThreshold { k, tau } => {
+                    queries.knn_threshold(q.object.clone(), k, tau);
+                    let got = seq.knn_threshold(&q.object, k, tau);
+                    (fresh.knn_threshold(&q.object, k, tau), got)
+                }
+                StreamOp::RknnThreshold { k, tau } => {
+                    queries.rknn_threshold(q.object.clone(), k, tau);
+                    let got = seq.rknn_threshold(&q.object, k, tau);
+                    (fresh.rknn_threshold(&q.object, k, tau), got)
+                }
+                StreamOp::TopProbableNn { m } => {
+                    queries.top_probable_nn(q.object.clone(), m);
+                    (
+                        fresh.top_probable_nn(&q.object, m),
+                        seq.top_probable_nn(&q.object, m),
+                    )
+                }
+                op => unreachable!("the stream registers no subscription: {op:?}"),
+            };
+            oracle.push(want);
+            warm.push(got);
+        }
+        assert_runs_identical(&warm, &oracle, &format!("batch {b} per query"));
+        assert_runs_identical(
+            &bat.run_batch(&queries),
+            &oracle,
+            &format!("batch {b} batched"),
+        );
     }
+    seq.check_invariants();
+    bat.check_invariants();
 }

@@ -15,7 +15,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use udb_serve::empty_server;
 use uncertain_db::prelude::*;
+
+mod common;
 
 /// A random uncertain object: mixed density families, occasional
 /// existential uncertainty (mirrors the other equivalence oracles).
@@ -218,16 +221,17 @@ proptest! {
 }
 
 /// Deterministic dense case on the paper-shaped synthetic workload: a
-/// mutating hot-spot stream served through 1/2/4-shard engines equals
-/// the single-engine serve, sequential and batched.
+/// mutating hot-spot stream served through the protocol
+/// [`udb_serve::Server`] at 1, 2 and 4 shards replies byte for byte
+/// like the one-shard, one-query-per-batch server, unbatched and
+/// batched.
 #[test]
 fn sharded_stream_serves_bit_identically() {
-    let object_cfg = SyntheticConfig {
+    let objects = SyntheticConfig {
         n: 200,
         max_extent: 0.02,
         ..Default::default()
     };
-    let db = object_cfg.generate();
     let stream = QueryStreamConfig {
         batches: 3,
         batch_size: 6,
@@ -237,20 +241,18 @@ fn sharded_stream_serves_bit_identically() {
         hotspots: 1,
         hotspot_fraction: 0.8,
         ..Default::default()
-    }
-    .generate(&object_cfg);
+    };
+    let lines = common::script_lines(&objects, &stream);
     let cfg = IdcaConfig {
         max_iterations: 4,
         ..Default::default()
     };
-    for mode in [ServeMode::Sequential, ServeMode::Batched] {
-        let mut single = Engine::with_config(db.clone(), cfg.clone());
-        let oracle = serve_stream(&mut single, &stream, mode);
+    let (oracle, _) = empty_server(cfg.clone(), 1, 1).execute_batch(&lines);
+    assert!(oracle.iter().any(|r| r.starts_with("RES ")));
+    for cap in [1usize, 16] {
         for shards in [1usize, 2, 4] {
-            let mut sharded = ShardedEngine::with_config(db.clone(), cfg.clone(), shards);
-            let got = serve_stream(&mut sharded, &stream, mode);
-            assert_eq!(oracle, got, "mode={mode:?} shards={shards}");
-            assert_eq!(single.db().len(), sharded.len());
+            let (got, _) = empty_server(cfg.clone(), shards, cap).execute_batch(&lines);
+            assert_eq!(oracle, got, "cap={cap} shards={shards}");
         }
     }
 }
