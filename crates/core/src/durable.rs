@@ -388,7 +388,9 @@ pub(crate) struct WalMark {
 /// The engine's durability sidecar: owns the directory, the IO layer
 /// and the WAL/checkpoint bookkeeping. Mutation logging and
 /// checkpointing route through here; the engine applies state changes
-/// only after the log accepts them.
+/// only after the log accepts them. Dropping it flushes nothing, so
+/// dropping a durable engine is a crash; shutdown flushing is the
+/// caller's explicit `wal_sync`/`checkpoint`.
 pub(crate) struct Durability {
     dir: PathBuf,
     io: Box<dyn DurableIo>,
@@ -409,9 +411,6 @@ pub(crate) struct Durability {
     /// WAL again: every later append is refused, so nothing is logged
     /// after records that recovery would replay, until a reopen.
     wedged: bool,
-    /// Remove the whole directory on drop (the `UDB_WAL=1` auto-dir
-    /// test shim only — explicit directories are never cleaned up).
-    auto_cleanup: bool,
 }
 
 impl std::fmt::Debug for Durability {
@@ -441,17 +440,7 @@ impl Durability {
             since_checkpoint: 0,
             sync_every,
             wedged: false,
-            auto_cleanup: false,
         }
-    }
-
-    pub(crate) fn with_auto_cleanup(mut self) -> Self {
-        self.auto_cleanup = true;
-        self
-    }
-
-    pub(crate) fn dir(&self) -> &Path {
-        &self.dir
     }
 
     pub(crate) fn since_checkpoint(&self) -> u64 {
@@ -598,20 +587,6 @@ impl Durability {
             }
         }
         Ok(())
-    }
-}
-
-impl Drop for Durability {
-    fn drop(&mut self) {
-        // no flush, no final checkpoint: dropping a durable engine must
-        // be indistinguishable from a crash (shutdown flushing is the
-        // *caller's* explicit act — `wal_sync`/`checkpoint`), so the
-        // recovery path stays honest in every test that drops and
-        // reopens. Auto-dir engines (the UDB_WAL shim) additionally
-        // remove their temp directory.
-        if self.auto_cleanup {
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
     }
 }
 

@@ -353,6 +353,8 @@ pub struct Engine {
     /// live) — in-memory engines count from construction, recovered
     /// engines continue the persisted count.
     mutations: u64,
+    /// Cadence checkpoints that failed (see [`Engine::checkpoint_failures`]).
+    checkpoint_failures: u64,
     /// What recovery found, when this engine came from [`Engine::open`].
     recovery: Option<RecoveryReport>,
     /// Registered standing queries and their queued result deltas.
@@ -385,22 +387,6 @@ pub(crate) fn assert_run_dims(dims: Option<usize>, objects: &[UncertainObject]) 
     }
 }
 
-/// Test-suite shim: `UDB_WAL=1` (any non-zero integer) makes every
-/// engine built through [`Engine::new`] / [`Engine::with_config`]
-/// durable, backed by a fresh auto-removed temp directory — the CI
-/// matrix's lever for routing the *entire* suite (every mutation
-/// oracle, every serve equivalence test) through the WAL path.
-/// Durability is work-only, so all results are unchanged.
-fn wal_autodir_enabled() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("UDB_WAL")
-            .ok()
-            .and_then(|v| v.parse::<i64>().ok())
-            .is_some_and(|v| v != 0)
-    })
-}
-
 impl Engine {
     /// Takes ownership of `db` and builds the index (STR bulk load) over
     /// its MBRs, with the default configuration.
@@ -409,34 +395,8 @@ impl Engine {
     }
 
     /// Takes ownership of `db` with an explicit configuration. The
-    /// engine is in-memory — unless the `UDB_WAL` CI shim is set, which
-    /// backs it by an auto-removed temp WAL directory so the whole test
-    /// suite exercises the durable path; [`Engine::open`] makes a real
-    /// durable engine.
+    /// engine is in-memory; [`Engine::open`] makes a durable one.
     pub fn with_config(db: Database, cfg: IdcaConfig) -> Self {
-        let mut engine = Engine::assemble(db, cfg);
-        if wal_autodir_enabled() {
-            use std::sync::atomic::{AtomicU64, Ordering};
-            static COUNTER: AtomicU64 = AtomicU64::new(0);
-            let dir = std::env::temp_dir().join(format!(
-                "udb-wal-auto-{}-{}",
-                std::process::id(),
-                COUNTER.fetch_add(1, Ordering::Relaxed)
-            ));
-            std::fs::create_dir_all(&dir).expect("UDB_WAL auto dir");
-            let sync_every = engine.cfg.wal_sync_every;
-            engine.durable = Some(
-                Durability::new(dir, Box::new(FileIo::new()), 0, sync_every).with_auto_cleanup(),
-            );
-            engine
-                .checkpoint()
-                .expect("UDB_WAL auto-dir initial checkpoint");
-        }
-        engine
-    }
-
-    /// The shared construction path: indexes `db`, no durability.
-    fn assemble(db: Database, cfg: IdcaConfig) -> Self {
         let tree = rebuild_tree(&db);
         Engine {
             db,
@@ -448,6 +408,7 @@ impl Engine {
             cfg,
             durable: None,
             mutations: 0,
+            checkpoint_failures: 0,
             recovery: None,
             standing: StandingRegistry::default(),
         }
@@ -491,7 +452,7 @@ impl Engine {
     ) -> Result<Engine, DurableError> {
         let dir = dir.as_ref().to_path_buf();
         let state = recover(&dir)?;
-        let mut engine = Engine::assemble(state.db, cfg);
+        let mut engine = Engine::with_config(state.db, cfg);
         engine.mutations = state.mutations;
         engine.recovery = Some(state.report);
         let sync_every = engine.cfg.wal_sync_every;
@@ -526,19 +487,9 @@ impl Engine {
         &self.pool
     }
 
-    /// Consumes the engine, handing the database back.
-    pub fn into_db(self) -> Database {
-        self.db
-    }
-
     /// Whether this engine logs mutations to a WAL directory.
     pub fn is_durable(&self) -> bool {
         self.durable.is_some()
-    }
-
-    /// The durable directory, when the engine is durable.
-    pub fn wal_dir(&self) -> Option<&Path> {
-        self.durable.as_ref().map(Durability::dir)
     }
 
     /// Mutations applied over the engine's lifetime: in-memory engines
@@ -547,6 +498,14 @@ impl Engine {
     /// crashed from can be diffed op-for-op.
     pub fn mutations(&self) -> u64 {
         self.mutations
+    }
+
+    /// Cadence checkpoints ([`IdcaConfig::checkpoint_every`]) that
+    /// failed over the engine's lifetime. A failed cadence checkpoint
+    /// does not fail the mutation it follows — that mutation is applied
+    /// and durable — and stays due, so the next mutation retries it.
+    pub fn checkpoint_failures(&self) -> u64 {
+        self.checkpoint_failures
     }
 
     /// What recovery found and did, when this engine came from
@@ -641,10 +600,7 @@ impl Engine {
     /// # Errors
     /// Fails when an append or the fsync fails: then **no** insert of
     /// the run is applied, and its records are cut from the WAL again,
-    /// so recovery does not replay them either. Also fails
-    /// when the cadence checkpoint after the run fails; the inserts are
-    /// then applied and durable, and their deltas stay queued for
-    /// [`Engine::take_standing_deltas`].
+    /// so recovery does not replay them either.
     ///
     /// # Panics
     /// Panics when an object's dimensionality differs from the
@@ -687,7 +643,8 @@ impl Engine {
             let id = self.apply_insert(object);
             applied(self, id);
         }
-        self.checkpoint_due()
+        self.checkpoint_due();
+        Ok(())
     }
 
     /// Appends an insert's WAL record without fsyncing it (a no-op on
@@ -758,23 +715,11 @@ impl Engine {
     ///
     /// # Errors
     /// Fails when the durable engine cannot log the record; the
-    /// mutation is then **not** applied. Also fails when the cadence
-    /// checkpoint after it fails; the removal is then applied and
-    /// durable, and standing maintenance has already seen it.
+    /// mutation is then **not** applied.
     ///
     /// # Panics
     /// Panics if `id` is not a live object.
     pub fn try_remove(&mut self, id: ObjectId) -> Result<UncertainObject, DurableError> {
-        let object = self.logged_remove(id)?;
-        self.checkpoint_due()?;
-        Ok(object)
-    }
-
-    /// [`Engine::try_remove`] without the checkpoint cadence: logs the
-    /// record, then applies the removal with all of its bookkeeping
-    /// (index, cache, mutation count, standing maintenance). The caller
-    /// checks [`Engine::checkpoint_due`] after its own bookkeeping.
-    pub(crate) fn logged_remove(&mut self, id: ObjectId) -> Result<UncertainObject, DurableError> {
         assert!(self.db.contains(id), "{id:?} is not a live object");
         if let Some(d) = &mut self.durable {
             d.log(&WalRecord::Remove { id: id.0 })?;
@@ -792,6 +737,7 @@ impl Engine {
             };
             self.maintain_standing(&m);
         }
+        self.checkpoint_due();
         Ok(object)
     }
 
@@ -811,25 +757,11 @@ impl Engine {
     ///
     /// # Errors
     /// Fails when the durable engine cannot log the record; the
-    /// mutation is then **not** applied. Also fails when the cadence
-    /// checkpoint after it fails; the update is then applied and
-    /// durable, and standing maintenance has already seen it.
+    /// mutation is then **not** applied.
     ///
     /// # Panics
     /// Panics if `id` is dead or the dimensionality differs.
     pub fn try_update(
-        &mut self,
-        id: ObjectId,
-        object: UncertainObject,
-    ) -> Result<UncertainObject, DurableError> {
-        let old = self.logged_update(id, object)?;
-        self.checkpoint_due()?;
-        Ok(old)
-    }
-
-    /// [`Engine::try_update`] without the checkpoint cadence (see
-    /// [`Engine::logged_remove`]).
-    pub(crate) fn logged_update(
         &mut self,
         id: ObjectId,
         object: UncertainObject,
@@ -865,22 +797,24 @@ impl Engine {
             };
             self.maintain_standing(&m);
         }
+        self.checkpoint_due();
         Ok(old)
     }
 
     /// The automatic checkpoint cadence of durable engines
     /// ([`IdcaConfig::checkpoint_every`]): checkpoints when that many
-    /// records were logged since the last one.
-    pub(crate) fn checkpoint_due(&mut self) -> Result<(), DurableError> {
+    /// records were logged since the last one. A failure is counted in
+    /// [`Engine::checkpoint_failures`], not returned: the mutation
+    /// before it is applied and durable, and the checkpoint stays due.
+    pub(crate) fn checkpoint_due(&mut self) {
         let due = self.cfg.checkpoint_every > 0
             && self
                 .durable
                 .as_ref()
                 .is_some_and(|d| d.since_checkpoint() >= self.cfg.checkpoint_every as u64);
-        if due {
-            self.checkpoint()?;
+        if due && self.checkpoint().is_err() {
+            self.checkpoint_failures += 1;
         }
-        Ok(())
     }
 
     /// Takes a checkpoint **now**: compacts leading tombstones

@@ -294,6 +294,12 @@ impl ShardedEngine {
         self.shards.iter().map(Engine::mutations).sum()
     }
 
+    /// Failed cadence checkpoints across all shards (see
+    /// [`Engine::checkpoint_failures`]).
+    pub fn checkpoint_failures(&self) -> u64 {
+        self.shards.iter().map(Engine::checkpoint_failures).sum()
+    }
+
     /// Whether every shard logs to its own WAL directory.
     pub fn is_durable(&self) -> bool {
         self.shards.iter().all(Engine::is_durable)
@@ -379,9 +385,7 @@ impl ShardedEngine {
     /// # Errors
     /// Fails when an append or an fsync fails: then no insert of the
     /// run is applied, and every touched shard's records are cut from
-    /// its WAL again. Also fails when a cadence checkpoint after the
-    /// run fails (the inserts are then applied, their deltas stay
-    /// queued).
+    /// its WAL again.
     ///
     /// # Panics
     /// Panics on a dimensionality mismatch (see
@@ -452,7 +456,7 @@ impl ShardedEngine {
             applied(self, id);
         }
         for &s in &touched {
-            self.shards[s].checkpoint_due()?;
+            self.shards[s].checkpoint_due();
         }
         Ok(())
     }
@@ -471,17 +475,14 @@ impl ShardedEngine {
     ///
     /// # Errors
     /// Fails when the owning shard cannot log the record; the mutation
-    /// is then **not** applied. Also fails when the shard's cadence
-    /// checkpoint after it fails; the removal is then applied and
-    /// durable, and the router cache and standing maintenance have
-    /// already seen it.
+    /// is then **not** applied.
     ///
     /// # Panics
     /// Panics if `id` is not a live object.
     pub fn try_remove(&mut self, id: ObjectId) -> Result<UncertainObject, DurableError> {
         let shard = self.shard_of(id);
         let local = self.local_id(id);
-        let object = self.shards[shard].logged_remove(local)?;
+        let object = self.shards[shard].try_remove(local)?;
         // the router cache is keyed by global id; the shard engine only
         // invalidated its own (local-id-keyed, idle above 1 shard) cache
         self.decomps.invalidate(id);
@@ -493,7 +494,6 @@ impl ShardedEngine {
             };
             self.maintain_standing(&m);
         }
-        self.shards[shard].checkpoint_due()?;
         Ok(object)
     }
 
@@ -510,8 +510,8 @@ impl ShardedEngine {
     /// [`ShardedEngine::update`], surfacing WAL errors.
     ///
     /// # Errors
-    /// Fails when the owning shard cannot log the record, or when its
-    /// cadence checkpoint fails (see [`ShardedEngine::try_remove`]).
+    /// Fails when the owning shard cannot log the record; the mutation
+    /// is then **not** applied.
     ///
     /// # Panics
     /// Panics if `id` is dead or the dimensionality differs.
@@ -522,7 +522,7 @@ impl ShardedEngine {
     ) -> Result<UncertainObject, DurableError> {
         let shard = self.shard_of(id);
         let local = self.local_id(id);
-        let old = self.shards[shard].logged_update(local, object)?;
+        let old = self.shards[shard].try_update(local, object)?;
         self.decomps.invalidate(id);
         if !self.standing.is_empty() {
             let m = standing::Mutation {
@@ -532,7 +532,6 @@ impl ShardedEngine {
             };
             self.maintain_standing(&m);
         }
-        self.shards[shard].checkpoint_due()?;
         Ok(old)
     }
 

@@ -34,12 +34,6 @@ impl Point {
         &self.0
     }
 
-    /// Mutable coordinates.
-    #[inline]
-    pub fn coords_mut(&mut self) -> &mut [f64] {
-        &mut self.0
-    }
-
     /// Squared Euclidean distance to `other` (avoids the `sqrt` when callers
     /// only compare distances).
     #[inline]

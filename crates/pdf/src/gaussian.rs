@@ -105,11 +105,6 @@ impl GaussianPdf {
         &self.support
     }
 
-    /// The (pre-truncation) mean.
-    pub fn raw_mean(&self) -> &Point {
-        &self.mean
-    }
-
     /// Per-dimension standard deviations.
     pub fn std(&self) -> &[f64] {
         &self.std

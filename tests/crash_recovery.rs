@@ -525,12 +525,13 @@ fn unrecoverable_directory_is_an_error_not_empty() {
 // ---------------------------------------------------------------------
 
 /// The shared handles of one [`ProbeIo`]: its WAL-segment fsync count,
-/// a switch that makes those fsyncs fail, and one that makes checkpoint
-/// writes fail.
+/// a switch that makes those fsyncs fail, its checkpoint write count,
+/// and a switch that makes checkpoint writes fail.
 #[derive(Clone, Default)]
 struct Probe {
     wal_syncs: Arc<AtomicUsize>,
     fail_syncs: Arc<AtomicBool>,
+    checkpoints: Arc<AtomicUsize>,
     fail_checkpoints: Arc<AtomicBool>,
 }
 
@@ -579,6 +580,7 @@ impl DurableIo for ProbeIo {
         if self.probe.fail_checkpoints.load(Ordering::SeqCst) {
             return Err(io::Error::other("injected checkpoint write failure"));
         }
+        self.probe.checkpoints.fetch_add(1, Ordering::SeqCst);
         self.inner.write_new(path, bytes)
     }
 
@@ -666,13 +668,17 @@ fn crash_in_run_case(point: CrashPoint, mode: FaultMode, pos: u32) {
     engine
         .try_insert_run(first.clone())
         .unwrap_or_else(|e| panic!("{name}: first run failed: {e}"));
-    assert!(
-        engine.try_insert_run(second.clone()).is_err(),
-        "{name}: the armed crash point never fired"
-    );
-    let applied = engine.db().len() - baseline.len() - first.len();
+    let result = engine.try_insert_run(second.clone());
     let checkpoint_gate = !wal_record_gate && point != CrashPoint::WalAfterSync;
-    // only the cadence checkpoint runs after the inserts are applied
+    // only the cadence checkpoint runs after the inserts are applied:
+    // its failure is counted, and the run is acknowledged
+    let fired = if checkpoint_gate {
+        result.is_ok() && engine.checkpoint_failures() == 1
+    } else {
+        result.is_err()
+    };
+    assert!(fired, "{name}: the armed crash point never fired");
+    let applied = engine.db().len() - baseline.len() - first.len();
     let expect_applied = if checkpoint_gate { second.len() } else { 0 };
     assert_eq!(applied, expect_applied, "{name}: applied in memory");
     drop(engine);
@@ -862,9 +868,10 @@ fn refused_mutations_leave_no_trace_after_a_reopen() {
     }
 }
 
-/// A cadence checkpoint that fails after a remove or an update returns
-/// the error, but the mutation is applied and durable, and everything
-/// the engine derives from it has already seen it: the standing kNN
+/// A cadence checkpoint that fails after a remove or an update is
+/// counted, not returned: the mutation is acknowledged, applied and
+/// durable, and everything the engine derives from it has seen it: the
+/// standing kNN
 /// subscription equals a re-answer, and at two shards the router cache
 /// replays no partition of the old PDF, so queries answer like a fresh
 /// engine over the same objects.
@@ -918,7 +925,13 @@ fn failed_cadence_checkpoint_case(shards: usize) {
                 engine.try_remove(id).map(drop)
             }
         };
-        assert!(result.is_err(), "{ctx}: the checkpoint did not fail");
+        result
+            .unwrap_or_else(|e| panic!("{ctx}: a failed cadence checkpoint failed the call: {e}"));
+        assert_eq!(
+            engine.checkpoint_failures(),
+            step as u64 + 1,
+            "{ctx}: the failed checkpoint was not counted"
+        );
         probes[engine.shard_of(id)]
             .fail_checkpoints
             .store(false, Ordering::SeqCst);
@@ -948,4 +961,167 @@ fn failed_cadence_checkpoint_keeps_standing_results_current() {
 #[test]
 fn failed_cadence_checkpoint_keeps_the_router_cache_current() {
     failed_cadence_checkpoint_case(2);
+}
+
+/// Cadence checkpoints every 2 records.
+fn cadence_cfg() -> IdcaConfig {
+    IdcaConfig {
+        checkpoint_every: 2,
+        ..cfg()
+    }
+}
+
+/// Serves `lines` on a fresh durable server in `dir` with
+/// [`cadence_cfg`]: the first 11 lines (seed inserts and a
+/// subscription) with working checkpoint writes, the rest with failing
+/// ones when `fail` is set. Returns the server, its probes and the
+/// replies to the rest.
+fn serve_with_failing_checkpoints(
+    dir: &Path,
+    shards: usize,
+    lines: &[String],
+    fail: bool,
+) -> (Server, Vec<Probe>, Vec<String>) {
+    let probes: Vec<Probe> = (0..shards).map(|_| Probe::default()).collect();
+    let engine =
+        ShardedEngine::open_with_io(dir, cadence_cfg(), shards, |s| probes[s].io()).expect("open");
+    let mut server = Server::new(engine, 16);
+    let (seeded, _) = server.execute_batch(&lines[..11]);
+    assert!(seeded[10].starts_with("SUB "), "{seeded:?}");
+    for probe in &probes {
+        probe.fail_checkpoints.store(fail, Ordering::SeqCst);
+    }
+    let (replies, _) = server.execute_batch(&lines[11..]);
+    (server, probes, replies)
+}
+
+/// Cadence checkpoints that fail while a durable server handles
+/// mutations never turn an applied mutation into an `ERR`: a pipelined
+/// `INSERT` run, a `DELNEAR` and an `UPDATE` each reply `OK <gid>` with
+/// their `NOTIFY` lines right behind them, exactly as on a server whose
+/// checkpoints succeed, so a client that resends every `ERR` line
+/// applies nothing twice. The failures are counted; once writes succeed
+/// again, the next mutation checkpoints, and a reopen serves exactly
+/// the acknowledged mutations.
+#[test]
+fn failed_cadence_checkpoints_reply_ok_and_notify_in_place() {
+    let json = |o: &UncertainObject| serde_json::to_string(o).expect("objects serialize");
+    let mut rng = StdRng::seed_from_u64(61);
+    let seed: Vec<UncertainObject> = (0..10).map(|_| random_object(&mut rng)).collect();
+    let q = json(&seed[3]);
+    let mut lines: Vec<String> = seed.iter().map(|o| format!("INSERT {}", json(o))).collect();
+    lines.push(format!("SUB KNN 2 0.3 {q}"));
+    let run_start = lines.len();
+    for _ in 0..6 {
+        lines.push(format!("INSERT {}", json(&random_object(&mut rng))));
+    }
+    lines.push(format!("DELNEAR {q}"));
+    lines.push(format!("UPDATE 2 {}", json(&random_object(&mut rng))));
+    let mutations = lines.len() - run_start;
+    lines.push("STATS".to_owned());
+    let probe_queries = vec![
+        format!("KNN 2 0.3 {q}"),
+        format!("RKNN 1 0.3 {q}"),
+        format!("TOPM 3 {q}"),
+    ];
+
+    for shards in [1usize, 2] {
+        let dir = test_dir(&format!("failing-cadence-{shards}"));
+        let oracle_dir = test_dir(&format!("failing-cadence-{shards}-oracle"));
+        let (mut server, probes, replies) =
+            serve_with_failing_checkpoints(&dir, shards, &lines, true);
+        let (_, _, oracle) = serve_with_failing_checkpoints(&oracle_dir, shards, &lines, false);
+        assert_eq!(replies, oracle, "{shards} shards: replies");
+        assert!(
+            server.engine().checkpoint_failures() > 0,
+            "{shards} shards: no cadence checkpoint failed"
+        );
+
+        // one reply per request, its NOTIFY lines right behind it; a
+        // NOTIFY follows only a mutation's reply or another NOTIFY
+        let requests = &lines[run_start..];
+        let mut answered: Vec<&String> = Vec::new();
+        let mut notifies = 0;
+        for reply in &replies {
+            if reply.starts_with("NOTIFY ") {
+                let behind = answered.len().checked_sub(1).map(|i| &requests[i]);
+                assert!(
+                    behind.is_some_and(|r| !r.starts_with("STATS")),
+                    "{shards} shards: NOTIFY out of place: {replies:?}"
+                );
+                notifies += 1;
+            } else {
+                answered.push(reply);
+            }
+        }
+        assert!(notifies > 0, "{shards} shards: nothing was notified");
+        assert_eq!(
+            answered.len(),
+            requests.len(),
+            "{shards} shards: {replies:?}"
+        );
+        for (request, reply) in requests[..mutations].iter().zip(&answered) {
+            let id = reply
+                .strip_prefix("OK ")
+                .and_then(|id| id.parse::<u32>().ok());
+            assert!(id.is_some(), "{shards} shards: {request:.12} -> {reply}");
+        }
+
+        // a client resending every ERR line ends where a failure-free
+        // run ends
+        let resend: Vec<String> = requests
+            .iter()
+            .zip(&answered)
+            .filter(|(_, reply)| reply.starts_with("ERR"))
+            .map(|(request, _)| request.clone())
+            .chain(["STATS".to_owned()])
+            .collect();
+        let (after, _) = server.execute_batch(&resend);
+        assert_eq!(
+            after.last(),
+            oracle.last(),
+            "{shards} shards: STATS after resending"
+        );
+
+        // writes succeed again: the next mutation checkpoints
+        let failures = server.engine().checkpoint_failures();
+        let written: usize = probes
+            .iter()
+            .map(|p| p.checkpoints.load(Ordering::SeqCst))
+            .sum();
+        for probe in &probes {
+            probe.fail_checkpoints.store(false, Ordering::SeqCst);
+        }
+        let next = vec![format!("INSERT {}", json(&random_object(&mut rng)))];
+        let (acked, _) = server.execute_batch(&next);
+        assert!(acked[0].starts_with("OK "), "{shards} shards: {acked:?}");
+        let now: usize = probes
+            .iter()
+            .map(|p| p.checkpoints.load(Ordering::SeqCst))
+            .sum();
+        assert_eq!(now, written + 1, "{shards} shards: checkpoints written");
+        assert_eq!(server.engine().checkpoint_failures(), failures);
+
+        let stats = vec!["STATS".to_owned()];
+        let (live_stats, _) = server.execute_batch(&stats);
+        let (live_answers, _) = server.execute_batch(&probe_queries);
+        drop(server);
+        let reopened = ShardedEngine::open(&dir, cadence_cfg(), shards).expect("reopen");
+        let mut reopened = Server::new(reopened, 16);
+        let (reopened_stats, _) = reopened.execute_batch(&stats);
+        let counts = |s: &str| s.split(' ').take(3).collect::<Vec<_>>().join(" ");
+        assert_eq!(
+            counts(&reopened_stats[0]),
+            counts(&live_stats[0]),
+            "{shards} shards: acknowledged mutations after a reopen"
+        );
+        let (reopened_answers, _) = reopened.execute_batch(&probe_queries);
+        assert_eq!(
+            reopened_answers, live_answers,
+            "{shards} shards: answers after a reopen"
+        );
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&oracle_dir);
+    }
 }

@@ -53,6 +53,22 @@ fn cfg() -> IdcaConfig {
     }
 }
 
+/// The newest checkpoint's sequence number in a durable directory
+/// (opening writes checkpoint 1).
+fn newest_checkpoint(dir: &std::path::Path) -> u64 {
+    std::fs::read_dir(dir)
+        .expect("read dir")
+        .filter_map(|e| {
+            let name = e.expect("dir entry").file_name().into_string().ok()?;
+            name.strip_prefix("checkpoint-")?
+                .strip_suffix(".ckpt")?
+                .parse()
+                .ok()
+        })
+        .max()
+        .expect("a durable directory holds a checkpoint")
+}
+
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("udb-durab-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -69,30 +85,44 @@ fn assert_results_identical(a: &[ThresholdResult], b: &[ThresholdResult], ctx: &
     }
 }
 
-/// Applies the same random mutation workload to both engines: the ids
-/// line up because fresh-id assignment is deterministic.
-fn churn(rng: &mut StdRng, a: &mut Engine, b: &mut Engine, steps: usize) {
-    for _ in 0..steps {
-        let live: Vec<ObjectId> = a.db().ids().collect();
-        match rng.gen_range(0..3) {
-            0 => {
-                let o = random_object(rng);
-                let ia = a.insert(o.clone());
-                let ib = b.insert(o);
-                assert_eq!(ia, ib, "id assignment diverged");
-            }
-            1 if live.len() > 4 => {
-                let id = live[rng.gen_range(0..live.len())];
-                a.remove(id);
-                b.remove(id);
-            }
-            _ => {
-                let id = live[rng.gen_range(0..live.len())];
-                let o = random_object(rng);
-                a.update(id, o.clone());
-                b.update(id, o);
-            }
+/// Applies one random mutation to both engines: the ids line up
+/// because fresh-id assignment is deterministic.
+fn churn_step(rng: &mut StdRng, a: &mut Engine, b: &mut Engine) {
+    let live: Vec<ObjectId> = a.db().ids().collect();
+    match rng.gen_range(0..3) {
+        0 => {
+            let o = random_object(rng);
+            let ia = a.insert(o.clone());
+            let ib = b.insert(o);
+            assert_eq!(ia, ib, "id assignment diverged");
         }
+        1 if live.len() > 4 => {
+            let id = live[rng.gen_range(0..live.len())];
+            a.remove(id);
+            b.remove(id);
+        }
+        _ => {
+            let id = live[rng.gen_range(0..live.len())];
+            let o = random_object(rng);
+            a.update(id, o.clone());
+            b.update(id, o);
+        }
+    }
+}
+
+/// Both engines' standing results, and the deltas queued since the
+/// last call, are bit-identical.
+fn assert_standing_identical(a: &mut Engine, b: &mut Engine, ctx: &str) {
+    for (sa, sb) in a.standing_queries().iter().zip(b.standing_queries()) {
+        assert_results_identical(sa.results(), sb.results(), &format!("{ctx}: standing"));
+    }
+    let (da, db) = (a.take_standing_deltas(), b.take_standing_deltas());
+    assert_eq!(da.len(), db.len(), "{ctx}: delta count");
+    for (x, y) in da.iter().zip(&db) {
+        assert_eq!(x.sub, y.sub, "{ctx}: delta subscription");
+        assert_eq!(x.removed, y.removed, "{ctx}: removed ids");
+        assert_results_identical(&x.added, &y.added, &format!("{ctx}: added"));
+        assert_results_identical(&x.changed, &y.changed, &format!("{ctx}: changed"));
     }
 }
 
@@ -121,37 +151,54 @@ fn assert_same_answers(rng: &mut StdRng, a: &Engine, b: &Engine, queries: usize,
 }
 
 /// (a) WAL-backed == in-memory under interleaved churn and queries: the
-/// log is invisible to the query layer.
-fn check_durable_equals_in_memory(seed: u64) {
-    let dir = test_dir(&format!("mirror-{seed}"));
+/// log, and at a non-zero `checkpoint_every` the cadence checkpoints
+/// (tombstone compaction and an R-tree rebuild on the durable engine
+/// only), are invisible to the query layer and to a standing kNN
+/// subscription's results and deltas.
+fn check_durable_equals_in_memory(seed: u64, checkpoint_every: usize) {
+    let dir = test_dir(&format!("mirror-{seed}-{checkpoint_every}"));
     let mut rng = StdRng::seed_from_u64(seed);
     let objects: Vec<UncertainObject> = (0..25).map(|_| random_object(&mut rng)).collect();
+    let cfg = IdcaConfig {
+        checkpoint_every,
+        ..cfg()
+    };
 
-    let mut durable = Engine::open_with_config(&dir, cfg()).expect("open durable");
-    let mut memory = Engine::with_config(Database::new(), cfg());
+    let mut durable = Engine::open_with_config(&dir, cfg.clone()).expect("open durable");
+    let mut memory = Engine::with_config(Database::new(), cfg);
     for o in &objects {
         durable.insert(o.clone());
         memory.insert(o.clone());
     }
+    let q = random_object(&mut rng);
+    let spec = StandingSpec::Knn { k: 2, tau: 0.3 };
+    let (sa, ra) = durable.subscribe(q.clone(), spec);
+    let (sb, rb) = memory.subscribe(q, spec);
+    assert_eq!(sa, sb, "subscription ids");
+    assert_results_identical(&ra, &rb, &format!("seed={seed}: initial answer"));
     for round in 0..3 {
-        churn(&mut rng, &mut durable, &mut memory, 4);
+        for step in 0..4 {
+            churn_step(&mut rng, &mut durable, &mut memory);
+            let ctx = format!("seed={seed} every={checkpoint_every} round={round} step={step}");
+            assert_standing_identical(&mut durable, &mut memory, &ctx);
+        }
         assert_same_answers(
             &mut rng,
             &durable,
             &memory,
             2,
-            &format!("seed={seed} round={round}"),
+            &format!("seed={seed} every={checkpoint_every} round={round}"),
         );
     }
     assert!(durable.is_durable());
-    // under the UDB_WAL=1 CI shim *every* engine is durable (that is
-    // the shim's whole point), so the in-memory half of the pair is
-    // only in-memory when the shim is off
-    let wal_shim = std::env::var("UDB_WAL")
-        .ok()
-        .and_then(|v| v.parse::<i64>().ok())
-        .is_some_and(|v| v != 0);
-    assert_eq!(memory.is_durable(), wal_shim);
+    assert!(!memory.is_durable());
+    assert_eq!(durable.checkpoint_failures(), 0);
+    // 25 inserts and 12 churn steps cross a cadence of 3 many times
+    assert_eq!(
+        newest_checkpoint(&dir) > 1,
+        checkpoint_every > 0,
+        "cadence checkpoints at checkpoint_every = {checkpoint_every}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -170,7 +217,9 @@ fn check_replay_equals_live(seed: u64) {
         shadow.insert(o.clone());
     }
     for round in 0..3 {
-        churn(&mut rng, &mut live, &mut shadow, 3);
+        for _ in 0..3 {
+            churn_step(&mut rng, &mut live, &mut shadow);
+        }
         // warm both caches; the reopened engine starts cold, so replay
         // must prove the cache holds no answer-shaping state
         let warmup = random_object(&mut rng);
@@ -267,7 +316,8 @@ proptest! {
 
     #[test]
     fn durable_engine_answers_like_in_memory(seed in 0u64..10_000) {
-        check_durable_equals_in_memory(seed);
+        check_durable_equals_in_memory(seed, 0);
+        check_durable_equals_in_memory(seed, 3);
     }
 
     #[test]
