@@ -26,17 +26,20 @@
 //!
 //! 1. fsync the current WAL segment (completes the fallback chain);
 //! 2. write `checkpoint-{N+1}.ckpt.tmp`, fsync it;
-//! 3. rename over the final name, fsync the directory — the atomic
-//!    commit point;
-//! 4. rotate: new records go to `wal-{N+1}.log`;
+//! 3. rename over the final name — the atomic commit point;
+//! 4. rotate: new records go to `wal-{N+1}.log`; then fsync the
+//!    directory;
 //! 5. prune checkpoints `< N` and segments `< N`.
 //!
 //! A crash at any step leaves either the old basis (steps 1–3, tmp
 //! files are ignored by recovery) or the new one (steps 4–5, pruning is
-//! re-run by the next checkpoint) — never a broken state. Recovery
-//! itself ends by taking a fresh checkpoint (*checkpoint-on-open*), so
-//! a torn WAL tail is never appended to and crashing during recovery is
-//! idempotent.
+//! re-run by the next checkpoint) — never a broken state. Rotating
+//! right after the rename keeps a failed directory fsync harmless: the
+//! new checkpoint's recovery replays `wal-{N+1}.log`, and the old
+//! basis, should the rename not survive a crash, replays both
+//! segments. Recovery itself ends by taking a fresh checkpoint
+//! (*checkpoint-on-open*), so a torn WAL tail is never appended to and
+//! crashing during recovery is idempotent.
 //!
 //! ## Recovery rules
 //!
@@ -560,17 +563,20 @@ impl Durability {
         self.io.sync(&tmp_path)?;
         self.io.gate(CrashPoint::CheckpointBeforeRename)?;
 
-        // 3. atomic commit
+        // 3. atomic commit: from here on recovery may load the new
+        //    checkpoint, so records must go to the new segment
         self.io.rename(&tmp_path, &final_path)?;
-        self.io.sync_dir(&self.dir)?;
-        self.io.gate(CrashPoint::CheckpointAfterRename)?;
 
-        // 4. rotate
+        // 4. rotate before the directory fsync, so a failed fsync leaves
+        //    no record in a segment the new checkpoint's recovery skips
+        //    (were the rename lost, the old basis replays both segments)
         let prev_seq = self.seq;
         self.seq = new_seq;
         self.seg_len = 0;
         self.unsynced = 0;
         self.since_checkpoint = 0;
+        self.io.sync_dir(&self.dir)?;
+        self.io.gate(CrashPoint::CheckpointAfterRename)?;
         self.io.gate(CrashPoint::CheckpointBeforePrune)?;
 
         // 5. prune: keep this checkpoint, the previous one, and every

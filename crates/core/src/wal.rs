@@ -250,8 +250,9 @@ pub enum CrashPoint {
     /// The checkpoint temp file is complete and fsynced, but not yet
     /// renamed into place.
     CheckpointBeforeRename,
-    /// The checkpoint is renamed into place (and the directory synced),
-    /// but the old checkpoint/WAL files are not yet pruned.
+    /// The checkpoint is renamed into place, the WAL rotated and the
+    /// directory synced, but the old checkpoint/WAL files are not yet
+    /// pruned.
     CheckpointAfterRename,
     /// Alias stage just before pruning begins (after the post-rename
     /// WAL rotation bookkeeping).

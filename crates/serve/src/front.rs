@@ -148,11 +148,14 @@ struct Conn {
 /// batching adapts to arrival pressure and fuses across connections.
 /// Returns the server (with its final engine state) when every event
 /// producer is gone, or — with `exit_when_conns_drain` (the stdin
-/// front) — as soon as every opened connection has closed.
+/// front) — as soon as every opened connection has closed. A cycle
+/// that raised [`udb_core::ShardedEngine::checkpoint_failures`] writes
+/// one line to stderr: no reply carries those failures.
 pub fn run_pump(mut server: Server, rx: Receiver<Event>, exit_when_conns_drain: bool) -> Server {
     let batch_cap = server.batch_cap();
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut opened = 0usize;
+    let mut checkpoint_failures = server.engine().checkpoint_failures();
     while let Ok(first) = rx.recv() {
         let mut events = vec![first];
         let mut line_count = usize::from(matches!(events[0], Event::Line(..)));
@@ -197,6 +200,11 @@ pub fn run_pump(mut server: Server, rx: Receiver<Event>, exit_when_conns_drain: 
             }
         }
         execute(&mut server, &mut conns, &mut lines);
+        let failures = server.engine().checkpoint_failures();
+        if failures > checkpoint_failures {
+            checkpoint_failures = failures;
+            eprintln!("serve: {failures} cadence checkpoints failed so far; the WAL grows until one succeeds");
+        }
         if exit_when_conns_drain && opened > 0 && conns.is_empty() {
             break;
         }

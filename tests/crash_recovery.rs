@@ -526,18 +526,21 @@ fn unrecoverable_directory_is_an_error_not_empty() {
 
 /// The shared handles of one [`ProbeIo`]: its WAL-segment fsync count,
 /// a switch that makes those fsyncs fail, its checkpoint write count,
-/// and a switch that makes checkpoint writes fail.
+/// a switch that makes checkpoint writes fail, and a switch that makes
+/// the next directory fsync fail.
 #[derive(Clone, Default)]
 struct Probe {
     wal_syncs: Arc<AtomicUsize>,
     fail_syncs: Arc<AtomicBool>,
     checkpoints: Arc<AtomicUsize>,
     fail_checkpoints: Arc<AtomicBool>,
+    fail_sync_dir_once: Arc<AtomicBool>,
 }
 
 /// A [`FileIo`] that counts WAL-segment fsyncs and fails them while
-/// `fail_syncs` is set, and fails the checkpoint file's write while
-/// `fail_checkpoints` is set: the IO-level probe of the group-commit
+/// `fail_syncs` is set, fails the checkpoint file's write while
+/// `fail_checkpoints` is set, and fails one directory fsync after
+/// `fail_sync_dir_once` is set: the IO-level probe of the group-commit
 /// and checkpoint-failure tests.
 struct ProbeIo {
     inner: FileIo,
@@ -593,6 +596,9 @@ impl DurableIo for ProbeIo {
     }
 
     fn sync_dir(&mut self, dir: &Path) -> io::Result<()> {
+        if self.probe.fail_sync_dir_once.swap(false, Ordering::SeqCst) {
+            return Err(io::Error::other("injected directory fsync failure"));
+        }
         self.inner.sync_dir(dir)
     }
 
@@ -969,6 +975,53 @@ fn cadence_cfg() -> IdcaConfig {
         checkpoint_every: 2,
         ..cfg()
     }
+}
+
+/// A checkpoint's rename is its commit point: when the directory fsync
+/// after the rename fails, and the next cadence checkpoint then fails
+/// before its rename, the mutations acknowledged in between still go to
+/// a segment the renamed checkpoint's recovery replays, so a reopen
+/// serves every one of them.
+#[test]
+fn failed_directory_fsync_after_a_rename_loses_no_acknowledged_mutation() {
+    let dir = test_dir("failed-sync-dir");
+    let probe = Probe::default();
+    let mut engine = Engine::open_with_io(&dir, cadence_cfg(), probe.io()).expect("open");
+    let mut oracle = Engine::with_config(Database::new(), cfg());
+    let mut rng = StdRng::seed_from_u64(71);
+    let mut ops: Vec<Op> = (0..6)
+        .map(|_| Op::Insert(random_object(&mut rng)))
+        .collect();
+    ops.push(Op::Insert(random_object(&mut rng)));
+    ops.push(Op::Remove(ObjectId(1)));
+    ops.push(Op::Update(ObjectId(3), random_object(&mut rng)));
+    ops.push(Op::Insert(random_object(&mut rng)));
+    for (i, op) in ops.iter().enumerate() {
+        match i {
+            // the cadence checkpoint after the sixth record renames,
+            // then fails its directory fsync
+            4 => probe.fail_sync_dir_once.store(true, Ordering::SeqCst),
+            // every later cadence checkpoint fails before its rename
+            6 => probe.fail_checkpoints.store(true, Ordering::SeqCst),
+            _ => {}
+        }
+        apply_fallible(&mut engine, op).unwrap_or_else(|e| panic!("mutation {i}: {e}"));
+        apply_fallible(&mut oracle, op).expect("in-memory mutation");
+    }
+    assert!(
+        !probe.fail_sync_dir_once.load(Ordering::SeqCst),
+        "no directory fsync failed"
+    );
+    assert!(
+        engine.checkpoint_failures() >= 2,
+        "failures counted: {}",
+        engine.checkpoint_failures()
+    );
+    drop(engine); // a crash: every record is already fsynced
+    let recovered = Engine::open_with_config(&dir, cfg()).expect("reopen");
+    assert_engines_identical(&recovered, &mut oracle, "after a failed directory fsync");
+    drop(recovered);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Serves `lines` on a fresh durable server in `dir` with

@@ -53,22 +53,6 @@ fn cfg() -> IdcaConfig {
     }
 }
 
-/// The newest checkpoint's sequence number in a durable directory
-/// (opening writes checkpoint 1).
-fn newest_checkpoint(dir: &std::path::Path) -> u64 {
-    std::fs::read_dir(dir)
-        .expect("read dir")
-        .filter_map(|e| {
-            let name = e.expect("dir entry").file_name().into_string().ok()?;
-            name.strip_prefix("checkpoint-")?
-                .strip_suffix(".ckpt")?
-                .parse()
-                .ok()
-        })
-        .max()
-        .expect("a durable directory holds a checkpoint")
-}
-
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("udb-durab-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -165,7 +149,7 @@ fn check_durable_equals_in_memory(seed: u64, checkpoint_every: usize) {
     };
 
     let mut durable = Engine::open_with_config(&dir, cfg.clone()).expect("open durable");
-    let mut memory = Engine::with_config(Database::new(), cfg);
+    let mut memory = Engine::with_config(Database::new(), cfg.clone());
     for o in &objects {
         durable.insert(o.clone());
         memory.insert(o.clone());
@@ -193,12 +177,17 @@ fn check_durable_equals_in_memory(seed: u64, checkpoint_every: usize) {
     assert!(durable.is_durable());
     assert!(!memory.is_durable());
     assert_eq!(durable.checkpoint_failures(), 0);
-    // 25 inserts and 12 churn steps cross a cadence of 3 many times
+    // 25 inserts and 12 churn steps cross a cadence of 3 many times; a
+    // reopen loads the newest checkpoint (opening wrote checkpoint 1)
+    drop(durable);
+    let reopened = Engine::open_with_config(&dir, cfg).expect("reopen");
+    let basis = reopened.recovery_report().and_then(|r| r.checkpoint_seq);
     assert_eq!(
-        newest_checkpoint(&dir) > 1,
+        basis > Some(1),
         checkpoint_every > 0,
-        "cadence checkpoints at checkpoint_every = {checkpoint_every}"
+        "cadence checkpoints at checkpoint_every = {checkpoint_every}: basis {basis:?}"
     );
+    drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
