@@ -1,28 +1,32 @@
-//! Where a refiner's kd-decompositions come from: owned by the refiner,
-//! or replayed from a cache shared with every other refiner.
+//! Where a refiner's kd-decompositions come from. Every refined region
+//! (the target, the reference and each influence object) expands
+//! through one path: a cursor (`DecCursor`) into an [`ObjDecomp`]
+//! entry, which computes each expansion level once and replays it to
+//! every cursor that reaches it.
 //!
-//! Without sharing, every refiner recomputes the kd-tree decomposition
-//! of every object it touches, even when the previous query just refined
-//! the same objects. Splitting a partition evaluates PDF medians and
-//! masses ([`udb_object::Decomposition::expand_with_map`]); expansion is
+//! Splitting a partition evaluates PDF medians and masses
+//! ([`udb_object::Decomposition::expand_with_map`]). Expansion is
 //! deterministic given the PDF and split strategy, so a level computed
-//! once can be replayed bit-identically by every other refiner:
+//! once replays bit-identically. The entries come from one of two places
+//! (`Entries`):
 //!
-//! * [`DecompCache`] — keyed by object id, it memoizes every expansion
-//!   level of every database object any refiner has expanded. The
-//!   engines own one each, persistent across calls, LRU-trimmed to
-//!   [`DECOMP_CACHE_ENTRIES`] after every call and invalidated per
-//!   object by the mutation API.
-//! * [`SharedDecomp`] — one per query, for the query object, which has
-//!   no database id: it expands the query object once per query
-//!   instead of once per candidate.
+//! * **Engine entries.** Refiners built by a query plane read database
+//!   objects from the engine's [`DecompCache`]. It is keyed by object id,
+//!   persists across calls, is LRU-trimmed to [`DECOMP_CACHE_ENTRIES`]
+//!   after every call and is invalidated per object by the mutation API.
+//!   The query object has no database id; one `SharedDecomp` per query
+//!   expands it once per query instead of once per candidate.
+//! * **Private entries.** Refiners built anywhere else
+//!   ([`crate::Refiner::new`], [`crate::Engine::refiner`]) make one entry
+//!   per region at its first expansion, and it dies with the refiner.
 //!
-//! Refiners join both with [`crate::Refiner::with_decomp_cache`] and
-//! [`crate::Refiner::with_external_decomp`]; their own buffers stay
-//! theirs and die with them. Sharing is work-only: results are
-//! bit-identical to owned decompositions at every cache size
-//! (property-tested in `tests/batch_equivalence.rs` and
-//! `tests/owned_engine.rs`).
+//! A region starts at level 0, its root partition
+//! ([`udb_object::Partition::root`]), without touching any entry, so a
+//! refiner that decides at iteration 0 costs no entry at all. Every
+//! decomposition split and every replayed level happens in
+//! `ObjDecomp::expand_from`. Sharing is work-only: results are
+//! bit-identical at every cache size (property-tested in
+//! `tests/batch_equivalence.rs` and `tests/owned_engine.rs`).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -37,96 +41,122 @@ use udb_object::{Decomposition, ObjectId, Partition, Pdf, SplitStrategy};
 /// stops future sharing, so the value governs work, never results.
 pub const DECOMP_CACHE_ENTRIES: usize = 1024;
 
-/// The decomposition state of one refined region: either privately owned
-/// (the classic per-refiner kd-tree) or a view into a shared
-/// [`DecompCache`] entry, which memoizes each expansion level of an
-/// object's decomposition so every refiner touching the same object —
-/// across all queries of a batch — computes each split exactly once.
-///
-/// Expansion is deterministic given the PDF and split strategy, so a
-/// cached level is bit-identical to what an owned decomposition would
-/// produce; only the work is shared, never the results.
-pub(crate) enum DecSource {
-    /// Privately owned (a refiner not attached to a cache).
-    Own(Decomposition),
-    /// A cursor into a shared cache entry: `applied` counts the
-    /// expansion levels this refiner has consumed so far. The handle
-    /// resolves **lazily** — see [`SharedHandle`].
-    Shared {
-        handle: SharedHandle,
-        applied: usize,
-    },
+/// Where a new refiner's regions find their [`ObjDecomp`] entries (see
+/// the module docs).
+#[derive(Clone, Copy)]
+pub(crate) enum Entries<'q> {
+    /// One private entry per region, made at its first expansion.
+    Private,
+    /// The engine's: database objects from its cache, the refiner's one
+    /// external side (the query object) from the query's entry.
+    Engine(&'q Arc<DecompCache>, &'q SharedDecomp),
 }
 
-/// How a shared [`DecSource`] finds its cache entry. Most early-exit
-/// refiners decide at iteration 0 and never expand anything; a deferred
-/// handle costs them *nothing* (no map lock, no [`ObjDecomp`]
-/// allocation), where eagerly registering every region of every refiner
-/// in the [`DecompCache`] measurably taxed the
-/// many-refiner queries (RkNN builds one refiner per database object).
-/// The entry is looked up — and created on first touch — only when an
-/// expansion is actually requested.
-pub(crate) enum SharedHandle {
-    /// Already looked up (the per-query external decomposition, or a
-    /// deferred handle after its first expansion).
-    Resolved(Arc<Mutex<ObjDecomp>>),
-    /// Not looked up yet: the cache and the id to ask it for.
-    Deferred(Arc<DecompCache>, ObjectId),
-}
+impl Entries<'_> {
+    /// The construction check of a refiner splitting with `strategy`
+    /// whose target and reference have the database ids `sides`.
+    ///
+    /// # Panics
+    /// Panics if engine entries split with another strategy (a replayed
+    /// level would compose lineage maps across two different split
+    /// trees and corrupt the bounds silently), or if not exactly one
+    /// side is external (the query entry replays one object only).
+    pub(crate) fn check(&self, strategy: SplitStrategy, sides: [Option<ObjectId>; 2]) {
+        if let Entries::Engine(cache, query) = self {
+            assert!(
+                cache.strategy == strategy && query.strategy == strategy,
+                "decomposition entries split with another strategy than the refiner"
+            );
+            assert!(
+                sides.iter().filter(|id| id.is_none()).count() == 1,
+                "engine decomposition entries need exactly one external side"
+            );
+        }
+    }
 
-impl SharedHandle {
-    /// The cache entry, looked up (and created) on first use.
-    fn resolve(&mut self, pdf: &Pdf) -> &Arc<Mutex<ObjDecomp>> {
-        if let SharedHandle::Deferred(cache, id) = self {
-            *self = SharedHandle::Resolved(cache.entry(*id, pdf));
-        }
-        match self {
-            SharedHandle::Resolved(entry) => entry,
-            SharedHandle::Deferred(..) => unreachable!("resolved above"),
-        }
+    /// A level-0 cursor for the region with database id `id` (`None`:
+    /// the external side), splitting with `strategy`.
+    pub(crate) fn cursor(&self, id: Option<ObjectId>, strategy: SplitStrategy) -> DecCursor {
+        let handle = match (*self, id) {
+            (Entries::Private, _) => Handle::Private(strategy),
+            (Entries::Engine(cache, _), Some(id)) => Handle::Deferred(Arc::clone(cache), id),
+            (Entries::Engine(_, query), None) => Handle::Resolved(Arc::clone(&query.entry)),
+        };
+        DecCursor { handle, applied: 0 }
     }
 }
 
-impl DecSource {
+/// A refined region's decomposition: a cursor into an [`ObjDecomp`]
+/// entry, where `applied` counts the expansion levels the region has
+/// consumed.
+pub(crate) struct DecCursor {
+    handle: Handle,
+    applied: usize,
+}
+
+/// How a [`DecCursor`] finds its entry. Most early-exit refiners decide
+/// at iteration 0 and never expand anything; a deferred handle costs
+/// them *nothing* (no map lock, no [`ObjDecomp`] allocation), where
+/// eagerly registering every region of every refiner in the
+/// [`DecompCache`] measurably taxed the many-refiner queries (RkNN
+/// builds one refiner per database object). The entry is looked up, or
+/// made, only when an expansion is actually requested.
+enum Handle {
+    /// Looked up: the query's entry, or any entry after its first
+    /// expansion.
+    Resolved(Arc<Mutex<ObjDecomp>>),
+    /// An engine-cache entry not looked up yet: the cache and the id to
+    /// ask it for.
+    Deferred(Arc<DecompCache>, ObjectId),
+    /// A private entry not made yet, and the strategy to make it with.
+    Private(SplitStrategy),
+}
+
+impl DecCursor {
     /// One expansion level: the new partition list and the lineage map
     /// (`map[new_idx] = old_idx`), or `None` when nothing can split
-    /// further. Owned sources delegate to
-    /// [`Decomposition::expand_with_map`]; shared sources replay (or
-    /// extend) the cache entry.
+    /// further.
     pub(crate) fn expand(&mut self, pdf: &Pdf) -> Option<(Vec<Partition>, Vec<u32>)> {
-        match self {
-            DecSource::Own(dec) => dec.expand_with_map(pdf).map(|map| (dec.partitions(), map)),
-            DecSource::Shared { handle, applied } => {
-                let entry = handle.resolve(pdf);
-                let mut cached = entry.lock().unwrap_or_else(|p| p.into_inner());
-                let out = cached.expand_from(*applied, pdf);
-                if out.is_some() {
-                    *applied += 1;
-                }
-                out
+        match &self.handle {
+            Handle::Resolved(_) => {}
+            Handle::Deferred(cache, id) => self.handle = Handle::Resolved(cache.entry(*id, pdf)),
+            &Handle::Private(strategy) => {
+                let entry = ObjDecomp::new(pdf, strategy);
+                self.handle = Handle::Resolved(Arc::new(Mutex::new(entry)));
             }
         }
+        let Handle::Resolved(entry) = &self.handle else {
+            unreachable!("resolved above")
+        };
+        let out = entry
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .expand_from(self.applied, pdf);
+        if out.is_some() {
+            self.applied += 1;
+        }
+        out
     }
 }
 
 /// One cached expansion level of an object's decomposition: the full
 /// partition list after the expansion plus the lineage map
 /// (`map[new_idx] = old_idx`) — exactly what
-/// [`Decomposition::expand_with_map`] hands an owned refiner.
+/// [`Decomposition::expand_with_map`] reports.
 struct LevelDelta {
     parts: Vec<Partition>,
     map: Vec<u32>,
 }
 
-/// The shared decomposition state of one object (one [`DecompCache`]
-/// entry): a master decomposition expanded as deep as any refiner has
-/// asked so far, plus the replayable per-level deltas.
+/// The decomposition state of one object (one entry): a master
+/// decomposition expanded as deep as any cursor has asked so far, plus
+/// the replayable per-level deltas.
 pub struct ObjDecomp {
     master: Decomposition,
     levels: Vec<LevelDelta>,
     /// Set once `master` reports no further progress; expansion requests
-    /// beyond `levels.len()` then answer `None` forever (matching an
-    /// owned decomposition, whose leaves stay unsplittable).
+    /// beyond `levels.len()` then answer `None` forever (its leaves stay
+    /// unsplittable).
     exhausted: bool,
 }
 
@@ -140,8 +170,9 @@ impl ObjDecomp {
     }
 
     /// The expansion taking a consumer from level `applied` to
-    /// `applied + 1`: replayed from the cache when already computed,
+    /// `applied + 1`: replayed from the entry when already computed,
     /// computed (and recorded) on the master decomposition otherwise.
+    /// The one place where decomposition splits and replays happen.
     pub(crate) fn expand_from(
         &mut self,
         applied: usize,
@@ -276,12 +307,6 @@ impl DecompCache {
             .clear();
     }
 
-    /// The split strategy every cached decomposition uses (refiners must
-    /// match it — [`crate::Refiner::with_decomp_cache`] asserts this).
-    pub fn strategy(&self) -> SplitStrategy {
-        self.strategy
-    }
-
     /// Number of objects with cached decomposition state.
     pub fn len(&self) -> usize {
         self.state
@@ -297,23 +322,20 @@ impl DecompCache {
     }
 }
 
-/// A shared decomposition handle for one external object — a query
-/// object, which the id-keyed [`DecompCache`] cannot hold. One handle
-/// per query, attached to every refiner of that query via
-/// [`crate::Refiner::with_external_decomp`], expands the query object
-/// once per query instead of once per candidate. The handle must only
-/// be attached to refiners whose external side *is* the object the
-/// handle was built from — the entry replays that object's expansion
-/// levels.
-pub struct SharedDecomp {
-    pub(crate) entry: Arc<Mutex<ObjDecomp>>,
-    pub(crate) strategy: SplitStrategy,
+/// The entry of one query object, which the id-keyed [`DecompCache`]
+/// cannot hold. The query's refiners share it ([`Entries::Engine`]), so
+/// the query object expands once per query instead of once per
+/// candidate; only refiners whose external side *is* that object may
+/// share it.
+pub(crate) struct SharedDecomp {
+    entry: Arc<Mutex<ObjDecomp>>,
+    strategy: SplitStrategy,
 }
 
 impl SharedDecomp {
-    /// A fresh handle for the object with density `pdf`, split with
+    /// A fresh entry for the object with density `pdf`, split with
     /// `strategy`.
-    pub fn new(pdf: &Pdf, strategy: SplitStrategy) -> Self {
+    pub(crate) fn new(pdf: &Pdf, strategy: SplitStrategy) -> Self {
         SharedDecomp {
             entry: Arc::new(Mutex::new(ObjDecomp::new(pdf, strategy))),
             strategy,
@@ -343,7 +365,7 @@ mod tests {
         let id = ObjectId(3);
         let pdf = db.get(id).pdf();
         // an owned decomposition, stepped level by level, is the oracle
-        let mut own = Decomposition::with_strategy(pdf, SplitStrategy::default());
+        let mut own = Decomposition::new(pdf);
         let entry = cache.entry(id, pdf);
         let late = cache.entry(id, pdf); // a second consumer, lagging behind
         for level in 0..6 {
@@ -369,6 +391,16 @@ mod tests {
             assert_eq!(rp.len(), gp.len());
         }
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "another strategy")]
+    fn engine_entries_refuse_another_split_strategy() {
+        let db = synthetic(2);
+        let cache = Arc::new(DecompCache::new(SplitStrategy::RoundRobin));
+        let query = SharedDecomp::new(db.get(ObjectId(0)).pdf(), SplitStrategy::RoundRobin);
+        let sides = [Some(ObjectId(1)), None];
+        Entries::Engine(&cache, &query).check(SplitStrategy::LongestExtent, sides);
     }
 
     #[test]

@@ -33,7 +33,7 @@
 //! answers queries bit-identically to the never-crashed engine
 //! (adversarially tested in `tests/crash_recovery.rs`).
 
-use udb_domination::PairClassifier;
+use udb_domination::{DecisionClass, PairClassifier};
 use udb_geometry::Rect;
 use udb_index::{NodeDecision, RTree};
 use udb_object::{Database, ObjectId, UncertainObject};
@@ -43,7 +43,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::batch::{QueryBatch, QueryView};
 use crate::config::{IdcaConfig, ObjRef, Predicate};
-use crate::decomp::{DecompCache, DECOMP_CACHE_ENTRIES};
+use crate::decomp::{DecompCache, Entries, SharedDecomp, DECOMP_CACHE_ENTRIES};
 use crate::durable::{rebuild_tree, recover, Durability, DurableError, RecoveryReport, WalMark};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
@@ -144,10 +144,6 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
         self.pool
     }
 
-    fn decomps(&self) -> &'a Arc<DecompCache> {
-        self.decomps
-    }
-
     /// Index-accelerated domination-count refiner: the complete-domination
     /// filter of Algorithm 1 applied to whole R-tree subtrees instead of a
     /// linear scan. Sound because both criteria are monotone under MBR
@@ -170,6 +166,7 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
         target: ObjRef<'a>,
         reference: ObjRef<'a>,
         predicate: Predicate,
+        query: Option<&SharedDecomp>,
     ) -> Refiner<'a> {
         let db = self.db;
         let cfg = self.cfg;
@@ -184,10 +181,14 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
                 .classify_entries_with(scratch, SUBTREE_SCAN_CUTOFF, |mbr| {
                     // same decisions as the scan filter's classify (the
                     // criterion tests are mutually exclusive)
-                    match pc.classify(mbr).decision {
-                        Some(false) => NodeDecision::DropAll,
-                        Some(true) => NodeDecision::TakeAll,
-                        None => NodeDecision::Descend,
+                    match pc.classify(mbr) {
+                        DecisionClass::RobustNever | DecisionClass::OpenNever => {
+                            NodeDecision::DropAll
+                        }
+                        DecisionClass::RobustDominate | DecisionClass::OpenDominate => {
+                            NodeDecision::TakeAll
+                        }
+                        DecisionClass::Undecided => NodeDecision::Descend,
                     }
                 });
             let mut complete = 0usize;
@@ -213,14 +214,14 @@ impl<'a> QueryPlane<'a> for EngineRef<'a> {
         });
         let mut influence = influence;
         influence.sort_unstable();
-        Refiner::with_filter_result_view(
+        Refiner::from_filter(
             DbView::Single(db),
             target,
             reference,
             cfg.clone(),
             predicate,
-            complete,
-            influence,
+            (complete, influence),
+            query.map_or(Entries::Private, |q| Entries::Engine(self.decomps, q)),
         )
         .with_pool(self.pool.clone())
         .with_stats(Arc::clone(self.stats))
@@ -818,11 +819,11 @@ impl Engine {
     }
 
     /// Takes a checkpoint **now**: compacts leading tombstones
-    /// ([`Database::compact`] — ids stay stable), rebuilds the R-tree
-    /// from scratch (undoing any degradation accumulated through
-    /// incremental maintenance under churn), and — on a durable engine
-    /// — snapshots the database, rotates the WAL and prunes superseded
-    /// files. Queries before and after are bit-identical: candidate
+    /// ([`Database::compact`] — ids stay stable), on a durable engine
+    /// snapshots the database, rotates the WAL and prunes superseded
+    /// files, and then rebuilds the R-tree from scratch (undoing any
+    /// degradation accumulated through incremental maintenance under
+    /// churn). Queries before and after are bit-identical: candidate
     /// *sets* are tree-structure-independent (the same MinDist/MaxDist
     /// pruning rule decides membership), and refinement never depends
     /// on the tree shape.
@@ -833,13 +834,15 @@ impl Engine {
     /// # Errors
     /// Fails when the durable snapshot cannot be written; the engine's
     /// in-memory state is still valid (and the previous checkpoint +
-    /// WAL still recover it).
+    /// WAL still recover it). The tree is then not rebuilt, so a
+    /// cadence checkpoint that keeps failing does not rebuild it on
+    /// every retry.
     pub fn checkpoint(&mut self) -> Result<(), DurableError> {
         self.db.compact();
-        self.tree = rebuild_tree(&self.db);
         if let Some(d) = &mut self.durable {
             d.checkpoint(&self.db, self.mutations)?;
         }
+        self.tree = rebuild_tree(&self.db);
         Ok(())
     }
 
@@ -920,15 +923,15 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Index-accelerated domination-count refiner over this engine's
-    /// database and index. The decomposition cache is not attached; use
-    /// the query entry points for cached execution.
+    /// database and index. Its regions expand through private
+    /// decomposition entries (see [`crate::decomp`]).
     pub fn refiner<'b>(
         &'b self,
         target: ObjRef<'b>,
         reference: ObjRef<'b>,
         predicate: Predicate,
     ) -> Refiner<'b> {
-        self.parts().refiner(target, reference, predicate)
+        self.parts().refiner(target, reference, predicate, None)
     }
 
     /// Index-driven spatial kNN candidate set (sound superset of every
@@ -1012,7 +1015,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{scan, ShardedEngine};
+    use crate::{scan, DomCountSnapshot, ShardedEngine};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use udb_geometry::{LpNorm, Point};
@@ -1057,25 +1060,78 @@ mod tests {
         }
     }
 
+    /// A snapshot's every bit: the bounds, the predicate CDF, the counts
+    /// and the iteration.
+    type SnapshotBits = (Vec<(u64, u64)>, Option<(u64, u64)>, [usize; 3]);
+
+    fn snapshot_bits(s: &DomCountSnapshot) -> SnapshotBits {
+        let bounds = (0..s.bounds.len())
+            .map(|k| (s.bounds.lower(k).to_bits(), s.bounds.upper(k).to_bits()))
+            .collect();
+        let cdf = s.predicate_cdf.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()));
+        (
+            bounds,
+            cdf,
+            [s.complete_count, s.influence_count, s.iteration],
+        )
+    }
+
+    /// The engine's refiner (index filter, private decomposition
+    /// entries), the standalone scan refiner and a refiner the plane
+    /// builds on the engine's cache and a query entry agree bit for bit
+    /// at every level, on uniform, Gaussian and correlated-histogram
+    /// objects. The query set runs twice, so the second pass replays
+    /// warm cache entries.
     #[test]
     fn indexed_refiner_produces_identical_bounds() {
-        let (db, cfg) = synthetic(300);
-        let qs = QuerySet::generate(&db, &cfg, 2, 10, LpNorm::L2, 80);
-        let idca = IdcaConfig {
-            max_iterations: 4,
-            uncertainty_target: 0.0,
-            ..Default::default()
-        };
-        let engine = Engine::with_config(db.clone(), idca.clone());
-        for (r, b) in qs.iter() {
-            let (target, reference) = (ObjRef::Db(b), ObjRef::External(r));
-            let snap_a = engine.refiner(target, reference, Predicate::FullPdf).run();
-            let snap_b =
-                Refiner::new(&db, target, reference, idca.clone(), Predicate::FullPdf).run();
-            assert_eq!(snap_a.bounds.len(), snap_b.bounds.len());
-            for k in 0..snap_a.bounds.len() {
-                assert!((snap_a.bounds.lower(k) - snap_b.bounds.lower(k)).abs() < 1e-12);
-                assert!((snap_a.bounds.upper(k) - snap_b.bounds.upper(k)).abs() < 1e-12);
+        for pdf in [
+            PdfKind::Uniform,
+            PdfKind::Gaussian,
+            PdfKind::CorrelatedHistogram,
+        ] {
+            let cfg = SyntheticConfig {
+                n: 300,
+                max_extent: 0.01,
+                pdf,
+                ..Default::default()
+            };
+            let db = cfg.generate();
+            let qs = QuerySet::generate(&db, &cfg, 3, 10, LpNorm::L2, 80);
+            let idca = IdcaConfig {
+                max_iterations: 4,
+                uncertainty_target: 0.0,
+                ..Default::default()
+            };
+            let engine = Engine::with_config(db.clone(), idca.clone());
+            for pass in 0..2 {
+                for (r, b) in qs.iter() {
+                    let (target, reference) = (ObjRef::Db(b), ObjRef::External(r));
+                    let q_dec = SharedDecomp::new(r.pdf(), idca.split_strategy);
+                    let predicate = Predicate::FullPdf;
+                    let mut refiners = [
+                        engine.refiner(target, reference, predicate),
+                        Refiner::new(&db, target, reference, idca.clone(), predicate),
+                        engine
+                            .parts()
+                            .refiner(target, reference, predicate, Some(&q_dec)),
+                    ];
+                    loop {
+                        let snaps = refiners.each_mut().map(|r| snapshot_bits(&r.snapshot()));
+                        let level = snaps[0].2[2];
+                        let what = format!("{pdf:?}, pass {pass}, target {b}, level {level}");
+                        assert_eq!(snaps[0], snaps[1], "engine vs scan: {what}");
+                        assert_eq!(snaps[0], snaps[2], "engine vs cached: {what}");
+                        if level >= idca.max_iterations {
+                            break;
+                        }
+                        let steps = refiners.each_mut().map(|r| r.step());
+                        assert!(steps.iter().all(|&s| s == steps[0]), "{what}: {steps:?}");
+                        if !steps[0] {
+                            break;
+                        }
+                    }
+                }
+                assert!(!engine.decomps.is_empty(), "{pdf:?}: the cache is warm");
             }
         }
     }

@@ -42,7 +42,7 @@ pub mod wal;
 
 pub use batch::{QueryBatch, QuerySpec};
 pub use config::{IdcaConfig, ObjRef, Predicate, RefineGoal};
-pub use decomp::{DecompCache, SharedDecomp, DECOMP_CACHE_ENTRIES};
+pub use decomp::{DecompCache, DECOMP_CACHE_ENTRIES};
 pub use durable::{DurableError, RecoveryReport};
 pub use engine::Engine;
 pub use parallel::{PoolHandle, WorkerPool};

@@ -4,7 +4,7 @@
 //!   [`FactorCache`], row-major by pair, `pair_idx = bp_idx · |R'| +
 //!   rp_idx`) splits the influence object's partitions into *settled*
 //!   mass — partitions whose spatial decision was **float-robust**
-//!   ([`udb_domination::SpatialDecision::robust`]) — and a small `open`
+//!   ([`udb_domination::DecisionClass`]) — and a small `open`
 //!   list of partitions straddling the decision boundary. The decision
 //!   sums are monotone under shrinking any of the three regions, so a
 //!   robust decision is final: settled mass is *never* reclassified, no

@@ -17,6 +17,18 @@
 //! * `drivers.rs` — the early-exit candidate drivers [`refine_each`] and
 //!   [`refine_top_m`].
 //!
+//! # Decompositions
+//!
+//! Every region (`B`, `R` and each influence object) starts at its root
+//! partition and deepens through one cursor into a decomposition entry
+//! ([`crate::decomp`]). A refiner that a query plane builds uses the
+//! engine's entries: database objects from the engine's cache, the query
+//! object from the query's own entry. A refiner built by
+//! [`Refiner::new`] or [`crate::Engine::refiner`] uses private entries,
+//! made at a region's first expansion and dropped with the refiner.
+//! Expansion is deterministic, so the bits of a snapshot do not depend on
+//! where the entries live.
+//!
 //! # The kept snapshot
 //!
 //! A refiner keeps its last snapshot until a [`Refiner::step`] makes
@@ -46,13 +58,13 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use udb_domination::{pdom_bounds_vs_fixed, PDomBounds, PairClassifier};
+use udb_domination::{pdom_bounds_vs_fixed, DecisionClass, PDomBounds, PairClassifier};
 use udb_genfunc::{CountDistributionBounds, Ugf};
 use udb_geometry::Interval;
-use udb_object::{Database, Decomposition, ObjectId, Partition, UncertainObject};
+use udb_object::{Database, ObjectId, Partition, UncertainObject};
 
 use crate::config::{IdcaConfig, ObjRef, Predicate};
-use crate::decomp::{DecSource, DecompCache, SharedDecomp, SharedHandle};
+use crate::decomp::{DecCursor, Entries};
 use crate::parallel::PoolHandle;
 
 mod drivers;
@@ -75,7 +87,7 @@ struct Influence {
     /// The whole object's uncertainty-region MBR (for the object-level
     /// pre-test of remapped slots).
     mbr: udb_geometry::Rect,
-    dec: DecSource,
+    dec: DecCursor,
     parts: Vec<Partition>,
     /// The partition MBRs flattened into one contiguous interval buffer
     /// (partition `p` occupies `p·dims .. (p+1)·dims`) with the matching
@@ -96,15 +108,13 @@ struct Influence {
 }
 
 impl Influence {
-    fn new(id: ObjectId, a: &UncertainObject, cfg: &IdcaConfig) -> Self {
-        let dec = Decomposition::with_strategy(a.pdf(), cfg.split_strategy);
-        let parts = dec.partitions();
+    fn new(id: ObjectId, a: &UncertainObject, dec: DecCursor) -> Self {
         let mut inf = Influence {
             id,
             existence: a.existence(),
             mbr: a.mbr().clone(),
-            dec: DecSource::Own(dec),
-            parts,
+            dec,
+            parts: vec![Partition::root(a.pdf())],
             flat_mbrs: Vec::new(),
             masses: Vec::new(),
             ids: IntervalIds::default(),
@@ -264,16 +274,11 @@ pub struct Refiner<'a> {
     predicate: Predicate,
     target: &'a UncertainObject,
     reference: &'a UncertainObject,
-    /// Database ids of the target/reference (when they live in the
-    /// database): the keys under which their decompositions can join a
-    /// shared [`DecompCache`].
-    target_id: Option<ObjectId>,
-    reference_id: Option<ObjectId>,
     complete_count: usize,
     influence: Vec<Influence>,
-    b_dec: DecSource,
+    b_dec: DecCursor,
     b_parts: Vec<Partition>,
-    r_dec: DecSource,
+    r_dec: DecCursor,
     r_parts: Vec<Partition>,
     iteration: usize,
     /// Partition lineage of `B` / `R` expansions since the cache was last
@@ -333,12 +338,14 @@ impl<'a> Refiner<'a> {
             if excluded.contains(&Some(id)) {
                 continue;
             }
-            match pc.classify(a.mbr()).decision {
+            match pc.classify(a.mbr()) {
                 // certainly never dominates the target: no influence on
                 // the count
-                Some(false) => continue,
+                DecisionClass::RobustNever | DecisionClass::OpenNever => continue,
                 // certain dominator (only if it certainly exists)
-                Some(true) if a.existence() >= 1.0 => {
+                DecisionClass::RobustDominate | DecisionClass::OpenDominate
+                    if a.existence() >= 1.0 =>
+                {
                     complete_count += 1;
                     continue;
                 }
@@ -346,58 +353,59 @@ impl<'a> Refiner<'a> {
                 _ => influence_ids.push(id),
             }
         }
-        Refiner::with_filter_result_view(
+        Refiner::from_filter(
             DbView::Single(db),
             target,
             reference,
             cfg,
             predicate,
-            complete_count,
-            influence_ids,
+            (complete_count, influence_ids),
+            Entries::Private,
         )
     }
 
-    /// Builds a refiner from a *precomputed* filter result over an
-    /// arbitrary [`DbView`]: `complete_count` certain dominators and the
-    /// undecided `influence_ids`, ascending. The caller is responsible
-    /// for the classification's soundness (the index-accelerated filters
-    /// apply the same criterion as [`Refiner::new`]). Influence ids are
+    /// Builds a refiner from a *precomputed* filter result over a
+    /// [`DbView`]: `complete_count` certain dominators and the undecided
+    /// `influence_ids`, ascending. The caller is responsible for the
+    /// classification's soundness (the index-accelerated filters apply
+    /// the same criterion as [`Refiner::new`]). Influence ids are
     /// resolved through the view, so the sharded router's refiner
     /// refines against influence objects scattered across shard
-    /// databases exactly as if they lived in one.
-    pub fn with_filter_result_view(
+    /// databases exactly as if they lived in one. Every region expands
+    /// through a cursor into an entry of `entries` (see
+    /// [`crate::decomp`]).
+    ///
+    /// # Panics
+    /// Panics where [`Entries::check`] does.
+    pub(crate) fn from_filter(
         db: DbView<'a>,
         target: ObjRef<'a>,
         reference: ObjRef<'a>,
         cfg: IdcaConfig,
         predicate: Predicate,
-        complete_count: usize,
-        influence_ids: Vec<ObjectId>,
+        (complete_count, influence_ids): (usize, Vec<ObjectId>),
+        entries: Entries<'_>,
     ) -> Self {
+        let strategy = cfg.split_strategy;
+        entries.check(strategy, [target.id(), reference.id()]);
         let target_obj = db.resolve(target);
         let reference_obj = db.resolve(reference);
         let influence = influence_ids
             .into_iter()
-            .map(|id| Influence::new(id, db.get(id), &cfg))
+            .map(|id| Influence::new(id, db.get(id), entries.cursor(Some(id), strategy)))
             .collect();
-        let b_dec = Decomposition::with_strategy(target_obj.pdf(), cfg.split_strategy);
-        let b_parts = b_dec.partitions();
-        let r_dec = Decomposition::with_strategy(reference_obj.pdf(), cfg.split_strategy);
-        let r_parts = r_dec.partitions();
         Refiner {
             db,
             cfg,
             predicate,
             target: target_obj,
             reference: reference_obj,
-            target_id: target.id(),
-            reference_id: reference.id(),
             complete_count,
             influence,
-            b_dec: DecSource::Own(b_dec),
-            b_parts,
-            r_dec: DecSource::Own(r_dec),
-            r_parts,
+            b_dec: entries.cursor(target.id(), strategy),
+            b_parts: vec![Partition::root(target_obj.pdf())],
+            r_dec: entries.cursor(reference.id(), strategy),
+            r_parts: vec![Partition::root(reference_obj.pdf())],
             iteration: 0,
             b_map: None,
             r_map: None,
@@ -410,84 +418,6 @@ impl<'a> Refiner<'a> {
             pool: PoolHandle::default(),
             stats: None,
         }
-    }
-
-    /// Joins a shared decomposition cache ([`DecompCache`]): every
-    /// decomposition with a database identity — the target and
-    /// reference when they live in the database, and every influence
-    /// object — switches to the cache, so expansion levels computed by
-    /// *any* refiner attached to it are replayed by all others instead
-    /// of recomputed. Cached expansions are bit-identical to owned ones
-    /// (decomposition is deterministic), so results are unchanged.
-    ///
-    /// Must be called before refinement starts (construction-time
-    /// builder, like [`Refiner::with_pool`]).
-    pub fn with_decomp_cache(mut self, cache: &Arc<DecompCache>) -> Self {
-        assert!(
-            self.iteration == 0,
-            "decomposition cache must be attached before refinement starts"
-        );
-        // a cached level replays only for the split strategy it was
-        // computed with; a mismatch would compose lineage maps across
-        // two different split trees and corrupt the bounds silently
-        assert!(
-            cache.strategy() == self.cfg.split_strategy,
-            "decomposition cache split strategy differs from the refiner's"
-        );
-        // deferred handles: no cache lookup (or entry creation) happens
-        // until a region actually expands — refiners deciding at
-        // iteration 0 never touch the cache at all
-        let attach = |source: &mut DecSource, id: Option<ObjectId>| {
-            if let Some(id) = id {
-                *source = DecSource::Shared {
-                    handle: SharedHandle::Deferred(Arc::clone(cache), id),
-                    applied: 0,
-                };
-            }
-        };
-        attach(&mut self.b_dec, self.target_id);
-        attach(&mut self.r_dec, self.reference_id);
-        for inf in &mut self.influence {
-            inf.dec = DecSource::Shared {
-                handle: SharedHandle::Deferred(Arc::clone(cache), inf.id),
-                applied: 0,
-            };
-        }
-        self
-    }
-
-    /// Attaches a shared decomposition for the refiner's single
-    /// *external* region — the side of target/reference without a
-    /// database id, which [`Refiner::with_decomp_cache`] cannot key into
-    /// the id-based cache. The query object is that side for every one
-    /// of a query's candidate refiners; sharing one [`SharedDecomp`]
-    /// across them expands the query object once per query instead of
-    /// once per candidate. The handle must have been built from this
-    /// refiner's external object's PDF ([`SharedDecomp::new`]).
-    ///
-    /// # Panics
-    /// Panics if refinement has started, the handle's split strategy
-    /// differs, or target/reference are not exactly one external and one
-    /// database object.
-    pub fn with_external_decomp(mut self, shared: &SharedDecomp) -> Self {
-        assert!(
-            self.iteration == 0,
-            "shared decomposition must be attached before refinement starts"
-        );
-        assert!(
-            shared.strategy == self.cfg.split_strategy,
-            "shared decomposition split strategy differs from the refiner's"
-        );
-        let slot = match (self.target_id, self.reference_id) {
-            (None, Some(_)) => &mut self.b_dec,
-            (Some(_), None) => &mut self.r_dec,
-            _ => panic!("with_external_decomp needs exactly one external side"),
-        };
-        *slot = DecSource::Shared {
-            handle: SharedHandle::Resolved(Arc::clone(&shared.entry)),
-            applied: 0,
-        };
-        self
     }
 
     /// Attaches a shared worker pool for parallel snapshots (engines

@@ -38,7 +38,7 @@
 //! extra work and memory, next to the `O(pairs · influence · k)` UGF
 //! multiplies.
 
-use udb_domination::{DominationCriterion, OptimalSums, PairClassifier};
+use udb_domination::{DecisionClass, DominationCriterion, OptimalSums, PairClassifier};
 use udb_genfunc::{CountDistributionBounds, Ugf};
 use udb_object::Partition;
 
@@ -434,17 +434,19 @@ fn process_pair_range(
                         // object-level pre-test: if the whole object
                         // robustly decides against the shrunken pair,
                         // every open partition decides identically
-                        let obj = pc.classify(&inf.mbr);
                         let anc_open = anc.open_in(old_arena);
-                        match (obj.decision, obj.robust, offsets) {
-                            (Some(dominates), true, _) => {
-                                slot.settle_open(dominates, inf.existence)
+                        match (pc.classify(&inf.mbr), offsets) {
+                            (DecisionClass::RobustDominate, _) => {
+                                slot.settle_open(true, inf.existence)
                             }
-                            (_, _, Some(offsets)) => {
+                            (DecisionClass::RobustNever, _) => {
+                                slot.settle_open(false, inf.existence)
+                            }
+                            (_, Some(offsets)) => {
                                 let children = children(anc_open, offsets);
                                 tests.classify(slot, children, inf_idx, inf, tables, arena)
                             }
-                            (_, _, None) => {
+                            (_, None) => {
                                 let same = anc_open.iter().copied();
                                 tests.classify(slot, same, inf_idx, inf, tables, arena)
                             }
@@ -517,7 +519,6 @@ impl PairTests<'_> {
                 let tested = slot.classify_into(candidates, inf, arena, |p| {
                     self.pc
                         .classify_dims(&inf.flat_mbrs[p * dims..(p + 1) * dims])
-                        .into()
                 });
                 tables.tests.1 += tested;
             }
@@ -553,7 +554,7 @@ impl PairTests<'_> {
             let class = self.pc.decide_sums(sums, mbr);
             debug_assert_eq!(
                 class,
-                self.pc.classify_dims(mbr).into(),
+                self.pc.classify_dims(mbr),
                 "criterion table disagrees with the kernel"
             );
             class

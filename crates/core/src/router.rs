@@ -44,7 +44,7 @@
 //!   on any tree (see [`QueryPlane::rknn_candidates`]), so the
 //!   per-shard walks keep exactly the single engine's survivors.
 
-use udb_domination::PairClassifier;
+use udb_domination::{DecisionClass, PairClassifier};
 use udb_geometry::Rect;
 use udb_index::{NodeDecision, RTree};
 use udb_object::{Database, ObjectId, UncertainObject};
@@ -53,7 +53,7 @@ use std::sync::Arc;
 
 use crate::batch::QueryView;
 use crate::config::{IdcaConfig, ObjRef, Predicate};
-use crate::decomp::{DecompCache, SharedDecomp};
+use crate::decomp::{DecompCache, Entries, SharedDecomp};
 use crate::engine::{tighten_dk, ScratchPool, SUBTREE_SCAN_CUTOFF};
 use crate::parallel::PoolHandle;
 use crate::queries::ThresholdResult;
@@ -70,17 +70,19 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
     /// The shared worker-pool handle for query-level fan-out.
     fn pool(&self) -> &'a PoolHandle;
 
-    /// The persistent decomposition cache every query's refiners share.
-    fn decomps(&self) -> &'a Arc<DecompCache>;
-
     /// Index-accelerated domination-count refiner: the
     /// complete-domination filter of Algorithm 1 applied through the
     /// plane's index(es), yielding a refiner over the plane's storage.
+    /// With the query object's entry `query` (its external side), it
+    /// expands database objects through the plane's persistent
+    /// decomposition cache: the refiner every pipeline runs. Without,
+    /// every region gets a private entry (see [`crate::decomp`]).
     fn refiner(
         &self,
         target: ObjRef<'a>,
         reference: ObjRef<'a>,
         predicate: Predicate,
+        query: Option<&SharedDecomp>,
     ) -> Refiner<'a>;
 
     /// The live object behind an id (global id on a sharded plane).
@@ -125,27 +127,6 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
     // Provided drivers — the one query pipeline every entry point runs.
     // ------------------------------------------------------------------
 
-    /// [`QueryPlane::refiner`] joined to the plane's decomposition cache
-    /// and to the query object's shared decomposition `q_dec`: the
-    /// refiner every pipeline runs.
-    fn shared_refiner(
-        &self,
-        target: ObjRef<'a>,
-        reference: ObjRef<'a>,
-        predicate: Predicate,
-        q_dec: &SharedDecomp,
-    ) -> Refiner<'a> {
-        self.refiner(target, reference, predicate)
-            .with_decomp_cache(self.decomps())
-            .with_external_decomp(q_dec)
-    }
-
-    /// A fresh shared decomposition of the query object `q`, for the
-    /// refiners of one query.
-    fn query_decomp(&self, q: &UncertainObject) -> SharedDecomp {
-        SharedDecomp::new(q.pdf(), self.cfg().split_strategy)
-    }
-
     /// The kNN-threshold refinement pipeline: index-driven candidates,
     /// subtree-filtered refiners, and early-exit refinement that
     /// retires each candidate as soon as its `P(DomCount < k) ≷ τ`
@@ -159,12 +140,12 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         candidates: Vec<ObjectId>,
     ) -> Vec<ThresholdResult> {
         let predicate = Predicate::Threshold { k, tau };
-        let q_dec = self.query_decomp(q);
+        let q_dec = SharedDecomp::new(q.pdf(), self.cfg().split_strategy);
         let refiners = candidates
             .into_iter()
             .map(|id| {
                 let refiner =
-                    self.shared_refiner(ObjRef::Db(id), ObjRef::External(q), predicate, &q_dec);
+                    self.refiner(ObjRef::Db(id), ObjRef::External(q), predicate, Some(&q_dec));
                 (id, refiner)
             })
             .collect();
@@ -195,7 +176,10 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         }
         let pc = PairClassifier::new(q.mbr(), b_obj.mbr(), cfg.criterion, cfg.norm);
         self.dominators_reach(b_obj.mbr(), radius, Some(b_id), k, |a| {
-            pc.classify(a).decision == Some(true)
+            matches!(
+                pc.classify(a),
+                DecisionClass::RobustDominate | DecisionClass::OpenDominate
+            )
         })
     }
 
@@ -214,8 +198,7 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         }
         let pc = PairClassifier::new(q.mbr(), node, cfg.criterion, cfg.norm);
         self.dominators_reach(node, radius, None, k.saturating_add(1), |a| {
-            let d = pc.classify(a);
-            d.decision == Some(true) && d.robust
+            pc.classify(a) == DecisionClass::RobustDominate
         })
     }
 
@@ -270,13 +253,17 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         tau: f64,
     ) -> Vec<ThresholdResult> {
         let predicate = Predicate::Threshold { k, tau };
-        let q_dec = self.query_decomp(q);
+        let q_dec = SharedDecomp::new(q.pdf(), self.cfg().split_strategy);
         let refiners = self
             .rknn_candidates(q, k)
             .into_iter()
             .map(|b_id| {
-                let refiner =
-                    self.shared_refiner(ObjRef::External(q), ObjRef::Db(b_id), predicate, &q_dec);
+                let refiner = self.refiner(
+                    ObjRef::External(q),
+                    ObjRef::Db(b_id),
+                    predicate,
+                    Some(&q_dec),
+                );
                 (b_id, refiner)
             })
             .collect();
@@ -292,12 +279,12 @@ pub(crate) trait QueryPlane<'a>: Copy + Sync {
         candidates: Vec<ObjectId>,
     ) -> Vec<ThresholdResult> {
         let predicate = Predicate::CountBelow { k: 1 };
-        let q_dec = self.query_decomp(q);
+        let q_dec = SharedDecomp::new(q.pdf(), self.cfg().split_strategy);
         let refiners = candidates
             .into_iter()
             .map(|id| {
                 let refiner =
-                    self.shared_refiner(ObjRef::Db(id), ObjRef::External(q), predicate, &q_dec);
+                    self.refiner(ObjRef::Db(id), ObjRef::External(q), predicate, Some(&q_dec));
                 (id, refiner)
             })
             .collect();
@@ -386,10 +373,12 @@ impl<'a> ShardRef<'a> {
         let mut complete = 0usize;
         self.scratch.with_classify(|scratch| {
             tree.classify_entries_with(scratch, SUBTREE_SCAN_CUTOFF, |mbr| {
-                match pc.classify(mbr).decision {
-                    Some(false) => NodeDecision::DropAll,
-                    Some(true) => NodeDecision::TakeAll,
-                    None => NodeDecision::Descend,
+                match pc.classify(mbr) {
+                    DecisionClass::RobustNever | DecisionClass::OpenNever => NodeDecision::DropAll,
+                    DecisionClass::RobustDominate | DecisionClass::OpenDominate => {
+                        NodeDecision::TakeAll
+                    }
+                    DecisionClass::Undecided => NodeDecision::Descend,
                 }
             });
             for &local in &scratch.taken {
@@ -424,10 +413,6 @@ impl<'a> QueryPlane<'a> for ShardRef<'a> {
         self.pool
     }
 
-    fn decomps(&self) -> &'a Arc<DecompCache> {
-        self.decomps
-    }
-
     /// The merged complete-domination filter: each shard's index is
     /// classified independently (per-object verdicts are index-shape
     /// independent), certain-dominator counts sum, and influence ids
@@ -438,6 +423,7 @@ impl<'a> QueryPlane<'a> for ShardRef<'a> {
         target: ObjRef<'a>,
         reference: ObjRef<'a>,
         predicate: Predicate,
+        query: Option<&SharedDecomp>,
     ) -> Refiner<'a> {
         let cfg = self.cfg;
         let view = DbView::Sharded(self.dbs);
@@ -456,14 +442,14 @@ impl<'a> QueryPlane<'a> for ShardRef<'a> {
             .map(|s| self.classify_shard(s, &pc, &excluded, &mut influence))
             .sum();
         influence.sort_unstable();
-        Refiner::with_filter_result_view(
+        Refiner::from_filter(
             view,
             target,
             reference,
             cfg.clone(),
             predicate,
-            complete,
-            influence,
+            (complete, influence),
+            query.map_or(Entries::Private, |q| Entries::Engine(self.decomps, q)),
         )
         .with_pool(self.pool.clone())
         .with_stats(Arc::clone(self.stats))

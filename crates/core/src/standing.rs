@@ -51,6 +51,7 @@ use udb_object::{ObjectId, UncertainObject};
 
 use crate::batch::QueryView;
 use crate::config::{ObjRef, Predicate};
+use crate::decomp::SharedDecomp;
 use crate::engine::tighten_dk;
 use crate::queries::ThresholdResult;
 use crate::refiner::{refine_each, threshold_result};
@@ -520,12 +521,12 @@ fn maintain_knn<'a, P: QueryPlane<'a>>(
         return false;
     }
     let predicate = Predicate::Threshold { k, tau };
-    let q_dec = plane.query_decomp(q);
+    let q_dec = SharedDecomp::new(q.pdf(), plane.cfg().split_strategy);
     let refiners = affected
         .iter()
         .map(|&id| {
             let refiner =
-                plane.shared_refiner(ObjRef::Db(id), ObjRef::External(q), predicate, &q_dec);
+                plane.refiner(ObjRef::Db(id), ObjRef::External(q), predicate, Some(&q_dec));
             (id, refiner)
         })
         .collect();
@@ -570,15 +571,19 @@ fn maintain_rknn<'a, P: QueryPlane<'a>>(
         return None; // rebuild runs the whole pipeline once instead
     }
     let predicate = Predicate::Threshold { k, tau };
-    let q_dec = plane.query_decomp(q);
+    let q_dec = SharedDecomp::new(q.pdf(), plane.cfg().split_strategy);
     for &b_id in &affected {
         let b_obj = plane.object(b_id);
         let max_qb = q.mbr().max_dist_rect(b_obj.mbr(), norm);
         let result = if plane.certain_dominators_reach(q, b_obj, b_id, k) {
             None // vetoed: P(DomCount < k) is certainly 0
         } else {
-            let mut refiner =
-                plane.shared_refiner(ObjRef::External(q), ObjRef::Db(b_id), predicate, &q_dec);
+            let mut refiner = plane.refiner(
+                ObjRef::External(q),
+                ObjRef::Db(b_id),
+                predicate,
+                Some(&q_dec),
+            );
             threshold_result(b_id, &refiner.run())
         };
         let entry = RknnEntry {

@@ -23,5 +23,5 @@ pub mod spatial;
 pub use probabilistic::{pdom_bounds, pdom_bounds_decomposed, pdom_bounds_vs_fixed, PDomBounds};
 pub use spatial::{
     dominates_minmax, dominates_optimal, DecisionClass, DominationCriterion, OptimalSums,
-    PairClassifier, SpatialDecision,
+    PairClassifier,
 };

@@ -10,7 +10,7 @@
 use udb_geometry::LpNorm;
 use udb_object::{Decomposition, Partition};
 
-use crate::spatial::{DominationCriterion, PairClassifier};
+use crate::spatial::{DecisionClass, DominationCriterion, PairClassifier};
 
 /// Conservative (`lower`) and progressive (`upper`) bounds for
 /// `PDom(A, B, R)`.
@@ -86,13 +86,13 @@ pub fn pdom_bounds(
             let wrb = r.mass * b.mass;
             for a in a_parts {
                 let w = wrb * a.mass;
-                match criterion.classify(&a.mbr, &b.mbr, &r.mbr, norm).decision {
-                    Some(true) => lb += w,
+                match criterion.classify(&a.mbr, &b.mbr, &r.mbr, norm) {
+                    DecisionClass::RobustDominate | DecisionClass::OpenDominate => lb += w,
                     // tie-correct weak complement: strictly tighter than
                     // Lemma 2's `1 − PDomLB(B,A,R)` and still conservative,
                     // because `Dom` is strict (Definition 2)
-                    Some(false) => never += w,
-                    None => {}
+                    DecisionClass::RobustNever | DecisionClass::OpenNever => never += w,
+                    DecisionClass::Undecided => {}
                 }
             }
         }
@@ -122,10 +122,10 @@ pub fn pdom_bounds_vs_fixed(
     let mut lb = 0.0;
     let mut never = 0.0;
     for a in a_parts {
-        match pc.classify(&a.mbr).decision {
-            Some(true) => lb += a.mass,
-            Some(false) => never += a.mass,
-            None => {}
+        match pc.classify(&a.mbr) {
+            DecisionClass::RobustDominate | DecisionClass::OpenDominate => lb += a.mass,
+            DecisionClass::RobustNever | DecisionClass::OpenNever => never += a.mass,
+            DecisionClass::Undecided => {}
         }
     }
     PDomBounds {

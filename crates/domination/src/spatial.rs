@@ -84,18 +84,18 @@ impl DominationCriterion {
     /// decision is **float-robust**.
     ///
     /// The decision is exactly `dominates` / `never_dominates` (same
-    /// decision sums, same strict/weak comparisons). `robust` is `true`
-    /// when the decisive sum clears zero by a margin that dominates
+    /// decision sums, same strict/weak comparisons). It is robust when
+    /// the decisive sum clears zero by a margin that dominates
     /// floating-point evaluation noise. Both decision sums are monotone
     /// under shrinking any of the three regions in exact arithmetic, so a
     /// *robust* decision is stable under any further decomposition of
     /// `a`, `b` or `r` — knife-edge configurations (ties, `sum ≈ 0`) are
-    /// reported non-robust because refinement may flip their float
-    /// evaluation. Incremental caches use `robust` to decide what may be
-    /// carried without recomputation.
-    pub fn classify(&self, a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> SpatialDecision {
+    /// reported open because refinement may flip their float
+    /// evaluation. Incremental caches use robustness to decide what may
+    /// be carried without recomputation.
+    pub fn classify(&self, a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> DecisionClass {
         match self {
-            DominationCriterion::Optimal => optimal_sums_of(a, b, r, norm).decision(),
+            DominationCriterion::Optimal => optimal_sums_of(a, b, r, norm).class(),
             DominationCriterion::MinMax => minmax_decision(
                 max_dist_pow(a.intervals(), rect_bounds(r), norm),
                 min_dist_pow(b.intervals(), rect_bounds(r), norm),
@@ -106,20 +106,10 @@ impl DominationCriterion {
     }
 }
 
-/// Outcome of [`DominationCriterion::classify`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpatialDecision {
-    /// `Some(true)` = complete domination, `Some(false)` = never
-    /// dominates, `None` = undecided at this resolution.
-    pub decision: Option<bool>,
-    /// Whether the decision margin dominates float noise (see
-    /// [`DominationCriterion::classify`]). Always `false` for `None`.
-    pub robust: bool,
-}
-
-/// A [`SpatialDecision`] as the one of its five values it takes: the
-/// decision and its robustness in one class, so a hot loop branches on
-/// it once. The two convert into each other losslessly.
+/// Outcome of [`DominationCriterion::classify`]: complete domination,
+/// never dominates or undecided at this resolution, and for the two
+/// decisions whether the margin dominates float noise (robust) or not
+/// (open), in one class, so a consumer branches on it once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionClass {
     /// Complete domination, float-robust (final under refinement).
@@ -146,30 +136,6 @@ impl DecisionClass {
             (_, (true, false)) => DecisionClass::OpenNever,
             _ => DecisionClass::Undecided,
         }
-    }
-}
-
-impl From<DecisionClass> for SpatialDecision {
-    #[inline(always)]
-    fn from(class: DecisionClass) -> Self {
-        let (decision, robust) = match class {
-            DecisionClass::RobustDominate => (Some(true), true),
-            DecisionClass::OpenDominate => (Some(true), false),
-            DecisionClass::RobustNever => (Some(false), true),
-            DecisionClass::OpenNever => (Some(false), false),
-            DecisionClass::Undecided => (None, false),
-        };
-        SpatialDecision { decision, robust }
-    }
-}
-
-impl From<SpatialDecision> for DecisionClass {
-    #[inline(always)]
-    fn from(d: SpatialDecision) -> Self {
-        DecisionClass::of(
-            (d.decision == Some(true), d.robust),
-            (d.decision == Some(false), d.robust),
-        )
     }
 }
 
@@ -240,9 +206,9 @@ impl PairClassifier {
     }
 
     /// Classifies `a` against the precomputed pair; equal to
-    /// `criterion.classify(a, b, r, norm)` in every field.
+    /// `criterion.classify(a, b, r, norm)`.
     #[inline]
-    pub fn classify(&self, a: &Rect) -> SpatialDecision {
+    pub fn classify(&self, a: &Rect) -> DecisionClass {
         self.classify_dims(a.intervals())
     }
 
@@ -251,7 +217,7 @@ impl PairClassifier {
     /// buffer (the refiner's partition arena) classify without
     /// materializing a `Rect` per box.
     #[inline(always)]
-    pub fn classify_dims(&self, a: &[Interval]) -> SpatialDecision {
+    pub fn classify_dims(&self, a: &[Interval]) -> DecisionClass {
         debug_assert_eq!(a.len(), self.terms.len());
         match self.criterion {
             DominationCriterion::Optimal => self.classify_optimal(a),
@@ -271,7 +237,7 @@ impl PairClassifier {
     /// The optimal criterion against the stored pair terms, dispatched to
     /// a kernel copy specialized for the norm and the dimension count.
     #[inline(always)]
-    fn classify_optimal(&self, a: &[Interval]) -> SpatialDecision {
+    fn classify_optimal(&self, a: &[Interval]) -> DecisionClass {
         let terms = &self.terms[..a.len()];
         let sums = match self.norm {
             LpNorm::L1 => by_dims(|d| LpNorm::L1.pow(d), a, terms),
@@ -279,7 +245,7 @@ impl PairClassifier {
             LpNorm::P(p) => by_dims(move |d| LpNorm::P(p).pow(d), a, terms),
             LpNorm::LInf => unreachable!("{FINITE_P}"),
         };
-        sums.decision()
+        sums.class()
     }
 
     /// Dimension `d`'s share of the optimal criterion's sums for the
@@ -302,16 +268,15 @@ impl PairClassifier {
     }
 
     /// The decision for `a` from `sums`, its [`dim_terms`] added in
-    /// dimension order, as one [`DecisionClass`]: equal to
-    /// [`PairClassifier::classify_dims`] in every field. A NaN sum
-    /// re-runs the kernel on `a`, which takes its `f64::max` pass (see
-    /// the module docs).
+    /// dimension order: equal to [`PairClassifier::classify_dims`]. A
+    /// NaN sum re-runs the kernel on `a`, which takes its `f64::max`
+    /// pass (see the module docs).
     ///
     /// [`dim_terms`]: PairClassifier::dim_terms
     #[inline(always)]
     pub fn decide_sums(&self, sums: OptimalSums, a: &[Interval]) -> DecisionClass {
         if sums.is_nan() {
-            self.classify_dims(a).into()
+            self.classify_dims(a)
         } else {
             sums.class()
         }
@@ -419,12 +384,6 @@ impl OptimalSums {
             (self.dom < 0.0, self.dom < -margin),
             (self.nd <= 0.0, self.nd < -margin),
         )
-    }
-
-    /// The decision these sums stand for.
-    #[inline(always)]
-    fn decision(self) -> SpatialDecision {
-        self.class().into()
     }
 }
 
@@ -537,14 +496,13 @@ fn max2<const IEEE: bool>(x: f64, y: f64) -> f64 {
 }
 
 /// The MinMax decision from the four powered whole-box distances.
-fn minmax_decision(max_ar: f64, min_br: f64, max_br: f64, min_ar: f64) -> SpatialDecision {
+fn minmax_decision(max_ar: f64, min_br: f64, max_br: f64, min_ar: f64) -> DecisionClass {
     let dom_margin = ROBUST_MARGIN * max_ar.abs().max(min_br.abs()).max(f64::MIN_POSITIVE);
     let never_margin = ROBUST_MARGIN * max_br.abs().max(min_ar.abs()).max(f64::MIN_POSITIVE);
     DecisionClass::of(
         (max_ar < min_br, min_br - max_ar > dom_margin),
         (max_br <= min_ar, min_ar - max_br > never_margin),
     )
-    .into()
 }
 
 /// The `(lo, hi)` bounds of `r` per dimension.
@@ -717,33 +675,35 @@ mod tests {
     /// (`dom < 0` dominates, else `nd ≤ 0` never dominates; robust
     /// beyond the relative margin), written out independently of the
     /// classes.
-    fn documented_decision(sums: OptimalSums) -> SpatialDecision {
+    fn documented_decision(sums: OptimalSums) -> DecisionClass {
         let margin = ROBUST_MARGIN * sums.scale.max(f64::MIN_POSITIVE);
-        let (decision, robust) = if sums.dom < 0.0 {
-            (Some(true), sums.dom < -margin)
+        if sums.dom < 0.0 {
+            if sums.dom < -margin {
+                DecisionClass::RobustDominate
+            } else {
+                DecisionClass::OpenDominate
+            }
         } else if sums.nd <= 0.0 {
-            (Some(false), sums.nd < -margin)
+            if sums.nd < -margin {
+                DecisionClass::RobustNever
+            } else {
+                DecisionClass::OpenNever
+            }
         } else {
-            (None, false)
-        };
-        SpatialDecision { decision, robust }
+            DecisionClass::Undecided
+        }
     }
 
-    /// Asserts that the five-way class the criterion tables read
-    /// (`decide_sums` on `a`'s shares added in dimension order) is the
-    /// kernel's decision for `a`, field for field, and that each
-    /// converts losslessly into the other.
+    /// Asserts that the class the criterion tables read (`decide_sums`
+    /// on `a`'s shares added in dimension order) is the kernel's class
+    /// for `a`.
     fn assert_class_matches_kernel(pc: &PairClassifier, a: &Rect) {
         let mut sums = OptimalSums::ZERO;
         for (d, &a_d) in a.intervals().iter().enumerate() {
             sums.add(pc.dim_terms(d, a_d));
         }
         let class = pc.decide_sums(sums, a.intervals());
-        let kernel = pc.classify_dims(a.intervals());
-        let decided = SpatialDecision::from(class);
-        assert_eq!(decided.decision, kernel.decision, "{a:?}: {sums:?}");
-        assert_eq!(decided.robust, kernel.robust, "{a:?}: {sums:?}");
-        assert_eq!(DecisionClass::from(kernel), class, "{a:?}: {sums:?}");
+        assert_eq!(class, pc.classify_dims(a.intervals()), "{a:?}: {sums:?}");
     }
 
     #[test]
@@ -770,11 +730,7 @@ mod tests {
             ),
         ] {
             assert_eq!(s.class(), class, "{s:?}");
-            assert_eq!(
-                SpatialDecision::from(s.class()),
-                documented_decision(s),
-                "{s:?}"
-            );
+            assert_eq!(s.class(), documented_decision(s), "{s:?}");
         }
         // geometric knife edges: ties between certain points (`dom = 0`,
         // `nd = 0`) and touching boxes
@@ -825,7 +781,7 @@ mod tests {
             DominationCriterion::Optimal,
             LpNorm::L2,
         );
-        let kernel = DecisionClass::from(pc.classify_dims(a.intervals()));
+        let kernel = pc.classify_dims(a.intervals());
         assert_eq!(kernel, DecisionClass::RobustDominate);
         for nan in [
             OptimalSums {
@@ -891,8 +847,8 @@ mod tests {
             prop_assert!(!(ab && ba));
         }
 
-        /// The five-way class of summed shares is the kernel's decision
-        /// field for field, under L1, L2 and P(3), for boxes, certain
+        /// The five-way class of summed shares is the kernel's class,
+        /// under L1, L2 and P(3), for boxes, certain
         /// points (ties included: `b` mirrors `a` through `r`'s center)
         /// and boxes sharing an edge with `r`.
         #[test]

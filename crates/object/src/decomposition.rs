@@ -36,6 +36,19 @@ pub struct Partition {
     pub mass: f64,
 }
 
+impl Partition {
+    /// The level-0 partition of the object with density `pdf`: its
+    /// tightened support with mass one, the one partition of a fresh
+    /// [`Decomposition`].
+    pub fn root(pdf: &Pdf) -> Self {
+        let support = pdf.support().clone();
+        Partition {
+            mbr: pdf.tighten(&support).unwrap_or(support),
+            mass: 1.0,
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Node {
     /// Tight bounding box of the mass assigned to this node.
@@ -73,12 +86,11 @@ impl Decomposition {
 
     /// Starts a decomposition with an explicit split strategy.
     pub fn with_strategy(pdf: &Pdf, strategy: SplitStrategy) -> Self {
-        let support = pdf.support().clone();
-        let mbr = pdf.tighten(&support).unwrap_or(support);
+        let Partition { mbr, mass } = Partition::root(pdf);
         Decomposition {
             root: Node {
                 mbr,
-                mass: 1.0,
+                mass,
                 depth: 0,
                 children: Vec::new(),
                 unsplittable: false,

@@ -1024,6 +1024,47 @@ fn failed_directory_fsync_after_a_rename_loses_no_acknowledged_mutation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The R-tree's shape: its height and its leaf entries in visit order.
+fn tree_shape(engine: &Engine) -> (usize, Vec<ObjectId>) {
+    let mut order = Vec::new();
+    engine
+        .tree()
+        .for_each_unpruned(&mut |_| false, &mut |&id| order.push(id));
+    (engine.tree().height(), order)
+}
+
+/// A cadence checkpoint whose write fails leaves the R-tree as the
+/// mutations left it: the rebuild waits for a write that succeeds, so
+/// the retry after every later mutation does not rebuild the tree each
+/// time. With failing writes the durable tree keeps the shape of an
+/// in-memory twin's, which no cadence touches; once writes succeed, an
+/// explicit checkpoint rebuilds both alike.
+#[test]
+fn failed_cadence_checkpoints_leave_the_tree_unrebuilt() {
+    let dir = test_dir("failed-checkpoint-tree");
+    let probe = Probe::default();
+    let mut engine = Engine::open_with_io(&dir, cadence_cfg(), probe.io()).expect("open");
+    let mut twin = Engine::with_config(Database::new(), cadence_cfg());
+    probe.fail_checkpoints.store(true, Ordering::SeqCst);
+    let mut rng = StdRng::seed_from_u64(83);
+    for i in 0..40 {
+        let o = random_object(&mut rng);
+        engine
+            .try_insert(o.clone())
+            .unwrap_or_else(|e| panic!("insert {i}: {e}"));
+        twin.insert(o);
+    }
+    // due from the second record on, and retried after every mutation
+    assert_eq!(engine.checkpoint_failures(), 39);
+    assert_eq!(tree_shape(&engine), tree_shape(&twin), "failing writes");
+    probe.fail_checkpoints.store(false, Ordering::SeqCst);
+    engine.checkpoint().expect("checkpoint");
+    twin.checkpoint().expect("in-memory checkpoint");
+    assert_eq!(tree_shape(&engine), tree_shape(&twin), "after a checkpoint");
+    drop(engine);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Serves `lines` on a fresh durable server in `dir` with
 /// [`cadence_cfg`]: the first 11 lines (seed inserts and a
 /// subscription) with working checkpoint writes, the rest with failing

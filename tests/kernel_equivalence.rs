@@ -3,45 +3,47 @@
 //! `dominates`, `never_dominates`, a fresh or retargeted
 //! `PairClassifier`, and the criterion-table entry point (the
 //! per-dimension `dim_terms` added in dimension order, then
-//! `decide_sums`) — must agree with the reference in every field.
+//! `decide_sums`) — must agree with the reference's decision class.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use udb_domination::{DominationCriterion, OptimalSums, PairClassifier, SpatialDecision};
+use udb_domination::{DecisionClass, DominationCriterion, OptimalSums, PairClassifier};
 use udb_geometry::{Interval, LpNorm, Rect};
 
 /// The criterion formulas as written before the shared kernel, with
 /// `f64::max` throughout: the oracle the kernel must match bit for
 /// bit.
 mod reference {
-    use udb_domination::SpatialDecision;
+    use udb_domination::DecisionClass;
     use udb_geometry::{LpNorm, Rect};
 
     /// The robustness margin of `udb_domination::spatial`.
     const ROBUST_MARGIN: f64 = 1e-9;
 
-    fn decide(dom_sum: f64, nd_sum: f64, scale: f64) -> SpatialDecision {
-        let margin = ROBUST_MARGIN * scale.max(f64::MIN_POSITIVE);
-        if dom_sum < 0.0 {
-            SpatialDecision {
-                decision: Some(true),
-                robust: dom_sum < -margin,
-            }
-        } else if nd_sum <= 0.0 {
-            SpatialDecision {
-                decision: Some(false),
-                robust: nd_sum < -margin,
-            }
-        } else {
-            SpatialDecision {
-                decision: None,
-                robust: false,
-            }
+    /// The class of a decision and its robustness.
+    fn class(dominates: bool, never: bool, robust: bool) -> DecisionClass {
+        match (dominates, never, robust) {
+            (true, _, true) => DecisionClass::RobustDominate,
+            (true, _, false) => DecisionClass::OpenDominate,
+            (false, true, true) => DecisionClass::RobustNever,
+            (false, true, false) => DecisionClass::OpenNever,
+            (false, false, _) => DecisionClass::Undecided,
         }
     }
 
-    pub fn classify_optimal(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> SpatialDecision {
+    fn decide(dom_sum: f64, nd_sum: f64, scale: f64) -> DecisionClass {
+        let margin = ROBUST_MARGIN * scale.max(f64::MIN_POSITIVE);
+        if dom_sum < 0.0 {
+            class(true, false, dom_sum < -margin)
+        } else if nd_sum <= 0.0 {
+            class(false, true, nd_sum < -margin)
+        } else {
+            DecisionClass::Undecided
+        }
+    }
+
+    pub fn classify_optimal(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> DecisionClass {
         let mut dom_sum = 0.0;
         let mut nd_sum = 0.0;
         let mut scale = 0.0;
@@ -106,28 +108,19 @@ mod reference {
         }
     }
 
-    pub fn classify_minmax(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> SpatialDecision {
+    pub fn classify_minmax(a: &Rect, b: &Rect, r: &Rect, norm: LpNorm) -> DecisionClass {
         let (min_ar, max_ar) = min_max_pow(a, r, norm);
         let (min_br, max_br) = min_max_pow(b, r, norm);
         let dominates = max_ar < min_br;
         let never = !dominates && max_br <= min_ar;
         if dominates {
             let margin = ROBUST_MARGIN * max_ar.abs().max(min_br.abs()).max(f64::MIN_POSITIVE);
-            SpatialDecision {
-                decision: Some(true),
-                robust: min_br - max_ar > margin,
-            }
+            class(true, false, min_br - max_ar > margin)
         } else if never {
             let margin = ROBUST_MARGIN * max_br.abs().max(min_ar.abs()).max(f64::MIN_POSITIVE);
-            SpatialDecision {
-                decision: Some(false),
-                robust: min_ar - max_br > margin,
-            }
+            class(false, true, min_ar - max_br > margin)
         } else {
-            SpatialDecision {
-                decision: None,
-                robust: false,
-            }
+            DecisionClass::Undecided
         }
     }
 
@@ -152,8 +145,8 @@ fn table_sums(pc: &PairClassifier, a: &Rect) -> OptimalSums {
 
 /// The criterion-table entry point: summed shares, then the decision
 /// (with its NaN fallback to the kernel).
-fn table_decision(pc: &PairClassifier, a: &Rect) -> SpatialDecision {
-    pc.decide_sums(table_sums(pc, a), a.intervals()).into()
+fn table_decision(pc: &PairClassifier, a: &Rect) -> DecisionClass {
+    pc.decide_sums(table_sums(pc, a), a.intervals())
 }
 
 /// Asserts that every entry point — the criterion methods, a fresh
@@ -281,8 +274,8 @@ fn overflowing_terms_match_reference() {
 }
 
 proptest! {
-    /// The shared kernel equals the `f64::max` reference formulas in
-    /// every field, for both criteria, L1/L2/P(3) (and L∞ under
+    /// The shared kernel's class equals the `f64::max` reference
+    /// formulas', for both criteria, L1/L2/P(3) (and L∞ under
     /// MinMax), 1–6 dimensions (the slice fallback included),
     /// degenerate, touching, nested and near-tied boxes and magnitudes
     /// up to 1e300.
@@ -308,7 +301,7 @@ proptest! {
     /// built from a few shared intervals per dimension (as kd-splits
     /// leave them), so one pair classifier's shares serve many boxes.
     /// Every box's table decision equals the kernel's and the
-    /// reference's in every field, for L1/L2/P(3), 1–6 dimensions,
+    /// reference's, for L1/L2/P(3), 1–6 dimensions,
     /// degenerate and touching intervals and magnitudes up to 1e300.
     #[test]
     fn prop_table_entry_point_matches_kernel(seed in 0u64..u64::MAX) {
