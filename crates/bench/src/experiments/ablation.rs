@@ -49,7 +49,7 @@ pub fn ugf_vs_two_gf(scale: &Scale) -> Table {
                 let mut dec = Decomposition::new(a.pdf());
                 dec.expand_to(a.pdf(), depth);
                 let bounds = pdom_bounds_vs_fixed(
-                    &dec.partitions(),
+                    dec.partitions(),
                     b_obj.mbr(),
                     r.mbr(),
                     LpNorm::L2,

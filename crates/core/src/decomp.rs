@@ -1,14 +1,13 @@
 //! Where a refiner's kd-decompositions come from. Every refined region
-//! (the target, the reference and each influence object) expands
-//! through one path: a cursor (`DecCursor`) into an [`ObjDecomp`]
-//! entry, which computes each expansion level once and replays it to
-//! every cursor that reaches it.
+//! (the target, the reference and each influence object) holds the
+//! [`DecompLevel`] it is on and moves one level deeper through a cursor
+//! (`DecCursor`) into a [`Decomposition`] entry, which splits each level
+//! once and shares it, by [`Arc`], with every cursor that reaches it.
 //!
-//! Splitting a partition evaluates PDF medians and masses
-//! ([`udb_object::Decomposition::expand_with_map`]). Expansion is
-//! deterministic given the PDF and split strategy, so a level computed
-//! once replays bit-identically. The entries come from one of two places
-//! (`Entries`):
+//! Splitting a partition evaluates PDF medians and masses. Expansion is
+//! deterministic given the PDF and split strategy, so a level split once
+//! serves every consumer bit-identically. The entries come from one of
+//! two places (`Entries`):
 //!
 //! * **Engine entries.** Refiners built by a query plane read database
 //!   objects from the engine's [`DecompCache`]. It is keyed by object id,
@@ -20,18 +19,21 @@
 //!   ([`crate::Refiner::new`], [`crate::Engine::refiner`]) make one entry
 //!   per region at its first expansion, and it dies with the refiner.
 //!
-//! A region starts at level 0, its root partition
-//! ([`udb_object::Partition::root`]), without touching any entry, so a
-//! refiner that decides at iteration 0 costs no entry at all. Every
-//! decomposition split and every replayed level happens in
-//! `ObjDecomp::expand_from`. Sharing is work-only: results are
-//! bit-identical at every cache size (property-tested in
+//! A region starts at level 0 ([`DecompLevel::root`]) without touching
+//! any entry, so a refiner that decides at iteration 0 costs no entry at
+//! all; the entry a region makes is seeded with that level 0, so each
+//! support is tightened once. Every decomposition split and every
+//! replayed level happens in [`Decomposition::expand_to`]. An entry holds
+//! each of its levels once, which is its whole memory: about
+//! `2^ℓ` partitions at level `ℓ`, each a heap box of `16·dims` bytes plus
+//! its flat copy, its mass and its lineage index. Sharing is work-only:
+//! results are bit-identical at every cache size (property-tested in
 //! `tests/batch_equivalence.rs` and `tests/owned_engine.rs`).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use udb_object::{Decomposition, ObjectId, Partition, Pdf, SplitStrategy};
+use udb_object::{DecompLevel, Decomposition, ObjectId, Pdf, SplitStrategy};
 
 /// Capacity, in objects, of an engine's persistent [`DecompCache`]:
 /// how many objects' expansion levels survive between calls. Entries
@@ -41,8 +43,8 @@ use udb_object::{Decomposition, ObjectId, Partition, Pdf, SplitStrategy};
 /// stops future sharing, so the value governs work, never results.
 pub const DECOMP_CACHE_ENTRIES: usize = 1024;
 
-/// Where a new refiner's regions find their [`ObjDecomp`] entries (see
-/// the module docs).
+/// Where a new refiner's regions find their [`Decomposition`] entries
+/// (see the module docs).
 #[derive(Clone, Copy)]
 pub(crate) enum Entries<'q> {
     /// One private entry per region, made at its first expansion.
@@ -75,36 +77,51 @@ impl Entries<'_> {
     }
 
     /// A level-0 cursor for the region with database id `id` (`None`:
-    /// the external side), splitting with `strategy`.
-    pub(crate) fn cursor(&self, id: Option<ObjectId>, strategy: SplitStrategy) -> DecCursor {
-        let handle = match (*self, id) {
-            (Entries::Private, _) => Handle::Private(strategy),
-            (Entries::Engine(cache, _), Some(id)) => Handle::Deferred(Arc::clone(cache), id),
-            (Entries::Engine(_, query), None) => Handle::Resolved(Arc::clone(&query.entry)),
+    /// the external side) and density `pdf`, splitting with `strategy`.
+    pub(crate) fn cursor(
+        &self,
+        id: Option<ObjectId>,
+        pdf: &Pdf,
+        strategy: SplitStrategy,
+    ) -> DecCursor {
+        let (handle, level) = match (*self, id) {
+            (Entries::Private, _) => (Handle::Private(strategy), Arc::new(DecompLevel::root(pdf))),
+            (Entries::Engine(cache, _), Some(id)) => (
+                Handle::Deferred(Arc::clone(cache), id),
+                Arc::new(DecompLevel::root(pdf)),
+            ),
+            (Entries::Engine(_, query), None) => (
+                Handle::Resolved(Arc::clone(&query.entry)),
+                Arc::clone(&query.root),
+            ),
         };
-        DecCursor { handle, applied: 0 }
+        DecCursor {
+            handle,
+            level,
+            depth: 0,
+        }
     }
 }
 
-/// A refined region's decomposition: a cursor into an [`ObjDecomp`]
-/// entry, where `applied` counts the expansion levels the region has
-/// consumed.
+/// A refined region's decomposition: the level it is on, its depth, and
+/// how it finds the entry that holds the next one.
 pub(crate) struct DecCursor {
     handle: Handle,
-    applied: usize,
+    level: Arc<DecompLevel>,
+    depth: usize,
 }
 
 /// How a [`DecCursor`] finds its entry. Most early-exit refiners decide
 /// at iteration 0 and never expand anything; a deferred handle costs
-/// them *nothing* (no map lock, no [`ObjDecomp`] allocation), where
-/// eagerly registering every region of every refiner in the
-/// [`DecompCache`] measurably taxed the many-refiner queries (RkNN
-/// builds one refiner per database object). The entry is looked up, or
-/// made, only when an expansion is actually requested.
+/// them *nothing* (no map lock, no entry), where eagerly registering
+/// every region of every refiner in the [`DecompCache`] measurably taxed
+/// the many-refiner queries (RkNN builds one refiner per database
+/// object). The entry is looked up, or made, only when an expansion is
+/// actually requested.
 enum Handle {
     /// Looked up: the query's entry, or any entry after its first
     /// expansion.
-    Resolved(Arc<Mutex<ObjDecomp>>),
+    Resolved(Arc<Mutex<Decomposition>>),
     /// An engine-cache entry not looked up yet: the cache and the id to
     /// ask it for.
     Deferred(Arc<DecompCache>, ObjectId),
@@ -113,92 +130,35 @@ enum Handle {
 }
 
 impl DecCursor {
-    /// One expansion level: the new partition list and the lineage map
-    /// (`map[new_idx] = old_idx`), or `None` when nothing can split
-    /// further.
-    pub(crate) fn expand(&mut self, pdf: &Pdf) -> Option<(Vec<Partition>, Vec<u32>)> {
+    /// The level the region is on.
+    pub(crate) fn level(&self) -> &DecompLevel {
+        &self.level
+    }
+
+    /// Moves one level deeper, sharing the entry's level. Returns the
+    /// level it left, or `None` when nothing can split further.
+    pub(crate) fn expand(&mut self, pdf: &Pdf) -> Option<Arc<DecompLevel>> {
         match &self.handle {
             Handle::Resolved(_) => {}
-            Handle::Deferred(cache, id) => self.handle = Handle::Resolved(cache.entry(*id, pdf)),
+            Handle::Deferred(cache, id) => {
+                self.handle = Handle::Resolved(cache.entry(*id, &self.level))
+            }
             &Handle::Private(strategy) => {
-                let entry = ObjDecomp::new(pdf, strategy);
+                let entry = Decomposition::from_root(Arc::clone(&self.level), strategy);
                 self.handle = Handle::Resolved(Arc::new(Mutex::new(entry)));
             }
         }
         let Handle::Resolved(entry) = &self.handle else {
             unreachable!("resolved above")
         };
-        let out = entry
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .expand_from(self.applied, pdf);
-        if out.is_some() {
-            self.applied += 1;
-        }
-        out
-    }
-}
-
-/// One cached expansion level of an object's decomposition: the full
-/// partition list after the expansion plus the lineage map
-/// (`map[new_idx] = old_idx`) — exactly what
-/// [`Decomposition::expand_with_map`] reports.
-struct LevelDelta {
-    parts: Vec<Partition>,
-    map: Vec<u32>,
-}
-
-/// The decomposition state of one object (one entry): a master
-/// decomposition expanded as deep as any cursor has asked so far, plus
-/// the replayable per-level deltas.
-pub struct ObjDecomp {
-    master: Decomposition,
-    levels: Vec<LevelDelta>,
-    /// Set once `master` reports no further progress; expansion requests
-    /// beyond `levels.len()` then answer `None` forever (its leaves stay
-    /// unsplittable).
-    exhausted: bool,
-}
-
-impl ObjDecomp {
-    fn new(pdf: &Pdf, strategy: SplitStrategy) -> Self {
-        ObjDecomp {
-            master: Decomposition::with_strategy(pdf, strategy),
-            levels: Vec::new(),
-            exhausted: false,
-        }
-    }
-
-    /// The expansion taking a consumer from level `applied` to
-    /// `applied + 1`: replayed from the entry when already computed,
-    /// computed (and recorded) on the master decomposition otherwise.
-    /// The one place where decomposition splits and replays happen.
-    pub(crate) fn expand_from(
-        &mut self,
-        applied: usize,
-        pdf: &Pdf,
-    ) -> Option<(Vec<Partition>, Vec<u32>)> {
-        if let Some(level) = self.levels.get(applied) {
-            return Some((level.parts.clone(), level.map.clone()));
-        }
-        debug_assert_eq!(applied, self.levels.len(), "levels consumed in order");
-        if self.exhausted {
-            return None;
-        }
-        match self.master.expand_with_map(pdf) {
-            Some(map) => {
-                let parts = self.master.partitions();
-                self.levels.push(LevelDelta {
-                    parts: parts.clone(),
-                    map: map.clone(),
-                });
-                Some((parts, map))
-            }
-            None => {
-                self.exhausted = true;
-                None
-            }
-        }
+        let next = Arc::clone(
+            entry
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .expand_to(pdf, self.depth + 1)?,
+        );
+        self.depth += 1;
+        Some(std::mem::replace(&mut self.level, next))
     }
 }
 
@@ -206,7 +166,7 @@ impl ObjDecomp {
 /// recency stamp (for LRU trimming of a persistent cache).
 struct CacheSlot {
     last_used: u64,
-    decomp: Arc<Mutex<ObjDecomp>>,
+    decomp: Arc<Mutex<Decomposition>>,
 }
 
 /// The keyed state of a [`DecompCache`], behind one mutex: the id map
@@ -216,7 +176,7 @@ struct CacheState {
     tick: u64,
 }
 
-/// The cross-query decomposition cache: one [`ObjDecomp`] per object id
+/// The cross-query decomposition cache: one [`Decomposition`] per object id
 /// touched by any refiner running against it. Two-level locking — the
 /// map lock is held only for the id lookup; expansion work runs under
 /// the per-object lock, so refiners expanding *different* objects never
@@ -249,15 +209,18 @@ impl DecompCache {
         }
     }
 
-    /// The shared entry for `id`, created at depth 0 on first use, and
-    /// stamped most-recently-used.
-    pub(crate) fn entry(&self, id: ObjectId, pdf: &Pdf) -> Arc<Mutex<ObjDecomp>> {
+    /// The shared entry for `id`, stamped most-recently-used; made on
+    /// first use, seeded with `root`, the object's level 0.
+    pub(crate) fn entry(&self, id: ObjectId, root: &Arc<DecompLevel>) -> Arc<Mutex<Decomposition>> {
         let mut state = self.state.lock().unwrap_or_else(|p| p.into_inner());
         state.tick += 1;
         let tick = state.tick;
         let slot = state.map.entry(id).or_insert_with(|| CacheSlot {
             last_used: tick,
-            decomp: Arc::new(Mutex::new(ObjDecomp::new(pdf, self.strategy))),
+            decomp: Arc::new(Mutex::new(Decomposition::from_root(
+                Arc::clone(root),
+                self.strategy,
+            ))),
         });
         slot.last_used = tick;
         Arc::clone(&slot.decomp)
@@ -328,7 +291,9 @@ impl DecompCache {
 /// candidate; only refiners whose external side *is* that object may
 /// share it.
 pub(crate) struct SharedDecomp {
-    entry: Arc<Mutex<ObjDecomp>>,
+    entry: Arc<Mutex<Decomposition>>,
+    /// The entry's level 0, which every query-side cursor starts on.
+    root: Arc<DecompLevel>,
     strategy: SplitStrategy,
 }
 
@@ -336,8 +301,13 @@ impl SharedDecomp {
     /// A fresh entry for the object with density `pdf`, split with
     /// `strategy`.
     pub(crate) fn new(pdf: &Pdf, strategy: SplitStrategy) -> Self {
+        let root = Arc::new(DecompLevel::root(pdf));
         SharedDecomp {
-            entry: Arc::new(Mutex::new(ObjDecomp::new(pdf, strategy))),
+            entry: Arc::new(Mutex::new(Decomposition::from_root(
+                Arc::clone(&root),
+                strategy,
+            ))),
+            root,
             strategy,
         }
     }
@@ -358,37 +328,54 @@ mod tests {
         .generate()
     }
 
+    /// Looks `id` up in `cache`, as a region's first expansion does.
+    fn touch(cache: &DecompCache, db: &Database, id: u32) {
+        let root = Arc::new(DecompLevel::root(db.get(ObjectId(id)).pdf()));
+        cache.entry(ObjectId(id), &root);
+    }
+
+    fn assert_same_bits(want: &DecompLevel, got: &DecompLevel, depth: usize) {
+        assert_eq!(want.lineage(), got.lineage(), "depth {depth} lineage");
+        let (want, got) = (want.partitions(), got.partitions());
+        assert_eq!(want.len(), got.len(), "depth {depth}");
+        for (a, b) in want.iter().zip(got) {
+            let bits = |p: &udb_object::Partition| {
+                let ivs = p.mbr.intervals().iter();
+                let bounds: Vec<_> = ivs
+                    .map(|iv| (iv.lo().to_bits(), iv.hi().to_bits()))
+                    .collect();
+                (bounds, p.mass.to_bits())
+            };
+            assert_eq!(bits(a), bits(b), "depth {depth}");
+        }
+    }
+
     #[test]
     fn decomp_cache_replays_identical_levels() {
         let db = synthetic(8);
-        let cache = DecompCache::new(SplitStrategy::default());
+        let strategy = SplitStrategy::default();
+        let cache = Arc::new(DecompCache::new(strategy));
+        let query = SharedDecomp::new(db.get(ObjectId(0)).pdf(), strategy);
+        let entries = Entries::Engine(&cache, &query);
         let id = ObjectId(3);
         let pdf = db.get(id).pdf();
-        // an owned decomposition, stepped level by level, is the oracle
+        // an owned decomposition, split level by level, is the oracle
         let mut own = Decomposition::new(pdf);
-        let entry = cache.entry(id, pdf);
-        let late = cache.entry(id, pdf); // a second consumer, lagging behind
-        for level in 0..6 {
-            let expect = own.expand_with_map(pdf).map(|m| (own.partitions(), m));
-            let got = entry.lock().unwrap().expand_from(level, pdf);
-            match (&expect, &got) {
+        let mut lead = entries.cursor(Some(id), pdf, strategy);
+        let mut late = entries.cursor(Some(id), pdf, strategy); // lags behind
+        let root = own.expand_to(pdf, 0).expect("level 0");
+        assert_same_bits(root, lead.level(), 0);
+        for depth in 1..=6 {
+            let expect = own.expand_to(pdf, depth).cloned();
+            match (expect, lead.expand(pdf)) {
                 (None, None) => break,
-                (Some((ep, em)), Some((gp, gm))) => {
-                    assert_eq!(em, gm, "level {level} lineage");
-                    assert_eq!(ep.len(), gp.len());
-                    for (a, b) in ep.iter().zip(gp.iter()) {
-                        assert_eq!(a.mbr, b.mbr, "level {level}");
-                        assert_eq!(a.mass, b.mass, "level {level}");
-                    }
-                }
-                _ => panic!("progress disagreement at level {level}"),
+                (Some(want), Some(_)) => assert_same_bits(&want, lead.level(), depth),
+                _ => panic!("progress disagreement at depth {depth}"),
             }
-            // the lagging consumer replays the same delta from the cache
-            let replay = late.lock().unwrap().expand_from(level, pdf);
-            let (rp, rm) = replay.expect("cached level replays");
-            let (gp, gm) = got.unwrap();
-            assert_eq!(rm, gm);
-            assert_eq!(rp.len(), gp.len());
+            // the lagging consumer replays the level the leader split:
+            // the same allocation, not a copy
+            late.expand(pdf).expect("a split level replays");
+            assert!(Arc::ptr_eq(&lead.level, &late.level), "depth {depth}");
         }
         assert_eq!(cache.len(), 1);
     }
@@ -408,21 +395,21 @@ mod tests {
         let db = synthetic(6);
         let cache = DecompCache::new(SplitStrategy::default());
         for id in 0..4u32 {
-            cache.entry(ObjectId(id), db.get(ObjectId(id)).pdf());
+            touch(&cache, &db, id);
         }
         // re-touch 0 and 1 so 2 and 3 are the LRU pair
-        cache.entry(ObjectId(0), db.get(ObjectId(0)).pdf());
-        cache.entry(ObjectId(1), db.get(ObjectId(1)).pdf());
+        touch(&cache, &db, 0);
+        touch(&cache, &db, 1);
         cache.trim(2);
         assert_eq!(cache.len(), 2);
         // the survivors must be the recently touched ids: re-requesting
         // them must not recreate state (observable through len holding
         // at 2 after touching only survivors)
-        cache.entry(ObjectId(0), db.get(ObjectId(0)).pdf());
-        cache.entry(ObjectId(1), db.get(ObjectId(1)).pdf());
+        touch(&cache, &db, 0);
+        touch(&cache, &db, 1);
         assert_eq!(cache.len(), 2);
         // a trimmed id was really dropped: touching it grows the map
-        cache.entry(ObjectId(2), db.get(ObjectId(2)).pdf());
+        touch(&cache, &db, 2);
         assert_eq!(cache.len(), 3);
     }
 
@@ -430,8 +417,8 @@ mod tests {
     fn invalidate_drops_one_entry() {
         let db = synthetic(3);
         let cache = DecompCache::new(SplitStrategy::default());
-        cache.entry(ObjectId(0), db.get(ObjectId(0)).pdf());
-        cache.entry(ObjectId(1), db.get(ObjectId(1)).pdf());
+        touch(&cache, &db, 0);
+        touch(&cache, &db, 1);
         cache.invalidate(ObjectId(0));
         assert_eq!(cache.len(), 1);
         cache.invalidate(ObjectId(7)); // unknown ids are a no-op

@@ -11,9 +11,9 @@
 //!   matter how `A`, `B` or `R` refine. Only the open list (the geometric
 //!   boundary, asymptotically a vanishing fraction of the partitions) is
 //!   ever tested again.
-//! * **Influence lineage** — expanding an influence object's
-//!   decomposition records its partition lineage
-//!   ([`udb_object::Decomposition::expand_with_map`]); the next snapshot
+//! * **Influence lineage** — each decomposition level records its
+//!   partition lineage ([`udb_object::DecompLevel::lineage`]); the next
+//!   snapshot
 //!   replaces each open partition by its children and classifies exactly
 //!   those — children of settled partitions are never touched.
 //! * **Pair remapping** — expanding `B` or `R` changes the pair geometry,
@@ -132,13 +132,14 @@ impl FactorCache {
         mut test: impl FnMut(usize) -> DecisionClass,
     ) -> u64 {
         let start = arena.len();
+        let masses = inf.level().masses();
         let mut tested = 0;
         let mut open_lb = 0.0;
         let mut open_never = 0.0;
         let mut open_mass = 0.0;
         for p in candidates {
             tested += 1;
-            let mass = inf.masses[p as usize];
+            let mass = masses[p as usize];
             match test(p as usize) {
                 DecisionClass::RobustDominate => self.settled_lb += mass,
                 DecisionClass::RobustNever => self.settled_never += mass,
@@ -369,16 +370,20 @@ mod tests {
             let _ = refiner.snapshot();
             // after snapshot: verify every cache slot against a fresh classification
             let n_inf = refiner.influence.len();
-            let r_len = refiner.r_parts.len();
+            let (b_parts, r_parts) = (
+                refiner.b.level().partitions(),
+                refiner.r.level().partitions(),
+            );
+            let r_len = r_parts.len();
             for (pair_idx, chunk) in refiner.level.cache.chunks(n_inf).enumerate() {
-                let bp = &refiner.b_parts[pair_idx / r_len];
-                let rp = &refiner.r_parts[pair_idx % r_len];
+                let bp = &b_parts[pair_idx / r_len];
+                let rp = &r_parts[pair_idx % r_len];
                 if bp.mass * rp.mass <= 0.0 {
                     continue;
                 }
                 for (inf, slot) in refiner.influence.iter().zip(chunk.iter()) {
                     let fresh = pdom_bounds_vs_fixed(
-                        &inf.parts,
+                        inf.level().partitions(),
                         &bp.mbr,
                         &rp.mbr,
                         refiner.cfg.norm,
@@ -445,7 +450,8 @@ mod tests {
                 cursor = range.end;
                 let inf = &refiner.influence[slot_idx % refiner.influence.len()];
                 for &p in &refiner.level.arena[range] {
-                    assert!((p as usize) < inf.parts.len(), "stale partition index");
+                    let n_parts = inf.level().partitions().len();
+                    assert!((p as usize) < n_parts, "stale partition index");
                 }
             }
             // the generation is compact: nothing beyond the last range

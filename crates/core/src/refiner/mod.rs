@@ -19,8 +19,9 @@
 //!
 //! # Decompositions
 //!
-//! Every region (`B`, `R` and each influence object) starts at its root
-//! partition and deepens through one cursor into a decomposition entry
+//! Every region (`B`, `R` and each influence object) holds the shared
+//! decomposition level it is on ([`udb_object::DecompLevel`]), starting
+//! at level 0, and deepens through one cursor into a decomposition entry
 //! ([`crate::decomp`]). A refiner that a query plane builds uses the
 //! engine's entries: database objects from the engine's cache, the query
 //! object from the query's own entry. A refiner built by
@@ -60,8 +61,7 @@ use std::sync::Arc;
 
 use udb_domination::{pdom_bounds_vs_fixed, DecisionClass, PDomBounds, PairClassifier};
 use udb_genfunc::{CountDistributionBounds, Ugf};
-use udb_geometry::Interval;
-use udb_object::{Database, ObjectId, Partition, UncertainObject};
+use udb_object::{Database, DecompLevel, ObjectId, UncertainObject};
 
 use crate::config::{IdcaConfig, ObjRef, Predicate};
 use crate::decomp::{DecCursor, Entries};
@@ -87,54 +87,22 @@ struct Influence {
     /// The whole object's uncertainty-region MBR (for the object-level
     /// pre-test of remapped slots).
     mbr: udb_geometry::Rect,
+    /// The level the object is on; the pair walk streams its flat
+    /// boxes and masses.
     dec: DecCursor,
-    parts: Vec<Partition>,
-    /// The partition MBRs flattened into one contiguous interval buffer
-    /// (partition `p` occupies `p·dims .. (p+1)·dims`) with the matching
-    /// masses — the hot-loop view of `parts`, refreshed on every
-    /// expansion, so classification streams without a heap indirection
-    /// per partition.
-    flat_mbrs: Vec<Interval>,
-    masses: Vec<f64>,
     /// The partitions' interval ids, valid when `tabled`.
     ids: IntervalIds,
     /// Whether the partitions share enough intervals for criterion
     /// tables (the fallback rule in `tables.rs`); `None` until a
     /// snapshot that keeps tables assesses the current partition list.
     tabled: Option<bool>,
-    /// Partition lineage since the last snapshot (`map[new_idx] =
-    /// old_idx`, composed across steps); `None` when unchanged.
-    lineage: Option<Vec<u32>>,
+    /// Partition lineage since the last snapshot.
+    lineage: Lineage,
 }
 
 impl Influence {
-    fn new(id: ObjectId, a: &UncertainObject, dec: DecCursor) -> Self {
-        let mut inf = Influence {
-            id,
-            existence: a.existence(),
-            mbr: a.mbr().clone(),
-            dec,
-            parts: vec![Partition::root(a.pdf())],
-            flat_mbrs: Vec::new(),
-            masses: Vec::new(),
-            ids: IntervalIds::default(),
-            tabled: None,
-            lineage: None,
-        };
-        inf.refresh_flat();
-        inf
-    }
-
-    /// Rebuilds the flat MBR/mass buffers from `parts`; the interval
-    /// ids wait for the next assessment of the fallback rule.
-    fn refresh_flat(&mut self) {
-        self.flat_mbrs.clear();
-        self.masses.clear();
-        for p in &self.parts {
-            self.flat_mbrs.extend_from_slice(p.mbr.intervals());
-            self.masses.push(p.mass);
-        }
-        self.tabled = None;
+    fn level(&self) -> &DecompLevel {
+        self.dec.level()
     }
 }
 
@@ -276,16 +244,14 @@ pub struct Refiner<'a> {
     reference: &'a UncertainObject,
     complete_count: usize,
     influence: Vec<Influence>,
-    b_dec: DecCursor,
-    b_parts: Vec<Partition>,
-    r_dec: DecCursor,
-    r_parts: Vec<Partition>,
+    /// The levels `B` and `R` are on.
+    b: DecCursor,
+    r: DecCursor,
     iteration: usize,
     /// Partition lineage of `B` / `R` expansions since the cache was last
-    /// refreshed (`None` = unchanged): `map[new_idx] = cached_idx`,
-    /// composed across multiple [`Refiner::step`]s.
-    b_map: Option<Vec<u32>>,
-    r_map: Option<Vec<u32>>,
+    /// refreshed.
+    b_map: Lineage,
+    r_map: Lineage,
     /// The factor cache and open-list arena of the last walked level.
     level: Level,
     /// The criterion-table key layout for the current `B'`/`R'`, and
@@ -392,7 +358,18 @@ impl<'a> Refiner<'a> {
         let reference_obj = db.resolve(reference);
         let influence = influence_ids
             .into_iter()
-            .map(|id| Influence::new(id, db.get(id), entries.cursor(Some(id), strategy)))
+            .map(|id| {
+                let a = db.get(id);
+                Influence {
+                    id,
+                    existence: a.existence(),
+                    mbr: a.mbr().clone(),
+                    dec: entries.cursor(Some(id), a.pdf(), strategy),
+                    ids: IntervalIds::default(),
+                    tabled: None,
+                    lineage: Lineage::Unchanged,
+                }
+            })
             .collect();
         Refiner {
             db,
@@ -402,13 +379,11 @@ impl<'a> Refiner<'a> {
             reference: reference_obj,
             complete_count,
             influence,
-            b_dec: entries.cursor(target.id(), strategy),
-            b_parts: vec![Partition::root(target_obj.pdf())],
-            r_dec: entries.cursor(reference.id(), strategy),
-            r_parts: vec![Partition::root(reference_obj.pdf())],
+            b: entries.cursor(target.id(), target_obj.pdf(), strategy),
+            r: entries.cursor(reference.id(), reference_obj.pdf(), strategy),
             iteration: 0,
-            b_map: None,
-            r_map: None,
+            b_map: Lineage::Unchanged,
+            r_map: Lineage::Unchanged,
             level: Level::default(),
             table_keys: TableKeys::default(),
             tables_pay: false,
@@ -474,9 +449,13 @@ impl<'a> Refiner<'a> {
     /// from-scratch path would test per snapshot.
     pub fn open_stats(&self) -> (usize, usize) {
         let open = self.level.counts().0;
-        let scratch: usize = self.b_parts.len()
-            * self.r_parts.len()
-            * self.influence.iter().map(|i| i.parts.len()).sum::<usize>();
+        let scratch: usize = self.b.level().partitions().len()
+            * self.r.level().partitions().len()
+            * self
+                .influence
+                .iter()
+                .map(|i| i.level().partitions().len())
+                .sum::<usize>();
         (open, scratch)
     }
 
@@ -523,24 +502,23 @@ impl<'a> Refiner<'a> {
             }
         }
         let mut progress = false;
-        if let Some((parts, map)) = self.b_dec.expand(self.target.pdf()) {
-            self.b_parts = parts;
-            self.b_map = Some(compose_lineage(self.b_map.take(), map));
+        if let Some(left) = self.b.expand(self.target.pdf()) {
+            self.b_map.advance(&left, self.b.level());
             progress = true;
         }
-        if let Some((parts, map)) = self.r_dec.expand(self.reference.pdf()) {
-            self.r_parts = parts;
-            self.r_map = Some(compose_lineage(self.r_map.take(), map));
+        if let Some(left) = self.r.expand(self.reference.pdf()) {
+            self.r_map.advance(&left, self.r.level());
             progress = true;
         }
         for (inf_idx, inf) in self.influence.iter_mut().enumerate() {
             if inf_open.as_ref().is_some_and(|open| open[inf_idx] == 0) {
                 continue; // finally classified: retired from refinement
             }
-            if let Some((parts, map)) = inf.dec.expand(self.db.get(inf.id).pdf()) {
-                inf.parts = parts;
-                inf.refresh_flat();
-                inf.lineage = Some(compose_lineage(inf.lineage.take(), map));
+            if let Some(left) = inf.dec.expand(self.db.get(inf.id).pdf()) {
+                inf.lineage.advance(&left, inf.dec.level());
+                // the interval ids wait for the next assessment of the
+                // fallback rule
+                inf.tabled = None;
                 progress = true;
             }
         }
@@ -647,8 +625,8 @@ impl<'a> Refiner<'a> {
             Err(snapshot) => return snapshot,
         };
         let mut sink = ExactSink::new(Ugf::new(k_eff), len, k_eff);
-        for bp in &self.b_parts {
-            for rp in &self.r_parts {
+        for bp in self.b.level().partitions() {
+            for rp in self.r.level().partitions() {
                 let w = bp.mass * rp.mass;
                 if w <= 0.0 {
                     continue;
@@ -656,8 +634,13 @@ impl<'a> Refiner<'a> {
                 sink.ugf.reset(k_eff);
                 for inf in &self.influence {
                     let (norm, criterion) = (self.cfg.norm, self.cfg.criterion);
-                    let bounds =
-                        pdom_bounds_vs_fixed(&inf.parts, &bp.mbr, &rp.mbr, norm, criterion);
+                    let bounds = pdom_bounds_vs_fixed(
+                        inf.level().partitions(),
+                        &bp.mbr,
+                        &rp.mbr,
+                        norm,
+                        criterion,
+                    );
                     let PDomBounds { lower, upper } = bounds.scale_by_existence(inf.existence);
                     sink.ugf.multiply(lower, upper);
                 }
@@ -696,14 +679,41 @@ impl<'a> Refiner<'a> {
     }
 }
 
-/// Composes partition-lineage maps across consecutive expansions:
-/// `prev` maps the intermediate order to the cached order (or `None` when
-/// this is the first expansion since the cache refresh), `next` maps the
-/// newest order to the intermediate one.
-fn compose_lineage(prev: Option<Vec<u32>>, next: Vec<u32>) -> Vec<u32> {
-    match prev {
-        None => next,
-        Some(prev) => next.into_iter().map(|i| prev[i as usize]).collect(),
+/// A region's partition lineage since the last snapshot: for each
+/// partition of its current level, the index of the partition it
+/// descends from in the level the last snapshot walked.
+enum Lineage {
+    /// No expansion since.
+    Unchanged,
+    /// One expansion: the current level's own lineage.
+    Level,
+    /// Several expansions: their lineages composed.
+    Composed(Vec<u32>),
+}
+
+impl Lineage {
+    /// Records one expansion, from the level `left` to `level`.
+    fn advance(&mut self, left: &DecompLevel, level: &DecompLevel) {
+        let prev = match self {
+            Lineage::Unchanged => None,
+            Lineage::Level => Some(left.lineage()),
+            Lineage::Composed(prev) => Some(&prev[..]),
+        };
+        *self = match prev {
+            None => Lineage::Level,
+            Some(prev) => {
+                Lineage::Composed(level.lineage().iter().map(|&i| prev[i as usize]).collect())
+            }
+        };
+    }
+
+    /// The lineage map of a region on `level`, or `None` when unchanged.
+    fn map<'l>(&'l self, level: &'l DecompLevel) -> Option<&'l [u32]> {
+        match self {
+            Lineage::Unchanged => None,
+            Lineage::Level => Some(level.lineage()),
+            Lineage::Composed(map) => Some(map),
+        }
     }
 }
 

@@ -64,11 +64,12 @@ impl Influence {
     pub(super) fn assess_tables(&mut self) -> bool {
         *self.tabled.get_or_insert_with(|| {
             let dims = self.mbr.dims();
-            let limit = self.parts.len() / TABLE_MIN_SHARE;
+            let level = self.dec.level();
+            let limit = level.partitions().len() / TABLE_MIN_SHARE;
             limit > 0
                 && self
                     .ids
-                    .assign(dims, self.flat_mbrs.chunks_exact(dims), limit)
+                    .assign(dims, level.intervals().chunks_exact(dims), limit)
         })
     }
 }

@@ -44,7 +44,7 @@ use udb_object::Partition;
 
 use super::level::{FactorCache, RefreshMode};
 use super::tables::{CriterionTables, TableKeys};
-use super::{Influence, Refiner};
+use super::{Influence, Lineage, Refiner};
 use crate::config::IdcaConfig;
 
 impl Refiner<'_> {
@@ -56,9 +56,12 @@ impl Refiner<'_> {
     /// ones, bit for bit, at every lane count.
     pub(super) fn snapshot_pairs(&mut self, sink: &mut ExactSink) {
         let n_inf = self.influence.len();
-        let dims = (self.b_parts.len(), self.r_parts.len());
+        let (b_parts, r_parts) = (self.b.level().partitions(), self.r.level().partitions());
+        let dims = (b_parts.len(), r_parts.len());
         let n_pairs = dims.0 * dims.1;
-        let pairs_moved = self.b_map.is_some() || self.r_map.is_some();
+        let b_map = self.b_map.map(self.b.level());
+        let r_map = self.r_map.map(self.r.level());
+        let pairs_moved = b_map.is_some() || r_map.is_some();
         let mode = self.level.mode(pairs_moved);
         // every driver stops at this level (`Refiner::converged`), so its
         // slots are streamed through one reused row per lane instead of
@@ -73,13 +76,12 @@ impl Refiner<'_> {
         // ancestor slots without cloning
         let (old, old_r_len) = self.level.begin(mode, final_level, dims, rows, n_inf);
         let ancestors: Vec<u32> = if mode == RefreshMode::Remapped {
-            let lineage = |map: &Option<Vec<u32>>, idx: usize| {
-                map.as_ref().map_or(idx, |map| map[idx] as usize)
-            };
+            let lineage =
+                |map: Option<&[u32]>, idx: usize| map.map_or(idx, |map| map[idx] as usize);
             (0..n_pairs)
                 .map(|new_pair| {
-                    let ob = lineage(&self.b_map, new_pair / dims.1);
-                    let or = lineage(&self.r_map, new_pair % dims.1);
+                    let ob = lineage(b_map, new_pair / dims.1);
+                    let or = lineage(r_map, new_pair % dims.1);
                     (ob * old_r_len + or) as u32
                 })
                 .collect()
@@ -89,7 +91,7 @@ impl Refiner<'_> {
         if mode != RefreshMode::InPlace {
             // B' or R' changed: re-key the criterion tables
             self.tables_pay = self.cfg.criterion == DominationCriterion::Optimal
-                && self.table_keys.assign(&self.b_parts, &self.r_parts);
+                && self.table_keys.assign(b_parts, r_parts);
         }
         // interval ids only where tables pay; no table without an
         // influence object that uses it
@@ -100,8 +102,8 @@ impl Refiner<'_> {
             }
             any
         };
-        self.b_map = None;
-        self.r_map = None;
+        self.b_map = Lineage::Unchanged;
+        self.r_map = Lineage::Unchanged;
 
         // lineage prefix offsets per influence object (children of old
         // partition `p` occupy new indices `offsets[p]..offsets[p+1]`);
@@ -110,7 +112,10 @@ impl Refiner<'_> {
             .influence
             .iter()
             .map(|inf| {
-                let map = inf.lineage.as_ref().filter(|_| mode != RefreshMode::Full)?;
+                let map = inf
+                    .lineage
+                    .map(inf.level())
+                    .filter(|_| mode != RefreshMode::Full)?;
                 let mut offsets = vec![0u32; 1];
                 for (new_idx, &old_idx) in map.iter().enumerate() {
                     while offsets.len() <= old_idx as usize {
@@ -124,8 +129,8 @@ impl Refiner<'_> {
             .collect();
         let (cache, arena, old_arena) = self.level.buffers();
         let walk = PairWalk {
-            b_parts: &self.b_parts,
-            r_parts: &self.r_parts,
+            b_parts,
+            r_parts,
             influence: &self.influence,
             inf_offsets: &inf_offsets,
             old: &old,
@@ -198,7 +203,7 @@ impl Refiner<'_> {
         self.level
             .finish(final_level, (open.0, open.1, n_pairs * n_inf));
         for inf in &mut self.influence {
-            inf.lineage = None;
+            inf.lineage = Lineage::Unchanged;
         }
     }
 }
@@ -421,7 +426,7 @@ fn process_pair_range(
             match mode {
                 // seed from the full partition list
                 RefreshMode::Full => {
-                    let all = 0..inf.parts.len() as u32;
+                    let all = 0..inf.level().partitions().len() as u32;
                     tests.classify(slot, all, inf_idx, inf, tables, arena);
                 }
                 // stream the ancestor slot's open list (expanded through
@@ -516,9 +521,9 @@ impl PairTests<'_> {
             }
             None => {
                 let dims = inf.mbr.dims();
+                let intervals = inf.level().intervals();
                 let tested = slot.classify_into(candidates, inf, arena, |p| {
-                    self.pc
-                        .classify_dims(&inf.flat_mbrs[p * dims..(p + 1) * dims])
+                    self.pc.classify_dims(&intervals[p * dims..(p + 1) * dims])
                 });
                 tables.tests.1 += tested;
             }
@@ -542,9 +547,10 @@ impl PairTests<'_> {
     ) -> u64 {
         let dims = if D == 0 { inf.mbr.dims() } else { D };
         let (rows, starts) = (&tables.rows[..], &tables.slot_rows[..dims]);
+        let (ids, intervals) = (&inf.ids.ids[..], inf.level().intervals());
         slot.classify_into(candidates, inf, arena, |p| {
-            let ids = &inf.ids.ids[p * dims..][..dims];
-            let mbr = &inf.flat_mbrs[p * dims..][..dims];
+            let ids = &ids[p * dims..][..dims];
+            let mbr = &intervals[p * dims..][..dims];
             // the kernel's sums: the same shares, added in dimension
             // order from zero
             let mut sums = OptimalSums::ZERO;

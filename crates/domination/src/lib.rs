@@ -20,7 +20,7 @@
 pub mod probabilistic;
 pub mod spatial;
 
-pub use probabilistic::{pdom_bounds, pdom_bounds_decomposed, pdom_bounds_vs_fixed, PDomBounds};
+pub use probabilistic::{pdom_bounds, pdom_bounds_vs_fixed, PDomBounds};
 pub use spatial::{
     dominates_minmax, dominates_optimal, DecisionClass, DominationCriterion, OptimalSums,
     PairClassifier,

@@ -8,7 +8,7 @@
 //! of the triple loop are evaluated in one pass.
 
 use udb_geometry::LpNorm;
-use udb_object::{Decomposition, Partition};
+use udb_object::Partition;
 
 use crate::spatial::{DecisionClass, DominationCriterion, PairClassifier};
 
@@ -134,24 +134,6 @@ pub fn pdom_bounds_vs_fixed(
     }
 }
 
-/// Convenience wrapper taking decompositions (materializes the current
-/// partition lists first; cache partitions manually in hot loops).
-pub fn pdom_bounds_decomposed(
-    a: &Decomposition,
-    b: &Decomposition,
-    r: &Decomposition,
-    norm: LpNorm,
-    criterion: DominationCriterion,
-) -> PDomBounds {
-    pdom_bounds(
-        &a.partitions(),
-        &b.partitions(),
-        &r.partitions(),
-        norm,
-        criterion,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,7 +217,7 @@ mod tests {
             let bounds = pdom_bounds(
                 &a,
                 &b,
-                &r_dec.partitions(),
+                r_dec.partitions(),
                 LpNorm::L2,
                 DominationCriterion::Optimal,
             );
@@ -246,7 +228,7 @@ mod tests {
             assert!(bounds.lower >= prev.lower - 1e-12);
             assert!(bounds.upper <= prev.upper + 1e-12);
             prev = bounds;
-            r_dec.expand(&r_pdf);
+            r_dec.expand_to(&r_pdf, depth + 1);
         }
         // after 8 levels the bounds are close to the truth
         assert!(prev.width() < 0.05, "final width {}", prev.width());
@@ -266,7 +248,7 @@ mod tests {
         let bounds = pdom_bounds(
             &[part(a_rect, 1.0)],
             &[part(b_rect, 1.0)],
-            &r_dec.partitions(),
+            r_dec.partitions(),
             LpNorm::L2,
             DominationCriterion::Optimal,
         );
@@ -293,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn decomposed_wrapper_matches_manual() {
+    fn separated_decompositions_dominate_certainly() {
         let pdf_a = Pdf::uniform(seg(0.0, 1.0));
         let pdf_b = Pdf::uniform(seg(3.0, 4.0));
         let pdf_r = Pdf::uniform(seg(-2.0, -1.0));
@@ -303,18 +285,14 @@ mod tests {
         da.expand_to(&pdf_a, 2);
         db.expand_to(&pdf_b, 2);
         dr.expand_to(&pdf_r, 2);
-        let via_wrapper =
-            pdom_bounds_decomposed(&da, &db, &dr, LpNorm::L2, DominationCriterion::Optimal);
-        let manual = pdom_bounds(
-            &da.partitions(),
-            &db.partitions(),
-            &dr.partitions(),
+        let bounds = pdom_bounds(
+            da.partitions(),
+            db.partitions(),
+            dr.partitions(),
             LpNorm::L2,
             DominationCriterion::Optimal,
         );
-        assert_eq!(via_wrapper, manual);
-        // fully separated: certain domination
-        assert_eq!(via_wrapper, PDomBounds::ONE);
+        assert_eq!(bounds, PDomBounds::ONE);
     }
 
     fn arb_seg() -> impl Strategy<Value = Rect> {
@@ -342,7 +320,7 @@ mod tests {
             da.expand_to(&pa, 3);
             db.expand_to(&pb, 3);
             dr.expand_to(&pr, 3);
-            let bounds = pdom_bounds_decomposed(&da, &db, &dr, LpNorm::L2, DominationCriterion::Optimal);
+            let bounds = pdom_bounds(da.partitions(), db.partitions(), dr.partitions(), LpNorm::L2, DominationCriterion::Optimal);
             let est = mc_pdom(&ar, &br, &rr, 4_000, seed);
             // 4000 samples: 4-sigma slack ~ 0.032
             prop_assert!(est >= bounds.lower - 0.04, "est {est} bounds {bounds:?}");
@@ -386,8 +364,8 @@ mod tests {
             da.expand_to(&pa, 2);
             db.expand_to(&pb, 2);
             dr.expand_to(&pr, 2);
-            let opt = pdom_bounds_decomposed(&da, &db, &dr, LpNorm::L2, DominationCriterion::Optimal);
-            let mm = pdom_bounds_decomposed(&da, &db, &dr, LpNorm::L2, DominationCriterion::MinMax);
+            let opt = pdom_bounds(da.partitions(), db.partitions(), dr.partitions(), LpNorm::L2, DominationCriterion::Optimal);
+            let mm = pdom_bounds(da.partitions(), db.partitions(), dr.partitions(), LpNorm::L2, DominationCriterion::MinMax);
             prop_assert!(opt.lower >= mm.lower - 1e-12);
             prop_assert!(opt.upper <= mm.upper + 1e-12);
         }

@@ -2,24 +2,34 @@
 //!
 //! "We can iteratively split each object X by means of a median-split-based
 //! bisection method and use a kd-tree to hierarchically organize the
-//! resulting partitions." Every node splits at the (conditional) median of
-//! the node's distribution along a chosen axis, so a node at level `l`
-//! carries (close to) `0.5^l` probability mass; the exact mass is stored
-//! per node because discrete models cannot always be halved exactly.
+//! resulting partitions." IDCA deepens the tree by one level per
+//! iteration and only ever reads a level's leaves and where each leaf
+//! came from, so a [`Decomposition`] stores exactly that: a list of
+//! immutable [`DecompLevel`]s. Level `ℓ + 1` splits every splittable leaf
+//! of level `ℓ` once at the (conditional) median of its distribution along
+//! a chosen axis, so a leaf of level `ℓ` carries (close to) `0.5^ℓ`
+//! probability mass; the exact mass is stored per leaf because discrete
+//! models cannot always be halved exactly. The paper's kd-tree is the
+//! levels' lineage: each leaf records the index of its parent leaf one
+//! level up.
 //!
-//! The tree height is bounded by the caller (the IDCA loop deepens one
-//! level per iteration); a leaf that cannot make progress in any axis
-//! (degenerate region, single discrete alternative) stays a leaf.
+//! A leaf that cannot make progress in any axis (degenerate region,
+//! single discrete alternative) is carried into the next level unchanged
+//! and never tested again. Levels are shared by [`Arc`]: a level is
+//! published only once it is complete, and a consumer that replays it
+//! holds the same allocation as the one that split it.
 
-use udb_geometry::Rect;
+use std::sync::Arc;
+
+use udb_geometry::{Interval, Rect};
 use udb_pdf::{Pdf, MASS_EPSILON};
 
-/// How the split axis of a node is chosen.
+/// How the split axis of a leaf is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SplitStrategy {
     /// Cycle through the axes by depth (classic kd-tree).
     RoundRobin,
-    /// Split the longest extent of the node's tightened MBR (default; gives
+    /// Split the longest extent of the leaf's tightened MBR (default; gives
     /// better-shaped partitions for elongated regions).
     #[default]
     LongestExtent,
@@ -36,44 +46,74 @@ pub struct Partition {
     pub mass: f64,
 }
 
-impl Partition {
-    /// The level-0 partition of the object with density `pdf`: its
-    /// tightened support with mass one, the one partition of a fresh
-    /// [`Decomposition`].
+/// One level of a decomposition: its leaf partitions in kd-tree
+/// depth-first order, their lineage to the level before, and a flat
+/// view of their boxes and masses for hot loops. Immutable once built.
+#[derive(Debug)]
+pub struct DecompLevel {
+    parts: Vec<Partition>,
+    lineage: Vec<u32>,
+    intervals: Vec<Interval>,
+    masses: Vec<f64>,
+}
+
+impl DecompLevel {
+    /// Level 0 of the object with density `pdf`: its tightened support
+    /// with mass one.
     pub fn root(pdf: &Pdf) -> Self {
-        let support = pdf.support().clone();
-        Partition {
-            mbr: pdf.tighten(&support).unwrap_or(support),
-            mass: 1.0,
+        let support = pdf.support();
+        let mbr = pdf.tighten(support).unwrap_or_else(|| support.clone());
+        DecompLevel::new(vec![Partition { mbr, mass: 1.0 }], Vec::new())
+    }
+
+    fn new(parts: Vec<Partition>, lineage: Vec<u32>) -> Self {
+        let dims = parts[0].mbr.dims();
+        let mut intervals = Vec::with_capacity(parts.len() * dims);
+        for p in &parts {
+            intervals.extend_from_slice(p.mbr.intervals());
+        }
+        let masses = parts.iter().map(|p| p.mass).collect();
+        DecompLevel {
+            parts,
+            lineage,
+            intervals,
+            masses,
         }
     }
-}
 
-#[derive(Debug, Clone)]
-struct Node {
-    /// Tight bounding box of the mass assigned to this node.
-    mbr: Rect,
-    /// Absolute probability mass.
-    mass: f64,
-    /// Depth of this node (root = 0).
-    depth: usize,
-    /// Child nodes (empty for leaves; at most 2).
-    children: Vec<Node>,
-    /// Marked when no axis can make splitting progress.
-    unsplittable: bool,
-}
+    /// The leaf partitions. Each carries positive mass, and the masses
+    /// sum to (approximately) one.
+    pub fn partitions(&self) -> &[Partition] {
+        &self.parts
+    }
 
-impl Node {
-    fn is_leaf(&self) -> bool {
-        self.children.is_empty()
+    /// For each partition, the index of the partition of the previous
+    /// level it descends from: a split leaf's two children are
+    /// consecutive and share their parent's index, and a leaf that did
+    /// not split maps to itself. Empty at level 0.
+    pub fn lineage(&self) -> &[u32] {
+        &self.lineage
+    }
+
+    /// Every partition's box, flattened: partition `p`'s intervals are
+    /// `intervals()[p·dims .. (p+1)·dims]`.
+    pub fn intervals(&self) -> &[Interval] {
+        &self.intervals
+    }
+
+    /// Every partition's mass, in partition order.
+    pub fn masses(&self) -> &[f64] {
+        &self.masses
     }
 }
 
-/// The progressive decomposition of one object's PDF.
+/// The progressive decomposition of one object's PDF: every level split
+/// so far, and which leaves of the newest level cannot split.
 #[derive(Debug, Clone)]
 pub struct Decomposition {
-    root: Node,
-    depth: usize,
+    levels: Vec<Arc<DecompLevel>>,
+    /// Per leaf of the newest level: no axis makes splitting progress.
+    unsplittable: Vec<bool>,
     strategy: SplitStrategy,
 }
 
@@ -86,177 +126,108 @@ impl Decomposition {
 
     /// Starts a decomposition with an explicit split strategy.
     pub fn with_strategy(pdf: &Pdf, strategy: SplitStrategy) -> Self {
-        let Partition { mbr, mass } = Partition::root(pdf);
+        Decomposition::from_root(Arc::new(DecompLevel::root(pdf)), strategy)
+    }
+
+    /// Starts a decomposition at `root`, the [`DecompLevel::root`] of its
+    /// object, so that a caller already holding level 0 shares it.
+    pub fn from_root(root: Arc<DecompLevel>, strategy: SplitStrategy) -> Self {
+        debug_assert!(
+            root.parts.len() == 1 && root.lineage.is_empty(),
+            "a level 0"
+        );
         Decomposition {
-            root: Node {
-                mbr,
-                mass,
-                depth: 0,
-                children: Vec::new(),
-                unsplittable: false,
-            },
-            depth: 0,
+            levels: vec![root],
+            unsplittable: vec![false],
             strategy,
         }
     }
 
-    /// Current depth (number of completed [`Decomposition::expand`] calls
-    /// that made progress).
+    /// Current depth: the number of levels split so far.
     pub fn depth(&self) -> usize {
-        self.depth
+        self.levels.len() - 1
     }
 
-    /// Splits every splittable leaf once. Returns `true` if at least one
-    /// leaf was split (i.e. the decomposition got strictly finer).
-    pub fn expand(&mut self, pdf: &Pdf) -> bool {
-        let strategy = self.strategy;
-        let progressed = Self::expand_node(&mut self.root, pdf, strategy);
-        if progressed {
-            self.depth += 1;
+    /// The newest level's partitions.
+    pub fn partitions(&self) -> &[Partition] {
+        self.levels[self.depth()].partitions()
+    }
+
+    /// The level at `depth`. A level split before is returned as it is,
+    /// so every consumer of a level shares one allocation; otherwise the
+    /// newest level splits, one level at a time, until `depth` exists.
+    /// `None` when no leaf can split any further before `depth`.
+    pub fn expand_to(&mut self, pdf: &Pdf, depth: usize) -> Option<&Arc<DecompLevel>> {
+        while self.depth() < depth {
+            let newest = &self.levels[self.depth()];
+            match split(newest, &self.unsplittable, self.depth(), pdf, self.strategy) {
+                Some((level, unsplittable)) => {
+                    self.levels.push(Arc::new(level));
+                    self.unsplittable = unsplittable;
+                }
+                None => {
+                    self.unsplittable.fill(true);
+                    return None;
+                }
+            }
         }
-        progressed
+        self.levels.get(depth)
     }
+}
 
-    /// Like [`Decomposition::expand`], but additionally reports lineage:
-    /// on progress, returns for each partition of the *new*
-    /// [`Decomposition::partitions`] order the index of the partition it
-    /// descended from in the *previous* order (split leaves contribute two
-    /// consecutive entries with the same parent index, surviving leaves
-    /// map through unchanged). `None` when nothing could be split.
-    ///
-    /// Incremental consumers (the IDCA snapshot cache) use the map to
-    /// carry per-partition results across an expansion instead of
-    /// invalidating everything keyed on partition indices.
-    pub fn expand_with_map(&mut self, pdf: &Pdf) -> Option<Vec<u32>> {
-        let strategy = self.strategy;
-        let mut map = Vec::with_capacity(count_leaves(&self.root) * 2);
-        let mut old_idx = 0u32;
-        let progressed =
-            Self::expand_node_tracked(&mut self.root, pdf, strategy, &mut old_idx, &mut map);
-        if progressed {
-            self.depth += 1;
-            Some(map)
-        } else {
+/// Splits every splittable leaf of `level`, which is at `depth`, once:
+/// the next level and its leaves' `unsplittable` flags, or `None` when
+/// no leaf splits.
+fn split(
+    level: &DecompLevel,
+    unsplittable: &[bool],
+    depth: usize,
+    pdf: &Pdf,
+    strategy: SplitStrategy,
+) -> Option<(DecompLevel, Vec<bool>)> {
+    let n = level.parts.len();
+    let mut parts = Vec::with_capacity(2 * n);
+    let mut lineage = Vec::with_capacity(2 * n);
+    let mut next_unsplittable = Vec::with_capacity(2 * n);
+    let mut progressed = false;
+    for (idx, (leaf, &stuck)) in level.parts.iter().zip(unsplittable).enumerate() {
+        debug_assert!(leaf.mass > MASS_EPSILON, "every leaf carries mass");
+        let children = if stuck {
             None
-        }
-    }
-
-    /// Expands until `depth` (or until no further progress is possible).
-    pub fn expand_to(&mut self, pdf: &Pdf, depth: usize) {
-        while self.depth < depth && self.expand(pdf) {}
-    }
-
-    fn expand_node(node: &mut Node, pdf: &Pdf, strategy: SplitStrategy) -> bool {
-        if !node.is_leaf() {
-            let mut any = false;
-            for c in &mut node.children {
-                any |= Self::expand_node(c, pdf, strategy);
-            }
-            return any;
-        }
-        if node.unsplittable || node.mass <= MASS_EPSILON {
-            return false;
-        }
-        match split_leaf(node, pdf, strategy) {
+        } else {
+            split_leaf(leaf, depth, pdf, strategy)
+        };
+        match children {
             Some(children) => {
-                node.children = children;
-                true
+                parts.extend(children);
+                lineage.extend([idx as u32; 2]);
+                next_unsplittable.extend([false; 2]);
+                progressed = true;
             }
             None => {
-                node.unsplittable = true;
-                false
+                parts.push(leaf.clone());
+                lineage.push(idx as u32);
+                next_unsplittable.push(true);
             }
         }
     }
-
-    /// [`Decomposition::expand_node`] plus lineage tracking. Visits leaves
-    /// in the same DFS order as [`collect_leaves`] (skipping the same
-    /// zero-mass leaves) so `old_idx` counts previous partition indices
-    /// and `map` fills in new partition order.
-    fn expand_node_tracked(
-        node: &mut Node,
-        pdf: &Pdf,
-        strategy: SplitStrategy,
-        old_idx: &mut u32,
-        map: &mut Vec<u32>,
-    ) -> bool {
-        if !node.is_leaf() {
-            let mut any = false;
-            for c in &mut node.children {
-                any |= Self::expand_node_tracked(c, pdf, strategy, old_idx, map);
-            }
-            return any;
-        }
-        if node.mass <= MASS_EPSILON {
-            // not part of the partitions() order, before or after
-            return false;
-        }
-        let my_idx = *old_idx;
-        *old_idx += 1;
-        if node.unsplittable {
-            map.push(my_idx);
-            return false;
-        }
-        match split_leaf(node, pdf, strategy) {
-            Some(children) => {
-                node.children = children;
-                map.push(my_idx);
-                map.push(my_idx);
-                true
-            }
-            None => {
-                node.unsplittable = true;
-                map.push(my_idx);
-                false
-            }
-        }
-    }
-
-    /// The current partitions (leaves with positive mass). Masses sum to
-    /// (approximately) one.
-    pub fn partitions(&self) -> Vec<Partition> {
-        let mut out = Vec::with_capacity(1 << self.depth.min(20));
-        collect_leaves(&self.root, &mut out);
-        out
-    }
-
-    /// Number of current leaves with positive mass.
-    pub fn leaf_count(&self) -> usize {
-        count_leaves(&self.root)
-    }
+    progressed.then(|| (DecompLevel::new(parts, lineage), next_unsplittable))
 }
 
-/// Counts leaves with positive mass without materializing [`Partition`]s
-/// (the same nodes [`collect_leaves`] would emit).
-fn count_leaves(node: &Node) -> usize {
-    if node.is_leaf() {
-        return usize::from(node.mass > MASS_EPSILON);
-    }
-    node.children.iter().map(count_leaves).sum()
-}
-
-fn collect_leaves(node: &Node, out: &mut Vec<Partition>) {
-    if node.is_leaf() {
-        if node.mass > MASS_EPSILON {
-            out.push(Partition {
-                mbr: node.mbr.clone(),
-                mass: node.mass,
-            });
-        }
-        return;
-    }
-    for c in &node.children {
-        collect_leaves(c, out);
-    }
-}
-
-/// Tries to split a leaf at the conditional median; returns the children
-/// or `None` when no axis makes progress.
-fn split_leaf(node: &Node, pdf: &Pdf, strategy: SplitStrategy) -> Option<Vec<Node>> {
+/// Tries to split a leaf at `depth` at the conditional median; returns
+/// the children or `None` when no axis makes progress. Every leaf that
+/// can still split sits at the depth of its level: its parent split one
+/// level up, all the way from the root.
+fn split_leaf(
+    node: &Partition,
+    depth: usize,
+    pdf: &Pdf,
+    strategy: SplitStrategy,
+) -> Option<[Partition; 2]> {
     let d = node.mbr.dims();
     // axis preference order per strategy
     let first_axis = match strategy {
-        SplitStrategy::RoundRobin => node.depth % d,
+        SplitStrategy::RoundRobin => depth % d,
         SplitStrategy::LongestExtent => node.mbr.longest_extent().0,
     };
     for off in 0..d {
@@ -286,20 +257,14 @@ fn split_leaf(node: &Node, pdf: &Pdf, strategy: SplitStrategy) -> Option<Vec<Nod
         let (lo_region, hi_region) = half_open_split(&node.mbr, axis, x);
         let lo_mbr = pdf.tighten(&lo_region).unwrap_or(lo_region);
         let hi_mbr = pdf.tighten(&hi_region).unwrap_or(hi_region);
-        return Some(vec![
-            Node {
+        return Some([
+            Partition {
                 mbr: lo_mbr,
                 mass: below,
-                depth: node.depth + 1,
-                children: Vec::new(),
-                unsplittable: false,
             },
-            Node {
+            Partition {
                 mbr: hi_mbr,
                 mass: above,
-                depth: node.depth + 1,
-                children: Vec::new(),
-                unsplittable: false,
             },
         ]);
     }
@@ -329,6 +294,7 @@ fn next_down(x: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use udb_geometry::{Interval, Point};
     use udb_pdf::{DiscretePdf, GaussianPdf};
 
@@ -338,6 +304,12 @@ mod tests {
 
     fn mass_sum(parts: &[Partition]) -> f64 {
         parts.iter().map(|p| p.mass).sum()
+    }
+
+    /// Splits the newest level once; whether any leaf split.
+    fn deepen(dec: &mut Decomposition, pdf: &Pdf) -> bool {
+        let depth = dec.depth() + 1;
+        dec.expand_to(pdf, depth).is_some()
     }
 
     #[test]
@@ -355,17 +327,17 @@ mod tests {
         let pdf = Pdf::uniform(unit_square());
         let mut dec = Decomposition::new(&pdf);
         for level in 1..=4 {
-            assert!(dec.expand(&pdf));
+            assert!(deepen(&mut dec, &pdf));
             let parts = dec.partitions();
             assert_eq!(parts.len(), 1 << level);
-            for p in &parts {
+            for p in parts {
                 assert!(
                     (p.mass - 0.5f64.powi(level)).abs() < 1e-9,
                     "level {level} mass {}",
                     p.mass
                 );
             }
-            assert!((mass_sum(&parts) - 1.0).abs() < 1e-9);
+            assert!((mass_sum(parts) - 1.0).abs() < 1e-9);
         }
         assert_eq!(dec.depth(), 4);
     }
@@ -396,19 +368,19 @@ mod tests {
         dec.expand_to(&pdf, 2);
         let parts = dec.partitions();
         assert_eq!(parts.len(), 4);
-        for p in &parts {
+        for p in parts {
             assert!((p.mass - 0.25).abs() < 1e-4, "mass {}", p.mass);
         }
-        assert!((mass_sum(&parts) - 1.0).abs() < 1e-9);
+        assert!((mass_sum(parts) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn point_object_is_unsplittable() {
         let pdf = Pdf::uniform(Rect::from_point(&Point::from([0.3, 0.4])));
         let mut dec = Decomposition::new(&pdf);
-        assert!(!dec.expand(&pdf));
+        assert!(!deepen(&mut dec, &pdf));
         assert_eq!(dec.depth(), 0);
-        assert_eq!(dec.leaf_count(), 1);
+        assert_eq!(dec.partitions().len(), 1);
     }
 
     #[test]
@@ -421,18 +393,18 @@ mod tests {
         ])
         .into();
         let mut dec = Decomposition::new(&pdf);
-        assert!(dec.expand(&pdf));
+        assert!(deepen(&mut dec, &pdf));
         let parts = dec.partitions();
         assert_eq!(parts.len(), 2);
-        for p in &parts {
+        for p in parts {
             assert!((p.mass - 0.5).abs() < 1e-12);
         }
-        assert!((mass_sum(&parts) - 1.0).abs() < 1e-12);
+        assert!((mass_sum(parts) - 1.0).abs() < 1e-12);
         // second expansion separates the remaining axis
-        assert!(dec.expand(&pdf));
+        assert!(deepen(&mut dec, &pdf));
         let parts = dec.partitions();
         assert_eq!(parts.len(), 4);
-        for p in &parts {
+        for p in parts {
             assert!((p.mass - 0.25).abs() < 1e-12);
             assert!(p.mbr.is_point(), "leaf should be a single alternative");
         }
@@ -450,14 +422,14 @@ mod tests {
         // after enough expansions every leaf is a single alternative and
         // expand() must return false
         for _ in 0..10 {
-            if !dec.expand(&pdf) {
+            if !deepen(&mut dec, &pdf) {
                 break;
             }
         }
-        assert!(!dec.expand(&pdf));
+        assert!(!deepen(&mut dec, &pdf));
         let parts = dec.partitions();
         assert_eq!(parts.len(), 3);
-        assert!((mass_sum(&parts) - 1.0).abs() < 1e-12);
+        assert!((mass_sum(parts) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -471,7 +443,7 @@ mod tests {
         .into();
         let mut dec = Decomposition::new(&pdf);
         for _ in 0..10 {
-            if !dec.expand(&pdf) {
+            if !deepen(&mut dec, &pdf) {
                 break;
             }
         }
@@ -489,11 +461,11 @@ mod tests {
         let wide = Rect::new(vec![Interval::new(0.0, 10.0), Interval::new(0.0, 1.0)]);
         let pdf = Pdf::uniform(wide);
         let mut dec = Decomposition::with_strategy(&pdf, SplitStrategy::RoundRobin);
-        dec.expand(&pdf); // splits axis 0
-        dec.expand(&pdf); // splits axis 1
+        deepen(&mut dec, &pdf); // splits axis 0
+        deepen(&mut dec, &pdf); // splits axis 1
         let parts = dec.partitions();
         assert_eq!(parts.len(), 4);
-        for p in &parts {
+        for p in parts {
             assert!((p.mbr.extent(0) - 5.0).abs() < 1e-9);
             assert!((p.mbr.extent(1) - 0.5).abs() < 1e-9);
         }
@@ -504,30 +476,30 @@ mod tests {
         let wide = Rect::new(vec![Interval::new(0.0, 10.0), Interval::new(0.0, 1.0)]);
         let pdf = Pdf::uniform(wide);
         let mut dec = Decomposition::with_strategy(&pdf, SplitStrategy::LongestExtent);
-        dec.expand(&pdf);
-        dec.expand(&pdf); // still axis 0 (extent 5 > 1)
+        deepen(&mut dec, &pdf);
+        deepen(&mut dec, &pdf); // still axis 0 (extent 5 > 1)
         let parts = dec.partitions();
-        for p in &parts {
+        for p in parts {
             assert!((p.mbr.extent(0) - 2.5).abs() < 1e-9);
             assert!((p.mbr.extent(1) - 1.0).abs() < 1e-9);
         }
     }
 
     #[test]
-    fn expand_with_map_tracks_lineage() {
+    fn lineage_tracks_splits() {
         let pdf = Pdf::uniform(unit_square());
         let mut dec = Decomposition::new(&pdf);
         // depth 0 -> 1: one leaf splits in two
-        let map = dec.expand_with_map(&pdf).expect("progress");
-        assert_eq!(map, vec![0, 0]);
+        let level = dec.expand_to(&pdf, 1).expect("progress");
+        assert_eq!(level.lineage(), [0, 0]);
         // depth 1 -> 2: both leaves split
-        let map = dec.expand_with_map(&pdf).expect("progress");
-        assert_eq!(map, vec![0, 0, 1, 1]);
-        assert_eq!(dec.leaf_count(), 4);
+        let level = dec.expand_to(&pdf, 2).expect("progress");
+        assert_eq!(level.lineage(), [0, 0, 1, 1]);
+        assert_eq!(dec.partitions().len(), 4);
     }
 
     #[test]
-    fn expand_with_map_mixes_split_and_exhausted_leaves() {
+    fn lineage_mixes_split_and_exhausted_leaves() {
         // three discrete alternatives: after one split one leaf is a point
         // (unsplittable) and the other splits again
         let pdf: Pdf = DiscretePdf::equally_weighted(vec![
@@ -537,11 +509,11 @@ mod tests {
         ])
         .into();
         let mut dec = Decomposition::new(&pdf);
-        let map = dec.expand_with_map(&pdf).expect("progress");
-        assert_eq!(map, vec![0, 0]);
-        let parts_before = dec.partitions();
-        let map = dec.expand_with_map(&pdf).expect("progress");
-        let parts_after = dec.partitions();
+        let before = Arc::clone(dec.expand_to(&pdf, 1).expect("progress"));
+        assert_eq!(before.lineage(), [0, 0]);
+        let after = dec.expand_to(&pdf, 2).expect("progress");
+        let map = after.lineage();
+        let (parts_before, parts_after) = (before.partitions(), after.partitions());
         assert_eq!(map.len(), parts_after.len());
         // masses must be conserved along the lineage
         let mut regrouped = vec![0.0; parts_before.len()];
@@ -553,27 +525,27 @@ mod tests {
         for (got, want) in regrouped.iter().zip(parts_before.iter()) {
             assert!((got - want.mass).abs() < 1e-12);
         }
+        // the flat view mirrors the partitions
+        for (p, part) in parts_after.iter().enumerate() {
+            assert_eq!(after.intervals()[p * 2..(p + 1) * 2], *part.mbr.intervals());
+            assert_eq!(after.masses()[p].to_bits(), part.mass.to_bits());
+        }
         // exhausted decomposition reports no progress
-        while dec.expand_with_map(&pdf).is_some() {}
-        assert!(dec.expand_with_map(&pdf).is_none());
+        while deepen(&mut dec, &pdf) {}
+        assert!(!deepen(&mut dec, &pdf));
     }
 
     #[test]
-    fn expand_and_expand_with_map_agree() {
+    fn expand_to_replays_split_levels() {
         let pdf: Pdf = GaussianPdf::isotropic(Point::from([0.5, 0.5]), 0.2, unit_square()).into();
-        let mut a = Decomposition::new(&pdf);
-        let mut b = Decomposition::new(&pdf);
-        for _ in 0..4 {
-            let pa = a.expand(&pdf);
-            let pb = b.expand_with_map(&pdf).is_some();
-            assert_eq!(pa, pb);
-            let (qa, qb) = (a.partitions(), b.partitions());
-            assert_eq!(qa.len(), qb.len());
-            for (x, y) in qa.iter().zip(qb.iter()) {
-                assert_eq!(x.mbr, y.mbr);
-                assert_eq!(x.mass, y.mass);
-            }
-        }
+        let mut dec = Decomposition::new(&pdf);
+        let deep = Arc::clone(dec.expand_to(&pdf, 3).expect("progress"));
+        assert_eq!(dec.depth(), 3);
+        // an earlier level is shared as it is, without splitting further
+        let shallow = Arc::clone(dec.expand_to(&pdf, 1).expect("split before"));
+        assert_eq!(shallow.partitions().len(), 2);
+        assert_eq!(dec.depth(), 3);
+        assert!(Arc::ptr_eq(dec.expand_to(&pdf, 3).unwrap(), &deep));
     }
 
     #[test]
@@ -582,7 +554,7 @@ mod tests {
         let mut dec = Decomposition::new(&pdf);
         dec.expand_to(&pdf, 5);
         assert_eq!(dec.depth(), 5);
-        assert_eq!(dec.leaf_count(), 32);
+        assert_eq!(dec.partitions().len(), 32);
     }
 
     mod properties {
@@ -625,7 +597,7 @@ mod tests {
                 let parts = dec.partitions();
                 let total: f64 = parts.iter().map(|p| p.mass).sum();
                 prop_assert!((total - 1.0).abs() < 1e-6, "total {total}");
-                for p in &parts {
+                for p in parts {
                     prop_assert!(p.mass > 0.0);
                     prop_assert!(pdf.support().contains_rect(&p.mbr));
                 }

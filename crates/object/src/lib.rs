@@ -14,7 +14,7 @@ pub mod decomposition;
 pub mod object;
 
 pub use database::Database;
-pub use decomposition::{Decomposition, Partition, SplitStrategy};
+pub use decomposition::{DecompLevel, Decomposition, Partition, SplitStrategy};
 pub use object::{ObjectId, UncertainObject};
 // Re-exported so downstream crates that work with object decompositions
 // (e.g. the shared decomposition cache in udb-core) can name the density

@@ -9,7 +9,7 @@
 
 use udb_geometry::{Interval, Point, Rect};
 use udb_object::SplitStrategy::{LongestExtent, RoundRobin};
-use udb_object::{Decomposition, SplitStrategy};
+use udb_object::{DecompLevel, Decomposition, SplitStrategy};
 use udb_pdf::{DiscretePdf, GaussianPdf, HistogramPdf, Pdf};
 
 const MAX_DEPTH: usize = 8;
@@ -83,10 +83,18 @@ fn corpus() -> Vec<(&'static str, Pdf)> {
     ]
 }
 
-fn hash_partitions(h: &mut Fnv, dec: &Decomposition) {
-    let parts = dec.partitions();
+fn hash_level(h: &mut Fnv, level: &DecompLevel) {
+    // level 0 has no lineage
+    let map = level.lineage();
+    if !map.is_empty() {
+        h.word(map.len() as u64);
+        for &m in map {
+            h.word(u64::from(m));
+        }
+    }
+    let parts = level.partitions();
     h.word(parts.len() as u64);
-    for p in parts.iter() {
+    for p in parts {
         for iv in p.mbr.intervals() {
             h.word(iv.lo().to_bits());
             h.word(iv.hi().to_bits());
@@ -100,17 +108,12 @@ fn hash_partitions(h: &mut Fnv, dec: &Decomposition) {
 fn level_digest(pdf: &Pdf, strategy: SplitStrategy) -> u64 {
     let mut h = Fnv::new();
     let mut dec = Decomposition::with_strategy(pdf, strategy);
-    hash_partitions(&mut h, &dec);
-    let mut levels = 1u64;
-    for _ in 0..MAX_DEPTH {
-        let Some(map) = dec.expand_with_map(pdf) else {
+    let mut levels = 0u64;
+    for depth in 0..=MAX_DEPTH {
+        let Some(level) = dec.expand_to(pdf, depth) else {
             break;
         };
-        h.word(map.len() as u64);
-        for &m in &map {
-            h.word(u64::from(m));
-        }
-        hash_partitions(&mut h, &dec);
+        hash_level(&mut h, level);
         levels += 1;
     }
     h.word(levels);

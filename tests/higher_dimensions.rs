@@ -38,7 +38,7 @@ fn decomposition_cycles_three_axes() {
     let mass: f64 = parts.iter().map(|p| p.mass).sum();
     assert!((mass - 1.0).abs() < 1e-9);
     // after three round-robin levels every axis was split exactly once
-    for p in &parts {
+    for p in parts {
         for d in 0..3 {
             assert!((p.mbr.extent(d) - 1.0).abs() < 1e-9);
         }

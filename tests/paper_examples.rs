@@ -118,9 +118,9 @@ fn figure1_high_probability_domination() {
     db_.expand_to(b.pdf(), 4);
     dr.expand_to(r.pdf(), 4);
     let bounds = uncertain_db::domination::pdom_bounds(
-        &da.partitions(),
-        &db_.partitions(),
-        &dr.partitions(),
+        da.partitions(),
+        db_.partitions(),
+        dr.partitions(),
         LpNorm::L2,
         crit,
     );
