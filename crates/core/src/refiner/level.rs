@@ -13,9 +13,8 @@
 //!   ever tested again.
 //! * **Influence lineage** — each decomposition level records its
 //!   partition lineage ([`udb_object::DecompLevel::lineage`]); the next
-//!   snapshot
-//!   replaces each open partition by its children and classifies exactly
-//!   those — children of settled partitions are never touched.
+//!   snapshot replaces each open partition by its children and classifies
+//!   exactly those — children of settled partitions are never touched.
 //! * **Pair remapping** — expanding `B` or `R` changes the pair geometry,
 //!   so the next snapshot maps every new pair to its ancestor pair
 //!   (lineage again, composed across multiple steps), carries the
