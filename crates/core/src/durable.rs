@@ -6,13 +6,24 @@
 //! A durable engine owns one directory:
 //!
 //! ```text
-//! checkpoint-000007.ckpt   8-byte magic "UDBCKPT1" + one frame holding
-//!                          {seq, mutations, db} as compat-serde JSON
+//! checkpoint-000007.ckpt   8-byte magic "UDBCKPT2" + frames of at most
+//!                          MAX_FRAME bytes whose payloads, joined, hold
+//!                          {seq, mutations, db} in little-endian binary
 //! wal-000007.log           frames of WalRecord applied AFTER
 //!                          checkpoint 7 was taken
 //! checkpoint-000006.ckpt   the previous checkpoint (fallback basis)
 //! wal-000006.log           records between checkpoints 6 and 7
 //! ```
+//!
+//! The checkpoint payload is `seq: u64`, `mutations: u64`, then
+//! [`Database::encode`]: each `f64` is written as its `to_le_bytes`, so
+//! a recovered database is bit-identical to the one checkpointed, and
+//! decoding goes back through the checked constructors. Every frame must
+//! validate and the joined payload must decode exactly, or the
+//! checkpoint is rejected. The JSON format `UDBCKPT1` is retired: a
+//! directory whose only checkpoints are in it fails to open with an
+//! error that names it (no reader for it is kept). WAL records stay
+//! JSON.
 //!
 //! Invariants: checkpoint `N` captures the database *after* every record
 //! in segments `< N`; segment `wal-N.log` holds exactly the records
@@ -57,17 +68,22 @@
 use udb_index::RTree;
 use udb_object::{Database, ObjectId};
 
-use serde::{Deserialize, Serialize, Value};
+use udb_geometry::codec::{self, Reader};
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::wal::{
     decode_frames, encode_frame, read_wal_bytes, CrashPoint, DurableIo, WalDefect, WalRecord,
+    MAX_FRAME,
 };
 
 /// Magic prefix of a checkpoint file.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"UDBCKPT1";
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"UDBCKPT2";
+
+/// Magic of the retired JSON checkpoint format, recognised only to name
+/// it in the error that refuses it.
+const RETIRED_MAGIC: &[u8; 8] = b"UDBCKPT1";
 
 /// Anything the durability layer can fail with.
 #[derive(Debug)]
@@ -82,9 +98,6 @@ pub enum DurableError {
         /// Why each candidate checkpoint was rejected, newest first.
         warnings: Vec<String>,
     },
-    /// A value failed to serialize (non-finite floats — cannot happen
-    /// for objects that passed construction validation).
-    Encode(String),
 }
 
 impl std::fmt::Display for DurableError {
@@ -94,11 +107,11 @@ impl std::fmt::Display for DurableError {
             DurableError::NoValidCheckpoint { warnings } => {
                 write!(
                     f,
-                    "no valid checkpoint to recover from ({} candidates rejected)",
-                    warnings.len()
+                    "no valid checkpoint to recover from ({} candidates rejected: {})",
+                    warnings.len(),
+                    warnings.join("; ")
                 )
             }
-            DurableError::Encode(m) => write!(f, "durability encode error: {m}"),
         }
     }
 }
@@ -133,36 +146,42 @@ pub struct RecoveryReport {
 
 /// The checkpoint payload: the full database plus the bookkeeping
 /// recovery needs to line the WAL back up.
-#[derive(Debug, Deserialize)]
-#[cfg_attr(test, derive(Serialize))]
+#[derive(Debug)]
 struct CheckpointData {
     /// This checkpoint's sequence number (also in the file name; stored
     /// inside too so a renamed file cannot lie about its position).
     seq: u64,
     /// Mutations applied over the engine's lifetime up to this snapshot.
     mutations: u64,
-    /// The serialized database (tombstones compacted at write time).
+    /// The database (tombstones compacted at write time).
     db: Database,
 }
 
-/// The checkpoint payload as it is written: [`CheckpointData`] with the
-/// database borrowed, so taking a checkpoint encodes the live database
-/// without copying it. The fields serialize in `CheckpointData`'s order,
-/// so the bytes are the ones its derive would write.
-struct CheckpointView<'a> {
-    seq: u64,
-    mutations: u64,
-    db: &'a Database,
+/// The bytes of a checkpoint file: the magic, then the payload split
+/// into frames of at most `chunk` bytes (the checkpoint writer passes
+/// [`MAX_FRAME`]).
+fn encode_checkpoint(seq: u64, mutations: u64, db: &Database, chunk: usize) -> Vec<u8> {
+    let mut payload = Vec::new();
+    codec::put_u64(&mut payload, seq);
+    codec::put_u64(&mut payload, mutations);
+    db.encode(&mut payload);
+    let frames = payload.len().div_ceil(chunk);
+    let mut bytes = Vec::with_capacity(CHECKPOINT_MAGIC.len() + 8 * frames + payload.len());
+    bytes.extend_from_slice(CHECKPOINT_MAGIC);
+    for part in payload.chunks(chunk) {
+        bytes.extend_from_slice(&encode_frame(part));
+    }
+    bytes
 }
 
-impl Serialize for CheckpointView<'_> {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("seq".to_owned(), self.seq.to_value()),
-            ("mutations".to_owned(), self.mutations.to_value()),
-            ("db".to_owned(), self.db.to_value()),
-        ])
-    }
+/// Decodes a joined checkpoint payload, refusing trailing bytes.
+fn decode_payload(payload: &[u8]) -> Result<CheckpointData, String> {
+    let mut r = Reader::new(payload);
+    let seq = r.u64()?;
+    let mutations = r.u64()?;
+    let db = Database::decode(&mut r)?;
+    r.finish()?;
+    Ok(CheckpointData { seq, mutations, db })
 }
 
 fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
@@ -214,19 +233,31 @@ fn list_dir(dir: &Path) -> io::Result<DirListing> {
 /// Loads and validates one checkpoint file.
 fn load_checkpoint(path: &Path) -> Result<CheckpointData, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("unreadable: {e}"))?;
-    if bytes.len() < CHECKPOINT_MAGIC.len() || &bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC
-    {
+    decode_checkpoint(&bytes)
+}
+
+/// Decodes a checkpoint file's bytes: every frame must validate, and
+/// their joined payloads must decode exactly.
+fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointData, String> {
+    let (magic, body) = bytes.split_at(CHECKPOINT_MAGIC.len().min(bytes.len()));
+    if magic == RETIRED_MAGIC {
+        return Err(
+            "written in the retired JSON checkpoint format UDBCKPT1, which this version \
+             no longer reads"
+                .into(),
+        );
+    }
+    if magic != CHECKPOINT_MAGIC {
         return Err("bad magic".into());
     }
-    let (frames, defect) = decode_frames(&bytes[CHECKPOINT_MAGIC.len()..]);
+    let (frames, defect) = decode_frames(body);
     if let Some(defect) = defect {
         return Err(defect.to_string());
     }
-    if frames.len() != 1 {
-        return Err(format!("expected one frame, found {}", frames.len()));
+    if frames.is_empty() {
+        return Err("no frames".into());
     }
-    let text = std::str::from_utf8(frames[0]).map_err(|e| format!("not UTF-8: {e}"))?;
-    serde_json::from_str(text).map_err(|e| format!("undecodable: {e}"))
+    decode_payload(&frames.concat()).map_err(|e| format!("undecodable: {e}"))
 }
 
 /// Replays one record onto the database, mirroring the engine's
@@ -543,15 +574,7 @@ impl Durability {
         self.sync()?;
 
         let new_seq = self.seq + 1;
-        let data = CheckpointView {
-            seq: new_seq,
-            mutations,
-            db,
-        };
-        let json = serde_json::to_string(&data).map_err(|e| DurableError::Encode(e.to_string()))?;
-        let mut bytes = Vec::with_capacity(CHECKPOINT_MAGIC.len() + 8 + json.len());
-        bytes.extend_from_slice(CHECKPOINT_MAGIC);
-        bytes.extend_from_slice(&encode_frame(json.as_bytes()));
+        let bytes = encode_checkpoint(new_seq, mutations, db, MAX_FRAME);
 
         // 2. temp write + fsync
         let final_path = checkpoint_path(&self.dir, new_seq);
@@ -623,33 +646,121 @@ mod tests {
         assert_eq!(parse_seq("other.txt", "wal-", ".log"), None);
     }
 
-    #[test]
-    fn checkpoint_view_encodes_like_the_payload() {
+    /// A database with a tombstone, a compacted base and edge values.
+    fn fixed_db() -> Database {
         use udb_geometry::{Point, Rect};
         use udb_object::UncertainObject;
         let mut db = Database::from_objects(vec![
+            UncertainObject::certain(Point::from([0.5, 0.5])),
             UncertainObject::certain(Point::from([0.25, -0.0])),
-            UncertainObject::new(udb_pdf::Pdf::uniform(Rect::centered(
-                &Point::from([1.0, 2.0]),
-                &[0.1, 0.3],
-            ))),
+            UncertainObject::with_existence(
+                udb_pdf::Pdf::uniform(Rect::centered(&Point::from([1.0, 2.0]), &[0.1, 0.3])),
+                0.375,
+            ),
             UncertainObject::certain(Point::from([3.0, 1e-300])),
         ]);
         db.remove(ObjectId(0));
-        let view = CheckpointView {
-            seq: 7,
-            mutations: 41,
-            db: &db,
-        };
-        let data = CheckpointData {
-            seq: 7,
-            mutations: 41,
-            db: db.clone(),
-        };
-        assert_eq!(
-            serde_json::to_string(&view).unwrap(),
-            serde_json::to_string(&data).unwrap()
-        );
+        db.compact();
+        db.remove(ObjectId(2));
+        db
+    }
+
+    fn assert_same_db(a: &Database, b: &Database) {
+        // float Debug output round-trips, so equal text is equal bits
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    #[test]
+    fn checkpoint_round_trips_bit_for_bit() {
+        let db = fixed_db();
+        assert_eq!(db.base_id(), 1);
+        let data = decode_checkpoint(&encode_checkpoint(7, 41, &db, MAX_FRAME)).unwrap();
+        assert_eq!((data.seq, data.mutations), (7, 41));
+        assert_same_db(&data.db, &db);
+        assert_eq!(data.db.base_id(), 1);
+        assert_eq!(data.db.len(), 2);
+        assert_eq!(data.db.dims(), Some(2));
+        let point = data.db.get(ObjectId(1)).mbr().lo();
+        assert_eq!(point[1].to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn split_payload_loads_from_every_frame_size() {
+        let db = fixed_db();
+        let whole = encode_checkpoint(3, 9, &db, MAX_FRAME);
+        let payload_len = whole.len() - CHECKPOINT_MAGIC.len() - 8;
+        for chunk in [1, 7, 64, payload_len - 1, payload_len] {
+            let bytes = encode_checkpoint(3, 9, &db, chunk);
+            let (frames, defect) = decode_frames(&bytes[CHECKPOINT_MAGIC.len()..]);
+            assert!(defect.is_none());
+            assert_eq!(frames.len(), payload_len.div_ceil(chunk), "chunk {chunk}");
+            assert!(frames.iter().all(|f| f.len() <= chunk));
+            let data = decode_checkpoint(&bytes).unwrap();
+            assert_same_db(&data.db, &db);
+        }
+        // every frame must validate: a flipped byte in a middle frame,
+        // or a file cut at a frame boundary, refuses the checkpoint
+        let bytes = encode_checkpoint(3, 9, &db, 16);
+        let mut flipped = bytes.clone();
+        flipped[CHECKPOINT_MAGIC.len() + 2 * 24 + 8 + 3] ^= 0x10;
+        assert!(decode_checkpoint(&flipped).is_err());
+        assert!(decode_checkpoint(&bytes[..CHECKPOINT_MAGIC.len() + 3 * 24]).is_err());
+    }
+
+    #[test]
+    fn every_truncated_payload_is_refused() {
+        let mut payload = Vec::new();
+        codec::put_u64(&mut payload, 5);
+        codec::put_u64(&mut payload, 8);
+        fixed_db().encode(&mut payload);
+        assert!(decode_payload(&payload).is_ok());
+        for cut in 0..payload.len() {
+            assert!(decode_payload(&payload[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut longer = payload.clone();
+        longer.push(0);
+        assert!(decode_payload(&longer).is_err(), "trailing byte");
+    }
+
+    #[test]
+    fn flipped_payload_bytes_are_refused_or_read_exactly() {
+        // the CRC is recomputed over each mutant, so the decoder itself
+        // sees every flip. A flip inside a float can make another valid
+        // database; then the mutant must be exactly that database's
+        // encoding. Any other flip (a tag, a count, an invalid value)
+        // must be an `Err`, and none may panic.
+        let db = fixed_db();
+        let bytes = encode_checkpoint(5, 8, &db, MAX_FRAME);
+        let payload = &bytes[CHECKPOINT_MAGIC.len() + 8..];
+        let (mut refused, mut read) = (0, 0);
+        for i in 0..payload.len() {
+            for bit in [0x01, 0x10, 0x80] {
+                let mut mutant = payload.to_vec();
+                mutant[i] ^= bit;
+                let mut file = CHECKPOINT_MAGIC.to_vec();
+                file.extend_from_slice(&encode_frame(&mutant));
+                match decode_checkpoint(&file) {
+                    Ok(data) => {
+                        let again =
+                            encode_checkpoint(data.seq, data.mutations, &data.db, MAX_FRAME);
+                        assert_eq!(again, file, "byte {i} bit {bit:#x} misread");
+                        read += 1;
+                    }
+                    Err(_) => refused += 1,
+                }
+            }
+        }
+        assert!(refused > 0 && read > 0, "refused {refused}, read {read}");
+    }
+
+    #[test]
+    fn retired_json_checkpoint_is_named_in_the_refusal() {
+        let mut bytes = RETIRED_MAGIC.to_vec();
+        bytes.extend_from_slice(&encode_frame(b"{\"seq\":1,\"mutations\":0}"));
+        let reason = decode_checkpoint(&bytes).unwrap_err();
+        assert!(reason.contains("UDBCKPT1"), "{reason}");
+        assert!(decode_checkpoint(b"UDB").is_err());
+        assert!(decode_checkpoint(CHECKPOINT_MAGIC).is_err(), "no frames");
     }
 
     #[test]

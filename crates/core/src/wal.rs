@@ -4,16 +4,19 @@
 //!
 //! ## Frame format
 //!
-//! Every WAL record and checkpoint body is one *frame*:
+//! Every WAL record is one *frame*, and a checkpoint body is a run of
+//! them:
 //!
 //! ```text
-//! [ len: u32 LE ][ crc: u32 LE ][ payload: len bytes of JSON ]
+//! [ len: u32 LE ][ crc: u32 LE ][ payload: len bytes ]
 //! ```
 //!
-//! `crc` is the CRC-32 (IEEE) of the payload bytes; the payload is the
-//! compat-serde JSON encoding of a [`WalRecord`] (externally tagged, the
-//! same wire format `tests/serialization.rs` proves round-trips). A
-//! reader trusts a log *up to the first invalid frame*: a frame whose
+//! `crc` is the CRC-32 (IEEE) of the payload bytes and `len` is at most
+//! [`MAX_FRAME`]. A WAL record's payload is the compat-serde JSON
+//! encoding of a [`WalRecord`] (externally tagged, the same wire format
+//! `tests/serialization.rs` proves round-trips). A checkpoint's
+//! payloads, joined, hold the binary snapshot described in
+//! [`crate::durable`]. A reader trusts a log *up to the first invalid frame*: a frame whose
 //! header or payload extends past the end of the file is **torn** (the
 //! tail of a crashed write — dropped with a warning), one whose checksum
 //! or JSON fails to decode is **corrupt** (surfaced, never silently
@@ -43,15 +46,56 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// The slice-by-8 tables of the reflected IEEE polynomial: `T[0][b]` is
+/// the CRC of byte `b` alone, and `T[k][b]` that of `b` followed by `k`
+/// zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `data`, eight bytes
+/// per step through a `const` table.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -600,11 +644,46 @@ mod tests {
     use super::*;
     use udb_geometry::Point;
 
+    /// The bit-at-a-time CRC-32 that [`crc32`] replaced.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vector() {
         // the canonical IEEE check value
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_body() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
+        let bytes: Vec<u8> = (0..4096).map(|_| rng.gen_range(0..=255u8)).collect();
+        // every length across the eight-byte stride and its remainder,
+        // at every alignment of the start
+        for len in 0..=64 {
+            for start in 0..8 {
+                let data = &bytes[start..start + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "len {len} start {start}");
+            }
+        }
+        for _ in 0..32 {
+            let len = rng.gen_range(0..4000usize);
+            let start = rng.gen_range(0..=4096 - len);
+            let data = &bytes[start..start + len];
+            assert_eq!(crc32(data), crc32_bitwise(data), "len {len}");
+        }
+        assert_eq!(crc32(&[0xFF; 64]), crc32_bitwise(&[0xFF; 64]));
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! `lo <= hi` per dimension (degenerate, zero-extent boxes represent certain
 //! points).
 
+pub mod codec;
 pub mod interval;
 pub mod norm;
 pub mod point;

@@ -1,6 +1,8 @@
 //! Points in `R^d`.
 
 use serde::{Deserialize, Serialize};
+
+use crate::codec::{self, Reader};
 use std::ops::{Index, IndexMut};
 
 /// A point in `R^d`, stored as a boxed slice to keep the type two words wide.
@@ -32,6 +34,21 @@ impl Point {
     #[inline]
     pub fn coords(&self) -> &[f64] {
         &self.0
+    }
+
+    /// Appends the binary encoding: the coordinates as a count-prefixed
+    /// run of `f64`s ([`crate::codec`]).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        codec::put_f64s(out, &self.0);
+    }
+
+    /// Reads a point written by [`Point::encode`], through the checked
+    /// constructor.
+    ///
+    /// # Errors
+    /// On truncation, no coordinates or a non-finite coordinate.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Point, String> {
+        Point::try_from(r.f64s()?.into_boxed_slice())
     }
 
     /// Squared Euclidean distance to `other` (avoids the `sqrt` when callers

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::codec::{self, Reader};
 use crate::interval::Interval;
 use crate::norm::LpNorm;
 use crate::point::Point;
@@ -102,6 +103,29 @@ impl Rect {
     #[inline]
     pub fn intervals(&self) -> &[Interval] {
         &self.dims
+    }
+
+    /// Appends the binary encoding: the dimension count, then each
+    /// interval's `lo` and `hi` ([`crate::codec`]).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        codec::put_len(out, self.dims.len());
+        for iv in self.dims.iter() {
+            codec::put_f64(out, iv.lo());
+            codec::put_f64(out, iv.hi());
+        }
+    }
+
+    /// Reads a rectangle written by [`Rect::encode`], every interval
+    /// through [`Interval::try_new`].
+    ///
+    /// # Errors
+    /// On truncation, no dimensions or an invalid interval.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Rect, String> {
+        let n = r.len(16)?;
+        let dims = (0..n)
+            .map(|_| Interval::try_new(r.f64()?, r.f64()?))
+            .collect::<Result<Box<[Interval]>, String>>()?;
+        Rect::try_from(RectRaw { dims })
     }
 
     /// Lower corner.

@@ -1,6 +1,7 @@
 //! The uncertain database `D = {o_1, ..., o_N}`.
 
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use udb_geometry::codec::{self, Reader};
 use udb_geometry::Rect;
 
 use crate::object::{ObjectId, UncertainObject};
@@ -89,6 +90,62 @@ impl Database {
             live,
             base: 0,
         }
+    }
+
+    /// Appends the binary encoding ([`udb_geometry::codec`]): the id
+    /// base, the slot count, then per slot a `0` byte for a tombstone or
+    /// a `1` byte and the object.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        codec::put_u32(out, self.base);
+        codec::put_len(out, self.objects.len());
+        for slot in &self.objects {
+            match slot {
+                None => out.push(0),
+                Some(object) => {
+                    out.push(1);
+                    object.encode(out);
+                }
+            }
+        }
+    }
+
+    /// Reads a database written by [`Database::encode`]. As in
+    /// deserialization, the live count and dimensionality are recomputed
+    /// from the slots, not read.
+    ///
+    /// # Errors
+    /// On truncation, an invalid object, live objects of different
+    /// dimensionality, or more ids than an [`ObjectId`] can name.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
+        let base = r.u32()?;
+        let n = r.len(1)?;
+        if u64::from(base) + n as u64 > u64::from(u32::MAX) {
+            return Err(format!(
+                "{n} slots above id base {base} overflow the id space"
+            ));
+        }
+        let mut objects = Vec::with_capacity(n);
+        let mut dims = None;
+        for _ in 0..n {
+            let slot = match r.u8()? {
+                0 => None,
+                1 => {
+                    let object = UncertainObject::decode(r)?;
+                    if *dims.get_or_insert(object.dims()) != object.dims() {
+                        return Err("live objects differ in dimensionality".to_owned());
+                    }
+                    Some(object)
+                }
+                tag => return Err(format!("unknown slot tag {tag}")),
+            };
+            objects.push(slot);
+        }
+        Ok(Database {
+            live: objects.iter().flatten().count(),
+            objects,
+            dims,
+            base,
+        })
     }
 
     /// Slot index of `id`, if the id was ever issued and not compacted

@@ -2,6 +2,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use udb_geometry::codec::{self, Reader};
 use udb_geometry::{Point, Rect};
 use udb_pdf::Pdf;
 
@@ -134,6 +135,23 @@ impl UncertainObject {
     /// Expected position.
     pub fn mean(&self) -> Point {
         self.pdf.mean()
+    }
+
+    /// Appends the binary encoding: the existence probability, then the
+    /// density (the region is recomputed on decoding).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        codec::put_f64(out, self.existence);
+        self.pdf.encode(out);
+    }
+
+    /// Reads an object written by [`UncertainObject::encode`], through
+    /// [`UncertainObject::try_with_existence`].
+    ///
+    /// # Errors
+    /// On truncation or a violated invariant of the object or density.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
+        let existence = r.f64()?;
+        UncertainObject::try_with_existence(Pdf::decode(r)?, existence)
     }
 }
 

@@ -9,6 +9,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use udb_geometry::codec::{self, Reader};
 use udb_geometry::{Point, Rect};
 
 use crate::math::search_cumulative;
@@ -95,6 +96,28 @@ impl DiscretePdf {
     /// Minimal bounding box of the alternatives.
     pub fn support(&self) -> &Rect {
         &self.support
+    }
+
+    /// Appends the binary encoding: the alternatives, then their
+    /// normalized weights (the support and running sums are recomputed
+    /// on decoding).
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        codec::put_len(out, self.points.len());
+        for p in &self.points {
+            p.encode(out);
+        }
+        codec::put_f64s(out, &self.weights);
+    }
+
+    /// Reads a density written by [`DiscretePdf::encode`], through
+    /// [`DiscretePdf::try_new`].
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
+        // a point is at least its count and one coordinate
+        let n = r.len(16)?;
+        let points = (0..n)
+            .map(|_| Point::decode(r))
+            .collect::<Result<Vec<Point>, String>>()?;
+        DiscretePdf::try_new(points, r.f64s()?)
     }
 
     /// `P(X ∈ region)` — sum of weights of contained alternatives.

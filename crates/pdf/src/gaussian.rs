@@ -8,6 +8,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use udb_geometry::codec::{self, Reader};
 use udb_geometry::{Point, Rect};
 
 use crate::math::{inverse_normal_cdf, normal_cdf, normal_pdf, sample_standard_normal};
@@ -108,6 +109,23 @@ impl GaussianPdf {
     /// Per-dimension standard deviations.
     pub fn std(&self) -> &[f64] {
         &self.std
+    }
+
+    /// Appends the binary encoding: the untruncated mean, the standard
+    /// deviations and the support (the normalization is recomputed on
+    /// decoding).
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        self.mean.encode(out);
+        codec::put_f64s(out, &self.std);
+        self.support.encode(out);
+    }
+
+    /// Reads a density written by [`GaussianPdf::encode`], through
+    /// [`GaussianPdf::try_new`].
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
+        let mean = Point::decode(r)?;
+        let std = r.f64s()?;
+        GaussianPdf::try_new(mean, std, Rect::decode(r)?)
     }
 
     /// Mass of `[lo, hi]` in dimension `i` under the *truncated* marginal.

@@ -9,6 +9,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use udb_geometry::codec::{self, Reader};
 use udb_geometry::{Interval, Point, Rect};
 
 use crate::math::{bivariate_normal_pdf, search_cumulative};
@@ -140,6 +141,32 @@ impl HistogramPdf {
     /// Normalized cell weights.
     pub fn weights(&self) -> &[f64] {
         &self.weights
+    }
+
+    /// Appends the binary encoding: the support, the cells per dimension
+    /// and the normalized weights (the running sums are recomputed on
+    /// decoding).
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        self.support.encode(out);
+        codec::put_len(out, self.resolution.len());
+        for &r in self.resolution.iter() {
+            codec::put_u64(out, r as u64);
+        }
+        codec::put_f64s(out, &self.weights);
+    }
+
+    /// Reads a density written by [`HistogramPdf::encode`], through
+    /// [`HistogramPdf::try_new`].
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
+        let support = Rect::decode(r)?;
+        let n = r.len(8)?;
+        let resolution = (0..n)
+            .map(|_| {
+                let cells = r.u64()?;
+                usize::try_from(cells).map_err(|_| format!("resolution {cells} out of range"))
+            })
+            .collect::<Result<Vec<usize>, String>>()?;
+        HistogramPdf::try_new(support, resolution, r.f64s()?)
     }
 
     fn grid(&self) -> HistogramGrid<'_> {

@@ -41,11 +41,24 @@ pub use uniform::UniformPdf;
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use udb_geometry::codec::Reader;
 use udb_geometry::{Point, Rect};
 
 /// Probability mass below which a region is treated as mass-free by the
 /// decomposition machinery.
 pub const MASS_EPSILON: f64 = 1e-12;
+
+/// How deeply [`Pdf::decode`] follows mixtures of mixtures, so that a
+/// hostile buffer cannot exhaust the stack. A JSON object line reaches
+/// its parser's depth cap at about 30 nested mixtures, so every object
+/// that can arrive as JSON stays well inside this.
+pub const MAX_MIXTURE_NESTING: usize = 64;
+
+const TAG_UNIFORM: u8 = 0;
+const TAG_GAUSSIAN: u8 = 1;
+const TAG_HISTOGRAM: u8 = 2;
+const TAG_DISCRETE: u8 = 3;
+const TAG_MIXTURE: u8 = 4;
 
 /// A bounded multi-dimensional probability density (Definition 1 of the
 /// paper).
@@ -218,6 +231,66 @@ impl Pdf {
                 (self.mass_in(&clipped) > MASS_EPSILON).then_some(clipped)
             }
         }
+    }
+
+    /// Appends the binary encoding ([`udb_geometry::codec`]): a one-byte
+    /// family tag, then the family's defining fields. Derived fields
+    /// (normalizations, running sums, supports of discrete densities and
+    /// mixtures) are not written; [`Pdf::decode`] recomputes them, so a
+    /// density reads back with the same bits.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Pdf::Uniform(p) => {
+                out.push(TAG_UNIFORM);
+                p.encode(out);
+            }
+            Pdf::Gaussian(p) => {
+                out.push(TAG_GAUSSIAN);
+                p.encode(out);
+            }
+            Pdf::Histogram(p) => {
+                out.push(TAG_HISTOGRAM);
+                p.encode(out);
+            }
+            Pdf::Discrete(p) => {
+                out.push(TAG_DISCRETE);
+                p.encode(out);
+            }
+            Pdf::Mixture(p) => {
+                out.push(TAG_MIXTURE);
+                p.encode(out);
+            }
+        }
+    }
+
+    /// Reads a density written by [`Pdf::encode`], through the family's
+    /// checked constructor.
+    ///
+    /// # Errors
+    /// On truncation, an unknown tag, a violated invariant (non-finite
+    /// values, negative or all-zero weights, a resolution that does not
+    /// match the weights, ...) or mixtures nested deeper than
+    /// [`MAX_MIXTURE_NESTING`].
+    pub fn decode(r: &mut Reader<'_>) -> Result<Pdf, String> {
+        Pdf::decode_nested(r, 0)
+    }
+
+    fn decode_nested(r: &mut Reader<'_>, depth: usize) -> Result<Pdf, String> {
+        Ok(match r.u8()? {
+            TAG_UNIFORM => Pdf::Uniform(UniformPdf::decode(r)?),
+            TAG_GAUSSIAN => Pdf::Gaussian(GaussianPdf::decode(r)?),
+            TAG_HISTOGRAM => Pdf::Histogram(HistogramPdf::decode(r)?),
+            TAG_DISCRETE => Pdf::Discrete(DiscretePdf::decode(r)?),
+            TAG_MIXTURE if depth < MAX_MIXTURE_NESTING => {
+                Pdf::Mixture(MixturePdf::decode(r, depth)?)
+            }
+            TAG_MIXTURE => {
+                return Err(format!(
+                    "mixtures nested deeper than {MAX_MIXTURE_NESTING} levels"
+                ))
+            }
+            tag => return Err(format!("unknown density tag {tag}")),
+        })
     }
 
     /// Approximates this density by `n` Monte-Carlo samples of equal weight

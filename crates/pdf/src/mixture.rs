@@ -6,6 +6,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use udb_geometry::codec::{self, Reader};
 use udb_geometry::{Point, Rect};
 
 use crate::math::search_cumulative;
@@ -74,6 +75,28 @@ impl MixturePdf {
     /// The components with their normalized weights.
     pub fn components(&self) -> &[(f64, Pdf)] {
         &self.components
+    }
+
+    /// Appends the binary encoding: the component count, then each
+    /// normalized weight and component (the support and running sums are
+    /// recomputed on decoding).
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        codec::put_len(out, self.components.len());
+        for (w, p) in &self.components {
+            codec::put_f64(out, *w);
+            p.encode(out);
+        }
+    }
+
+    /// Reads a mixture written by [`MixturePdf::encode`], through
+    /// [`MixturePdf::try_new`]; `depth` is its nesting level.
+    pub(crate) fn decode(r: &mut Reader<'_>, depth: usize) -> Result<Self, String> {
+        // a component is at least its weight and a one-byte tag
+        let n = r.len(9)?;
+        let components = (0..n)
+            .map(|_| Ok((r.f64()?, Pdf::decode_nested(r, depth + 1)?)))
+            .collect::<Result<Vec<(f64, Pdf)>, String>>()?;
+        MixturePdf::try_new(components)
     }
 
     /// Union of component supports.

@@ -6,6 +6,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use udb_geometry::codec::Reader;
 use udb_geometry::{Point, Rect};
 
 /// Uniform density over a support rectangle.
@@ -46,6 +47,17 @@ impl UniformPdf {
     /// The support rectangle.
     pub fn support(&self) -> &Rect {
         &self.support
+    }
+
+    /// Appends the binary encoding: the support (the inverse volume is
+    /// recomputed on decoding).
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        self.support.encode(out);
+    }
+
+    /// Reads a density written by [`UniformPdf::encode`].
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Self, String> {
+        Ok(UniformPdf::new(Rect::decode(r)?))
     }
 
     /// Fraction of the support contained in `region`, handling degenerate
